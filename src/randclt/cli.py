@@ -18,7 +18,6 @@ import tempfile
 from dataclasses import dataclass
 
 from . import conditions as cond
-from . import quadrature
 from .families import (
     SummandFamily,
     comparator_family,
@@ -56,14 +55,12 @@ class RunConfig:
     delta: float = 1.0
     trials: int = 0
     seed: int = 0
-    quad_tol: float = 1e-10
     trunc_mass: float = TRUNCATION_TARGET
     fn_id: str = "sin"
     alpha: float | None = None
     mode: str = "large-o"
     t_grid: tuple = (0.0, 0.5, 1.0, 2.0, 4.0)
     out: str | None = None
-    workers: int | None = None
     print_config: bool = False
 
     def to_argv(self) -> list:
@@ -74,7 +71,6 @@ class RunConfig:
         argv += ["--epsilon", ",".join(repr(e) for e in self.epsilon_grid)]
         argv += ["--delta", repr(self.delta)]
         argv += ["--trials", str(self.trials), "--seed", str(self.seed)]
-        argv += ["--quad-tol", repr(self.quad_tol)]
         argv += ["--trunc-mass", repr(self.trunc_mass)]
         argv += ["--fn", self.fn_id, "--mode", self.mode]
         if self.alpha is not None:
@@ -82,8 +78,6 @@ class RunConfig:
         argv += ["--t-grid", ",".join(repr(t) for t in self.t_grid)]
         if self.out is not None:
             argv += ["--out", self.out]
-        if self.workers is not None:
-            argv += ["--workers", str(self.workers)]
         return argv
 
 
@@ -131,14 +125,12 @@ def build_parser() -> _Parser:
         p.add_argument("--delta", type=float, default=1.0)
         p.add_argument("--trials", type=int, default=0)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--quad-tol", type=float, default=1e-10)
         p.add_argument("--trunc-mass", type=float, default=TRUNCATION_TARGET)
         p.add_argument("--fn", dest="fn_id", default="sin")
         p.add_argument("--alpha", type=float, default=None)
         p.add_argument("--mode", choices=("large-o", "small-o"), default="large-o")
         p.add_argument("--t-grid", default="0,0.5,1,2,4")
         p.add_argument("--out", default=None)
-        p.add_argument("--workers", type=int, default=None)
         p.add_argument("--print-config", action="store_true")
     return parser
 
@@ -154,14 +146,12 @@ def parse_args(argv) -> RunConfig:
         delta=ns.delta,
         trials=ns.trials,
         seed=ns.seed,
-        quad_tol=ns.quad_tol,
         trunc_mass=ns.trunc_mass,
         fn_id=ns.fn_id,
         alpha=ns.alpha,
         mode=ns.mode,
         t_grid=_float_list("--t-grid", ns.t_grid),
         out=ns.out,
-        workers=ns.workers,
         print_config=ns.print_config,
     )
     _validate(config)
@@ -175,8 +165,6 @@ def _validate(config: RunConfig) -> None:
         raise UsageError(f"--epsilon entries must be positive: {config.epsilon_grid}")
     if not (0.0 < config.delta <= 1.0):
         raise UsageError(f"--delta must lie in (0, 1]: {config.delta}")
-    if not (0.0 < config.quad_tol <= 1e-4):
-        raise UsageError(f"--quad-tol must lie in (0, 1e-4]: {config.quad_tol}")
     if not (0.0 < config.trunc_mass < 1.0):
         raise UsageError(f"--trunc-mass must lie in (0, 1): {config.trunc_mass}")
     if config.trials < 0:
@@ -282,7 +270,7 @@ def _run_simulate(config: RunConfig) -> int:
     rows = []
     for n in config.n_grid:
         model = make_index(kind, n, param, target=config.trunc_mass)
-        sample = simulate(family, model, config.trials, config.seed, workers=config.workers)
+        sample = simulate(family, model, config.trials, config.seed)
         est = kolmogorov_distance(sample)
         rows.append((n, config.trials, config.seed, est.d_hat, est.dkw_band))
     _emit(config, _csv(("n", "trials", "seed", "d_hat", "dkw_band"), rows))
@@ -301,8 +289,7 @@ def _run_rates(config: RunConfig) -> int:
     rows = []
     if config.mode == "large-o":
         curve = large_o_audit(
-            family, factory, f, config.n_grid, config.trials, config.seed,
-            workers=config.workers,
+            family, factory, f, config.n_grid, config.trials, config.seed
         )
         for p in curve.points:
             ratio = p.metric / p.bound if p.bound > 0 else math.inf
@@ -310,7 +297,7 @@ def _run_rates(config: RunConfig) -> int:
     else:
         curve = small_o_audit(
             family, family.comparator(), factory, f, config.n_grid,
-            config.epsilon_grid, config.trials, config.seed, workers=config.workers,
+            config.epsilon_grid, config.trials, config.seed,
         )
         for p in curve.points:
             rows.append((p.n, p.metric, p.mc_stderr, p.inv_b_expectation, p.ratio))
@@ -395,7 +382,6 @@ def run(config: RunConfig) -> int:
     if config.print_config:
         sys.stdout.write(" ".join(config.to_argv()) + "\n")
         return 0
-    quadrature.set_default_tol(config.quad_tol)
     try:
         return _RUNNERS[config.subcommand](config)
     except (ValueError, RuntimeError, OSError) as exc:

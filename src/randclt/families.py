@@ -34,6 +34,8 @@ from .gaussian import (
 )
 
 _SQRT3 = math.sqrt(3.0)
+# Summand matrix size per draw in batch_normalized_sums; bounds its memory.
+_MAX_DRAW_ENTRIES = 1 << 16
 
 
 class FamilyConfigError(ValueError):
@@ -94,10 +96,6 @@ class Law:
     def sample(self, rng: np.random.Generator, size=None):
         raise NotImplementedError
 
-    def sample_sum(self, rng: np.random.Generator, k: int) -> float:
-        """One draw of Z_1 + ... + Z_k (exact distribution)."""
-        return float(np.sum(self.sample(rng, size=k)))
-
     def batch_sums(self, rng: np.random.Generator, ks: np.ndarray):
         """Vectorized draws of S_k for an array of counts, or None.
 
@@ -148,9 +146,6 @@ class RademacherLaw(Law):
 
     def sample(self, rng, size=None):
         return rng.integers(0, 2, size=size) * 2.0 - 1.0
-
-    def sample_sum(self, rng, k):
-        return 2.0 * float(rng.binomial(k, 0.5)) - k
 
     def batch_sums(self, rng, ks):
         return 2.0 * rng.binomial(ks, 0.5) - ks
@@ -259,9 +254,6 @@ class NormalLaw(Law):
 
     def sample(self, rng, size=None):
         return rng.standard_normal(size)
-
-    def sample_sum(self, rng, k):
-        return float(rng.standard_normal()) * math.sqrt(k)
 
     def batch_sums(self, rng, ks):
         return rng.standard_normal(len(ks)) * np.sqrt(ks)
@@ -373,9 +365,6 @@ class CenteredExponentialLaw(Law):
     def sample(self, rng, size=None):
         return rng.standard_exponential(size) - 1.0
 
-    def sample_sum(self, rng, k):
-        return float(rng.standard_gamma(k)) - k
-
     def batch_sums(self, rng, ks):
         return rng.standard_gamma(ks) - ks
 
@@ -422,6 +411,10 @@ class ConstantProfile:
 
     def log_max_sigma(self, n):
         return np.full_like(np.asarray(n, dtype=float), math.log(self.sigma))
+
+    def weights(self, k: int) -> np.ndarray:
+        """sigma_j / B_k for j = 1..k."""
+        return np.full(k, 1.0 / math.sqrt(k))
 
 
 @dataclass(frozen=True)
@@ -485,6 +478,21 @@ class GeometricProfile:
         if self.ratio > 1.0:
             return 0.5 * (n - 1.0) * math.log(self.ratio)
         return np.zeros_like(n)
+
+    def weights(self, k: int) -> np.ndarray:
+        """sigma_j / B_k for the j <= k whose weight exceeds e^-42 (~5e-19).
+
+        Smaller weights cannot move a float64 sum.  The logs are taken
+        relative to the largest sigma_j, with B_k^2 / max sigma_j^2 =
+        expm1(k q) / expm1(q), q = -|log ratio|: subtracting log B_k from
+        log sigma_j would cost up to ~1e-9 of the unit sum of squares near
+        ratio 1, and ~1e-12 once k is in the thousands.
+        """
+        q = -abs(math.log(self.ratio))
+        # steps below the largest sigma_j, which is j = k when ratio > 1
+        steps = np.arange(k - 1, -1, -1) if self.ratio > 1.0 else np.arange(k)
+        logw = 0.5 * (q * steps - math.log(math.expm1(k * q) / math.expm1(q)))
+        return np.exp(logw[logw > -42.0])
 
 
 # ---------------------------------------------------------------------------
@@ -572,33 +580,33 @@ class SummandFamily:
 
     # -- Monte Carlo support -------------------------------------------------
 
-    def batch_normalized_sums(self, rng: np.random.Generator, ks: np.ndarray):
-        """Vectorized draws of S_k / B_k for an array of realized indices.
+    def batch_normalized_sums(self, rng: np.random.Generator, ks: np.ndarray) -> np.ndarray:
+        """Draws of S_k / B_k for an array of realized indices, all from rng.
 
-        Returns None when the family has no exact vectorized path; callers
-        then fall back to per-trial substreams.
+        Laws with an exactly samplable k-fold sum (binomial, gamma, normal)
+        and the all-normal geometric profile draw one value per trial.  Every
+        other family groups the trials by k and multiplies (rows x k) summand
+        matrices, at most _MAX_DRAW_ENTRIES entries each (one row when k is
+        larger), by the weights sigma_j / B_k.
         """
         if self.profile.is_constant:
             sums = self.law.batch_sums(rng, ks)
-            if sums is None:
-                return None
-            return sums / np.sqrt(ks)
-        if isinstance(self.law, NormalLaw):
+            if sums is not None:
+                return sums / np.sqrt(ks)
+        elif isinstance(self.law, NormalLaw):
             # weighted sum of independent normals is normal with variance B_k^2
             return rng.standard_normal(len(ks))
-        return None
-
-    def normalized_sum_draw(self, k: int, rng: np.random.Generator) -> float:
-        """One draw of S_k / B_k from the caller's stream (generic path)."""
-        if self.profile.is_constant:
-            return self.law.sample_sum(rng, k) / math.sqrt(k)
-        logb = 0.5 * float(self.profile.log_b_squared(k))
-        j = np.arange(1, k + 1)
-        logw = 0.5 * self.profile.log_variance_at(j) - logb
-        keep = logw > -42.0  # weights below ~5e-19 cannot move a float64 sum
-        w = np.exp(logw[keep])
-        draws = self.law.sample(rng, size=int(keep.sum()))
-        return float(np.dot(w, draws))
+        out = np.empty(len(ks))
+        order = np.argsort(ks, kind="stable")
+        uniq, starts = np.unique(ks[order], return_index=True)
+        ends = np.append(starts[1:], len(ks))
+        for k, lo, hi in zip(uniq, starts, ends):
+            w = self.profile.weights(int(k))
+            rows = max(1, _MAX_DRAW_ENTRIES // len(w))
+            for a in range(lo, hi, rows):
+                b = min(a + rows, hi)
+                out[order[a:b]] = self.law.sample(rng, size=(b - a, len(w))) @ w
+        return out
 
 
 @dataclass(frozen=True)

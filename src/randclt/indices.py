@@ -247,16 +247,6 @@ def make_index(
     raise IndexConfigError(f"unknown index kind: {kind!r}")
 
 
-def expect_over_index(model: RandomIndexModel, g, abs_bound: float) -> WeightedExpectation:
-    """Functional form of RandomIndexModel.expect."""
-    return model.expect(g, abs_bound)
-
-
-def sample_index(model: RandomIndexModel, rng: np.random.Generator, size=None):
-    """Functional form of RandomIndexModel.sample."""
-    return model.sample(rng, size)
-
-
 def parse_index(spec: str):
     """Parse '[index=]<kind>[:<param>]' into (kind, param or None)."""
     spec = spec.strip()

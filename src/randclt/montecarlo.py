@@ -1,18 +1,16 @@
 """Monte Carlo simulation of normalized random sums and distance estimation.
 
 Streams are Philox counter-based generators keyed by (seed, purpose), so every
-run is a pure function of its configuration and seed: index draws come from a
-dedicated stream disjoint from all summand streams, families with exactly
-samplable sum distributions draw the whole trial vector in one vectorized pass
-from the summand stream, and the generic path gives trial t its own substream
-keyed by (seed, t).  Results are therefore identical for any worker count.
+run is a pure function of its configuration and seed.  A simulation uses two:
+the index stream, and one summand stream disjoint from it.  Families whose
+k-fold sums have an exact closed law (binomial, gamma, normal) draw one value
+per trial from the summand stream; every other family draws its summands from
+the same stream in matrices grouped by the realized k.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +24,6 @@ _MASK64 = (1 << 64) - 1
 _TAG_INDEX = _MASK64
 _TAG_BATCH = _MASK64 - 1
 DEFAULT_GAMMA = 0.999
-WORKERS_ENV = "RANDCLT_WORKERS"
 
 
 class SimulationError(RuntimeError):
@@ -71,19 +68,11 @@ class KolmogorovEstimate:
             raise ValueError(f"d_hat must lie in [0, 1]: {self.d_hat}")
 
 
-def resolve_workers(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get(WORKERS_ENV)
-    return max(1, int(env)) if env else 1
-
-
 def simulate(
     family: SummandFamily,
     index_model: RandomIndexModel,
     trials: int,
     seed: int,
-    workers: int | None = None,
 ) -> EmpiricalSample:
     """Draw `trials` normalized random sums.
 
@@ -98,8 +87,6 @@ def simulate(
         raise SimulationError(str(exc)) from exc
 
     values = family.batch_normalized_sums(_stream(seed, _TAG_BATCH), ks)
-    if values is None:
-        values = _per_trial_values(family, ks, seed, resolve_workers(workers))
     uniq, counts = np.unique(ks, return_counts=True)
     histogram = {int(k): int(c) for k, c in zip(uniq, counts)}
     return EmpiricalSample(
@@ -108,24 +95,6 @@ def simulate(
         seed=seed,
         index_histogram=histogram,
     )
-
-
-def _per_trial_values(family, ks, seed, workers):
-    out = np.empty(len(ks), dtype=float)
-
-    def run_block(lo, hi):
-        for t in range(lo, hi):
-            rng = _stream(seed, t)
-            out[t] = family.normalized_sum_draw(int(ks[t]), rng)
-
-    if workers == 1:
-        run_block(0, len(ks))
-        return out
-    step = (len(ks) + workers - 1) // workers
-    blocks = [(lo, min(lo + step, len(ks))) for lo in range(0, len(ks), step)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(lambda b: run_block(*b), blocks))
-    return out
 
 
 def kolmogorov_distance(
@@ -187,7 +156,6 @@ def clt_sweep(
     n_grid,
     trials: int,
     seed: int,
-    workers: int | None = None,
 ):
     """One simulate + distance estimate per n.
 
@@ -200,7 +168,7 @@ def clt_sweep(
     points = []
     for n in n_grid:
         model = factory(int(n))
-        sample = simulate(family, model, trials, seed, workers=workers)
+        sample = simulate(family, model, trials, seed)
         points.append((int(n), kolmogorov_distance(sample)))
     return points
 

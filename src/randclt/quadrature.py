@@ -28,19 +28,6 @@ from .gaussian import (
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_SUBDIVISIONS = 10_000
-_current_tol = DEFAULT_TOL
-
-
-def set_default_tol(tol: float) -> None:
-    """Process-wide override of the engine's absolute tolerance."""
-    global _current_tol
-    if not (0.0 < tol <= 1e-4):
-        raise ValueError(f"quadrature tolerance must lie in (0, 1e-4]: {tol}")
-    _current_tol = tol
-
-
-def get_default_tol() -> float:
-    return _current_tol
 
 # Gauss-Kronrod 15/7 nodes and weights on [-1, 1] (positive half, node 0 last).
 _XK = np.array(
@@ -122,7 +109,7 @@ def adaptive_integral(
     fn,
     a: float,
     b: float,
-    tol: float | None = None,
+    tol: float = DEFAULT_TOL,
     max_subdivisions: int = DEFAULT_MAX_SUBDIVISIONS,
     breakpoints=(),
 ) -> IntegralResult:
@@ -132,8 +119,6 @@ def adaptive_integral(
     Raises QuadratureError when the panel budget is exhausted while the error
     estimate still exceeds 100x the tolerance.
     """
-    if tol is None:
-        tol = _current_tol
     if b <= a:
         return IntegralResult(0.0, 0.0, 0)
     edges = [a] + sorted(p for p in set(breakpoints) if a < p < b) + [b]
@@ -276,7 +261,7 @@ def tail_second_moment(
     family: SummandFamily,
     j: int,
     threshold: float,
-    tol: float | None = None,
+    tol: float = DEFAULT_TOL,
     max_subdivisions: int = DEFAULT_MAX_SUBDIVISIONS,
 ) -> IntegralResult:
     """integral_{|x| > threshold} x^2 dF_j(x).
@@ -285,8 +270,6 @@ def tail_second_moment(
     """
     if threshold < 0.0:
         raise ValueError("threshold must be nonnegative")
-    if tol is None:
-        tol = _current_tol
     if family.law.is_discrete:
         return IntegralResult(_atom_tail_moment(family, j, threshold, 2.0), 0.0, 0)
     return _continuous_tail_moment(family, j, threshold, 2.0, tol, max_subdivisions)
@@ -297,7 +280,7 @@ def tail_abs_moment(
     j: int,
     threshold: float,
     order: float,
-    tol: float | None = None,
+    tol: float = DEFAULT_TOL,
     max_subdivisions: int = DEFAULT_MAX_SUBDIVISIONS,
 ) -> IntegralResult:
     """integral_{|x| > threshold} |x|^order dF_j(x); threshold 0 gives E|X_j|^order."""
@@ -305,8 +288,6 @@ def tail_abs_moment(
         raise ValueError("threshold must be nonnegative")
     if order < 1.0:
         raise ValueError(f"moment order must be >= 1: {order}")
-    if tol is None:
-        tol = _current_tol
     if family.law.is_discrete:
         return IntegralResult(_atom_tail_moment(family, j, threshold, order), 0.0, 0)
     return _continuous_tail_moment(family, j, threshold, order, tol, max_subdivisions)
@@ -366,7 +347,7 @@ def rotar_tail_integral(
     comparator: NormalComparator,
     j: int,
     threshold: float,
-    tol: float | None = None,
+    tol: float = DEFAULT_TOL,
     max_subdivisions: int = DEFAULT_MAX_SUBDIVISIONS,
 ) -> IntegralResult:
     """integral_{|x| > threshold} |x| |F_j(x) - Phi_j(x)| dx.
@@ -374,8 +355,6 @@ def rotar_tail_integral(
     Identically zero when the family law is normal (F_j == Phi_j); exact
     piecewise integration for atomic laws; adaptive quadrature otherwise.
     """
-    if tol is None:
-        tol = _current_tol
     if threshold <= 0.0:
         raise ValueError("threshold must be positive")
     sigma_c = float(comparator.sigma(j))

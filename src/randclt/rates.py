@@ -178,10 +178,9 @@ def smooth_metric(
     f: TestFunction,
     trials: int,
     seed: int,
-    workers: int | None = None,
 ) -> SmoothMetric:
     """|MC average of f over normalized random sums - E f(Z)| with its stderr."""
-    sample = simulate(family, index_model, trials, seed, workers=workers)
+    sample = simulate(family, index_model, trials, seed)
     fv = np.asarray(f.evaluate(sample.values), dtype=float)
     mc_mean = float(np.mean(fv))
     stderr = float(np.std(fv) / math.sqrt(trials))
@@ -260,7 +259,6 @@ def large_o_audit(
     n_grid,
     trials: int,
     seed: int,
-    workers: int | None = None,
 ) -> RateCurve:
     """Compare the metric per n against the fitted O(E[B^-(1+alpha)]) shape.
 
@@ -276,7 +274,7 @@ def large_o_audit(
     metrics, stderrs, shapes, m1s = [], [], [], []
     for n in ns:
         model = factory(n)
-        sm = smooth_metric(family, model, f, trials, seed, workers=workers)
+        sm = smooth_metric(family, model, f, trials, seed)
         metrics.append(sm.metric)
         stderrs.append(sm.mc_stderr)
         shapes.append(_bound_shape(family, model, 1.0 + alpha).value)
@@ -353,7 +351,6 @@ def small_o_audit(
     epsilon_grid,
     trials: int,
     seed: int,
-    workers: int | None = None,
 ) -> SmallOCurve:
     """Track r(n) = metric / E[B^-1] against the majorants eps + random rotar.
 
@@ -370,7 +367,7 @@ def small_o_audit(
     for n in n_grid:
         n = int(n)
         model = factory(n)
-        sm = smooth_metric(family, model, f, trials, seed, workers=workers)
+        sm = smooth_metric(family, model, f, trials, seed)
         inv_b = _bound_shape(family, model, 1.0).value
         majorants = {
             float(eps): float(eps)

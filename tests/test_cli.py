@@ -48,10 +48,6 @@ class TestParsing:
         with pytest.raises(UsageError):
             parse_args(["conditions", "--delta", "1.5"])
 
-    def test_quad_tol_range(self):
-        with pytest.raises(UsageError):
-            parse_args(["conditions", "--quad-tol", "1e-3"])
-
     def test_usage_error_exits_one(self, capsys):
         assert main(["simulate", "--trials", "0"]) == 1
         assert "usage error" in capsys.readouterr().err

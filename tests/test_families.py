@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 from scipy.integrate import quad
 
 from randclt.families import (
     BUILTIN_FAMILY_KINDS,
     FamilyConfigError,
+    GeometricProfile,
     MomentError,
     NormalComparator,
     make_family,
@@ -167,6 +170,16 @@ class TestPartialVariance:
         pv = fam.partial_variance(5000)
         assert math.isinf(pv.b_squared)
         assert pv.log_b_squared == pytest.approx(5000 * math.log(2.0), rel=1e-12)
+
+
+class TestSummandWeights:
+    @given(
+        ratio=st.floats(0.5, 4.0).filter(lambda r: r != 1.0),
+        k=st.integers(1, 5000),
+    )
+    def test_kept_weights_have_unit_sum_of_squares(self, ratio, k):
+        w = GeometricProfile(ratio=ratio).weights(k)
+        assert abs(float(np.sum(w * w)) - 1.0) <= 1e-12
 
 
 class TestNormalComparator:
