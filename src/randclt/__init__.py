@@ -47,13 +47,6 @@ from .montecarlo import (
     kolmogorov_distance,
     simulate,
 )
-from .quadrature import (
-    IntegralResult,
-    adaptive_integral,
-    rotar_tail_integral,
-    tail_abs_moment,
-    tail_second_moment,
-)
 from .rates import (
     BUILTIN_TEST_FUNCTIONS,
     RateCurve,

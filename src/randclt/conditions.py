@@ -118,12 +118,7 @@ def lindeberg_values(family: SummandFamily, ks, eps: float) -> np.ndarray:
 
 def rotar_values(family: SummandFamily, ks, eps: float) -> np.ndarray:
     """Variance-normalized absolute-difference tail functional per index."""
-    unit = family.law.rotar_unit_tail
-    if unit is None:
-        raise NotImplementedError(
-            f"law {family.law.name!r} has no closed-form comparison tail"
-        )
-    return _scale_mixture_values(unit, family.profile, ks, eps)
+    return _scale_mixture_values(family.law.rotar_unit_tail, family.profile, ks, eps)
 
 
 def feller_values(family: SummandFamily, ks) -> np.ndarray:

@@ -18,22 +18,20 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .gaussian import (
     SQRT_2_OVER_PI,
     norm_cdf,
     norm_central_prob,
     norm_pdf,
-    norm_sf,
     normal_abs_moment,
-    normal_tail_abs_moment,
     normal_tail_second_moment,
     upper_x_sf_integral,
     x2_antiderivative,
 )
 
 _SQRT3 = math.sqrt(3.0)
+_LN2 = math.log(2.0)
 # Summand matrix size per draw in batch_normalized_sums; bounds its memory.
 _MAX_DRAW_ENTRIES = 1 << 16
 
@@ -77,21 +75,13 @@ class Law:
         """E[Z^2; |Z| > t] for t >= 0 (strict inequality at atoms)."""
         raise NotImplementedError
 
-    def tail_abs_moment(self, t, order: float):
-        """E[|Z|^order; |Z| > t], or None when no closed form is known."""
-        return None
-
     def central_prob(self, t):
         """P(|Z| <= t); the complement P(|Z| > t) uses strict inequality."""
         raise NotImplementedError
 
     def rotar_unit_tail(self, t):
-        """integral_{|z|>t} |z| * |F(z) - Phi(z)| dz, closed form.
-
-        Returns None when no closed form is available (then the adaptive
-        quadrature engine is the only route).
-        """
-        return None
+        """integral_{|z|>t} |z| * |F(z) - Phi(z)| dz, closed form."""
+        raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, size=None):
         raise NotImplementedError
@@ -123,10 +113,6 @@ class RademacherLaw(Law):
         return 1.0
 
     def tail_second_moment(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t < 1.0, 1.0, 0.0)
-
-    def tail_abs_moment(self, t, order):
         t = np.asarray(t, dtype=float)
         return np.where(t < 1.0, 1.0, 0.0)
 
@@ -182,13 +168,6 @@ class UniformLaw(Law):
         t = np.clip(t, 0.0, _SQRT3)
         return 1.0 - t**3 / (3.0 * _SQRT3)
 
-    def tail_abs_moment(self, t, order):
-        t = np.asarray(t, dtype=float)
-        t = np.clip(t, 0.0, _SQRT3)
-        return (3.0 ** (0.5 * (order + 1.0)) - t ** (order + 1.0)) / (
-            (order + 1.0) * _SQRT3
-        )
-
     def central_prob(self, t):
         t = np.asarray(t, dtype=float)
         return np.clip(t / _SQRT3, 0.0, 1.0)
@@ -200,6 +179,8 @@ class UniformLaw(Law):
     def sign_root(self) -> float:
         """Unique z in (0, sqrt(3)) where F - Phi changes sign."""
         if self._sign_root is None:
+            from scipy.optimize import brentq
+
             self._sign_root = brentq(self._diff, 1e-8, _SQRT3 - 1e-12, xtol=1e-15)
         return self._sign_root
 
@@ -243,9 +224,6 @@ class NormalLaw(Law):
     def tail_second_moment(self, t):
         return normal_tail_second_moment(t)
 
-    def tail_abs_moment(self, t, order):
-        return normal_tail_abs_moment(t, order)
-
     def central_prob(self, t):
         return norm_central_prob(t)
 
@@ -276,37 +254,22 @@ class CenteredExponentialLaw(Law):
         z = np.asarray(z, dtype=float)
         return np.where(z >= -1.0, np.exp(-(z + 1.0)), 0.0)
 
-    @staticmethod
-    def _lower_piece(t, order):
-        # integral_t^1 u^order e^(u-1) du via the exponential series
-        t = np.asarray(t, dtype=float)
-        total = np.zeros_like(t)
+    def abs_moment(self, order):
+        # integral_0^1 u^order e^(u-1) du (the part below 0) via the
+        # exponential series, plus Gamma(order + 1) / e for the part above
+        lower = 0.0
         fact = 1.0
         for m in range(0, 40):
             if m > 0:
                 fact *= m
-            p = order + m + 1.0
-            total = total + (1.0 - t**p) / (fact * p)
-        return total / math.e
-
-    def abs_moment(self, order):
-        return float(self._lower_piece(0.0, order) + math.gamma(order + 1.0) / math.e)
+            lower += 1.0 / (fact * (order + m + 1.0))
+        return lower / math.e + math.gamma(order + 1.0) / math.e
 
     def tail_second_moment(self, t):
         t = np.asarray(t, dtype=float)
         right = np.exp(-(t + 1.0)) * (t * t + 2.0 * t + 2.0)
         tl = np.minimum(t, 1.0)
         left = 1.0 - np.exp(tl - 1.0) * (tl * tl - 2.0 * tl + 2.0)
-        return right + np.where(t < 1.0, left, 0.0)
-
-    def tail_abs_moment(self, t, order):
-        from scipy.special import gammaincc
-
-        t = np.asarray(t, dtype=float)
-        right = (
-            math.gamma(order + 1.0) / math.e * gammaincc(order + 1.0, np.maximum(t, 0.0))
-        )
-        left = self._lower_piece(np.clip(t, 0.0, 1.0), order)
         return right + np.where(t < 1.0, left, 0.0)
 
     def central_prob(self, t):
@@ -320,6 +283,8 @@ class CenteredExponentialLaw(Law):
     def sign_roots(self) -> tuple[float, float]:
         """Roots of F - Phi: one in (-1, 0), one past the mode crossing."""
         if self._roots is None:
+            from scipy.optimize import brentq
+
             r1 = brentq(self._diff, -1.0 + 1e-13, 0.0, xtol=1e-15)
             r2 = brentq(self._diff, 1.0, 3.0, xtol=1e-15)
             self._roots = (r1, r2)
@@ -417,6 +382,17 @@ class ConstantProfile:
         return np.full(k, 1.0 / math.sqrt(k))
 
 
+def _log1mexp(a):
+    """log(1 - e^-a) for a > 0, accurate on both sides of a = ln 2.
+
+    log1p(-e^-a) cancels as a -> 0 (ratio near 1), log(-expm1(-a)) as a grows;
+    the split is Maechler's "Accurately computing log(1 - exp(-|a|))" (2012).
+    """
+    a = np.asarray(a, dtype=float)
+    with np.errstate(divide="ignore"):
+        return np.where(a < _LN2, np.log(-np.expm1(-a)), np.log1p(-np.exp(-a)))
+
+
 @dataclass(frozen=True)
 class GeometricProfile:
     """sigma_j^2 = ratio^(j-1); ratio > 1 gives exploding variances."""
@@ -461,13 +437,8 @@ class GeometricProfile:
         logq = 0.5 * power * math.log(self.ratio)
         if logq > 0:
             # (q^n - 1)/(q - 1) = q^(n-1) * (1 - q^-n) / (1 - 1/q)
-            return (
-                n * logq
-                + np.log1p(-np.exp(-n * logq))
-                - logq
-                - math.log1p(-math.exp(-logq))
-            )
-        return np.log1p(-np.exp(n * logq)) - math.log1p(-math.exp(logq))
+            return n * logq + _log1mexp(n * logq) - logq - _log1mexp(logq)
+        return _log1mexp(-n * logq) - _log1mexp(-logq)
 
     def max_sigma(self, n):
         n = np.asarray(n, dtype=float)
@@ -559,11 +530,6 @@ class SummandFamily:
             raise MomentError(f"moment order must be >= 1: {order}")
         s = float(self.profile.sigma_at(j))
         return s**order * self.law.abs_moment(order)
-
-    def sample(self, j, rng: np.random.Generator):
-        """One draw of X_j from the caller-owned stream."""
-        _check_index(j)
-        return float(self.profile.sigma_at(j)) * float(self.law.sample(rng))
 
     def partial_variance(self, n: int) -> PartialVariance:
         if n < 1:

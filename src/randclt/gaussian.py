@@ -28,11 +28,6 @@ def norm_sf(x):
     return special.ndtr(-np.asarray(x, dtype=float))
 
 
-def norm_ppf(q):
-    """Quantile function of N(0,1)."""
-    return special.ndtri(q)
-
-
 def norm_central_prob(t):
     """P(|Z| <= t) = erf(t / sqrt(2))."""
     return special.erf(np.asarray(t, dtype=float) / np.sqrt(2.0))
@@ -42,16 +37,6 @@ def x2_antiderivative(z):
     """Antiderivative of z^2 * pdf(z): integral_{-inf}^{z} u^2 phi(u) du."""
     z = np.asarray(z, dtype=float)
     return special.ndtr(z) - z * norm_pdf(z)
-
-
-def x_cdf_minus_c_antiderivative(z, c):
-    """Antiderivative of z * (Phi(z) - c) with respect to z.
-
-    Used for piecewise-exact integrals of |x| * |F(x) - Phi(x)| on intervals
-    where F is the constant c.
-    """
-    z = np.asarray(z, dtype=float)
-    return 0.5 * z * z * (special.ndtr(z) - c) - 0.5 * x2_antiderivative(z)
 
 
 def upper_x_sf_integral(t):
@@ -75,12 +60,4 @@ def normal_abs_moment(order):
     return float(
         np.exp(0.5 * order * np.log(2.0) + special.gammaln(0.5 * (order + 1.0)))
         / np.sqrt(np.pi)
-    )
-
-
-def normal_tail_abs_moment(t, order):
-    """E[|Z|^order; |Z| > t] via the regularized upper incomplete gamma."""
-    t = np.asarray(t, dtype=float)
-    return normal_abs_moment(order) * special.gammaincc(
-        0.5 * (order + 1.0), 0.5 * t * t
     )

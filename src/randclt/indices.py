@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 TRUNCATION_TARGET = 1e-12
 TRUNCATION_CAP = 10_000_000
@@ -70,7 +70,7 @@ class RandomIndexModel:
         if kind == "deterministic":
             return np.where(k == self.params["value"], 1.0, 0.0)
         if kind == "poisson":
-            return stats.poisson.pmf(k - 1, self.params["lam"])
+            return _poisson_pmf(k - 1, self.params["lam"])
         if kind == "geometric":
             p = self.params["p"]
             return np.exp(math.log(p) + (k - 1) * math.log1p(-p))
@@ -85,7 +85,7 @@ class RandomIndexModel:
         if kind == "deterministic":
             return 1.0 if self.params["value"] <= K else 0.0
         if kind == "poisson":
-            return float(stats.poisson.cdf(K - 1, self.params["lam"]))
+            return float(special.pdtr(K - 1, self.params["lam"]))
         if kind == "geometric":
             return float(-math.expm1(K * math.log1p(-self.params["p"])))
         if kind == "uniform":
@@ -134,6 +134,11 @@ class RandomIndexModel:
                 f"(tail mass {self.truncation_tail_mass:.3g})"
             )
         return self.support[idx]
+
+
+def _poisson_pmf(k, lam):
+    """Poisson(lam) pmf at integer k >= 0, exp of the log-space form."""
+    return np.exp(special.xlogy(k, lam) - special.gammaln(k + 1) - lam)
 
 
 def _enumerated(kind, n, params, pmf_fn, target=TRUNCATION_TARGET):
@@ -185,7 +190,7 @@ def shifted_poisson(
     n = int(lam) if n is None else n
     return _enumerated(
         "poisson", n, {"lam": float(lam)},
-        lambda ks: stats.poisson.pmf(ks - 1, lam), target=target,
+        lambda ks: _poisson_pmf(ks - 1, lam), target=target,
     )
 
 

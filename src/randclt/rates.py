@@ -1,7 +1,7 @@
 """Smooth-function metric, modulus of continuity, and convergence-rate audits.
 
-The metric |E f(S/B) - E f(Z)| is estimated by Monte Carlo against a
-deterministic quadrature of E f(Z); rate audits compare it per n with the
+The metric |E f(S/B) - E f(Z)| is estimated by Monte Carlo against the exact
+E f(Z) each test function carries; rate audits compare it per n with the
 index-averaged bound shapes E[B^-(1+alpha)] (large-O) and E[B^-1] (small-o).
 Points whose metric is below the Monte Carlo noise floor (4 standard errors)
 are excluded from order fitting, and unknown multiplicative constants are
@@ -18,18 +18,18 @@ import numpy as np
 
 from .conditions import random_rotar
 from .families import NormalComparator, SummandFamily
-from .gaussian import SQRT_2_OVER_PI, norm_pdf
+from .gaussian import SQRT_2_OVER_PI
 from .indices import RandomIndexModel
 from .montecarlo import _index_factory, simulate
-from .quadrature import adaptive_integral
 
 
 @dataclass(frozen=True)
 class TestFunction:
     """A bounded C^1 test function with verified norms.
 
-    lipschitz, when present, is (alpha, K) with the modulus of the derivative
-    satisfying omega(f'; h) <= K * h^alpha.
+    normal_mean is the exact E f(Z) for Z ~ N(0, 1).  lipschitz, when
+    present, is (alpha, K) with the modulus of the derivative satisfying
+    omega(f'; h) <= K * h^alpha.
     """
 
     id: str
@@ -37,6 +37,7 @@ class TestFunction:
     derivative: Callable
     sup_norm: float
     derivative_sup_norm: float
+    normal_mean: float
     lipschitz: Optional[tuple] = None
 
 
@@ -75,15 +76,18 @@ def _bump_prime(x):
 BUILTIN_TEST_FUNCTIONS = {
     "sin": TestFunction(
         id="sin", evaluate=_sin, derivative=_cos,
-        sup_norm=1.0, derivative_sup_norm=1.0, lipschitz=(1.0, 1.0),
+        sup_norm=1.0, derivative_sup_norm=1.0, normal_mean=0.0,
+        lipschitz=(1.0, 1.0),
     ),
     "clamp": TestFunction(
         id="clamp", evaluate=_clamp, derivative=_clamp_prime,
-        sup_norm=0.5, derivative_sup_norm=1.0, lipschitz=(1.0, _CLAMP_LIP),
+        sup_norm=0.5, derivative_sup_norm=1.0, normal_mean=0.0,
+        lipschitz=(1.0, _CLAMP_LIP),
     ),
     "bump": TestFunction(
         id="bump", evaluate=_bump, derivative=_bump_prime,
         sup_norm=_BUMP_AMP, derivative_sup_norm=1.0,
+        normal_mean=_BUMP_AMP / math.sqrt(3.0),  # E exp(-Z^2) = 1/sqrt(3)
         lipschitz=(1.0, 2.0 * _BUMP_AMP),
     ),
 }
@@ -150,18 +154,6 @@ def modulus_of_continuity(
 # ---------------------------------------------------------------------------
 
 
-def expect_under_normal(f: Callable, tol: float = 1e-11) -> float:
-    """E f(Z) by deterministic quadrature against the normal density.
-
-    Normalized by the same-scheme integral of the density so the operator is
-    an exact average: constants survive to machine precision and the domain
-    truncation bias cancels for bounded f.
-    """
-    num = adaptive_integral(lambda x: np.asarray(f(x)) * norm_pdf(x), -12.0, 12.0, tol=tol)
-    den = adaptive_integral(norm_pdf, -12.0, 12.0, tol=tol)
-    return num.value / den.value
-
-
 @dataclass(frozen=True)
 class SmoothMetric:
     metric: float
@@ -184,7 +176,7 @@ def smooth_metric(
     fv = np.asarray(f.evaluate(sample.values), dtype=float)
     mc_mean = float(np.mean(fv))
     stderr = float(np.std(fv) / math.sqrt(trials))
-    exact = expect_under_normal(f.evaluate)
+    exact = f.normal_mean
     return SmoothMetric(
         metric=abs(mc_mean - exact),
         mc_stderr=stderr,

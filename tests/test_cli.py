@@ -2,11 +2,28 @@
 
 import dataclasses
 import json
+import subprocess
+import sys
 
 import pytest
 
 from randclt.cli import UsageError, main, parse_args, run
 from randclt.schema import SchemaError, load_schema, validate
+
+
+class TestImports:
+    def test_cli_import_skips_heavy_scipy_modules(self):
+        # scipy.special is all the import path needs; brentq loads on first use
+        code = (
+            "import sys, randclt.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize', "
+            "'scipy.integrate') if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, timeout=120,
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestParsing:

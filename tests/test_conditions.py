@@ -118,8 +118,8 @@ class TestRotar:
             assert rotar(geomnormal, comp, n, 0.5).value == 0.0
 
     def test_rademacher_single_term_closed_form(self, rademacher):
-        # frozen piecewise value, cross-checked against scipy quad in the
-        # quadrature suite
+        # frozen piecewise value, cross-checked against scipy quad in
+        # test_closed_forms.py
         r = rotar(rademacher, rademacher.comparator(), 1, 2.0)
         assert r.value == pytest.approx(0.03973153718183854, rel=1e-11)
 

@@ -11,7 +11,6 @@ from randclt.rates import TestFunction as FnSpec
 from randclt.rates import (
     BUILTIN_TEST_FUNCTIONS,
     empirical_rotar_constant,
-    expect_under_normal,
     large_o_audit,
     make_test_function,
     modulus_of_continuity,
@@ -84,7 +83,7 @@ class TestBuiltinFunctions:
 
 class TestSmoothMetric:
     def test_quadrature_matches_monte_carlo(self):
-        # 1e6 standard normal draws vs the deterministic quadrature
+        # 1e6 standard normal draws vs the exact E f(Z) of each function
         fam = make_family("normal")
         model = make_index("det", 1)
         for tf in BUILTIN_TEST_FUNCTIONS.values():
@@ -95,7 +94,7 @@ class TestSmoothMetric:
         const = FnSpec(
             id="const", evaluate=lambda x: np.full_like(np.asarray(x, float), 0.75),
             derivative=lambda x: np.zeros_like(np.asarray(x, float)),
-            sup_norm=0.75, derivative_sup_norm=0.0,
+            sup_norm=0.75, derivative_sup_norm=0.0, normal_mean=0.75,
         )
         sm = smooth_metric(make_family("rademacher"), make_index("det", 4), const, 100, seed=1)
         assert sm.metric <= 1e-13  # machine-precision zero
@@ -109,14 +108,6 @@ class TestSmoothMetric:
         )
         assert abs(sm.normal_expectation) < 1e-10
         assert sm.metric <= 4.0 * sm.mc_stderr
-
-    def test_expect_under_normal_known_values(self):
-        assert expect_under_normal(np.sin) == pytest.approx(0.0, abs=1e-11)
-        # E exp(-Z^2) = 1/sqrt(3)
-        bump = BUILTIN_TEST_FUNCTIONS["bump"]
-        assert expect_under_normal(bump.evaluate) == pytest.approx(
-            math.sqrt(math.e / 2.0) / math.sqrt(3.0), rel=1e-9
-        )
 
 
 class TestLargeOAudit:
@@ -150,7 +141,8 @@ class TestLargeOAudit:
     def test_non_lipschitz_function_rejected(self):
         plain = FnSpec(
             id="plain", evaluate=np.sin, derivative=np.cos,
-            sup_norm=1.0, derivative_sup_norm=1.0, lipschitz=None,
+            sup_norm=1.0, derivative_sup_norm=1.0, normal_mean=0.0,
+            lipschitz=None,
         )
         with pytest.raises(ValueError):
             large_o_audit(make_family("rademacher"), "det", plain, (4,), 10, seed=1)
@@ -161,7 +153,8 @@ class TestSmallOAudit:
         weak = FnSpec(
             id="weak", evaluate=lambda x: 0.1 * np.sin(x),
             derivative=lambda x: 0.1 * np.cos(x),
-            sup_norm=0.1, derivative_sup_norm=0.1, lipschitz=(1.0, 0.1),
+            sup_norm=0.1, derivative_sup_norm=0.1, normal_mean=0.0,
+            lipschitz=(1.0, 0.1),
         )
         fam = make_family("rademacher")
         with pytest.raises(ValueError):
