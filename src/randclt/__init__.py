@@ -31,13 +31,13 @@ from .families import (
 )
 from .indices import (
     BUILTIN_INDEX_KINDS,
+    Deterministic,
     RandomIndexModel,
+    ShiftedGeometric,
+    ShiftedPoisson,
+    UniformIndex,
     WeightedExpectation,
-    deterministic,
     make_index,
-    shifted_geometric,
-    shifted_poisson,
-    uniform_index,
 )
 from .montecarlo import (
     EmpiricalSample,

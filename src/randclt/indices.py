@@ -1,29 +1,30 @@
-"""Positive-integer random index models and pmf-weighted expectations.
+"""Positive-integer random index models with closed-form tails.
 
-Every model enumerates its probability mass over {1, 2, ...} up to the point
-where the cumulative mass reaches 1 - 1e-12 (capped at 1e7 terms), so each
-weighted expectation is a finite sum together with a certified truncation
-error bound (tail mass times a caller-supplied bound on the integrand).
+Each index kind is a small frozen class: closed-form `cdf`/`sf`, a native
+sampler, and a quantile window [lo, hi] leaving out at most the truncation
+target tau (lower tail within half of it).  The window's table is built on
+first use; its closed-form outside mass certifies every pmf-weighted sum
+(tail mass times a bound on the integrand).  A window longer than
+TRUNCATION_CAP terms is a configuration error.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 from scipy import special
 
 TRUNCATION_TARGET = 1e-12
 TRUNCATION_CAP = 10_000_000
+SUM_ROUNDOFF = 64 * 2.0**-52  # float round-off of a table's mass summed against 1
 
 
 class IndexConfigError(ValueError):
-    """Unknown index kind or invalid index parameters."""
-
-
-class IndexTruncationError(RuntimeError):
-    """A draw landed beyond the enumerated support (past the truncation cap)."""
+    """Unknown index kind, invalid parameters, or a window past the cap."""
 
 
 @dataclass(frozen=True)
@@ -39,60 +40,54 @@ class WeightedExpectation:
 
 @dataclass(frozen=True)
 class RandomIndexModel:
-    """A distribution on {1, 2, ...} with enumerated, certified support.
+    """A law on {1, 2, ...}; n is the outer parameter reported with results.
 
-    support/probs list every index whose cumulative mass is needed to reach
-    1 - truncation target; truncation_tail_mass is the (bounded) remainder.
+    Subclasses supply `cdf`, `sample` and the cached `window` (lo, hi), which
+    rejects invalid parameters; `sf` and the window's unnormalized `_weights`
+    have flat defaults.
     """
 
-    kind: str
+    kind: ClassVar[str]
     n: int
-    params: dict = field(default_factory=dict, compare=False)
-    support: np.ndarray = field(default=None, compare=False)
-    probs: np.ndarray = field(default=None, compare=False)
-    truncation_tail_mass: float = 0.0
+    target: float = field(default=TRUNCATION_TARGET, kw_only=True)
 
     def __post_init__(self):
-        if self.support is None or self.probs is None:
-            raise IndexConfigError("index model requires enumerated support")
-        if np.any(self.probs < 0.0):
-            raise IndexConfigError("pmf values must be nonnegative")
-        object.__setattr__(self, "_cum", np.cumsum(self.probs))
+        if not 0.0 < self.target < 1.0:
+            raise IndexConfigError(f"truncation target must lie in (0, 1): {self.target}")
+        lo, hi = self.window
+        terms = hi - lo + 1
+        if terms > TRUNCATION_CAP:
+            raise IndexConfigError(
+                f"{self.kind} index at n={self.n} with trunc-mass {self.target:g} "
+                f"needs {terms} terms, past the cap of {TRUNCATION_CAP}"
+            )
 
-    # -- mass function -------------------------------------------------------
+    @property
+    def _budget(self) -> float:
+        """tau less a reserve so a float sum of the table still reads within tau."""
+        return max(self.target - SUM_ROUNDOFF, 0.5 * self.target)
 
-    def pmf(self, k):
-        """Exact pmf at k (closed form per kind, not the truncated table)."""
-        k = np.asarray(k)
-        if np.any(k < 1):
-            raise ValueError("index k must be >= 1")
-        kind = self.kind
-        if kind == "deterministic":
-            return np.where(k == self.params["value"], 1.0, 0.0)
-        if kind == "poisson":
-            return _poisson_pmf(k - 1, self.params["lam"])
-        if kind == "geometric":
-            p = self.params["p"]
-            return np.exp(math.log(p) + (k - 1) * math.log1p(-p))
-        if kind == "uniform":
-            m = self.params["m"]
-            return np.where(k <= m, 1.0 / m, 0.0)
-        raise IndexConfigError(f"unknown index kind: {kind!r}")
+    def sf(self, k) -> float:
+        return 1.0 - self.cdf(k)
 
-    def prob_at_most(self, K: int) -> float:
-        """P(index <= K), closed form; used for divergence diagnostics."""
-        kind = self.kind
-        if kind == "deterministic":
-            return 1.0 if self.params["value"] <= K else 0.0
-        if kind == "poisson":
-            return float(special.pdtr(K - 1, self.params["lam"]))
-        if kind == "geometric":
-            return float(-math.expm1(K * math.log1p(-self.params["p"])))
-        if kind == "uniform":
-            return min(1.0, K / self.params["m"])
-        raise IndexConfigError(f"unknown index kind: {kind!r}")
+    def _weights(self) -> np.ndarray:
+        return np.ones(len(self.support))
 
-    # -- expectations ---------------------------------------------------------
+    @cached_property
+    def support(self) -> np.ndarray:
+        lo, hi = self.window
+        return np.arange(lo, hi + 1, dtype=np.int64)
+
+    @cached_property
+    def truncation_tail_mass(self) -> float:
+        lo, hi = self.window
+        return float(self.cdf(lo - 1) + self.sf(hi))
+
+    @cached_property
+    def probs(self) -> np.ndarray:
+        """pmf over the window, scaled to the closed-form window mass."""
+        w = self._weights()
+        return w * ((1.0 - self.truncation_tail_mass) / w.sum())
 
     def expect_values(self, values: np.ndarray, abs_bound: float) -> WeightedExpectation:
         """Weighted sum of precomputed per-index values over the support."""
@@ -107,125 +102,139 @@ class RandomIndexModel:
             terms_used=int(len(self.support)),
         )
 
-    def expect(self, g, abs_bound: float) -> WeightedExpectation:
-        """E[g(index)] over the truncated support.
 
-        g may be vectorized over an integer array; a scalar-only callable is
-        applied elementwise.  abs_bound must dominate |g| on the truncated
-        tail and certifies the truncation error.
-        """
-        try:
-            values = np.asarray(g(self.support), dtype=float)
-            if values.shape != self.support.shape:
-                raise TypeError
-        except (TypeError, ValueError):
-            values = np.array([float(g(int(k))) for k in self.support])
-        return self.expect_values(values, abs_bound)
-
-    # -- sampling -------------------------------------------------------------
-
-    def sample(self, rng: np.random.Generator, size=None):
-        """Inverse-CDF draws from the truncated support (caller-owned stream)."""
-        u = rng.random(size)
-        idx = np.searchsorted(self._cum, u, side="right")
-        if np.any(idx >= len(self.support)):
-            raise IndexTruncationError(
-                f"draw beyond the enumerated support of {self.kind!r} "
-                f"(tail mass {self.truncation_tail_mass:.3g})"
-            )
-        return self.support[idx]
-
-
-def _poisson_pmf(k, lam):
-    """Poisson(lam) pmf at integer k >= 0, exp of the log-space form."""
-    return np.exp(special.xlogy(k, lam) - special.gammaln(k + 1) - lam)
-
-
-def _enumerated(kind, n, params, pmf_fn, target=TRUNCATION_TARGET):
-    """Enumerate pmf values until cumulative mass reaches 1 - target."""
-    block = 4096
-    chunks = []
-    cum = 0.0
-    start = 1
-    while cum < 1.0 - target and start <= TRUNCATION_CAP:
-        ks = np.arange(start, min(start + block, TRUNCATION_CAP + 1))
-        p = pmf_fn(ks)
-        chunks.append((ks, p))
-        cum += float(p.sum())
-        start += len(ks)
-        block = min(block * 4, 2_000_000)
-    support = np.concatenate([c[0] for c in chunks])
-    probs = np.concatenate([c[1] for c in chunks])
-    # trim the enumeration to the first point where the target is met
-    cums = np.cumsum(probs)
-    stop = int(np.searchsorted(cums, 1.0 - target)) + 1
-    stop = min(stop, len(support))
-    support, probs = support[:stop], probs[:stop]
-    tail = max(0.0, 1.0 - float(probs.sum()))
-    return RandomIndexModel(
-        kind=kind, n=n, params=params, support=support, probs=probs, truncation_tail_mass=tail
-    )
-
-
-def deterministic(n: int) -> RandomIndexModel:
+@dataclass(frozen=True)
+class Deterministic(RandomIndexModel):
     """Point mass at n: recovers every non-random functional exactly."""
-    if n < 1:
-        raise IndexConfigError(f"deterministic index must be >= 1: {n}")
-    return RandomIndexModel(
-        kind="deterministic",
-        n=n,
-        params={"value": n},
-        support=np.array([n], dtype=np.int64),
-        probs=np.array([1.0]),
-        truncation_tail_mass=0.0,
-    )
+
+    kind = "deterministic"
+
+    @classmethod
+    def at(cls, n, param, target):
+        return cls(n if param is None else int(param), target=target)
+
+    def cdf(self, k) -> float:
+        return 1.0 if k >= self.n else 0.0
+
+    @cached_property
+    def window(self):
+        if self.n < 1:
+            raise IndexConfigError(f"deterministic index must be >= 1: {self.n}")
+        return self.n, self.n
+
+    def sample(self, rng: np.random.Generator, size):
+        return np.full(size, self.n, dtype=np.int64)
 
 
-def shifted_poisson(
-    lam: float, n: int | None = None, target: float = TRUNCATION_TARGET
-) -> RandomIndexModel:
-    """1 + Poisson(lam); lam defaults to the outer n."""
-    if lam <= 0:
-        raise IndexConfigError(f"poisson rate must be positive: {lam}")
-    n = int(lam) if n is None else n
-    return _enumerated(
-        "poisson", n, {"lam": float(lam)},
-        lambda ks: _poisson_pmf(ks - 1, lam), target=target,
-    )
+@dataclass(frozen=True)
+class ShiftedPoisson(RandomIndexModel):
+    """1 + Poisson(lam)."""
+
+    kind = "poisson"
+    lam: float
+
+    @classmethod
+    def at(cls, n, param, target):
+        return cls(n, float(n if param is None else param), target=target)
+
+    def cdf(self, k) -> float:
+        return float(special.pdtr(k - 1, self.lam)) if k >= 1 else 0.0
+
+    def sf(self, k) -> float:
+        return float(special.pdtrc(k - 1, self.lam)) if k >= 1 else 1.0
+
+    @cached_property
+    def window(self):
+        if not 0.0 < self.lam < math.inf:
+            raise IndexConfigError(f"poisson rate must be positive and finite: {self.lam}")
+        half = 0.5 * self._budget
+        lo = _first_true(lambda k: self.cdf(k) > half, 1)
+        need = self._budget - self.cdf(lo - 1)
+        return lo, _first_true(lambda k: self.sf(k) <= need, lo)
+
+    def _weights(self):
+        # log pmf ratios p(k)/p(k-1) = lam/(k-1), summed from lo; unlike
+        # xlogy - gammaln - lam this carries no O(lam * eps) cancellation
+        lo, hi = self.window
+        logw = np.concatenate(([0.0], np.cumsum(np.log(self.lam / np.arange(lo, hi)))))
+        return np.exp(logw - logw.max())
+
+    def sample(self, rng: np.random.Generator, size):
+        return 1 + rng.poisson(self.lam, size)
 
 
-def shifted_geometric(
-    p: float, n: int | None = None, target: float = TRUNCATION_TARGET
-) -> RandomIndexModel:
-    """Geometric on {1, 2, ...} with success probability p; p = 1/n by default."""
-    if not (0.0 < p <= 1.0):
-        raise IndexConfigError(f"geometric p must be in (0, 1]: {p}")
-    n = max(1, round(1.0 / p)) if n is None else n
-    logq = math.log1p(-p) if p < 1.0 else -math.inf
+@dataclass(frozen=True)
+class ShiftedGeometric(RandomIndexModel):
+    """Geometric on {1, 2, ...} with success probability p."""
 
-    def pmf_fn(ks):
-        if p == 1.0:
-            return np.where(ks == 1, 1.0, 0.0)
-        return np.exp(math.log(p) + (ks - 1) * logq)
+    kind = "geometric"
+    p: float
 
-    return _enumerated("geometric", n, {"p": float(p)}, pmf_fn, target=target)
+    @classmethod
+    def at(cls, n, param, target):
+        return cls(n, 1.0 / n if param is None else float(param), target=target)
+
+    def cdf(self, k) -> float:
+        return -math.expm1(special.xlog1py(max(k, 0), -self.p))
+
+    def sf(self, k) -> float:
+        return math.exp(special.xlog1py(max(k, 0), -self.p))
+
+    @cached_property
+    def window(self):
+        if not 0.0 < self.p <= 1.0:
+            raise IndexConfigError(f"geometric p must be in (0, 1]: {self.p}")
+        return 1, _first_true(lambda k: self.sf(k) <= self._budget, 1)
+
+    def _weights(self):
+        return np.exp(special.xlog1py(self.support - 1, -self.p))
+
+    def sample(self, rng: np.random.Generator, size):
+        return rng.geometric(self.p, size)
 
 
-def uniform_index(m: int, n: int | None = None) -> RandomIndexModel:
+@dataclass(frozen=True)
+class UniformIndex(RandomIndexModel):
     """Uniform on {1, ..., m}."""
-    if m < 1:
-        raise IndexConfigError(f"uniform index bound must be >= 1: {m}")
-    n = m if n is None else n
-    return RandomIndexModel(
-        kind="uniform",
-        n=n,
-        params={"m": int(m)},
-        support=np.arange(1, m + 1, dtype=np.int64),
-        probs=np.full(m, 1.0 / m),
-        truncation_tail_mass=0.0,
-    )
+
+    kind = "uniform"
+    m: int
+
+    @classmethod
+    def at(cls, n, param, target):
+        return cls(n, n if param is None else int(param), target=target)
+
+    def cdf(self, k) -> float:
+        return min(max(k, 0), self.m) / self.m
+
+    @cached_property
+    def window(self):
+        if self.m < 1:
+            raise IndexConfigError(f"uniform index bound must be >= 1: {self.m}")
+        return 1, self.m
+
+    def sample(self, rng: np.random.Generator, size):
+        return rng.integers(1, self.m, size, endpoint=True)
 
 
+def _first_true(pred, k: int) -> int:
+    """Smallest integer j >= k with pred(j), for pred false and then true."""
+    lo, hi = k - 1, k  # pred(lo) is false or lo is below the range
+    while not pred(hi):
+        lo, hi = hi, hi + 2 * (hi - lo)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if pred(mid) else (mid, hi)
+    return hi
+
+
+_KINDS = {
+    "det": Deterministic,
+    "deterministic": Deterministic,
+    "poisson": ShiftedPoisson,
+    "geometric": ShiftedGeometric,
+    "uniform": UniformIndex,
+}
 BUILTIN_INDEX_KINDS = ("det", "poisson", "geometric", "uniform")
 
 
@@ -238,18 +247,12 @@ def make_index(
     Without an explicit param: det -> point mass at n, poisson -> rate n,
     geometric -> success 1/n, uniform -> {1..n}.  An explicit param overrides
     (det:k, poisson:lam, geometric:p, uniform:m).  target is the truncation
-    tail-mass budget for the enumerated kinds.
+    tail-mass budget tau.
     """
-    kind = kind.lower()
-    if kind in ("det", "deterministic"):
-        return deterministic(int(param) if param is not None else n)
-    if kind == "poisson":
-        return shifted_poisson(param if param is not None else float(n), n=n, target=target)
-    if kind == "geometric":
-        return shifted_geometric(param if param is not None else 1.0 / n, n=n, target=target)
-    if kind == "uniform":
-        return uniform_index(int(param) if param is not None else n, n=n)
-    raise IndexConfigError(f"unknown index kind: {kind!r}")
+    cls = _KINDS.get(kind.lower())
+    if cls is None:
+        raise IndexConfigError(f"unknown index kind: {kind!r}")
+    return cls.at(n, param, target)
 
 
 def parse_index(spec: str):
@@ -259,7 +262,7 @@ def parse_index(spec: str):
         spec = spec[len("index="):]
     kind, sep, raw = spec.partition(":")
     kind = kind.strip().lower()
-    if kind not in ("det", "deterministic", "poisson", "geometric", "uniform"):
+    if kind not in _KINDS:
         raise IndexConfigError(f"unknown index kind: {kind!r}")
     if not sep:
         return kind, None

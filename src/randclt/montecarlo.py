@@ -18,16 +18,12 @@ from numpy.random import Generator, Philox
 
 from .families import SummandFamily
 from .gaussian import norm_cdf
-from .indices import IndexTruncationError, RandomIndexModel, make_index
+from .indices import RandomIndexModel, make_index
 
 _MASK64 = (1 << 64) - 1
 _TAG_INDEX = _MASK64
 _TAG_BATCH = _MASK64 - 1
 DEFAULT_GAMMA = 0.999
-
-
-class SimulationError(RuntimeError):
-    """Numeric failure during simulation (e.g. index past the truncation cap)."""
 
 
 def _stream(seed: int, tag: int) -> Generator:
@@ -81,11 +77,7 @@ def simulate(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1: {trials}")
-    try:
-        ks = index_model.sample(_stream(seed, _TAG_INDEX), trials)
-    except IndexTruncationError as exc:
-        raise SimulationError(str(exc)) from exc
-
+    ks = index_model.sample(_stream(seed, _TAG_INDEX), trials)
     values = family.batch_normalized_sums(_stream(seed, _TAG_BATCH), ks)
     uniq, counts = np.unique(ks, return_counts=True)
     histogram = {int(k): int(c) for k, c in zip(uniq, counts)}

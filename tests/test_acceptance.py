@@ -18,7 +18,13 @@ from randclt.conditions import (
     rotar,
 )
 from randclt.families import BUILTIN_FAMILY_KINDS, make_family
-from randclt.indices import deterministic, make_index, shifted_geometric, shifted_poisson, uniform_index
+from randclt.indices import (
+    Deterministic,
+    ShiftedGeometric,
+    ShiftedPoisson,
+    UniformIndex,
+    make_index,
+)
 from randclt.montecarlo import cf_identity_check, clt_sweep, kolmogorov_distance, simulate
 from randclt.rates import large_o_audit, make_test_function, small_o_audit
 
@@ -43,10 +49,10 @@ def test_criterion_1_cf_identity():
     t0 = time.perf_counter()
     fam = make_family("normal")
     models = [
-        deterministic(5),
-        shifted_poisson(5.0),
-        shifted_geometric(0.2),
-        uniform_index(20),
+        Deterministic(5),
+        ShiftedPoisson(5, lam=5.0),
+        ShiftedGeometric(5, p=0.2),
+        UniformIndex(20, m=20),
     ]
     t_grid = (0.0, 0.5, 1.0, 2.0, 4.0)
     worst = max(cf_identity_check(fam, m, t_grid).max_deviation for m in models)
@@ -92,7 +98,7 @@ def test_criterion_3_deterministic_reduction():
         fam = make_family(family_kind)
         comp = fam.comparator()
         for n in (1, 10, 100):
-            model = deterministic(n)
+            model = Deterministic(n)
             ok &= model.truncation_tail_mass == 0.0
             ok &= random_lindeberg(fam, model, 0.3).value == lindeberg(fam, n, 0.3).value
             ok &= random_feller(fam, model).value == feller(fam, n).value
@@ -111,7 +117,7 @@ def test_criterion_4_non_classical_configuration():
     oracle = 2.0**29 / (2.0**30 - 1.0)
     inf_val = infinitesimality(fam, 30, 0.5).value
     sample = _record(
-        "criterion4", simulate(fam, deterministic(30), 100_000, seed=SEED)
+        "criterion4", simulate(fam, Deterministic(30), 100_000, seed=SEED)
     )
     d_hat = kolmogorov_distance(sample).d_hat
     ok = (
@@ -168,7 +174,7 @@ def test_criterion_6_large_o_rate_shape():
     for p in curve.points:
         _record(
             f"criterion6_n{p.n}",
-            simulate(fam, deterministic(p.n), 1_000_000, seed=SEED),
+            simulate(fam, Deterministic(p.n), 1_000_000, seed=SEED),
         )
     _report(
         6,

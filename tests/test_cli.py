@@ -1,5 +1,6 @@
 """CLI parsing, output schemas, exit codes, and byte determinism."""
 
+import csv
 import dataclasses
 import json
 import subprocess
@@ -99,6 +100,28 @@ class TestConditionsCommand:
         assert text.splitlines()[0] == "condition,n,epsilon,delta,value,error_bound"
         assert text == out2.read_text()
 
+    def test_poisson_rows_certify_truncation(self, capsys):
+        # at n = 1e6 a table from k = 1 needs ~1e6 terms of exact zeros, and
+        # its 1 - sum(pmf) round-off (5.5e-10) would swamp the 1e-12 budget
+        assert main(["conditions", "--index", "poisson", "--n-grid", "1000,1000000"]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        bounds = {"random_lindeberg": 1.0, "random_feller": 1.0, "random_rotar": 2.0}
+        randomized = [r for r in rows if r["condition"] in bounds]
+        assert {int(r["n"]) for r in randomized} == {1000, 1000000}
+        for r in randomized:
+            value, err = float(r["value"]), float(r["error_bound"])
+            assert err <= 1e-12 * bounds[r["condition"]] + 1e-12 * (1.0 + value), r
+
+    def test_index_cap_exits_one_without_output(self, tmp_path, capsys):
+        # the geometric window at n = 1e6 needs 2.8e7 terms: a loud failure,
+        # never a silently truncated table with a vacuous bound
+        out = tmp_path / "c.csv"
+        code = main(["conditions", "--index", "geometric", "--n-grid", "1000000",
+                     "--out", str(out)])
+        assert code == 1
+        assert "past the cap" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stdout_when_no_out(self, capsys):
         assert main(["conditions", "--n-grid", "3"]) == 0
         out = capsys.readouterr().out
@@ -129,9 +152,9 @@ class TestSimulateCommand:
         assert cfg.n_grid == (50,)
 
     def test_numeric_failure_exits_one(self, capsys):
-        # coarse certified truncation makes index draws overrun the support
+        # an index window past the enumeration cap is refused, not truncated
         code = main(["simulate", "--family", "normal", "--index", "geometric",
-                     "--n-grid", "50", "--trials", "20000", "--trunc-mass", "0.3"])
+                     "--n-grid", "1000000", "--trials", "20000"])
         assert code == 1
         assert "error" in capsys.readouterr().err
 
@@ -167,6 +190,13 @@ class TestCfCheckCommand:
         assert main(["cf-check", "--family", "rademacher", "--index", "poisson:7"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["max_deviation"] <= 1e-12
+
+    def test_poisson_large_n_passes(self, capsys):
+        # the identity holds to the tail mass, so the tail must be the true one
+        assert main(["cf-check", "--index", "poisson", "--n-grid", "1000000"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["passed"] is True
+        assert payload["tail_mass"] <= 1e-12
 
 
 class TestAuditCommand:

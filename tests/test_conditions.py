@@ -18,7 +18,7 @@ from randclt.conditions import (
     rotar,
 )
 from randclt.families import make_family
-from randclt.indices import deterministic, make_index, shifted_geometric, uniform_index
+from randclt.indices import Deterministic, ShiftedGeometric, UniformIndex, make_index
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +139,7 @@ class TestRotar:
 class TestRandomConditions:
     def test_deterministic_reduction_lindeberg(self, rademacher):
         for n in (1, 10, 100):
-            model = deterministic(n)
+            model = Deterministic(n)
             rnd = random_lindeberg(rademacher, model, 0.3)
             assert rnd.value == lindeberg(rademacher, n, 0.3).value
             assert rnd.error_bound == lindeberg(rademacher, n, 0.3).error_bound
@@ -156,11 +156,11 @@ class TestRandomConditions:
                 assert vals[0] > vals[1] > vals[2], (kind, idx_kind, vals)
 
     def test_huge_eps_gives_zero(self, rademacher):
-        model = uniform_index(20)
+        model = UniformIndex(20, m=20)
         assert random_lindeberg(rademacher, model, 50.0).value == 0.0
 
     def test_random_feller_deterministic(self, rademacher):
-        assert random_feller(rademacher, deterministic(10)).value == pytest.approx(
+        assert random_feller(rademacher, Deterministic(10)).value == pytest.approx(
             0.1, rel=1e-13
         )
 
@@ -168,7 +168,7 @@ class TestRandomConditions:
         # oracle: (1/n) sum_{k<=n} 1/k
         for n in (10, 100):
             h = sum(1.0 / k for k in range(1, n + 1))
-            got = random_feller(rademacher, uniform_index(n)).value
+            got = random_feller(rademacher, UniformIndex(n, m=n)).value
             assert got == pytest.approx(h / n, rel=1e-12)
 
     def test_random_feller_bounded_below_for_exploding_variance(self, geomnormal):
@@ -183,13 +183,13 @@ class TestRandomConditions:
     def test_random_rotar_deterministic_reduction(self, rademacher):
         comp = rademacher.comparator()
         for n in (1, 10, 100):
-            rnd = random_rotar(rademacher, comp, deterministic(n), 0.7)
+            rnd = random_rotar(rademacher, comp, Deterministic(n), 0.7)
             assert rnd.value == rotar(rademacher, comp, n, 0.7).value
 
     def test_random_rotar_decay(self, rademacher):
         comp = rademacher.comparator()
-        v10 = random_rotar(rademacher, comp, shifted_geometric(0.1), 0.1).value
-        v1000 = random_rotar(rademacher, comp, shifted_geometric(0.001), 0.1).value
+        v10 = random_rotar(rademacher, comp, ShiftedGeometric(10, p=0.1), 0.1).value
+        v1000 = random_rotar(rademacher, comp, ShiftedGeometric(1000, p=0.001), 0.1).value
         assert v1000 < v10
 
 
@@ -245,7 +245,7 @@ class TestImplicationAudit:
 
     def test_slack_definition(self, rademacher):
         audit = implication_audit(
-            rademacher, rademacher.comparator(), deterministic(4), 4, 1.0, 1.0
+            rademacher, rademacher.comparator(), Deterministic(4), 4, 1.0, 1.0
         )
         for c in audit.checks:
             assert c.slack == pytest.approx(c.rhs - c.lhs, abs=1e-15)
@@ -254,7 +254,7 @@ class TestImplicationAudit:
     def test_exact_equality_edge_passes(self, rademacher):
         # n=1, eps=1: the maximal share equals eps^2 + lindeberg exactly
         audit = implication_audit(
-            rademacher, rademacher.comparator(), deterministic(1), 1, 1.0, 1.0
+            rademacher, rademacher.comparator(), Deterministic(1), 1, 1.0, 1.0
         )
         edge = next(c for c in audit.checks if c.name == "feller_le_eps2_plus_lindeberg")
         assert edge.slack == 0.0

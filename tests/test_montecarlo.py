@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from randclt.families import make_family, parse_family
-from randclt.indices import deterministic, make_index, shifted_geometric
+from randclt.indices import Deterministic, make_index
 from randclt.montecarlo import (
     EmpiricalSample,
-    SimulationError,
     cf_identity_check,
     clt_sweep,
     kolmogorov_distance,
@@ -21,7 +20,7 @@ SEED = 20260808
 
 class TestSimulate:
     def test_single_trial_rademacher(self):
-        s = simulate(make_family("rademacher"), deterministic(1), 1, seed=SEED)
+        s = simulate(make_family("rademacher"), Deterministic(1), 1, seed=SEED)
         assert s.values[0] in (-1.0, 1.0)
         assert s.index_histogram == {1: 1}
 
@@ -35,13 +34,13 @@ class TestSimulate:
 
     def test_different_seed_differs(self):
         fam = make_family("normal")
-        model = deterministic(5)
+        model = Deterministic(5)
         a = simulate(fam, model, 100, seed=1)
         b = simulate(fam, model, 100, seed=2)
         assert not np.array_equal(a.values, b.values)
 
     def test_values_sorted(self):
-        s = simulate(make_family("uniform"), deterministic(3), 500, seed=SEED)
+        s = simulate(make_family("uniform"), Deterministic(3), 500, seed=SEED)
         assert np.all(np.diff(s.values) >= 0)
 
     def test_index_stream_disjoint_from_summands(self):
@@ -55,7 +54,7 @@ class TestSimulate:
     def test_same_seed_identical_across_row_chunks(self):
         # k = 70000 exceeds the per-draw matrix bound: one row per draw
         fam = make_family("uniform")
-        model = deterministic(70_000)
+        model = Deterministic(70_000)
         a = simulate(fam, model, 6, seed=9)
         b = simulate(fam, model, 6, seed=9)
         c = simulate(fam, model, 6, seed=10)
@@ -73,19 +72,14 @@ class TestSimulate:
         # twopoint with ratio ~1 is numerically the rademacher family
         slow = make_family("twopoint", growth=1.0 + 1e-12)
         fast = make_family("rademacher")
-        model = deterministic(20)
+        model = Deterministic(20)
         d_slow = kolmogorov_distance(simulate(slow, model, 20_000, seed=5)).d_hat
         d_fast = kolmogorov_distance(simulate(fast, model, 20_000, seed=5)).d_hat
         assert abs(d_slow - d_fast) < 0.02
 
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
-            simulate(make_family("normal"), deterministic(2), 0, seed=1)
-
-    def test_truncation_breach_is_simulation_error(self):
-        model = shifted_geometric(0.02, target=0.3)
-        with pytest.raises(SimulationError):
-            simulate(make_family("normal"), model, 20_000, seed=SEED)
+            simulate(make_family("normal"), Deterministic(2), 0, seed=1)
 
 
 class TestNormalization:
@@ -150,7 +144,7 @@ class TestKolmogorovDistance:
 class TestCfIdentity:
     def test_deterministic_exact(self):
         fam = make_family("normal")
-        res = cf_identity_check(fam, deterministic(5), [0.0, 0.5, 1.0, 2.0, 4.0])
+        res = cf_identity_check(fam, Deterministic(5), [0.0, 0.5, 1.0, 2.0, 4.0])
         assert res.max_deviation < 1e-15
 
     def test_t_zero_both_sides_one(self):
@@ -159,16 +153,21 @@ class TestCfIdentity:
         assert res.deviations[0] <= res.truncation_tail_mass + 1e-15
 
     def test_mixture_bounded_by_tail_mass(self):
+        # the n sweep puts tails within float round-off of tau, where the
+        # deviation would read past 1e-12 (a quarter of these n do without
+        # the windows' reserve)
         fam = make_family("normal")
         for kind, n, param in (
             ("poisson", 5, 5.0),
             ("geometric", 5, 0.2),
             ("uniform", 20, 20.0),
+            *((kind, n, None) for kind in ("poisson", "geometric")
+              for n in range(500, 1200, 3)),
         ):
             model = make_index(kind, n, param)
             res = cf_identity_check(fam, model, [0.0, 0.5, 1.0, 2.0, 4.0])
-            assert res.max_deviation <= model.truncation_tail_mass + 1e-15, kind
-            assert res.max_deviation <= 1e-12, kind
+            assert res.max_deviation <= model.truncation_tail_mass + 1e-15, (kind, n)
+            assert res.max_deviation <= 1e-12, (kind, n)
 
     def test_heterogeneous_profile_cancels_too(self):
         fam = make_family("geomnormal")
@@ -180,7 +179,7 @@ class TestCltSweep:
     def test_deterministic_reduces_to_classical(self):
         fam = make_family("rademacher")
         points = clt_sweep(fam, "det", (25,), 5000, seed=SEED)
-        direct = kolmogorov_distance(simulate(fam, deterministic(25), 5000, seed=SEED))
+        direct = kolmogorov_distance(simulate(fam, Deterministic(25), 5000, seed=SEED))
         assert points[0][0] == 25
         assert points[0][1].d_hat == direct.d_hat
 
