@@ -22,10 +22,7 @@ from .conditions import (
 )
 from .families import (
     BUILTIN_FAMILY_KINDS,
-    NormalComparator,
-    PartialVariance,
     SummandFamily,
-    comparator_family,
     make_family,
     parse_family,
 )

@@ -18,12 +18,7 @@ import tempfile
 from dataclasses import dataclass
 
 from . import conditions as cond
-from .families import (
-    SummandFamily,
-    comparator_family,
-    family_spec_string,
-    parse_family,
-)
+from .families import family_spec_string, parse_family
 from .indices import (
     TRUNCATION_TARGET,
     index_spec_string,
@@ -169,6 +164,8 @@ def _validate(config: RunConfig) -> None:
         raise UsageError(f"--trunc-mass must lie in (0, 1): {config.trunc_mass}")
     if config.trials < 0:
         raise UsageError(f"--trials must be nonnegative: {config.trials}")
+    if not 0 <= config.seed < 2**64:
+        raise UsageError(f"--seed must lie in [0, 2^64): {config.seed}")
     try:
         parse_family(config.family)
         parse_index(config.index)
@@ -194,7 +191,11 @@ def _fmt(x) -> str:
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
+        # mkstemp creates 0600; give the file what open(path, "w") would
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -231,7 +232,6 @@ def _family_and_index(config: RunConfig):
 
 def _run_conditions(config: RunConfig) -> int:
     family, kind, param = _family_and_index(config)
-    comp = family.comparator()
     rows = []
     for n in config.n_grid:
         model = make_index(kind, n, param, target=config.trunc_mass)
@@ -244,9 +244,9 @@ def _run_conditions(config: RunConfig) -> int:
             per_n += [
                 cond.lindeberg(family, n, eps),
                 cond.infinitesimality(family, n, eps),
-                cond.rotar(family, comp, n, eps),
+                cond.rotar(family, n, eps),
                 cond.random_lindeberg(family, model, eps),
-                cond.random_rotar(family, comp, model, eps),
+                cond.random_rotar(family, model, eps),
             ]
         for rep in per_n:
             rows.append(
@@ -296,7 +296,7 @@ def _run_rates(config: RunConfig) -> int:
             rows.append((p.n, p.metric, p.mc_stderr, p.bound, ratio))
     else:
         curve = small_o_audit(
-            family, family.comparator(), factory, f, config.n_grid,
+            family, factory, f, config.n_grid,
             config.epsilon_grid, config.trials, config.seed,
         )
         for p in curve.points:
@@ -307,9 +307,8 @@ def _run_rates(config: RunConfig) -> int:
 
 def _run_cf_check(config: RunConfig) -> int:
     family, kind, param = _family_and_index(config)
-    normal_twin = comparator_family(family)
     model = make_index(kind, config.n_grid[0], param, target=config.trunc_mass)
-    result = cf_identity_check(normal_twin, model, config.t_grid)
+    result = cf_identity_check(family, model, config.t_grid)
     passed = result.max_deviation <= CF_TOLERANCE
     payload = {
         "family": family_spec_string(family),
@@ -327,17 +326,15 @@ def _run_cf_check(config: RunConfig) -> int:
 
 def _run_audit(config: RunConfig) -> int:
     family, kind, param = _family_and_index(config)
-    comp = family.comparator()
-    normal_twin = comparator_family(family)
     cf_model = make_index(kind, config.n_grid[-1], param, target=config.trunc_mass)
-    cf = cf_identity_check(normal_twin, cf_model, config.t_grid)
+    cf = cf_identity_check(family, cf_model, config.t_grid)
     cf_passed = cf.max_deviation <= CF_TOLERANCE
     configs = []
     all_passed = cf_passed
     for n in config.n_grid:
         model = make_index(kind, n, param, target=config.trunc_mass)
         for eps in config.epsilon_grid:
-            audit = cond.implication_audit(family, comp, model, n, eps, config.delta)
+            audit = cond.implication_audit(family, model, n, eps, config.delta)
             entry = {
                 "n": n,
                 "epsilon": eps,
@@ -346,7 +343,7 @@ def _run_audit(config: RunConfig) -> int:
             }
             if config.trials >= 1:
                 entry["empirical_constant"] = empirical_rotar_constant(
-                    family, comp, model, eps, config.trials, config.seed
+                    family, model, eps, config.trials, config.seed
                 )
             configs.append(entry)
             all_passed = all_passed and audit.passed

@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .families import NormalComparator, SummandFamily
+from .families import SummandFamily
 from .gaussian import normal_tail_second_moment
 from .indices import RandomIndexModel
 
@@ -64,13 +64,6 @@ def _report(cond, n, value, err, epsilon=None, delta=None) -> ConditionReport:
         condition=cond, n=int(n), epsilon=epsilon, delta=delta,
         value=float(value), error_bound=float(err),
     )
-
-
-def _require_matched(family: SummandFamily, comparator: NormalComparator):
-    if comparator.profile != family.profile:
-        raise ValueError(
-            "comparator must carry the family's own sigma sequence"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -123,26 +116,12 @@ def rotar_values(family: SummandFamily, ks, eps: float) -> np.ndarray:
 
 def feller_values(family: SummandFamily, ks) -> np.ndarray:
     """max_j sigma_j^2 / B_k^2 per index, exact closed forms."""
-    ks = np.asarray(ks, dtype=float)
-    prof = family.profile
-    if prof.is_constant:
-        return 1.0 / ks
-    r = prof.ratio
-    if r > 1.0:
-        return (r - 1.0) / (r - r ** (1.0 - ks))
-    return (1.0 - r) / (1.0 - r**ks)
+    return 1.0 / family.profile.b2_over_max_var(ks)
 
 
 def max_threshold_ratio(family: SummandFamily, ks, eps: float) -> np.ndarray:
     """eps * B_k / sigma*(k) with sigma* the largest sigma_j, j <= k."""
-    ks = np.asarray(ks, dtype=float)
-    prof = family.profile
-    if prof.is_constant:
-        return eps * np.sqrt(ks)
-    r = prof.ratio
-    if r > 1.0:
-        return eps * np.sqrt((r - r ** (1.0 - ks)) / (r - 1.0))
-    return eps * np.sqrt((1.0 - r**ks) / (1.0 - r))
+    return eps * np.sqrt(family.profile.b2_over_max_var(ks))
 
 
 # ---------------------------------------------------------------------------
@@ -209,18 +188,16 @@ def infinitesimality(family: SummandFamily, n: int, epsilon: float) -> Condition
     )
 
 
-def rotar(
-    family: SummandFamily, comparator: NormalComparator, n: int, epsilon: float
-) -> ConditionReport:
+def rotar(family: SummandFamily, n: int, epsilon: float) -> ConditionReport:
     """B_n^-2 * sum_j integral_{|x|>eps B_n} |x| |F_j - Phi_j| dx.
 
-    Exactly zero for all-normal families (F_j coincides with Phi_j).
+    Phi_j is the normal law with the family's variance sigma_j^2.  Exactly
+    zero for all-normal families (F_j coincides with Phi_j).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    _require_matched(family, comparator)
     value = float(rotar_values(family, np.array([n]), epsilon)[0])
     return _report(
         Condition.ROTAR, n, value, _KERNEL_RTOL * (1.0 + value), epsilon=epsilon
@@ -257,10 +234,7 @@ def random_feller(
 
 
 def random_rotar(
-    family: SummandFamily,
-    comparator: NormalComparator,
-    index_model: RandomIndexModel,
-    epsilon: float,
+    family: SummandFamily, index_model: RandomIndexModel, epsilon: float
 ) -> ConditionReport:
     """Index-averaged comparison functional.
 
@@ -269,7 +243,6 @@ def random_rotar(
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    _require_matched(family, comparator)
     values = rotar_values(family, index_model.support, epsilon)
     est = index_model.expect_values(values, abs_bound=2.0)
     err = est.truncation_error_bound + _KERNEL_RTOL * (1.0 + est.value)
@@ -317,7 +290,6 @@ def _check(name, lhs, rhs, err) -> InequalityCheck:
 
 def implication_audit(
     family: SummandFamily,
-    comparator: NormalComparator,
     index_model: RandomIndexModel,
     n: int,
     epsilon: float,
@@ -334,11 +306,10 @@ def implication_audit(
     Failures are reported, never raised; a check passes when its slack is no
     smaller than the negated combined error bound.
     """
-    _require_matched(family, comparator)
     lyap = lyapunov(family, n, delta)
     lind = lindeberg(family, n, epsilon)
     fel = feller(family, n)
-    rot = rotar(family, comparator, n, epsilon)
+    rot = rotar(family, n, epsilon)
     s_n = float(max_threshold_ratio(family, np.array([n]), epsilon)[0])
     normal_tail = float(normal_tail_second_moment(s_n))
 
@@ -365,7 +336,7 @@ def implication_audit(
 
     r_lind = random_lindeberg(family, index_model, epsilon)
     r_fel = random_feller(family, index_model)
-    r_rot = random_rotar(family, comparator, index_model, epsilon)
+    r_rot = random_rotar(family, index_model, epsilon)
     tail_vals = normal_tail_second_moment(
         max_threshold_ratio(family, index_model.support, epsilon)
     )

@@ -1,4 +1,4 @@
-"""Summand distribution families and the matched normal comparison sequence.
+"""Summand distribution families: standardized laws times sigma profiles.
 
 Every built-in family is a scale family: the j-th summand is sigma_j * Z for a
 fixed zero-mean, unit-variance standardized law Z and a deterministic standard
@@ -6,6 +6,8 @@ deviation profile sigma_j.  This covers the i.i.d. families (constant profile)
 and the heterogeneous exploding-variance families (geometric profile), keeps
 all moment and tail functionals exact, and makes the cumulative variance
 closed-form even where the float64 value would overflow (log-space accessors).
+The matched normal sequence of Rotar's condition, N(0, sigma_j^2), is read
+from the same profile.
 
 CDFs follow the strict-inequality convention F(x) = P(X < x); tail functionals
 such as E[X^2; |X| > t] exclude atoms located exactly at the threshold.
@@ -20,7 +22,6 @@ from typing import Optional
 import numpy as np
 
 from .gaussian import (
-    SQRT_2_OVER_PI,
     norm_cdf,
     norm_central_prob,
     norm_pdf,
@@ -208,7 +209,7 @@ class UniformLaw(Law):
 
 
 class NormalLaw(Law):
-    """Standard normal; coincides with its own comparator."""
+    """Standard normal: F_j is its own matched normal law Phi_j."""
 
     name = "normal"
 
@@ -362,20 +363,15 @@ class ConstantProfile:
     def log_variance_at(self, j):
         return np.full_like(np.asarray(j, dtype=float), 2.0 * math.log(self.sigma))
 
-    def b_squared(self, n):
-        return np.asarray(n, dtype=float) * self.sigma**2
-
     def log_b_squared(self, n):
         return np.log(np.asarray(n, dtype=float)) + 2.0 * math.log(self.sigma)
 
     def log_sum_sigma_pow(self, n, power):
         return np.log(np.asarray(n, dtype=float)) + power * math.log(self.sigma)
 
-    def max_sigma(self, n):
-        return np.full_like(np.asarray(n, dtype=float), self.sigma)
-
-    def log_max_sigma(self, n):
-        return np.full_like(np.asarray(n, dtype=float), math.log(self.sigma))
+    def b2_over_max_var(self, k):
+        """B_k^2 / max_{j<=k} sigma_j^2 = k."""
+        return np.asarray(k, dtype=float)
 
     def weights(self, k: int) -> np.ndarray:
         """sigma_j / B_k for j = 1..k."""
@@ -423,11 +419,6 @@ class GeometricProfile:
         j = np.asarray(j, dtype=float)
         return (j - 1.0) * math.log(self.ratio)
 
-    def b_squared(self, n):
-        n = np.asarray(n, dtype=float)
-        with np.errstate(over="ignore"):
-            return (np.asarray(self.ratio, dtype=float) ** n - 1.0) / (self.ratio - 1.0)
-
     def log_b_squared(self, n):
         return self.log_sum_sigma_pow(n, 2.0)
 
@@ -440,59 +431,43 @@ class GeometricProfile:
             return n * logq + _log1mexp(n * logq) - logq - _log1mexp(logq)
         return _log1mexp(-n * logq) - _log1mexp(-logq)
 
-    def max_sigma(self, n):
-        n = np.asarray(n, dtype=float)
-        return self.sigma_at(n) if self.ratio > 1.0 else self.sigma_at(np.ones_like(n))
+    def b2_over_max_var(self, k):
+        """B_k^2 / max_{j<=k} sigma_j^2 = expm1(k q) / expm1(q), q = -|log ratio|.
 
-    def log_max_sigma(self, n):
-        n = np.asarray(n, dtype=float)
-        if self.ratio > 1.0:
-            return 0.5 * (n - 1.0) * math.log(self.ratio)
-        return np.zeros_like(n)
+        The largest sigma_j is sigma_k when ratio > 1 and sigma_1 otherwise;
+        either way the share is a sum of e^(q i), i = 0..k-1, whose expm1
+        form has no cancellation near ratio 1 (the (r - r^(1-k)) / (r - 1)
+        form loses ~1e-16 / (k |r - 1|) of relative precision).  Elementwise
+        math.expm1, not np.expm1: numpy's SIMD loops round differently from
+        libm on some hosts, and the summand weights must keep their bits.
+        """
+        q = -abs(math.log(self.ratio))
+        if np.ndim(k) == 0:  # one call per realized k from weights
+            return math.expm1(k * q) / math.expm1(q)
+        x = np.asarray(k, dtype=float) * q
+        num = np.full_like(x, -1.0)  # expm1 is exactly -1.0 below -40
+        live = x > -40.0
+        num[live] = [math.expm1(v) for v in x[live].tolist()]
+        return num / math.expm1(q)
 
     def weights(self, k: int) -> np.ndarray:
         """sigma_j / B_k for the j <= k whose weight exceeds e^-42 (~5e-19).
 
         Smaller weights cannot move a float64 sum.  The logs are taken
-        relative to the largest sigma_j, with B_k^2 / max sigma_j^2 =
-        expm1(k q) / expm1(q), q = -|log ratio|: subtracting log B_k from
-        log sigma_j would cost up to ~1e-9 of the unit sum of squares near
-        ratio 1, and ~1e-12 once k is in the thousands.
+        relative to the largest sigma_j, through b2_over_max_var:
+        subtracting log B_k from log sigma_j would cost up to ~1e-9 of the
+        unit sum of squares near ratio 1, and ~1e-12 once k is in the
+        thousands.
         """
         q = -abs(math.log(self.ratio))
         # steps below the largest sigma_j, which is j = k when ratio > 1
         steps = np.arange(k - 1, -1, -1) if self.ratio > 1.0 else np.arange(k)
-        logw = 0.5 * (q * steps - math.log(math.expm1(k * q) / math.expm1(q)))
+        logw = 0.5 * (q * steps - math.log(self.b2_over_max_var(k)))
         return np.exp(logw[logw > -42.0])
 
 
 # ---------------------------------------------------------------------------
-# Partial variance bookkeeping
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PartialVariance:
-    """Cumulative variance of the first n summands.
-
-    b_squared may overflow to +inf for exploding-variance profiles at very
-    large n; log_b_squared stays finite and is what downstream numerics use.
-    """
-
-    n: int
-    b_squared: float
-    b: float
-    log_b_squared: float
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1: {self.n}")
-        if not self.b_squared > 0.0:
-            raise ValueError(f"cumulative variance must be positive: {self.b_squared}")
-
-
-# ---------------------------------------------------------------------------
-# Families and the normal comparator
+# Families
 # ---------------------------------------------------------------------------
 
 
@@ -531,19 +506,6 @@ class SummandFamily:
         s = float(self.profile.sigma_at(j))
         return s**order * self.law.abs_moment(order)
 
-    def partial_variance(self, n: int) -> PartialVariance:
-        if n < 1:
-            raise ValueError(f"n must be >= 1: {n}")
-        b2 = float(self.profile.b_squared(n))
-        logb2 = float(self.profile.log_b_squared(n))
-        return PartialVariance(
-            n=n, b_squared=b2, b=math.sqrt(b2) if b2 < math.inf else math.inf,
-            log_b_squared=logb2,
-        )
-
-    def comparator(self) -> "NormalComparator":
-        return NormalComparator(profile=self.profile)
-
     # -- Monte Carlo support -------------------------------------------------
 
     def batch_normalized_sums(self, rng: np.random.Generator, ks: np.ndarray) -> np.ndarray:
@@ -573,31 +535,6 @@ class SummandFamily:
                 b = min(a + rows, hi)
                 out[order[a:b]] = self.law.sample(rng, size=(b - a, len(w))) @ w
         return out
-
-
-@dataclass(frozen=True)
-class NormalComparator:
-    """The matched sequence X*_j ~ N(0, sigma_j^2) with the family's sigmas."""
-
-    profile: object
-
-    @classmethod
-    def for_family(cls, family: SummandFamily) -> "NormalComparator":
-        return cls(profile=family.profile)
-
-    def sigma(self, j):
-        _check_index(j)
-        return self.profile.sigma_at(j)
-
-    def cdf(self, j, x):
-        _check_index(j)
-        s = self.profile.sigma_at(j)
-        return norm_cdf(np.asarray(x, dtype=float) / s)
-
-    def abs_first_moment(self, j):
-        """E|X*_j| = sigma_j * sqrt(2/pi)."""
-        _check_index(j)
-        return self.profile.sigma_at(j) * SQRT_2_OVER_PI
 
 
 def _check_index(j):
@@ -677,16 +614,6 @@ def parse_family(spec: str) -> SummandFamily:
         except ValueError as exc:
             raise FamilyConfigError(f"non-numeric family parameter {item!r}") from exc
     return make_family(kind, **params)
-
-
-def comparator_family(family: SummandFamily) -> SummandFamily:
-    """The all-normal twin of a family: same sigmas, normal summands."""
-    if isinstance(family.law, NormalLaw):
-        return family
-    return SummandFamily(
-        kind=f"{family.kind}-normal-twin", law=NormalLaw(), profile=family.profile,
-        params=dict(family.params),
-    )
 
 
 def family_spec_string(family: SummandFamily) -> str:

@@ -54,13 +54,18 @@ class RandomIndexModel:
     def __post_init__(self):
         if not 0.0 < self.target < 1.0:
             raise IndexConfigError(f"truncation target must lie in (0, 1): {self.target}")
-        lo, hi = self.window
-        terms = hi - lo + 1
-        if terms > TRUNCATION_CAP:
-            raise IndexConfigError(
-                f"{self.kind} index at n={self.n} with trunc-mass {self.target:g} "
-                f"needs {terms} terms, past the cap of {TRUNCATION_CAP}"
-            )
+        try:
+            lo, hi = self.window
+        except OverflowError as exc:  # the window search galloped past float range
+            raise self._past_cap("a window beyond float range") from exc
+        if hi - lo + 1 > TRUNCATION_CAP:
+            raise self._past_cap(f"{hi - lo + 1} terms")
+
+    def _past_cap(self, needs: str) -> IndexConfigError:
+        return IndexConfigError(
+            f"{self.kind} index at n={self.n} with trunc-mass {self.target:g} "
+            f"needs {needs}, past the cap of {TRUNCATION_CAP}"
+        )
 
     @property
     def _budget(self) -> float:

@@ -27,7 +27,9 @@ DEFAULT_GAMMA = 0.999
 
 
 def _stream(seed: int, tag: int) -> Generator:
-    return Generator(Philox(key=np.array([seed & _MASK64, tag & _MASK64], dtype=np.uint64)))
+    if not 0 <= seed <= _MASK64:  # masking would give two seeds one stream
+        raise ValueError(f"seed must lie in [0, 2^64): {seed}")
+    return Generator(Philox(key=np.array([seed, tag], dtype=np.uint64)))
 
 
 @dataclass(frozen=True)
@@ -123,6 +125,8 @@ def cf_identity_check(
     The per-index factor is evaluated through the realized B_k^2 so the
     identity's cancellation is exercised numerically; the deviation can only
     be the truncation tail mass times e^(-t^2/2), at most the tail mass.
+    Only the sigma profile is read: the identity is about the matched normal
+    sequence N(0, sigma_j^2), whatever the family's summand law.
     """
     prof = family.profile
     logb2 = prof.log_b_squared(index_model.support.astype(float))

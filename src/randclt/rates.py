@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .conditions import random_rotar
-from .families import NormalComparator, SummandFamily
+from .families import SummandFamily
 from .gaussian import SQRT_2_OVER_PI
 from .indices import RandomIndexModel
 from .montecarlo import _index_factory, simulate
@@ -336,7 +336,6 @@ class SmallOCurve:
 
 def small_o_audit(
     family: SummandFamily,
-    comparator: NormalComparator,
     index_spec,
     f: TestFunction,
     n_grid,
@@ -362,8 +361,7 @@ def small_o_audit(
         sm = smooth_metric(family, model, f, trials, seed)
         inv_b = _bound_shape(family, model, 1.0).value
         majorants = {
-            float(eps): float(eps)
-            + random_rotar(family, comparator, model, float(eps)).value
+            float(eps): float(eps) + random_rotar(family, model, float(eps)).value
             for eps in epsilon_grid
         }
         points.append(
@@ -381,7 +379,6 @@ def small_o_audit(
 
 def empirical_rotar_constant(
     family: SummandFamily,
-    comparator: NormalComparator,
     index_model: RandomIndexModel,
     epsilon: float,
     trials: int,
@@ -395,7 +392,7 @@ def empirical_rotar_constant(
     from .conditions import random_feller
     from .montecarlo import kolmogorov_distance
 
-    rr = random_rotar(family, comparator, index_model, epsilon)
+    rr = random_rotar(family, index_model, epsilon)
     rf = random_feller(family, index_model)
     d = kolmogorov_distance(simulate(family, index_model, trials, seed))
     denom = d.d_hat + rf.value

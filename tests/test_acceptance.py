@@ -74,12 +74,11 @@ def test_criterion_2_inequality_chain():
     }
     for family_kind in BUILTIN_FAMILY_KINDS:
         fam = make_family(family_kind)
-        comp = fam.comparator()
         for index_kind in ("det", "poisson", "geometric", "uniform"):
             for n in (1, 10, 100, 1000):
                 for eps in (0.05, 0.1, 0.5, 1.0):
                     audit = implication_audit(
-                        fam, comp, models[(index_kind, n)], n, eps, 1.0
+                        fam, models[(index_kind, n)], n, eps, 1.0
                     )
                     if not audit.passed:
                         failures.append((family_kind, index_kind, n, eps))
@@ -96,23 +95,18 @@ def test_criterion_3_deterministic_reduction():
     ok = True
     for family_kind in BUILTIN_FAMILY_KINDS:
         fam = make_family(family_kind)
-        comp = fam.comparator()
         for n in (1, 10, 100):
             model = Deterministic(n)
             ok &= model.truncation_tail_mass == 0.0
             ok &= random_lindeberg(fam, model, 0.3).value == lindeberg(fam, n, 0.3).value
             ok &= random_feller(fam, model).value == feller(fam, n).value
-            ok &= (
-                random_rotar(fam, comp, model, 0.3).value
-                == rotar(fam, comp, n, 0.3).value
-            )
+            ok &= random_rotar(fam, model, 0.3).value == rotar(fam, n, 0.3).value
     _report(3, "point-mass index reproduces non-random functionals exactly", ok)
 
 
 def test_criterion_4_non_classical_configuration():
     fam = make_family("geomnormal")
-    comp = fam.comparator()
-    rot = rotar(fam, comp, 30, 0.5).value
+    rot = rotar(fam, 30, 0.5).value
     fel = feller(fam, 30).value
     oracle = 2.0**29 / (2.0**30 - 1.0)
     inf_val = infinitesimality(fam, 30, 0.5).value
@@ -138,9 +132,8 @@ def test_criterion_4_non_classical_configuration():
 def test_criterion_5_random_rotar_clt_forward():
     t0 = time.perf_counter()
     fam = make_family("rademacher")
-    comp = fam.comparator()
     rr = [
-        random_rotar(fam, comp, make_index("geometric", n), 0.1).value
+        random_rotar(fam, make_index("geometric", n), 0.1).value
         for n in (10, 100, 1000)
     ]
     monotone = rr[0] > rr[1] > rr[2]
@@ -186,10 +179,9 @@ def test_criterion_6_large_o_rate_shape():
 
 def test_criterion_7_small_o_ratio():
     fam = make_family("rademacher")
-    comp = fam.comparator()
     bump = make_test_function("bump")
     curve = small_o_audit(
-        fam, comp, "geometric", bump, (10, 100, 1000), (0.5,),
+        fam, "geometric", bump, (10, 100, 1000), (0.5,),
         8_000_000, seed=SEED,
     )
     for n in (10, 100, 1000):
@@ -201,7 +193,7 @@ def test_criterion_7_small_o_ratio():
 
     nrm = make_family("normal")
     curve_normal = small_o_audit(
-        nrm, nrm.comparator(), "geometric", bump, (10, 100, 1000), (0.5,),
+        nrm, "geometric", bump, (10, 100, 1000), (0.5,),
         100_000, seed=SEED,
     )
     ratios = [p.ratio for p in curve.points]

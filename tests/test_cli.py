@@ -3,9 +3,11 @@
 import csv
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 
+import mpmath
 import pytest
 
 from randclt.cli import UsageError, main, parse_args, run
@@ -70,6 +72,18 @@ class TestParsing:
         assert main(["simulate", "--trials", "0"]) == 1
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_key_range_rejected(self, seed, capsys):
+        # masked into the 64-bit Philox key, -1 would draw the stream of 2^64 - 1
+        argv = ["simulate", "--n-grid", "10", "--trials", "100", "--seed", str(seed)]
+        assert main(argv) == 1
+        assert "usage error: --seed" in capsys.readouterr().err
+
+    def test_seed_range_ends_accepted(self):
+        for seed in (0, 2**64 - 1):
+            cfg = parse_args(["simulate", "--trials", "1", "--seed", str(seed)])
+            assert cfg.seed == seed
+
     def test_print_config_round_trip(self, capsys):
         argv = ["audit", "--family", "twopoint,growth=3", "--index", "geometric:0.05",
                 "--n-grid", "5,50", "--epsilon", "0.1,0.7", "--seed", "9"]
@@ -121,6 +135,41 @@ class TestConditionsCommand:
         assert code == 1
         assert "past the cap" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "index", ["geometric:1e-320", "geometric:1e-310", "poisson:1e308"]
+    )
+    def test_window_past_float_range_exits_one_without_output(
+        self, index, tmp_path, capsys
+    ):
+        out = tmp_path / "c.csv"
+        code = main(["conditions", "--index", index, "--n-grid", "5",
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("randclt: error: ")
+        assert f"{index.split(':')[0]} index" in err and "past the cap" in err
+        assert not out.exists()
+
+    def test_feller_near_ratio_one_within_its_bound(self, capsys):
+        # max share = 1 / sum_{i<10} r^-i = 0.1 + 4.5e-10: cancellation-prone
+        assert main(["conditions", "--family", "twopoint,growth=1.000000001",
+                     "--index", "det", "--n-grid", "10"]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        row = next(r for r in rows if r["condition"] == "feller")
+        with mpmath.workdps(50):
+            r = mpmath.mpf(1.000000001)
+            exact = float(1 / mpmath.fsum(r**-i for i in range(10)))
+        assert abs(float(row["value"]) - exact) <= float(row["error_bound"])
+
+    def test_out_file_mode_follows_umask(self, tmp_path):
+        out = tmp_path / "m.csv"
+        old = os.umask(0o022)
+        try:
+            assert main(["conditions", "--n-grid", "3", "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        assert out.stat().st_mode & 0o777 == 0o644
 
     def test_stdout_when_no_out(self, capsys):
         assert main(["conditions", "--n-grid", "3"]) == 0

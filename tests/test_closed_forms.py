@@ -208,9 +208,9 @@ class TestRotarTailIntegral:
     def test_threshold_must_be_positive(self):
         fam = make_family("uniform")
         with pytest.raises(ValueError):
-            rotar(fam, fam.comparator(), 1, 0.0)
+            rotar(fam, 1, 0.0)
         with pytest.raises(ValueError):
-            random_rotar(fam, fam.comparator(), make_index("det", 1), 0.0)
+            random_rotar(fam, make_index("det", 1), 0.0)
 
 
 class TestNormalMean:

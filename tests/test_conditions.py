@@ -113,27 +113,21 @@ class TestInfinitesimality:
 
 class TestRotar:
     def test_all_normal_exact_zero(self, geomnormal):
-        comp = geomnormal.comparator()
         for n in (1, 10, 30, 500):
-            assert rotar(geomnormal, comp, n, 0.5).value == 0.0
+            assert rotar(geomnormal, n, 0.5).value == 0.0
 
     def test_rademacher_single_term_closed_form(self, rademacher):
         # frozen piecewise value, cross-checked against scipy quad in
         # test_closed_forms.py
-        r = rotar(rademacher, rademacher.comparator(), 1, 2.0)
+        r = rotar(rademacher, 1, 2.0)
         assert r.value == pytest.approx(0.03973153718183854, rel=1e-11)
 
     def test_eps_doubling_never_increases(self, rademacher):
-        comp = rademacher.comparator()
         for n in (1, 10, 100):
             for eps in (0.05, 0.1, 0.5):
-                lo = rotar(rademacher, comp, n, 2.0 * eps).value
-                hi = rotar(rademacher, comp, n, eps).value
+                lo = rotar(rademacher, n, 2.0 * eps).value
+                hi = rotar(rademacher, n, eps).value
                 assert lo <= hi + 1e-12
-
-    def test_mismatched_comparator_rejected(self, rademacher, geomnormal):
-        with pytest.raises(ValueError):
-            rotar(rademacher, geomnormal.comparator(), 3, 0.5)
 
 
 class TestRandomConditions:
@@ -176,20 +170,17 @@ class TestRandomConditions:
         assert got > 0.49
 
     def test_random_rotar_all_normal_zero(self, geomnormal):
-        comp = geomnormal.comparator()
-        got = random_rotar(geomnormal, comp, make_index("geometric", 100), 0.5)
+        got = random_rotar(geomnormal, make_index("geometric", 100), 0.5)
         assert got.value == 0.0
 
     def test_random_rotar_deterministic_reduction(self, rademacher):
-        comp = rademacher.comparator()
         for n in (1, 10, 100):
-            rnd = random_rotar(rademacher, comp, Deterministic(n), 0.7)
-            assert rnd.value == rotar(rademacher, comp, n, 0.7).value
+            rnd = random_rotar(rademacher, Deterministic(n), 0.7)
+            assert rnd.value == rotar(rademacher, n, 0.7).value
 
     def test_random_rotar_decay(self, rademacher):
-        comp = rademacher.comparator()
-        v10 = random_rotar(rademacher, comp, ShiftedGeometric(10, p=0.1), 0.1).value
-        v1000 = random_rotar(rademacher, comp, ShiftedGeometric(1000, p=0.001), 0.1).value
+        v10 = random_rotar(rademacher, ShiftedGeometric(10, p=0.1), 0.1).value
+        v1000 = random_rotar(rademacher, ShiftedGeometric(1000, p=0.001), 0.1).value
         assert v1000 < v10
 
 
@@ -199,11 +190,10 @@ class TestMonotoneInEpsilon:
     @pytest.mark.parametrize("kind", ["rademacher", "uniform", "normal", "geomnormal", "twopoint", "expcentered"])
     def test_lindeberg_rotar_infinitesimality(self, kind):
         fam = make_family(kind)
-        comp = fam.comparator()
         for n in (1, 10, 100, 1000):
             for fn in (
                 lambda e: lindeberg(fam, n, e).value,
-                lambda e: rotar(fam, comp, n, e).value,
+                lambda e: rotar(fam, n, e).value,
                 lambda e: infinitesimality(fam, n, e).value,
             ):
                 vals = [fn(e) for e in self.EPS_GRID]
@@ -216,8 +206,7 @@ class TestNonClassicalSignature:
         # exploding-variance normal summands: comparison functional vanishes
         # while the maximal variance share and the exceedance probability stay
         # large, the configuration where the classical conditions all fail
-        comp = geomnormal.comparator()
-        assert rotar(geomnormal, comp, 30, 0.5).value == 0.0
+        assert rotar(geomnormal, 30, 0.5).value == 0.0
         assert feller(geomnormal, 30).value > 0.49
         assert infinitesimality(geomnormal, 30, 0.5).value > 0.5
 
@@ -225,7 +214,7 @@ class TestNonClassicalSignature:
 class TestImplicationAudit:
     def test_passes_on_reference_configuration(self, rademacher):
         audit = implication_audit(
-            rademacher, rademacher.comparator(), make_index("geometric", 10),
+            rademacher, make_index("geometric", 10),
             10, 0.5, 1.0,
         )
         assert audit.passed
@@ -234,7 +223,7 @@ class TestImplicationAudit:
 
     def test_all_normal_rotar_side_zero(self, geomnormal):
         audit = implication_audit(
-            geomnormal, geomnormal.comparator(), make_index("poisson", 20),
+            geomnormal, make_index("poisson", 20),
             20, 0.1, 1.0,
         )
         rotar_check = next(
@@ -245,7 +234,7 @@ class TestImplicationAudit:
 
     def test_slack_definition(self, rademacher):
         audit = implication_audit(
-            rademacher, rademacher.comparator(), Deterministic(4), 4, 1.0, 1.0
+            rademacher, Deterministic(4), 4, 1.0, 1.0
         )
         for c in audit.checks:
             assert c.slack == pytest.approx(c.rhs - c.lhs, abs=1e-15)
@@ -254,7 +243,7 @@ class TestImplicationAudit:
     def test_exact_equality_edge_passes(self, rademacher):
         # n=1, eps=1: the maximal share equals eps^2 + lindeberg exactly
         audit = implication_audit(
-            rademacher, rademacher.comparator(), Deterministic(1), 1, 1.0, 1.0
+            rademacher, Deterministic(1), 1, 1.0, 1.0
         )
         edge = next(c for c in audit.checks if c.name == "feller_le_eps2_plus_lindeberg")
         assert edge.slack == 0.0

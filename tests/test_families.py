@@ -5,17 +5,17 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 from scipy.integrate import quad
 
+from randclt.conditions import feller_values, max_threshold_ratio
 from randclt.families import (
     BUILTIN_FAMILY_KINDS,
     FamilyConfigError,
     GeometricProfile,
     MomentError,
-    NormalComparator,
     make_family,
     parse_family,
 )
@@ -133,44 +133,40 @@ class TestMoments:
 
 class TestPartialVariance:
     def test_iid_root(self):
-        pv = make_family("rademacher").partial_variance(25)
-        assert pv.b == 5.0
+        prof = make_family("rademacher").profile
+        assert float(prof.log_b_squared(25)) == pytest.approx(math.log(25.0), rel=1e-15)
 
     def test_geometric_closed_form(self):
-        pv = make_family("geomnormal").partial_variance(10)
-        assert pv.b_squared == 1023.0
+        prof = make_family("geomnormal").profile
+        assert float(prof.log_b_squared(10)) == pytest.approx(
+            math.log(1023.0), rel=1e-15
+        )
 
     def test_single_term(self):
         fam = make_family("twopoint", growth=2.0)
-        assert fam.partial_variance(1).b_squared == pytest.approx(
-            float(fam.variance(1)), rel=1e-15
+        assert float(fam.profile.log_b_squared(1)) == pytest.approx(
+            float(fam.profile.log_variance_at(1)), abs=1e-15
         )
-
-    def test_additive_exact_for_closed_form_families(self):
-        for kind in ("rademacher", "geomnormal", "twopoint", "uniform"):
-            fam = make_family(kind)
-            for n in range(2, 41):
-                lhs = fam.partial_variance(n).b_squared
-                rhs = fam.partial_variance(n - 1).b_squared + float(fam.variance(n))
-                assert lhs == rhs, (kind, n)
 
     def test_strictly_increasing(self):
         for fam in all_families():
-            b2 = [fam.partial_variance(n).b_squared for n in range(1, 60)]
-            assert all(x < y for x, y in zip(b2, b2[1:])), fam.kind
+            logb2 = [float(fam.profile.log_b_squared(n)) for n in range(1, 60)]
+            assert all(x < y for x, y in zip(logb2, logb2[1:])), fam.kind
 
     def test_log_matches_value_at_moderate_n(self):
+        # against the log of the termwise float sum of the variances
         for fam in all_families():
-            pv = fam.partial_variance(37)
-            assert math.log(pv.b_squared) == pytest.approx(
-                pv.log_b_squared, rel=1e-12
+            direct = math.log(sum(float(fam.variance(j)) for j in range(1, 38)))
+            assert float(fam.profile.log_b_squared(37)) == pytest.approx(
+                direct, rel=1e-12
             ), fam.kind
 
     def test_log_survives_overflow(self):
-        fam = make_family("geomnormal")
-        pv = fam.partial_variance(5000)
-        assert math.isinf(pv.b_squared)
-        assert pv.log_b_squared == pytest.approx(5000 * math.log(2.0), rel=1e-12)
+        # B_n^2 = 2^5000 - 1 overflows float64; its log does not
+        prof = make_family("geomnormal").profile
+        assert float(prof.log_b_squared(5000)) == pytest.approx(
+            5000 * math.log(2.0), rel=1e-12
+        )
 
 
 def _log_sum_sigma_pow_oracle(ratio, n, power):
@@ -195,6 +191,46 @@ class TestGeometricLogSums:
         assert abs(got - exact) <= 1e-13 * max(1.0, abs(exact))
 
 
+def _variance_share_oracle(ratio, k):
+    """B_k^2 / max_{j<=k} sigma_j^2 for sigma_j^2 = ratio^(j-1), at 50 digits."""
+    with mpmath.workdps(50):
+        r = mpmath.mpf(ratio)
+        b2 = (r**k - 1) / (r - 1)
+        return b2 / max(mpmath.mpf(1), r ** (k - 1))
+
+
+# ratio within 1e-3 of 1, its distance drawn on a log scale so that the
+# cancelling region next to 1 is reached, or ratio anywhere in [0.5, 4]
+_NEAR_ONE = st.builds(
+    lambda e, sign: 1.0 + sign * 10.0**e,
+    st.floats(-15.0, -3.0),
+    st.sampled_from([-1, 1]),
+)
+
+
+class TestGeometricVarianceShare:
+    @given(
+        ratio=st.one_of(_NEAR_ONE, st.floats(0.5, 4.0)).filter(lambda r: r != 1.0),
+        k=st.integers(1, 5000),
+        eps=st.floats(0.01, 2.0),
+    )
+    @example(ratio=1.0 + 1e-6, k=2, eps=0.5)
+    def test_feller_and_threshold_match_high_precision(self, ratio, k, eps):
+        fam = make_family("twopoint", growth=ratio)
+        share = _variance_share_oracle(ratio, k)
+        with mpmath.workdps(50):
+            feller_exact = float(1 / share)
+            threshold_exact = float(mpmath.mpf(eps) * mpmath.sqrt(share))
+        got_feller = float(feller_values(fam, np.array([k]))[0])
+        got_threshold = float(max_threshold_ratio(fam, np.array([k]), eps)[0])
+        assert abs(got_feller - feller_exact) <= 1e-13 * feller_exact
+        assert abs(got_threshold - threshold_exact) <= 1e-13 * threshold_exact
+
+    def test_constant_profile_share_is_k(self):
+        prof = make_family("uniform").profile
+        assert list(prof.b2_over_max_var(np.array([1, 7, 10**6]))) == [1.0, 7.0, 1e6]
+
+
 class TestSummandWeights:
     @given(
         ratio=st.floats(0.5, 4.0).filter(lambda r: r != 1.0),
@@ -203,24 +239,6 @@ class TestSummandWeights:
     def test_kept_weights_have_unit_sum_of_squares(self, ratio, k):
         w = GeometricProfile(ratio=ratio).weights(k)
         assert abs(float(np.sum(w * w)) - 1.0) <= 1e-12
-
-
-class TestNormalComparator:
-    def test_cdf_symmetry(self):
-        comp = NormalComparator.for_family(make_family("geomnormal"))
-        xs = np.linspace(-30, 30, 101)
-        for j in (1, 5, 12):
-            s = comp.cdf(j, xs) + comp.cdf(j, -xs)
-            assert np.max(np.abs(s - 1.0)) < 1e-12
-
-    def test_absolute_first_moment(self):
-        fam = make_family("twopoint", growth=4.0)
-        comp = fam.comparator()
-        for j in (1, 3, 9):
-            expected = float(fam.sigma(j)) * math.sqrt(2.0 / math.pi)
-            assert float(comp.abs_first_moment(j)) == pytest.approx(
-                expected, rel=1e-14
-            )
 
 
 class TestSampling:

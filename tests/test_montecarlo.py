@@ -81,6 +81,11 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(make_family("normal"), Deterministic(2), 0, seed=1)
 
+    def test_seed_outside_key_range_rejected(self):
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="seed"):
+                simulate(make_family("normal"), Deterministic(2), 5, seed=seed)
+
 
 class TestNormalization:
     def test_mean_and_variance_bands(self):

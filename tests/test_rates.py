@@ -158,12 +158,12 @@ class TestSmallOAudit:
         )
         fam = make_family("rademacher")
         with pytest.raises(ValueError):
-            small_o_audit(fam, fam.comparator(), "det", weak, (4,), (0.5,), 10, seed=1)
+            small_o_audit(fam, "det", weak, (4,), (0.5,), 10, seed=1)
 
     def test_majorant_dominates_epsilon(self):
         fam = make_family("rademacher")
         curve = small_o_audit(
-            fam, fam.comparator(), "geometric", make_test_function("bump"),
+            fam, "geometric", make_test_function("bump"),
             (10, 100), (0.5, 1.0), 20_000, seed=SEED,
         )
         for p in curve.points:
@@ -173,7 +173,7 @@ class TestSmallOAudit:
     def test_all_normal_statistically_zero(self):
         fam = make_family("normal")
         curve = small_o_audit(
-            fam, fam.comparator(), "geometric", make_test_function("bump"),
+            fam, "geometric", make_test_function("bump"),
             (10, 100, 1000), (0.5,), 100_000, seed=SEED,
         )
         assert curve.statistically_zero(4.0)
@@ -181,7 +181,7 @@ class TestSmallOAudit:
     def test_m2_prefix_reported(self):
         fam = make_family("rademacher")
         curve = small_o_audit(
-            fam, fam.comparator(), "det", make_test_function("bump"),
+            fam, "det", make_test_function("bump"),
             (4,), (0.5,), 100, seed=SEED,
         )
         expected = 4 * (1.0 + math.sqrt(2.0 / math.pi))
@@ -192,7 +192,7 @@ class TestEmpiricalConstant:
     def test_finite_and_positive(self):
         fam = make_family("rademacher")
         c = empirical_rotar_constant(
-            fam, fam.comparator(), make_index("geometric", 50), 0.5, 20_000, SEED
+            fam, make_index("geometric", 50), 0.5, 20_000, SEED
         )
         assert math.isfinite(c)
         assert c >= 0.0
