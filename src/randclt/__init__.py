@@ -40,7 +40,6 @@ from .montecarlo import (
     EmpiricalSample,
     KolmogorovEstimate,
     cf_identity_check,
-    clt_sweep,
     kolmogorov_distance,
     simulate,
 )
@@ -51,7 +50,6 @@ from .rates import (
     TestFunction,
     large_o_audit,
     make_test_function,
-    modulus_of_continuity,
     small_o_audit,
     smooth_metric,
 )

@@ -156,10 +156,16 @@ def parse_args(argv) -> RunConfig:
 def _validate(config: RunConfig) -> None:
     if config.subcommand in ("simulate", "rates") and config.trials < 1:
         raise UsageError(f"--trials must be >= 1: {config.trials}")
-    if any(e <= 0.0 for e in config.epsilon_grid):
-        raise UsageError(f"--epsilon entries must be positive: {config.epsilon_grid}")
+    if not all(0.0 < e < math.inf for e in config.epsilon_grid):
+        raise UsageError(
+            f"--epsilon entries must be positive and finite: {config.epsilon_grid}"
+        )
+    if not all(math.isfinite(t) for t in config.t_grid):
+        raise UsageError(f"--t-grid entries must be finite: {config.t_grid}")
     if not (0.0 < config.delta <= 1.0):
         raise UsageError(f"--delta must lie in (0, 1]: {config.delta}")
+    if config.alpha is not None and not (0.0 < config.alpha <= 1.0):
+        raise UsageError(f"--alpha must lie in (0, 1]: {config.alpha}")
     if not (0.0 < config.trunc_mass < 1.0):
         raise UsageError(f"--trunc-mass must lie in (0, 1): {config.trunc_mass}")
     if config.trials < 0:
@@ -296,8 +302,7 @@ def _run_rates(config: RunConfig) -> int:
             rows.append((p.n, p.metric, p.mc_stderr, p.bound, ratio))
     else:
         curve = small_o_audit(
-            family, factory, f, config.n_grid,
-            config.epsilon_grid, config.trials, config.seed,
+            family, factory, f, config.n_grid, config.trials, config.seed
         )
         for p in curve.points:
             rows.append((p.n, p.metric, p.mc_stderr, p.inv_b_expectation, p.ratio))

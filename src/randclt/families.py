@@ -24,7 +24,6 @@ import numpy as np
 from .gaussian import (
     norm_cdf,
     norm_central_prob,
-    norm_pdf,
     normal_abs_moment,
     normal_tail_second_moment,
     upper_x_sf_integral,
@@ -39,10 +38,6 @@ _MAX_DRAW_ENTRIES = 1 << 16
 
 class FamilyConfigError(ValueError):
     """Unknown family kind or invalid family parameters."""
-
-
-class MomentError(ValueError):
-    """Requested moment does not exist or the order is out of range."""
 
 
 # ---------------------------------------------------------------------------
@@ -62,10 +57,6 @@ class Law:
 
     def cdf(self, z):
         """P(Z < z), left-continuous at atoms."""
-        raise NotImplementedError
-
-    def pdf(self, z):
-        """Density, continuous laws only."""
         raise NotImplementedError
 
     def abs_moment(self, order: float) -> float:
@@ -157,10 +148,6 @@ class UniformLaw(Law):
         z = np.asarray(z, dtype=float)
         return np.clip((z + _SQRT3) / (2.0 * _SQRT3), 0.0, 1.0)
 
-    def pdf(self, z):
-        z = np.asarray(z, dtype=float)
-        return np.where(np.abs(z) <= _SQRT3, 1.0 / (2.0 * _SQRT3), 0.0)
-
     def abs_moment(self, order):
         return 3.0 ** (0.5 * order) / (order + 1.0)
 
@@ -216,9 +203,6 @@ class NormalLaw(Law):
     def cdf(self, z):
         return norm_cdf(z)
 
-    def pdf(self, z):
-        return norm_pdf(z)
-
     def abs_moment(self, order):
         return normal_abs_moment(order)
 
@@ -250,10 +234,6 @@ class CenteredExponentialLaw(Law):
     def cdf(self, z):
         z = np.asarray(z, dtype=float)
         return np.where(z >= -1.0, -np.expm1(-(z + 1.0)), 0.0)
-
-    def pdf(self, z):
-        z = np.asarray(z, dtype=float)
-        return np.where(z >= -1.0, np.exp(-(z + 1.0)), 0.0)
 
     def abs_moment(self, order):
         # integral_0^1 u^order e^(u-1) du (the part below 0) via the
@@ -354,12 +334,6 @@ class ConstantProfile:
     def is_constant(self) -> bool:
         return True
 
-    def sigma_at(self, j):
-        return np.full_like(np.asarray(j, dtype=float), self.sigma)
-
-    def variance_at(self, j):
-        return np.full_like(np.asarray(j, dtype=float), self.sigma**2)
-
     def log_variance_at(self, j):
         return np.full_like(np.asarray(j, dtype=float), 2.0 * math.log(self.sigma))
 
@@ -404,16 +378,6 @@ class GeometricProfile:
     @property
     def is_constant(self) -> bool:
         return False
-
-    def sigma_at(self, j):
-        j = np.asarray(j, dtype=float)
-        with np.errstate(over="ignore"):
-            return np.asarray(self.ratio, dtype=float) ** (0.5 * (j - 1.0))
-
-    def variance_at(self, j):
-        j = np.asarray(j, dtype=float)
-        with np.errstate(over="ignore"):
-            return np.asarray(self.ratio, dtype=float) ** (j - 1.0)
 
     def log_variance_at(self, j):
         j = np.asarray(j, dtype=float)
@@ -480,34 +444,6 @@ class SummandFamily:
     profile: object
     params: dict = field(default_factory=dict)
 
-    @property
-    def is_iid(self) -> bool:
-        return self.profile.is_constant
-
-    def sigma(self, j):
-        _check_index(j)
-        return self.profile.sigma_at(j)
-
-    def variance(self, j):
-        _check_index(j)
-        return self.profile.variance_at(j)
-
-    def cdf(self, j, x):
-        """F_j(x) = P(sigma_j Z < x)."""
-        _check_index(j)
-        s = self.profile.sigma_at(j)
-        return self.law.cdf(np.asarray(x, dtype=float) / s)
-
-    def abs_moment(self, j, order):
-        """E|X_j|^order, exact for every built-in law."""
-        _check_index(j)
-        if order < 1.0:
-            raise MomentError(f"moment order must be >= 1: {order}")
-        s = float(self.profile.sigma_at(j))
-        return s**order * self.law.abs_moment(order)
-
-    # -- Monte Carlo support -------------------------------------------------
-
     def batch_normalized_sums(self, rng: np.random.Generator, ks: np.ndarray) -> np.ndarray:
         """Draws of S_k / B_k for an array of realized indices, all from rng.
 
@@ -535,11 +471,6 @@ class SummandFamily:
                 b = min(a + rows, hi)
                 out[order[a:b]] = self.law.sample(rng, size=(b - a, len(w))) @ w
         return out
-
-
-def _check_index(j):
-    if np.any(np.asarray(j) < 1):
-        raise ValueError("summand index j must be >= 1")
 
 
 # ---------------------------------------------------------------------------

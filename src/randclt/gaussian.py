@@ -10,7 +10,6 @@ import numpy as np
 from scipy import special
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
-SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 
 
 def norm_pdf(x):

@@ -155,7 +155,12 @@ class ShiftedPoisson(RandomIndexModel):
         half = 0.5 * self._budget
         lo = _first_true(lambda k: self.cdf(k) > half, 1)
         need = self._budget - self.cdf(lo - 1)
-        return lo, _first_true(lambda k: self.sf(k) <= need, lo)
+        hi = _first_true(lambda k: self.sf(k) <= need, lo)
+        if hi - lo >= TRUNCATION_CAP:
+            # pdtr/pdtrc lose accuracy near k ~ lam at such rates, so the
+            # searched ends give no trustworthy count (1.9e84 at lam = 1e100)
+            raise self._past_cap(f"more than {TRUNCATION_CAP} terms")
+        return lo, hi
 
     def _weights(self):
         # log pmf ratios p(k)/p(k-1) = lam/(k-1), summed from lo; unlike

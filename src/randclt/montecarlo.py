@@ -18,7 +18,7 @@ from numpy.random import Generator, Philox
 
 from .families import SummandFamily
 from .gaussian import norm_cdf
-from .indices import RandomIndexModel, make_index
+from .indices import RandomIndexModel
 
 _MASK64 = (1 << 64) - 1
 _TAG_INDEX = _MASK64
@@ -34,18 +34,14 @@ def _stream(seed: int, tag: int) -> Generator:
 
 @dataclass(frozen=True)
 class EmpiricalSample:
-    """Seeded draws of S_index / B_index, sorted ascending."""
+    """Seeded draws of S_index / B_index, in draw order."""
 
     values: np.ndarray = field(compare=False)
     trials: int
-    seed: int
-    index_histogram: dict = field(compare=False)
 
     def __post_init__(self):
         if len(self.values) != self.trials:
             raise ValueError("sample length must equal the trial count")
-        if sum(self.index_histogram.values()) != self.trials:
-            raise ValueError("index histogram must account for every trial")
 
     def mean(self) -> float:
         return float(np.mean(self.values))
@@ -81,14 +77,7 @@ def simulate(
         raise ValueError(f"trials must be >= 1: {trials}")
     ks = index_model.sample(_stream(seed, _TAG_INDEX), trials)
     values = family.batch_normalized_sums(_stream(seed, _TAG_BATCH), ks)
-    uniq, counts = np.unique(ks, return_counts=True)
-    histogram = {int(k): int(c) for k, c in zip(uniq, counts)}
-    return EmpiricalSample(
-        values=np.sort(np.asarray(values, dtype=float)),
-        trials=trials,
-        seed=seed,
-        index_histogram=histogram,
-    )
+    return EmpiricalSample(values=np.asarray(values, dtype=float), trials=trials)
 
 
 def kolmogorov_distance(
@@ -100,7 +89,7 @@ def kolmogorov_distance(
     confidence gamma.
     """
     m = sample.trials
-    ref = norm_cdf(sample.values)
+    ref = norm_cdf(np.sort(sample.values))
     i = np.arange(1, m + 1, dtype=float)
     d_hat = float(max(np.max(i / m - ref), np.max(ref - (i - 1.0) / m)))
     band = math.sqrt(math.log(2.0 / (1.0 - gamma)) / (2.0 * m))
@@ -141,39 +130,6 @@ def cf_identity_check(
     return CfIdentityResult(
         t_grid=tuple(float(t) for t in t_grid),
         deviations=tuple(devs),
-        max_deviation=float(max(devs)),
+        max_deviation=float(np.max(devs)),  # NaN-propagating, unlike max()
         truncation_tail_mass=index_model.truncation_tail_mass,
     )
-
-
-def clt_sweep(
-    family: SummandFamily,
-    index_spec,
-    n_grid,
-    trials: int,
-    seed: int,
-):
-    """One simulate + distance estimate per n.
-
-    index_spec is an index kind name, a callable n -> model, or a fixed model
-    reused for every n.
-    """
-    if not len(n_grid):
-        raise ValueError("n_grid must be nonempty")
-    factory = _index_factory(index_spec)
-    points = []
-    for n in n_grid:
-        model = factory(int(n))
-        sample = simulate(family, model, trials, seed)
-        points.append((int(n), kolmogorov_distance(sample)))
-    return points
-
-
-def _index_factory(index_spec):
-    if isinstance(index_spec, RandomIndexModel):
-        return lambda n: index_spec
-    if callable(index_spec):
-        return index_spec
-    if isinstance(index_spec, str):
-        return lambda n: make_index(index_spec, n)
-    raise TypeError(f"cannot interpret index spec {index_spec!r}")

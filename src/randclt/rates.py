@@ -1,11 +1,11 @@
-"""Smooth-function metric, modulus of continuity, and convergence-rate audits.
+"""Smooth-function metric and convergence-rate audits.
 
 The metric |E f(S/B) - E f(Z)| is estimated by Monte Carlo against the exact
 E f(Z) each test function carries; rate audits compare it per n with the
 index-averaged bound shapes E[B^-(1+alpha)] (large-O) and E[B^-1] (small-o).
-Points whose metric is below the Monte Carlo noise floor (4 standard errors)
-are excluded from order fitting, and unknown multiplicative constants are
-fitted on the first half of the grid, never asserted.
+The large-O multiplicative constant is fitted on the first half of the grid
+from the points above the Monte Carlo noise floor (4 standard errors), never
+asserted.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ import numpy as np
 
 from .conditions import random_rotar
 from .families import SummandFamily
-from .gaussian import SQRT_2_OVER_PI
 from .indices import RandomIndexModel
-from .montecarlo import _index_factory, simulate
+from .montecarlo import simulate
 
 
 @dataclass(frozen=True)
@@ -104,52 +103,6 @@ def make_test_function(fn_id: str) -> TestFunction:
 
 
 # ---------------------------------------------------------------------------
-# Modulus of continuity
-# ---------------------------------------------------------------------------
-
-
-def modulus_of_continuity(
-    f: Callable, eps: float, halfwidth: float = 8.0, refine_rounds: int = 4
-) -> float:
-    """sup over |x - y| < eps of |f(x) - f(y)| on [-halfwidth, halfwidth].
-
-    Grid search over offsets h < eps and base points x, refined around the
-    maximizing pair; the reported value is a certified lower bound that is
-    accurate to ~1e-9 for smooth f.
-    """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    h_top = eps * (1.0 - 1e-12)
-    hs = np.linspace(h_top / 8.0, h_top, 16)
-    lo, hi = -halfwidth, halfwidth
-    best = (0.0, 0.0, h_top)  # (value, x, h)
-    xs = np.linspace(lo, hi, 4096)
-    for h in hs:
-        grid = xs[xs + h <= hi]
-        vals = np.abs(np.asarray(f(grid + h)) - np.asarray(f(grid)))
-        i = int(np.argmax(vals))
-        if vals[i] > best[0]:
-            best = (float(vals[i]), float(grid[i]), float(h))
-    span_x = (hi - lo) / 4096.0
-    span_h = hs[1] - hs[0]
-    for _ in range(refine_rounds):
-        _, x0, h0 = best
-        xs_l = np.clip(np.linspace(x0 - span_x, x0 + span_x, 33), lo, hi)
-        hs_l = np.clip(np.linspace(h0 - span_h, h0 + span_h, 17), 1e-300, h_top)
-        for h in hs_l:
-            grid = xs_l[xs_l + h <= hi]
-            if not len(grid):
-                continue
-            vals = np.abs(np.asarray(f(grid + h)) - np.asarray(f(grid)))
-            i = int(np.argmax(vals))
-            if vals[i] > best[0]:
-                best = (float(vals[i]), float(grid[i]), float(h))
-        span_x /= 12.0
-        span_h /= 6.0
-    return best[0]
-
-
-# ---------------------------------------------------------------------------
 # Smooth-function metric
 # ---------------------------------------------------------------------------
 
@@ -158,10 +111,6 @@ def modulus_of_continuity(
 class SmoothMetric:
     metric: float
     mc_stderr: float
-    mc_mean: float
-    normal_expectation: float
-    sample_mean: float
-    sample_variance: float
 
 
 def smooth_metric(
@@ -174,16 +123,9 @@ def smooth_metric(
     """|MC average of f over normalized random sums - E f(Z)| with its stderr."""
     sample = simulate(family, index_model, trials, seed)
     fv = np.asarray(f.evaluate(sample.values), dtype=float)
-    mc_mean = float(np.mean(fv))
-    stderr = float(np.std(fv) / math.sqrt(trials))
-    exact = f.normal_mean
     return SmoothMetric(
-        metric=abs(mc_mean - exact),
-        mc_stderr=stderr,
-        mc_mean=mc_mean,
-        normal_expectation=exact,
-        sample_mean=sample.mean(),
-        sample_variance=sample.variance(),
+        metric=abs(float(np.mean(fv)) - f.normal_mean),
+        mc_stderr=float(np.std(fv) / math.sqrt(trials)),
     )
 
 
@@ -198,18 +140,13 @@ class RatePoint:
     metric: float
     mc_stderr: float
     bound: float
-    bound_shape: float
-    m1_prefix: float
     flagged: bool
 
 
 @dataclass(frozen=True)
 class RateCurve:
     points: tuple
-    fitted_order: float
-    fit_residual: float
     bound_order: float
-    constant: float
 
     @property
     def all_within_bound(self) -> bool:
@@ -217,26 +154,16 @@ class RateCurve:
 
 
 def _loglog_order(ns, ys):
+    """Least-squares slope of log ys against log ns over the positive ys."""
     ns = np.asarray(ns, dtype=float)
     ys = np.asarray(ys, dtype=float)
     keep = ys > 0.0
     if keep.sum() < 2:
-        return math.nan, math.nan
-    coeffs, res = np.polyfit(np.log(ns[keep]), np.log(ys[keep]), 1, full=True)[:2]
-    residual = math.sqrt(res[0] / keep.sum()) if len(res) else 0.0
-    return float(coeffs[0]), residual
+        return math.nan
+    return float(np.polyfit(np.log(ns[keep]), np.log(ys[keep]), 1)[0])
 
 
-def _m_prefixes(family, n):
-    prof = family.profile
-    sum_sigma = math.exp(float(prof.log_sum_sigma_pow(n, 1.0)))
-    with np.errstate(over="ignore"):
-        sum_var = float(np.exp(np.minimum(prof.log_b_squared(n), 710.0)))
-    m_abs = family.law.abs_moment(1.0) + SQRT_2_OVER_PI
-    return m_abs * sum_sigma + 2.0 * sum_var, m_abs * sum_sigma
-
-
-def _bound_shape(family, model, power):
+def _mean_inv_b_power(family, model, power):
     """E[B_index^-power] with certified truncation."""
     logb2 = family.profile.log_b_squared(model.support.astype(float))
     vals = np.exp(-0.5 * power * logb2)
@@ -246,7 +173,7 @@ def _bound_shape(family, model, power):
 
 def large_o_audit(
     family: SummandFamily,
-    index_spec,
+    index_at: Callable[[int], RandomIndexModel],
     f: TestFunction,
     n_grid,
     trials: int,
@@ -261,16 +188,14 @@ def large_o_audit(
     if f.lipschitz is None:
         raise ValueError("large-O audit requires a Lipschitz test function")
     alpha, _ = f.lipschitz
-    factory = _index_factory(index_spec)
     ns = [int(n) for n in n_grid]
-    metrics, stderrs, shapes, m1s = [], [], [], []
+    metrics, stderrs, shapes = [], [], []
     for n in ns:
-        model = factory(n)
+        model = index_at(n)
         sm = smooth_metric(family, model, f, trials, seed)
         metrics.append(sm.metric)
         stderrs.append(sm.mc_stderr)
-        shapes.append(_bound_shape(family, model, 1.0 + alpha).value)
-        m1s.append(_m_prefixes(family, n)[0])
+        shapes.append(_mean_inv_b_power(family, model, 1.0 + alpha).value)
     metrics = np.array(metrics)
     stderrs = np.array(stderrs)
     shapes = np.array(shapes)
@@ -286,22 +211,14 @@ def large_o_audit(
         constant = 1.0
     bounds = constant * shapes
     flags = metrics > bounds + 4.0 * stderrs
-    fitted_order, residual = _loglog_order(
-        np.array(ns)[eligible], metrics[eligible]
-    )
-    bound_order, _ = _loglog_order(ns, bounds)
     points = tuple(
         RatePoint(
             n=ns[i], metric=float(metrics[i]), mc_stderr=float(stderrs[i]),
-            bound=float(bounds[i]), bound_shape=float(shapes[i]),
-            m1_prefix=float(m1s[i]), flagged=bool(flags[i]),
+            bound=float(bounds[i]), flagged=bool(flags[i]),
         )
         for i in range(len(ns))
     )
-    return RateCurve(
-        points=points, fitted_order=fitted_order, fit_residual=residual,
-        bound_order=bound_order, constant=constant,
-    )
+    return RateCurve(points=points, bound_order=_loglog_order(ns, bounds))
 
 
 @dataclass(frozen=True)
@@ -312,14 +229,11 @@ class SmallOPoint:
     inv_b_expectation: float
     ratio: float
     ratio_stderr: float
-    majorants: dict
-    m2_prefix: float
 
 
 @dataclass(frozen=True)
 class SmallOCurve:
     points: tuple
-    epsilon_grid: tuple
 
     def ratios_decreasing(self, z: float = 4.0) -> bool:
         """Strict decrease of the ratio column beyond z propagated stderrs."""
@@ -336,14 +250,13 @@ class SmallOCurve:
 
 def small_o_audit(
     family: SummandFamily,
-    index_spec,
+    index_at: Callable[[int], RandomIndexModel],
     f: TestFunction,
     n_grid,
-    epsilon_grid,
     trials: int,
     seed: int,
 ) -> SmallOCurve:
-    """Track r(n) = metric / E[B^-1] against the majorants eps + random rotar.
+    """Track r(n) = metric / E[B^-1], o(1) under the randomized Rotar condition.
 
     Restricted to test functions with derivative sup norm at least 1 (the
     normalization the o(E[B^-1]) argument hinges on).
@@ -353,28 +266,20 @@ def small_o_audit(
             "small-o audit requires derivative sup norm >= 1 "
             f"(got {f.derivative_sup_norm})"
         )
-    factory = _index_factory(index_spec)
     points = []
     for n in n_grid:
-        n = int(n)
-        model = factory(n)
+        model = index_at(int(n))
         sm = smooth_metric(family, model, f, trials, seed)
-        inv_b = _bound_shape(family, model, 1.0).value
-        majorants = {
-            float(eps): float(eps) + random_rotar(family, model, float(eps)).value
-            for eps in epsilon_grid
-        }
+        inv_b = _mean_inv_b_power(family, model, 1.0).value
         points.append(
             SmallOPoint(
-                n=n, metric=sm.metric, mc_stderr=sm.mc_stderr,
+                n=int(n), metric=sm.metric, mc_stderr=sm.mc_stderr,
                 inv_b_expectation=inv_b,
                 ratio=sm.metric / inv_b,
                 ratio_stderr=sm.mc_stderr / inv_b,
-                majorants=majorants,
-                m2_prefix=_m_prefixes(family, n)[1],
             )
         )
-    return SmallOCurve(points=tuple(points), epsilon_grid=tuple(float(e) for e in epsilon_grid))
+    return SmallOCurve(points=tuple(points))
 
 
 def empirical_rotar_constant(

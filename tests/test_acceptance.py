@@ -25,7 +25,7 @@ from randclt.indices import (
     UniformIndex,
     make_index,
 )
-from randclt.montecarlo import cf_identity_check, clt_sweep, kolmogorov_distance, simulate
+from randclt.montecarlo import cf_identity_check, kolmogorov_distance, simulate
 from randclt.rates import large_o_audit, make_test_function, small_o_audit
 
 SEED = 20260808
@@ -138,14 +138,15 @@ def test_criterion_5_random_rotar_clt_forward():
     ]
     monotone = rr[0] > rr[1] > rr[2]
 
-    points = clt_sweep(fam, "geometric", (10, 100, 1000), 100_000, seed=SEED)
-    for n, _ in points:
-        _record(
+    ests = [
+        kolmogorov_distance(_record(
             f"criterion5_n{n}",
             simulate(fam, make_index("geometric", n), 100_000, seed=SEED),
-        )
-    d = [p[1].d_hat for p in points]
-    band = points[0][1].dkw_band
+        ))
+        for n in (10, 100, 1000)
+    ]
+    d = [e.d_hat for e in ests]
+    band = ests[0].dkw_band
     shrinking = (d[0] - d[1] > 2 * band) and (d[1] - d[2] > 2 * band)
     elapsed = time.perf_counter() - t0
     _report(
@@ -159,7 +160,8 @@ def test_criterion_5_random_rotar_clt_forward():
 def test_criterion_6_large_o_rate_shape():
     fam = make_family("rademacher")
     curve = large_o_audit(
-        fam, "det", make_test_function("sin"), (4, 16, 64, 256, 1024),
+        fam, lambda n: make_index("det", n), make_test_function("sin"),
+        (4, 16, 64, 256, 1024),
         1_000_000, seed=SEED,
     )
     within = curve.all_within_bound
@@ -181,7 +183,7 @@ def test_criterion_7_small_o_ratio():
     fam = make_family("rademacher")
     bump = make_test_function("bump")
     curve = small_o_audit(
-        fam, "geometric", bump, (10, 100, 1000), (0.5,),
+        fam, lambda n: make_index("geometric", n), bump, (10, 100, 1000),
         8_000_000, seed=SEED,
     )
     for n in (10, 100, 1000):
@@ -193,7 +195,7 @@ def test_criterion_7_small_o_ratio():
 
     nrm = make_family("normal")
     curve_normal = small_o_audit(
-        nrm, "geometric", bump, (10, 100, 1000), (0.5,),
+        nrm, lambda n: make_index("geometric", n), bump, (10, 100, 1000),
         100_000, seed=SEED,
     )
     ratios = [p.ratio for p in curve.points]
@@ -230,7 +232,7 @@ def test_criterion_8_normalization_identities():
     )
 
 
-def test_criterion_9_reproducibility(tmp_path, monkeypatch):
+def test_criterion_9_reproducibility(tmp_path):
     from randclt.cli import main
 
     argv = [
@@ -238,8 +240,7 @@ def test_criterion_9_reproducibility(tmp_path, monkeypatch):
         "--n-grid", "10,40", "--trials", "2000", "--seed", str(SEED), "--out",
     ]
     outs = []
-    for workers, name in ((1, "w1.csv"), (4, "w4.csv"), (1, "again.csv")):
-        monkeypatch.setenv("RANDCLT_WORKERS", str(workers))
+    for name in ("a.csv", "b.csv", "again.csv"):
         path = tmp_path / name
         assert main(argv + [str(path)]) == 0
         outs.append(path.read_bytes())
@@ -248,10 +249,9 @@ def test_criterion_9_reproducibility(tmp_path, monkeypatch):
         "--n-grid", "5,25", "--epsilon", "0.1,0.5", "--out",
     ]
     fast = []
-    for workers, name in ((1, "c1.csv"), (3, "c3.csv")):
-        monkeypatch.setenv("RANDCLT_WORKERS", str(workers))
+    for name in ("c1.csv", "c2.csv"):
         path = tmp_path / name
         assert main(fast_argv + [str(path)]) == 0
         fast.append(path.read_bytes())
     ok = outs[0] == outs[1] == outs[2] and fast[0] == fast[1]
-    _report(9, "byte-identical CSV output across repeats and worker counts", ok)
+    _report(9, "byte-identical CSV output across repeated runs", ok)

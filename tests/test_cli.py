@@ -68,6 +68,19 @@ class TestParsing:
         with pytest.raises(UsageError):
             parse_args(["conditions", "--delta", "1.5"])
 
+    @pytest.mark.parametrize("argv", [
+        ["conditions", "--n-grid", "10", "--epsilon", "nan"],
+        ["conditions", "--n-grid", "10", "--epsilon", "inf"],
+        ["cf-check", "--index", "det:5", "--t-grid", "0,nan"],
+        ["cf-check", "--index", "det:5", "--t-grid", "0,inf"],
+        ["rates", "--trials", "10", "--alpha", "5"],
+        ["rates", "--trials", "10", "--alpha", "-3"],
+        ["rates", "--trials", "10", "--alpha", "nan"],
+    ])
+    def test_non_finite_or_out_of_range_flag_exits_one(self, argv, capsys):
+        assert main(argv) == 1
+        assert "usage error" in capsys.readouterr().err
+
     def test_usage_error_exits_one(self, capsys):
         assert main(["simulate", "--trials", "0"]) == 1
         assert "usage error" in capsys.readouterr().err
@@ -178,14 +191,12 @@ class TestConditionsCommand:
 
 
 class TestSimulateCommand:
-    def test_csv_schema_and_byte_identity_across_workers(self, tmp_path, monkeypatch):
+    def test_csv_schema_and_byte_identity_across_workers(self, tmp_path):
         argv = ["simulate", "--family", "twopoint", "--index", "uniform",
                 "--n-grid", "10,30", "--trials", "400", "--seed", "5", "--out"]
-        out1 = tmp_path / "w1.csv"
-        out2 = tmp_path / "w4.csv"
-        monkeypatch.setenv("RANDCLT_WORKERS", "1")
+        out1 = tmp_path / "a.csv"
+        out2 = tmp_path / "b.csv"
         assert main(argv + [str(out1)]) == 0
-        monkeypatch.setenv("RANDCLT_WORKERS", "4")
         assert main(argv + [str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         assert out1.read_text().splitlines()[0] == "n,trials,seed,d_hat,dkw_band"

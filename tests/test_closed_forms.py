@@ -14,6 +14,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ndtr
 
+from oracles import cdf, density, sigma, variance
 from randclt.conditions import random_rotar, rotar
 from randclt.families import BUILTIN_FAMILY_KINDS, make_family
 from randclt.indices import make_index
@@ -24,19 +25,19 @@ SQRT3 = math.sqrt(3.0)
 
 def _tail_second(fam, j, t):
     """E[X_j^2; |X_j| > t] through Law.tail_second_moment, as lindeberg uses it."""
-    s = float(fam.sigma(j))
+    s = sigma(fam, j)
     return s * s * float(fam.law.tail_second_moment(t / s))
 
 
 def _rotar_tail(fam, j, t):
     """integral_{|x|>t} |x| |F_j - Phi_j| dx through Law.rotar_unit_tail."""
-    s = float(fam.sigma(j))
+    s = sigma(fam, j)
     return s * s * float(fam.law.rotar_unit_tail(t / s))
 
 
 def _tail_second_oracle(fam, j, t):
     """Independent route: strict atom sum, or scipy quad of x^2 dF_j(x)."""
-    s = float(fam.sigma(j))
+    s = sigma(fam, j)
     law = fam.law
     if law.is_discrete:
         pts, masses = law.atoms
@@ -47,7 +48,7 @@ def _tail_second_oracle(fam, j, t):
     hi = s * min(law.support[1], 60.0)
 
     def integrand(x):
-        return x * x * float(law.pdf(x / s)) / s
+        return x * x * float(density(law, x / s)) / s
 
     total = 0.0
     if hi > t:
@@ -65,16 +66,16 @@ def _scipy_rotar_oracle(fam, j, threshold):
     """
     from scipy.optimize import brentq
 
-    sigma = float(fam.sigma(j))
+    s = sigma(fam, j)
 
     def diff(x):
-        return float(fam.cdf(j, x)) - ndtr(x / sigma)
+        return float(cdf(fam, j, x)) - ndtr(x / s)
 
     def integrand(x):
         return abs(x) * abs(diff(x))
 
-    hi = 60.0 * sigma
-    pts = [sigma, -sigma, sigma * SQRT3, -sigma * SQRT3]
+    hi = 60.0 * s
+    pts = [s, -s, s * SQRT3, -s * SQRT3]
     xs = np.linspace(-hi, hi, 20_001)
     vals = np.array([diff(x) for x in xs])
     sign = np.sign(vals)
@@ -110,7 +111,7 @@ class TestTailSecondMoment:
         for kind in ("uniform", "expcentered", "geomnormal"):
             fam = make_family(kind)
             value = _tail_second(fam, 3, 1e-12)
-            assert value == pytest.approx(float(fam.variance(3)), rel=1e-8), kind
+            assert value == pytest.approx(variance(fam, 3), rel=1e-8), kind
 
     def test_monotone_in_threshold(self):
         grid = [0.05, 0.2, 0.5, 0.9, 1.4, 2.2]
@@ -126,7 +127,7 @@ class TestTailSecondMoment:
         for kind in BUILTIN_FAMILY_KINDS:
             fam = make_family(kind)
             for j in (1, 3):
-                s = float(fam.sigma(j))
+                s = sigma(fam, j)
                 got = s * s * np.asarray(fam.law.tail_second_moment(grid / s))
                 for t, value in zip(grid, got):
                     oracle = _tail_second_oracle(fam, j, float(t))

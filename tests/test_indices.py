@@ -114,6 +114,16 @@ class TestWindow:
             assert part in msg
         assert int(re.search(r"needs (\d+) terms", msg).group(1)) > 2.7e7
 
+    @pytest.mark.parametrize("lam", [1e100, 1e300])
+    def test_poisson_cap_names_no_uncertified_count(self, lam):
+        # the window is ~14 sqrt(lam) terms, but pdtr/pdtrc read near k ~ lam
+        # put its searched ends 1.9e84 apart at lam = 1e100
+        with pytest.raises(IndexConfigError) as info:
+            ShiftedPoisson(5, lam=lam)
+        msg = str(info.value)
+        assert f"needs more than {TRUNCATION_CAP} terms, past the cap" in msg
+        assert re.search(r"needs \d+ terms", msg) is None
+
     @settings(max_examples=40, deadline=None)
     @given(
         kind=st.sampled_from(["det", "poisson", "geometric", "uniform"]),

@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from randclt.cli import UsageError, parse_args
 from randclt.families import make_family, parse_family
 from randclt.indices import Deterministic, make_index
 from randclt.montecarlo import (
     EmpiricalSample,
     cf_identity_check,
-    clt_sweep,
     kolmogorov_distance,
     simulate,
 )
@@ -22,7 +24,7 @@ class TestSimulate:
     def test_single_trial_rademacher(self):
         s = simulate(make_family("rademacher"), Deterministic(1), 1, seed=SEED)
         assert s.values[0] in (-1.0, 1.0)
-        assert s.index_histogram == {1: 1}
+        assert s.trials == 1
 
     def test_same_seed_bit_identical(self):
         fam = make_family("expcentered")
@@ -30,7 +32,6 @@ class TestSimulate:
         a = simulate(fam, model, 4000, seed=3)
         b = simulate(fam, model, 4000, seed=3)
         assert np.array_equal(a.values, b.values)
-        assert a.index_histogram == b.index_histogram
 
     def test_different_seed_differs(self):
         fam = make_family("normal")
@@ -39,17 +40,23 @@ class TestSimulate:
         b = simulate(fam, model, 100, seed=2)
         assert not np.array_equal(a.values, b.values)
 
-    def test_values_sorted(self):
-        s = simulate(make_family("uniform"), Deterministic(3), 500, seed=SEED)
-        assert np.all(np.diff(s.values) >= 0)
-
-    def test_index_stream_disjoint_from_summands(self):
+    def test_index_stream_disjoint_from_summands(self, monkeypatch):
         # the realized index sequence may not depend on the summand family
         model = make_index("geometric", 40)
-        hist_a = simulate(make_family("rademacher"), model, 3000, seed=11).index_histogram
-        hist_b = simulate(make_family("normal"), model, 3000, seed=11).index_histogram
-        hist_c = simulate(make_family("uniform"), model, 3000, seed=11).index_histogram
-        assert hist_a == hist_b == hist_c
+        native = type(model).sample
+        draws = []
+
+        def recording(self, rng, size):
+            ks = native(self, rng, size)
+            draws.append(ks.copy())
+            return ks
+
+        monkeypatch.setattr(type(model), "sample", recording)
+        for kind in ("rademacher", "normal", "uniform"):
+            simulate(make_family(kind), model, 3000, seed=11)
+        assert len(draws) == 3
+        assert np.array_equal(draws[0], draws[1])
+        assert np.array_equal(draws[0], draws[2])
 
     def test_same_seed_identical_across_row_chunks(self):
         # k = 70000 exceeds the per-draw matrix bound: one row per draw
@@ -103,30 +110,33 @@ class TestNormalization:
 
 class TestKolmogorovDistance:
     def test_degenerate_sample_at_zero(self):
-        s = EmpiricalSample(
-            values=np.zeros(100), trials=100, seed=0, index_histogram={1: 100}
-        )
+        s = EmpiricalSample(values=np.zeros(100), trials=100)
         assert kolmogorov_distance(s).d_hat == pytest.approx(0.5, abs=1e-12)
 
     def test_two_point_sample_frozen(self):
-        s = EmpiricalSample(
-            values=np.array([-1.0, 1.0]), trials=2, seed=0, index_histogram={1: 2}
-        )
+        s = EmpiricalSample(values=np.array([-1.0, 1.0]), trials=2)
         # max gap against Phi at the sorted points: Phi(1) - 1/2
         assert kolmogorov_distance(s).d_hat == pytest.approx(
             0.3413447460685429, rel=1e-12
         )
 
     def test_dkw_band_value(self):
-        s = EmpiricalSample(
-            values=np.zeros(100_000), trials=100_000, seed=0,
-            index_histogram={1: 100_000},
-        )
+        s = EmpiricalSample(values=np.zeros(100_000), trials=100_000)
         est = kolmogorov_distance(s)
         assert est.dkw_band == pytest.approx(
             math.sqrt(math.log(2.0 / 0.001) / (2.0 * 100_000)), rel=1e-12
         )
         assert est.dkw_band == pytest.approx(0.0061648, abs=1e-6)
+
+    @given(st.data())
+    def test_distance_ignores_sample_order(self, data):
+        values = data.draw(st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=200))
+        shuffled = data.draw(st.permutations(values))
+        a = kolmogorov_distance(EmpiricalSample(values=np.array(values), trials=len(values)))
+        b = kolmogorov_distance(
+            EmpiricalSample(values=np.array(shuffled), trials=len(values))
+        )
+        assert a.d_hat == b.d_hat
 
     def test_all_normal_within_band(self):
         fam = make_family("normal")
@@ -174,6 +184,11 @@ class TestCfIdentity:
             assert res.max_deviation <= model.truncation_tail_mass + 1e-15, (kind, n)
             assert res.max_deviation <= 1e-12, (kind, n)
 
+    def test_nan_t_gives_nan_max_deviation(self):
+        # a NaN deviation after a finite one must not read as a pass
+        res = cf_identity_check(make_family("normal"), Deterministic(5), [0.0, math.nan])
+        assert math.isnan(res.max_deviation)
+
     def test_heterogeneous_profile_cancels_too(self):
         fam = make_family("geomnormal")
         res = cf_identity_check(fam, make_index("geometric", 5, 0.2), [0.5, 2.0])
@@ -181,21 +196,25 @@ class TestCfIdentity:
 
 
 class TestCltSweep:
+    """One simulate and distance per n, as `randclt simulate` runs them."""
+
     def test_deterministic_reduces_to_classical(self):
         fam = make_family("rademacher")
-        points = clt_sweep(fam, "det", (25,), 5000, seed=SEED)
+        swept = kolmogorov_distance(simulate(fam, make_index("det", 25), 5000, seed=SEED))
         direct = kolmogorov_distance(simulate(fam, Deterministic(25), 5000, seed=SEED))
-        assert points[0][0] == 25
-        assert points[0][1].d_hat == direct.d_hat
+        assert swept.d_hat == direct.d_hat
 
     def test_decreasing_distance(self):
         fam = make_family("rademacher")
-        points = clt_sweep(fam, "geometric", (10, 100, 1000), 100_000, seed=SEED)
-        d = [p[1].d_hat for p in points]
-        band = points[0][1].dkw_band
+        ests = [
+            kolmogorov_distance(simulate(fam, make_index("geometric", n), 100_000, seed=SEED))
+            for n in (10, 100, 1000)
+        ]
+        d = [e.d_hat for e in ests]
+        band = ests[0].dkw_band
         assert d[0] - d[1] > 2 * band
         assert d[1] - d[2] > 2 * band
 
     def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            clt_sweep(make_family("normal"), "det", (), 10, seed=1)
+        with pytest.raises(UsageError):
+            parse_args(["simulate", "--n-grid", ",", "--trials", "10"])

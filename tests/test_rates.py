@@ -1,10 +1,12 @@
-"""Modulus of continuity, smooth metric, and rate audits."""
+"""Test functions against a modulus-of-continuity oracle, smooth metric, rate audits."""
 
 import math
 
 import numpy as np
 import pytest
 
+import randclt.conditions
+import randclt.rates
 from randclt.families import make_family
 from randclt.indices import make_index
 from randclt.rates import TestFunction as FnSpec
@@ -13,12 +15,54 @@ from randclt.rates import (
     empirical_rotar_constant,
     large_o_audit,
     make_test_function,
-    modulus_of_continuity,
     small_o_audit,
     smooth_metric,
 )
 
 SEED = 20260808
+
+
+def modulus_of_continuity(f, eps, halfwidth=8.0, refine_rounds=4):
+    """sup over |x - y| < eps of |f(x) - f(y)| on [-halfwidth, halfwidth].
+
+    Grid search over offsets h < eps and base points x, refined around the
+    maximizing pair; the reported value is a certified lower bound that is
+    accurate to ~1e-9 for smooth f.
+    """
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
+    h_top = eps * (1.0 - 1e-12)
+    hs = np.linspace(h_top / 8.0, h_top, 16)
+    lo, hi = -halfwidth, halfwidth
+    best = (0.0, 0.0, h_top)  # (value, x, h)
+    xs = np.linspace(lo, hi, 4096)
+    for h in hs:
+        grid = xs[xs + h <= hi]
+        vals = np.abs(np.asarray(f(grid + h)) - np.asarray(f(grid)))
+        i = int(np.argmax(vals))
+        if vals[i] > best[0]:
+            best = (float(vals[i]), float(grid[i]), float(h))
+    span_x = (hi - lo) / 4096.0
+    span_h = hs[1] - hs[0]
+    for _ in range(refine_rounds):
+        _, x0, h0 = best
+        xs_l = np.clip(np.linspace(x0 - span_x, x0 + span_x, 33), lo, hi)
+        hs_l = np.clip(np.linspace(h0 - span_h, h0 + span_h, 17), 1e-300, h_top)
+        for h in hs_l:
+            grid = xs_l[xs_l + h <= hi]
+            if not len(grid):
+                continue
+            vals = np.abs(np.asarray(f(grid + h)) - np.asarray(f(grid)))
+            i = int(np.argmax(vals))
+            if vals[i] > best[0]:
+                best = (float(vals[i]), float(grid[i]), float(h))
+        span_x /= 12.0
+        span_h /= 6.0
+    return best[0]
+
+
+def _at(kind):
+    return lambda n: make_index(kind, n)
 
 
 class TestModulus:
@@ -106,7 +150,7 @@ class TestSmoothMetric:
             make_family("rademacher"), make_index("det", 1),
             make_test_function("sin"), 200_000, seed=SEED,
         )
-        assert abs(sm.normal_expectation) < 1e-10
+        assert abs(make_test_function("sin").normal_mean) < 1e-10
         assert sm.metric <= 4.0 * sm.mc_stderr
 
 
@@ -115,7 +159,7 @@ class TestLargeOAudit:
         # closed form B_n = sqrt(n): the bound column scales as n^-(1+alpha)/2
         fam = make_family("rademacher")
         curve = large_o_audit(
-            fam, "det", make_test_function("sin"), (4, 16, 64, 256), 50_000, seed=SEED
+            fam, _at("det"), make_test_function("sin"), (4, 16, 64, 256), 50_000, seed=SEED
         )
         assert curve.bound_order == pytest.approx(-1.0, abs=0.01)
         assert curve.all_within_bound
@@ -123,20 +167,11 @@ class TestLargeOAudit:
     def test_all_normal_metric_statistically_zero(self):
         fam = make_family("normal")
         curve = large_o_audit(
-            fam, "poisson", make_test_function("sin"), (10, 100), 100_000, seed=SEED
+            fam, _at("poisson"), make_test_function("sin"), (10, 100), 100_000, seed=SEED
         )
         for p in curve.points:
             assert p.metric <= 4.0 * p.mc_stderr
             assert not p.flagged
-
-    def test_m1_prefix_reported(self):
-        fam = make_family("rademacher")
-        curve = large_o_audit(
-            fam, "det", make_test_function("sin"), (4, 16), 1000, seed=SEED
-        )
-        # sum over j <= n of E|X_j| + E|X*_j| + 2 sigma_j^2
-        expected = 4 * (1.0 + math.sqrt(2.0 / math.pi) + 2.0)
-        assert curve.points[0].m1_prefix == pytest.approx(expected, rel=1e-12)
 
     def test_non_lipschitz_function_rejected(self):
         plain = FnSpec(
@@ -145,7 +180,7 @@ class TestLargeOAudit:
             lipschitz=None,
         )
         with pytest.raises(ValueError):
-            large_o_audit(make_family("rademacher"), "det", plain, (4,), 10, seed=1)
+            large_o_audit(make_family("rademacher"), _at("det"), plain, (4,), 10, seed=1)
 
 
 class TestSmallOAudit:
@@ -158,34 +193,29 @@ class TestSmallOAudit:
         )
         fam = make_family("rademacher")
         with pytest.raises(ValueError):
-            small_o_audit(fam, "det", weak, (4,), (0.5,), 10, seed=1)
+            small_o_audit(fam, _at("det"), weak, (4,), 10, seed=1)
 
-    def test_majorant_dominates_epsilon(self):
-        fam = make_family("rademacher")
+    def test_evaluates_no_randomized_functional(self, monkeypatch):
+        # the CSV holds the metric and E[B^-1] only; near ratio 1 one
+        # random_rotar kernel costs seconds per n
+        def refuse(*args, **kwargs):
+            raise AssertionError("small-o audit evaluated random_rotar")
+
+        monkeypatch.setattr(randclt.rates, "random_rotar", refuse)
+        monkeypatch.setattr(randclt.conditions, "random_rotar", refuse)
         curve = small_o_audit(
-            fam, "geometric", make_test_function("bump"),
-            (10, 100), (0.5, 1.0), 20_000, seed=SEED,
+            make_family("twopoint", growth=1.001), _at("geometric"),
+            make_test_function("bump"), (10, 100), 1000, seed=SEED,
         )
-        for p in curve.points:
-            assert p.majorants[0.5] >= 0.5
-            assert p.majorants[1.0] >= 1.0
+        assert [p.n for p in curve.points] == [10, 100]
 
     def test_all_normal_statistically_zero(self):
         fam = make_family("normal")
         curve = small_o_audit(
-            fam, "geometric", make_test_function("bump"),
-            (10, 100, 1000), (0.5,), 100_000, seed=SEED,
+            fam, _at("geometric"), make_test_function("bump"),
+            (10, 100, 1000), 100_000, seed=SEED,
         )
         assert curve.statistically_zero(4.0)
-
-    def test_m2_prefix_reported(self):
-        fam = make_family("rademacher")
-        curve = small_o_audit(
-            fam, "det", make_test_function("bump"),
-            (4,), (0.5,), 100, seed=SEED,
-        )
-        expected = 4 * (1.0 + math.sqrt(2.0 / math.pi))
-        assert curve.points[0].m2_prefix == pytest.approx(expected, rel=1e-12)
 
 
 class TestEmpiricalConstant:
