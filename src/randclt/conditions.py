@@ -33,6 +33,16 @@ _KERNEL_RTOL = 1e-12
 # beyond this many e-folds the remaining geometric weights cannot move a sum
 _LOG_WEIGHT_CUT = 45.0
 
+# the geometric kernel cuts terms worth at most 2^-_CUT_LOG2 of its value
+_CUT_LOG2 = 60
+
+# (k, i) entries per flat pass of the geometric kernel; bounds its memory
+_MAX_PASS_ENTRIES = 1 << 16
+
+# thresholds this close (relative) to an atom are decided exactly; the float
+# thresholds are within 2^-45 of exact (|log w| <= 45 and log S_k <= 37)
+_ATOM_RTOL = 2.0**-40
+
 
 class Condition(str, Enum):
     LYAPUNOV = "lyapunov"
@@ -71,47 +81,116 @@ def _report(cond, n, value, err, epsilon=None, delta=None) -> ConditionReport:
 # ---------------------------------------------------------------------------
 
 
-def _scale_mixture_values(unit_fn, profile, ks, eps):
+def _log_step(profile) -> float:
+    """log(sigma_j^2 / sigma_j'^2) for j one step below j' (0 when constant)."""
+    return 0.0 if profile.is_constant else -abs(math.log(profile.ratio))
+
+
+def _exact_side(k: int, i: int, eps: float, ratio: float, atom: float) -> int:
+    """Sign of eps B_k / sigma_j - atom, exactly, for sigma_j i steps below the top.
+
+    With r = a/b, eps = c/d and atom = e/f the exact ratios of the floats and
+    p = j - 1, (eps B_k / sigma_j)^2 = eps^2 (r^k - 1) / ((r - 1) r^p); both
+    sides are scaled to integers: c^2 f^2 |a^k - b^k| against
+    e^2 d^2 a^p |a - b| b^(k-1-p).
+    """
+    a, b = ratio.as_integer_ratio()
+    c, d = eps.as_integer_ratio()
+    e, f = atom.as_integer_ratio()
+    p = k - 1 - i if a > b else i
+    lhs = c * c * f * f * abs(a**k - b**k)
+    rhs = e * e * d * d * a**p * abs(a - b) * b ** (k - 1 - p)
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def _decide_atom_ties(t, law, ratio, eps, ks, steps):
+    """Move each threshold within round-off of an atom to its exact side of it.
+
+    A tail functional of a discrete law jumps at its atoms, so a threshold
+    that rounds onto an atom from below would drop a whole atom's mass.
+    """
+    if law.atoms is None:
+        return
+    for atom in np.unique(np.abs(law.atoms[0])):
+        for idx in np.flatnonzero(np.abs(t - atom) <= _ATOM_RTOL * atom):
+            side = _exact_side(int(ks[idx]), int(steps[idx]), eps, ratio, float(atom))
+            t[idx] = atom if side == 0 else np.nextafter(atom, side * math.inf)
+
+
+def _geometric_values(unit_fn, law, profile, ks, eps):
+    """sum_i w_i u(t_i) per k, w_i = e^(q i) / S_k, t_i = eps sqrt(S_k) e^(-q i / 2).
+
+    i counts the steps below the largest sigma_j (q = _log_step), and S_k =
+    B_k^2 / max sigma_j^2.  Only the i < k with w_i > e^-45 enter, and past
+    k_sat, where every further weight is below that, the value saturates.
+    u decreases and the w_i of one k sum to 1, so the terms from the first i
+    with u(t_i) <= 2^-60 u(t_0) / S_k on add at most 2^-60 times the i = 0
+    term, itself a lower bound on the value: they are cut.  Every kept
+    (k, i) pair is evaluated in flat passes of _MAX_PASS_ENTRIES.
+    """
+    q = _log_step(profile)
+    k_sat = int(math.ceil(_LOG_WEIGHT_CUT / -q)) + 2
+    uk, inverse = np.unique(np.minimum(ks, k_sat), return_inverse=True)
+    s = profile.b2_over_max_var(uk)
+    log_s = np.log(s)
+
+    def terms(rows, steps):
+        logw = q * steps - log_s[rows]
+        t = eps * np.exp(-0.5 * logw)
+        _decide_atom_ties(t, law, profile.ratio, eps, uk[rows], steps)
+        return np.exp(logw), t
+
+    lo = np.zeros(len(uk), dtype=np.int64)
+    u0 = np.asarray(unit_fn(terms(np.arange(len(uk)), lo)[1]), dtype=float)
+    target = np.ldexp(u0, -_CUT_LOG2) / s
+    live = np.minimum(uk, np.ceil((_LOG_WEIGHT_CUT - log_s) / -q)).astype(np.int64)
+    # count of kept terms: the first i with u(t_i) <= target (live if none),
+    # found by bisection with u(t_lo) > target; none at all where u(t_0) is 0
+    hi = np.where(u0 > 0.0, live, 0)
+    while True:
+        act = np.flatnonzero(hi - lo > 1)
+        if not act.size:
+            break
+        mid = (lo[act] + hi[act]) // 2
+        drop = np.asarray(unit_fn(terms(act, mid)[1])) <= target[act]
+        hi[act[drop]] = mid[drop]
+        lo[act[~drop]] = mid[~drop]
+    ends = np.cumsum(hi)
+    starts = ends - hi
+    total = int(hi.sum())
+    out = np.zeros(len(uk))
+    for a in range(0, total, _MAX_PASS_ENTRIES):
+        flat = np.arange(a, min(a + _MAX_PASS_ENTRIES, total))
+        rows = np.searchsorted(ends, flat, side="right")
+        w, t = terms(rows, flat - starts[rows])
+        out += np.bincount(rows, weights=w * unit_fn(t), minlength=len(uk))
+    return np.maximum(out, 0.0)[inverse]
+
+
+def _scale_mixture_values(unit_fn, family, ks, eps):
     """sum_j (sigma_j^2 / B_k^2) * unit_fn(eps * B_k / sigma_j), per k.
 
     unit_fn maps a normalized threshold to a functional of the standardized
     law (tail second moment, absolute-difference tail, ...).  For constant
-    profiles the sum collapses to unit_fn(eps * sqrt(k)).  For geometric
-    profiles only the dominant ~45/log(ratio) indices carry float64 weight
-    and the value saturates in k once the subdominant mass is below one ulp.
+    profiles the sum collapses to unit_fn(eps * sqrt(k)); geometric profiles
+    go through _geometric_values.
     """
     ks = np.asarray(ks, dtype=np.int64)
+    profile = family.profile
     if profile.is_constant:
         vals = np.asarray(unit_fn(eps * np.sqrt(ks.astype(float))), dtype=float)
         return np.maximum(vals, 0.0)
-
-    def value_at(k: int) -> float:
-        logb2 = float(profile.log_b_squared(k))
-        j = np.arange(1, k + 1, dtype=float)
-        logw = profile.log_variance_at(j) - logb2
-        keep = logw > -_LOG_WEIGHT_CUT
-        w = np.exp(logw[keep])
-        t = eps * np.exp(-0.5 * logw[keep])
-        return max(0.0, float(np.dot(w, np.asarray(unit_fn(t), dtype=float))))
-
-    k_sat = int(math.ceil(_LOG_WEIGHT_CUT / abs(math.log(profile.ratio)))) + 2
-    out = np.empty(ks.shape, dtype=float)
-    small = ks <= k_sat
-    for k in np.unique(ks[small]):
-        out[ks == k] = value_at(int(k))
-    if np.any(~small):
-        out[~small] = value_at(k_sat)
-    return out
+    return _geometric_values(unit_fn, family.law, profile, ks, eps)
 
 
 def lindeberg_values(family: SummandFamily, ks, eps: float) -> np.ndarray:
     """Lindeberg functional (normalized truncated second moments) per index."""
-    return _scale_mixture_values(family.law.tail_second_moment, family.profile, ks, eps)
+    return _scale_mixture_values(family.law.tail_second_moment, family, ks, eps)
 
 
 def rotar_values(family: SummandFamily, ks, eps: float) -> np.ndarray:
     """Variance-normalized absolute-difference tail functional per index."""
-    return _scale_mixture_values(family.law.rotar_unit_tail, family.profile, ks, eps)
+    return _scale_mixture_values(family.law.rotar_unit_tail, family, ks, eps)
 
 
 def feller_values(family: SummandFamily, ks) -> np.ndarray:
@@ -174,9 +253,17 @@ def infinitesimality(family: SummandFamily, n: int, epsilon: float) -> Condition
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     prof = family.profile
-    logb2 = float(prof.log_b_squared(n))
-    j = np.arange(1, n + 1, dtype=float)
-    t = epsilon * np.exp(0.5 * (logb2 - prof.log_variance_at(j)))
+    # log(eps B_n / sigma_j) - log eps = (log S_n - q i) / 2 for sigma_j i steps
+    # below the largest, built in place in one array (n runs to 1e6 and past)
+    t = np.arange(n, dtype=float)
+    if not prof.is_constant and prof.ratio > 1.0:
+        t = t[::-1]
+    t *= -_log_step(prof)
+    t += np.log(prof.b2_over_max_var(n))
+    t *= 0.5
+    with np.errstate(over="ignore"):  # t = inf: the whole law lies within
+        np.exp(t, out=t)
+    t *= epsilon
     probs = np.asarray(family.law.central_prob(t), dtype=float)
     if np.any(probs <= 0.0):
         value = 1.0

@@ -334,9 +334,6 @@ class ConstantProfile:
     def is_constant(self) -> bool:
         return True
 
-    def log_variance_at(self, j):
-        return np.full_like(np.asarray(j, dtype=float), 2.0 * math.log(self.sigma))
-
     def log_b_squared(self, n):
         return np.log(np.asarray(n, dtype=float)) + 2.0 * math.log(self.sigma)
 
@@ -378,10 +375,6 @@ class GeometricProfile:
     @property
     def is_constant(self) -> bool:
         return False
-
-    def log_variance_at(self, j):
-        j = np.asarray(j, dtype=float)
-        return (j - 1.0) * math.log(self.ratio)
 
     def log_b_squared(self, n):
         return self.log_sum_sigma_pow(n, 2.0)

@@ -153,6 +153,11 @@ class RateCurve:
         return not any(p.flagged for p in self.points)
 
 
+# Smallest shape held to full precision: the terms that underflow lose at most
+# 2^-1022 in all (their probabilities sum to at most 1), one ulp of 2^-970.
+_MIN_SHAPE = 2.0**-970
+
+
 def _loglog_order(ns, ys):
     """Least-squares slope of log ys against log ns over the positive ys."""
     ns = np.asarray(ns, dtype=float)
@@ -164,11 +169,22 @@ def _loglog_order(ns, ys):
 
 
 def _mean_inv_b_power(family, model, power):
-    """E[B_index^-power] with certified truncation."""
+    """E[B_index^-power] with certified truncation.
+
+    Refused below _MIN_SHAPE: the float64 terms underflow there (an
+    exploding profile at large n), and a 0.0 bound would make every metric
+    above the noise floor read as a violation.
+    """
     logb2 = family.profile.log_b_squared(model.support.astype(float))
     vals = np.exp(-0.5 * power * logb2)
     abs_bound = math.exp(-0.5 * power * float(family.profile.log_b_squared(1)))
-    return model.expect_values(vals, abs_bound=abs_bound)
+    est = model.expect_values(vals, abs_bound=abs_bound)
+    if not est.value >= _MIN_SHAPE:
+        raise ValueError(
+            f"E[B^-{power:g}] at n={model.n} is {est.value!r}, below 2^-970: "
+            "the bound shape underflows float64"
+        )
+    return est
 
 
 def large_o_audit(

@@ -3,10 +3,13 @@
 The package evaluates every functional through the standardized law and the
 log-space profile accessors; these helpers rebuild sigma_j, F_j and the
 continuous laws' densities from the family parameters, so the quadrature
-oracles share no code with the closed forms they check.
+oracles share no code with the closed forms they check.  The geometric-profile
+kernel is checked against its former direct per-k sum and, at the atoms of
+the two-point law, against exact rational arithmetic.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -39,3 +42,38 @@ def cdf(fam, j, x):
 def density(law, z):
     """Density of a continuous standardized law."""
     return _DENSITIES[law.name](np.asarray(z, dtype=float))
+
+
+def direct_terms(profile, k, eps):
+    """Shares sigma_j^2 / B_k^2 above e^-45 and their thresholds eps B_k / sigma_j.
+
+    The per-k direct sum over j = 1..k that the geometric kernel replaced:
+    log shares from log sigma_j^2 - log B_k^2, O(k) work for each k.
+    """
+    j = np.arange(1, k + 1, dtype=float)
+    logw = (j - 1.0) * math.log(profile.ratio) - float(profile.log_b_squared(k))
+    logw = logw[logw > -45.0]
+    return np.exp(logw), eps * np.exp(-0.5 * logw)
+
+
+def direct_scale_mixture(unit_fn, profile, ks, eps):
+    """sum_j (sigma_j^2 / B_k^2) unit_fn(eps B_k / sigma_j) per k, up to k_sat."""
+    k_sat = int(math.ceil(45.0 / abs(math.log(profile.ratio)))) + 2
+    out = []
+    for k in ks:
+        w, t = direct_terms(profile, min(int(k), k_sat), eps)
+        out.append(max(0.0, float(np.dot(w, np.asarray(unit_fn(t), dtype=float)))))
+    return np.array(out)
+
+
+def exact_lindeberg(ratio, k, eps):
+    """Lindeberg functional of the geometric profile in exact rational arithmetic.
+
+    sum of sigma_j^2 over sigma_j^2 > eps^2 B_k^2, over B_k^2: the summands'
+    values +-sigma_j exceed eps B_k in absolute value only strictly.
+    """
+    r = Fraction(ratio)
+    variances = [r ** (j - 1) for j in range(1, k + 1)]
+    b2 = sum(variances)
+    bar = Fraction(eps) ** 2 * b2
+    return sum(v for v in variances if v > bar) / b2

@@ -236,6 +236,15 @@ class TestRatesCommand:
                      "--epsilon", "0.5", "--trials", "2000", "--out", str(out)]) == 0
         assert out.read_text().splitlines()[0] == "n,metric,mc_stderr,bound,ratio"
 
+    def test_underflowing_bound_shape_exits_one_without_output(self, tmp_path, capsys):
+        # E[B^-2] at n = 2000 is ~2^-2000: refused, never written as a 0.0 bound
+        out = tmp_path / "r.csv"
+        code = main(["rates", "--family", "geomnormal", "--index", "det",
+                     "--n-grid", "2000", "--trials", "10", "--out", str(out)])
+        assert code == 1
+        assert "n=2000" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCfCheckCommand:
     def test_deterministic_passes_with_schema(self, tmp_path):

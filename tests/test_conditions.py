@@ -2,22 +2,28 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
+from oracles import direct_scale_mixture, direct_terms, exact_lindeberg
 from randclt.conditions import (
     feller,
     implication_audit,
     infinitesimality,
     lindeberg,
+    lindeberg_values,
     lyapunov,
     random_feller,
     random_lindeberg,
     random_rotar,
     rotar,
+    rotar_values,
 )
-from randclt.families import make_family
+from randclt.families import GeometricProfile, RademacherLaw, SummandFamily, make_family
 from randclt.indices import Deterministic, ShiftedGeometric, UniformIndex, make_index
 
 
@@ -110,6 +116,12 @@ class TestInfinitesimality:
         # eps B_1 = 1: P(|X| > 1) = 0 under the strict convention
         assert infinitesimality(rademacher, 1, 1.0).value == 0.0
 
+    def test_thresholds_past_float_range(self):
+        # eps B_5 / sigma_5 = 0.5 * 1e600: past float64, and certainly past the atom;
+        # a RuntimeWarning fails the suite
+        fam = make_family("twopoint", growth=1e-300)
+        assert infinitesimality(fam, 5, 0.5).value == 1.0
+
 
 class TestRotar:
     def test_all_normal_exact_zero(self, geomnormal):
@@ -128,6 +140,65 @@ class TestRotar:
                 lo = rotar(rademacher, n, 2.0 * eps).value
                 hi = rotar(rademacher, n, eps).value
                 assert lo <= hi + 1e-12
+
+
+class _CountingRademacher(RademacherLaw):
+    """Rademacher law that counts the thresholds its comparison tail is given."""
+
+    def __init__(self):
+        super().__init__()
+        self.evaluated = 0
+
+    def rotar_unit_tail(self, t):
+        self.evaluated += np.size(t)
+        return super().rotar_unit_tail(t)
+
+
+_GROWTH = st.one_of(st.floats(1.0 - 1e-2, 1.0 + 1e-2), st.floats(0.5, 4.0)).filter(
+    lambda g: g != 1.0
+)
+
+
+class TestGeometricKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        growth=_GROWTH,
+        ks=st.lists(st.integers(1, 5000), min_size=1, max_size=3),
+        eps=st.floats(0.01, 2.0),
+        kind=st.sampled_from(["twopoint", "geomnormal"]),
+        functional=st.sampled_from(["lindeberg", "rotar"]),
+    )
+    def test_matches_direct_sum(self, growth, ks, eps, kind, functional):
+        fam = make_family(kind, **{"growth" if kind == "twopoint" else "ratio": growth})
+        if kind == "twopoint":
+            # away from the atom at 1, where the direct sum rounds onto either side
+            for k in ks:
+                t = direct_terms(fam.profile, k, eps)[1]
+                assume(np.all(np.abs(t - 1.0) > 1e-9))
+        if functional == "lindeberg":
+            got, unit = lindeberg_values(fam, ks, eps), fam.law.tail_second_moment
+        else:
+            got, unit = rotar_values(fam, ks, eps), fam.law.rotar_unit_tail
+        ref = direct_scale_mixture(unit, fam.profile, ks, eps)
+        assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + ref)), (got, ref)
+
+    @pytest.mark.parametrize("ratio", [2.0, 3.0, 4.0, 0.5])
+    @pytest.mark.parametrize("eps", [0.25, 0.5])
+    def test_lindeberg_exact_at_atom_ties(self, ratio, eps):
+        # ratio 2 ties a summand value with eps B_k for every k (sigma_{k-1}^2 =
+        # 2^(k-2) vs (2^k - 1) / 4 at eps 0.5), past float64 resolution from k = 54
+        fam = make_family("twopoint", growth=ratio)
+        ks = np.arange(1, 121)
+        got = lindeberg_values(fam, ks, eps)
+        exact = np.array([float(exact_lindeberg(ratio, int(k), eps)) for k in ks])
+        assert np.all(np.abs(got - exact) <= 1e-12 * (1.0 + exact)), (got, exact)
+
+    def test_work_is_bounded_near_ratio_one(self):
+        # the direct sum passes ~3.8e8 thresholds here
+        law = _CountingRademacher()
+        fam = SummandFamily("twopoint", law, GeometricProfile(1.001))
+        random_rotar(fam, make_index("geometric", 1000), 0.5)
+        assert 0 < law.evaluated < 2e7
 
 
 class TestRandomConditions:
