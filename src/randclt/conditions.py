@@ -39,6 +39,10 @@ _CUT_LOG2 = 60
 # (k, i) entries per flat pass of the geometric kernel; bounds its memory
 _MAX_PASS_ENTRIES = 1 << 16
 
+# kept (k, i) pairs past which the geometric kernel refuses to run; 10^8
+# rotar unit-tail evaluations take ~18 s on a 2-core Xeon
+_MAX_KERNEL_TERMS = 10**8
+
 # thresholds this close (relative) to an atom are decided exactly; the float
 # thresholds are within 2^-45 of exact (|log w| <= 45 and log S_k <= 37)
 _ATOM_RTOL = 2.0**-40
@@ -89,32 +93,61 @@ def _log_step(profile) -> float:
 def _exact_side(k: int, i: int, eps: float, ratio: float, atom: float) -> int:
     """Sign of eps B_k / sigma_j - atom, exactly, for sigma_j i steps below the top.
 
-    With r = a/b, eps = c/d and atom = e/f the exact ratios of the floats and
-    p = j - 1, (eps B_k / sigma_j)^2 = eps^2 (r^k - 1) / ((r - 1) r^p); both
-    sides are scaled to integers: c^2 f^2 |a^k - b^k| against
-    e^2 d^2 a^p |a - b| b^(k-1-p).
+    With eps = c/d and atom = e/f the exact ratios of the floats, a constant
+    profile (ratio 1) compares (eps B_k / sigma_j)^2 = eps^2 k with atom^2 as
+    c^2 f^2 k against e^2 d^2.  For a geometric profile let hi > lo be the
+    integers of the ratio in lowest terms and m = k - 1 - i; scaled to
+    integers, the sign is that of G hi^m - H lo^m with
+    G = c^2 f^2 hi^(i+1) - e^2 d^2 (hi - lo) lo^i and H = c^2 f^2 lo^(i+1).
+    G <= 0 decides it; otherwise m log(hi/lo) against log(H/G) does, and the
+    m-th powers, which grow with k, are formed only when floats cannot tell.
     """
     a, b = ratio.as_integer_ratio()
     c, d = eps.as_integer_ratio()
     e, f = atom.as_integer_ratio()
-    p = k - 1 - i if a > b else i
-    lhs = c * c * f * f * abs(a**k - b**k)
-    rhs = e * e * d * d * a**p * abs(a - b) * b ** (k - 1 - p)
-    return (lhs > rhs) - (lhs < rhs)
+    if a == b:
+        diff = c * c * f * f * k - e * e * d * d
+        return (diff > 0) - (diff < 0)
+    hi, lo = max(a, b), min(a, b)
+    m = k - 1 - i
+    g = c * c * f * f * hi ** (i + 1) - e * e * d * d * (hi - lo) * lo**i
+    if g <= 0:
+        return -1
+    h = c * c * f * f * lo ** (i + 1)
+    grow, lh, lg = m * math.log1p((hi - lo) / lo), math.log(h), math.log(g)
+    if abs(grow - (lh - lg)) > 1e-9 * (1.0 + grow + lh + lg):
+        return 1 if grow > lh - lg else -1
+    diff = g * hi**m - h * lo**m
+    return (diff > 0) - (diff < 0)
 
 
-def _decide_atom_ties(t, law, ratio, eps, ks, steps):
+def _decide_atom_ties(t, law, ratio, eps, k_and_step):
     """Move each threshold within round-off of an atom to its exact side of it.
 
     A tail functional of a discrete law jumps at its atoms, so a threshold
     that rounds onto an atom from below would drop a whole atom's mass.
+    k_and_step maps positions in t to their k and step i (arrays or scalars).
     """
     if law.atoms is None:
         return
-    for atom in np.unique(np.abs(law.atoms[0])):
-        for idx in np.flatnonzero(np.abs(t - atom) <= _ATOM_RTOL * atom):
-            side = _exact_side(int(ks[idx]), int(steps[idx]), eps, ratio, float(atom))
-            t[idx] = atom if side == 0 else np.nextafter(atom, side * math.inf)
+    for atom in sorted(set(np.abs(law.atoms[0]).tolist())):
+        gap = t - atom
+        near = np.flatnonzero(np.abs(gap, out=gap) <= _ATOM_RTOL * atom)
+        del gap
+        if not near.size:
+            continue
+        ks, steps = k_and_step(near)
+        if ratio == 1.0:  # the side depends on k alone: one decision per k
+            ks, inverse = np.unique(ks, return_inverse=True)
+            steps = np.zeros_like(ks)
+        else:
+            ks, steps = np.broadcast_arrays(ks, steps)
+            inverse = slice(None)
+        sides = np.array([
+            _exact_side(k, i, eps, ratio, atom)
+            for k, i in zip(ks.tolist(), steps.tolist())
+        ])
+        t[near] = np.nextafter(atom, atom * (1 + sides))[inverse]
 
 
 def _geometric_values(unit_fn, law, profile, ks, eps):
@@ -137,7 +170,9 @@ def _geometric_values(unit_fn, law, profile, ks, eps):
     def terms(rows, steps):
         logw = q * steps - log_s[rows]
         t = eps * np.exp(-0.5 * logw)
-        _decide_atom_ties(t, law, profile.ratio, eps, uk[rows], steps)
+        _decide_atom_ties(
+            t, law, profile.ratio, eps, lambda near: (uk[rows[near]], steps[near])
+        )
         return np.exp(logw), t
 
     lo = np.zeros(len(uk), dtype=np.int64)
@@ -158,6 +193,11 @@ def _geometric_values(unit_fn, law, profile, ks, eps):
     ends = np.cumsum(hi)
     starts = ends - hi
     total = int(hi.sum())
+    if total > _MAX_KERNEL_TERMS:
+        raise ValueError(
+            f"the geometric-profile kernel needs {total} unit-tail evaluations, "
+            f"past the cap of {_MAX_KERNEL_TERMS}"
+        )
     out = np.zeros(len(uk))
     for a in range(0, total, _MAX_PASS_ENTRIES):
         flat = np.arange(a, min(a + _MAX_PASS_ENTRIES, total))
@@ -178,8 +218,9 @@ def _scale_mixture_values(unit_fn, family, ks, eps):
     ks = np.asarray(ks, dtype=np.int64)
     profile = family.profile
     if profile.is_constant:
-        vals = np.asarray(unit_fn(eps * np.sqrt(ks.astype(float))), dtype=float)
-        return np.maximum(vals, 0.0)
+        t = eps * np.sqrt(ks.astype(float))
+        _decide_atom_ties(t, family.law, 1.0, eps, lambda near: (ks[near], 0))
+        return np.maximum(np.asarray(unit_fn(t), dtype=float), 0.0)
     return _geometric_values(unit_fn, family.law, profile, ks, eps)
 
 
@@ -253,17 +294,19 @@ def infinitesimality(family: SummandFamily, n: int, epsilon: float) -> Condition
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     prof = family.profile
+    ratio = 1.0 if prof.is_constant else prof.ratio
     # log(eps B_n / sigma_j) - log eps = (log S_n - q i) / 2 for sigma_j i steps
     # below the largest, built in place in one array (n runs to 1e6 and past)
     t = np.arange(n, dtype=float)
-    if not prof.is_constant and prof.ratio > 1.0:
-        t = t[::-1]
     t *= -_log_step(prof)
     t += np.log(prof.b2_over_max_var(n))
     t *= 0.5
     with np.errstate(over="ignore"):  # t = inf: the whole law lies within
         np.exp(t, out=t)
     t *= epsilon
+    _decide_atom_ties(t, family.law, ratio, epsilon, lambda near: (n, near))
+    if ratio > 1.0:
+        t = t[::-1]  # j ascending, the order the log-probabilities are summed in
     probs = np.asarray(family.law.central_prob(t), dtype=float)
     if np.any(probs <= 0.0):
         value = 1.0

@@ -121,8 +121,7 @@ def smooth_metric(
     seed: int,
 ) -> SmoothMetric:
     """|MC average of f over normalized random sums - E f(Z)| with its stderr."""
-    sample = simulate(family, index_model, trials, seed)
-    fv = np.asarray(f.evaluate(sample.values), dtype=float)
+    fv = simulate(family, index_model, trials, seed, block_map=f.evaluate).values
     return SmoothMetric(
         metric=abs(float(np.mean(fv)) - f.normal_mean),
         mc_stderr=float(np.std(fv) / math.sqrt(trials)),

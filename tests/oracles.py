@@ -66,14 +66,40 @@ def direct_scale_mixture(unit_fn, profile, ks, eps):
     return np.array(out)
 
 
+def _exact_two_point(ratio, k, eps):
+    """Variances sigma_j^2 = ratio^(j-1), j <= k, and eps^2 B_k^2, as fractions."""
+    r = Fraction(ratio)
+    variances = [r ** (j - 1) for j in range(1, k + 1)]
+    return variances, Fraction(eps) ** 2 * sum(variances)
+
+
 def exact_lindeberg(ratio, k, eps):
     """Lindeberg functional of the geometric profile in exact rational arithmetic.
 
     sum of sigma_j^2 over sigma_j^2 > eps^2 B_k^2, over B_k^2: the summands'
-    values +-sigma_j exceed eps B_k in absolute value only strictly.
+    values +-sigma_j exceed eps B_k in absolute value only strictly.  Ratio 1
+    is the constant profile.
     """
-    r = Fraction(ratio)
-    variances = [r ** (j - 1) for j in range(1, k + 1)]
-    b2 = sum(variances)
-    bar = Fraction(eps) ** 2 * b2
-    return sum(v for v in variances if v > bar) / b2
+    variances, bar = _exact_two_point(ratio, k, eps)
+    return sum(v for v in variances if v > bar) / sum(variances)
+
+
+def exact_infinitesimality(ratio, k, eps):
+    """P(max_{j<=k} |X_j| > eps B_k) for +-sigma_j summands: exactly 1 or 0."""
+    variances, bar = _exact_two_point(ratio, k, eps)
+    return int(max(variances) > bar)
+
+
+def exact_side_direct(k, i, eps, ratio, atom):
+    """Sign of eps B_k / sigma_j - atom for sigma_j i steps below the top.
+
+    Direct integer form: with r = a/b, eps = c/d, atom = e/f and p = j - 1,
+    c^2 f^2 |a^k - b^k| against e^2 d^2 a^p |a - b| b^(k-1-p).
+    """
+    a, b = ratio.as_integer_ratio()
+    c, d = eps.as_integer_ratio()
+    e, f = atom.as_integer_ratio()
+    p = k - 1 - i if a > b else i
+    lhs = c * c * f * f * abs(a**k - b**k)
+    rhs = e * e * d * d * a**p * abs(a - b) * b ** (k - 1 - p)
+    return (lhs > rhs) - (lhs < rhs)

@@ -7,6 +7,8 @@ Monte Carlo band below is a standard-error or DKW band at the stated level.
 import math
 import time
 
+import numpy as np
+
 from randclt.conditions import (
     feller,
     implication_audit,
@@ -36,7 +38,9 @@ _NORMALIZATION_LOG = []
 
 
 def _record(label, sample):
-    _NORMALIZATION_LOG.append((label, sample.mean(), sample.variance(), sample.trials))
+    _NORMALIZATION_LOG.append(
+        (label, float(np.mean(sample.values)), float(np.var(sample.values)), sample.trials)
+    )
     return sample
 
 

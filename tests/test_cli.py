@@ -149,6 +149,18 @@ class TestConditionsCommand:
         assert "past the cap" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_kernel_work_cap_exits_one_without_output(self, tmp_path, capsys):
+        # growth 1.000001 keeps 3.8e8 kernel terms: refused with the count,
+        # not a silent run of minutes
+        out = tmp_path / "c.csv"
+        code = main(["conditions", "--family", "twopoint,growth=1.000001",
+                     "--index", "geometric", "--n-grid", "1000", "--epsilon", "0.05",
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "needs 381777528 unit-tail evaluations, past the cap" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "index", ["geometric:1e-320", "geometric:1e-310", "poisson:1e308"]
     )

@@ -9,8 +9,17 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from oracles import direct_scale_mixture, direct_terms, exact_lindeberg
+from fractions import Fraction
+
+from oracles import (
+    direct_scale_mixture,
+    direct_terms,
+    exact_infinitesimality,
+    exact_lindeberg,
+    exact_side_direct,
+)
 from randclt.conditions import (
+    _exact_side,
     feller,
     implication_audit,
     infinitesimality,
@@ -199,6 +208,81 @@ class TestGeometricKernel:
         fam = SummandFamily("twopoint", law, GeometricProfile(1.001))
         random_rotar(fam, make_index("geometric", 1000), 0.5)
         assert 0 < law.evaluated < 2e7
+
+
+class TestAtomTies:
+    """Thresholds that round onto the Rademacher atom are decided exactly."""
+
+    @pytest.mark.parametrize("n", [4, 9, 25, 49])
+    @pytest.mark.parametrize("step", [-1, 0, 1])
+    def test_constant_profile(self, rademacher, n, step):
+        # eps sqrt(n) rounds onto 1 for eps = 1/sqrt(n) and its float neighbours;
+        # at n = 9, eps = 0.3333333333333333 < 1/3 and every value is 1
+        eps = 1.0 / math.sqrt(n)
+        if step:
+            eps = float(np.nextafter(eps, step * math.inf))
+        reports = (
+            (lindeberg(rademacher, n, eps), exact_lindeberg(1.0, n, eps)),
+            (random_lindeberg(rademacher, Deterministic(n), eps),
+             exact_lindeberg(1.0, n, eps)),
+            (infinitesimality(rademacher, n, eps), exact_infinitesimality(1.0, n, eps)),
+        )
+        for report, exact in reports:
+            assert abs(report.value - float(exact)) <= report.error_bound, (report, exact)
+
+    @pytest.mark.parametrize("eps", [0.001, float(np.nextafter(0.001, 0.0))])
+    def test_constant_profile_at_large_n(self, rademacher, eps):
+        # all 10^6 thresholds round onto the atom; the float 0.001 exceeds 1/1000,
+        # so every |X_j| = 1 stays below eps B_n and both values are exactly 0
+        exact = int(Fraction(eps) ** 2 * 10**6 < 1)
+        assert infinitesimality(rademacher, 10**6, eps).value == exact
+        assert lindeberg(rademacher, 10**6, eps).value == exact
+
+    def test_twopoint_largest_term(self):
+        # 0.7071067811865476 > 1/sqrt(2): the largest sigma_52 exceeds eps B_52
+        fam, eps = make_family("twopoint"), 0.7071067811865476
+        inf_ = infinitesimality(fam, 52, eps)
+        lind = lindeberg(fam, 52, eps)
+        assert exact_infinitesimality(2.0, 52, eps) == 1
+        assert abs(inf_.value - 1.0) <= inf_.error_bound
+        assert abs(lind.value - float(exact_lindeberg(2.0, 52, eps))) <= lind.error_bound
+
+    @pytest.mark.parametrize("ratio", [2.0, 0.5, 3.0, 1.01])
+    @pytest.mark.parametrize("n", [5, 52, 60, 200])
+    @pytest.mark.parametrize("step", [-1, 0, 1])
+    def test_infinitesimality_geometric(self, ratio, n, step):
+        # eps = sqrt(max sigma_j^2 / B_n^2) puts the largest term on the atom
+        variances = [Fraction(ratio) ** j for j in range(n)]
+        eps = math.sqrt(float(max(variances) / sum(variances)))
+        if step:
+            eps = float(np.nextafter(eps, step * math.inf))
+        fam = make_family("twopoint", growth=ratio)
+        assert infinitesimality(fam, n, eps).value == exact_infinitesimality(ratio, n, eps)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ratio=st.one_of(_GROWTH, st.sampled_from([2.0, 3.0, 0.5, 0.25])),
+        k=st.integers(1, 2000),
+        data=st.data(),
+    )
+    def test_exact_side_matches_direct_integers(self, ratio, k, data):
+        # eps within a few ulps of the tie of sigma_j i steps below the top
+        i = data.draw(st.integers(0, k - 1))
+        r = Fraction(ratio)
+        p = k - 1 - i if ratio > 1.0 else i
+        s = (r**k - 1) / ((r - 1) * r**p)
+        eps = math.exp(-0.5 * (math.log(s.numerator) - math.log(s.denominator)))
+        assume(0.0 < eps < math.inf)
+        ulps = data.draw(st.integers(-3, 3))
+        for _ in range(abs(ulps)):
+            eps = float(np.nextafter(eps, math.copysign(math.inf, ulps)))
+        assert _exact_side(k, i, eps, ratio, 1.0) == exact_side_direct(k, i, eps, ratio, 1.0)
+
+    def test_kernel_work_cap(self):
+        # 3.8e8 kept (k, i) pairs: refused with the count, before any is evaluated
+        fam = make_family("twopoint", growth=1.000001)
+        with pytest.raises(ValueError, match=r"needs 381777528 unit-tail evaluations"):
+            random_rotar(fam, make_index("geometric", 1000), 0.05)
 
 
 class TestRandomConditions:

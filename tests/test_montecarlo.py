@@ -1,12 +1,17 @@
 """Simulation contracts: determinism, stream separation, distances, cf mixing."""
 
 import math
+import sys
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.random import Generator, Philox
 
+from randclt import montecarlo
 from randclt.cli import UsageError, parse_args
 from randclt.families import make_family, parse_family
 from randclt.indices import Deterministic, make_index
@@ -18,6 +23,21 @@ from randclt.montecarlo import (
 )
 
 SEED = 20260808
+
+# trials per stream block, and the stream tags, as the single-stream layout
+# that every run of at most one block keeps
+BLOCK = 1 << 17
+TAG_INDEX = 2**64 - 1
+TAG_BATCH = 2**64 - 2
+
+
+def _key(seed, tag):
+    return np.array([seed, tag], dtype=np.uint64)
+
+
+def _simulate_on(workers, *args):
+    with mock.patch.object(montecarlo, "_usable_cpus", lambda: workers):
+        return simulate(*args)
 
 
 class TestSimulate:
@@ -94,6 +114,83 @@ class TestSimulate:
                 simulate(make_family("normal"), Deterministic(2), 5, seed=seed)
 
 
+class TestBlockLayout:
+    """Trials are cut into fixed blocks, each with its own pair of streams."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        spec=st.sampled_from(["rademacher", "uniform", "normal", "expcentered",
+                              "geomnormal", "twopoint", "twopoint,growth=0.5"]),
+        kind=st.sampled_from(["det", "poisson", "geometric", "uniform"]),
+        n=st.integers(1, 20),
+        trials=st.integers(1, 3 * BLOCK),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(spec="uniform", kind="geometric", n=20, trials=3 * BLOCK, seed=2**64 - 1)
+    @example(spec="twopoint", kind="poisson", n=7, trials=BLOCK + 1, seed=0)
+    def test_bytes_independent_of_worker_count(self, spec, kind, n, trials, seed):
+        args = (parse_family(spec), make_index(kind, n), trials, seed)
+        one = _simulate_on(1, *args).values
+        two = _simulate_on(2, *args).values
+        assert one.tobytes() == two.tobytes()
+
+    @pytest.mark.parametrize("spec,kind,n", [
+        ("rademacher", "det", 16), ("expcentered", "poisson", 9),
+        ("uniform", "geometric", 12), ("twopoint", "uniform", 30),
+        ("geomnormal", "geometric", 40),
+    ])
+    @pytest.mark.parametrize("trials", [1, 1000, BLOCK])
+    def test_one_block_keeps_single_stream_values(self, spec, kind, n, trials):
+        fam, model = parse_family(spec), make_index(kind, n)
+        ks = model.sample(Generator(Philox(key=_key(SEED, TAG_INDEX))), trials)
+        ref = fam.batch_normalized_sums(Generator(Philox(key=_key(SEED, TAG_BATCH))), ks)
+        got = _simulate_on(2, fam, model, trials, SEED).values
+        assert got.tobytes() == np.asarray(ref, dtype=float).tobytes()
+
+    def test_blocks_draw_different_indices_and_summands(self, monkeypatch):
+        model = make_index("geometric", 40)
+        native = type(model).sample
+        index_draws = []
+
+        def recording(self, rng, size):
+            ks = native(self, rng, size)
+            index_draws.append(ks.copy())
+            return ks
+
+        monkeypatch.setattr(type(model), "sample", recording)
+        _simulate_on(2, make_family("rademacher"), model, 2 * BLOCK, SEED)
+        assert [len(ks) for ks in index_draws] == [BLOCK, BLOCK]
+        assert not np.array_equal(index_draws[0], index_draws[1])
+        # one standard normal per trial: equal halves would mean one summand stream
+        values = _simulate_on(2, make_family("normal"), Deterministic(5), 2 * BLOCK, SEED)
+        assert not np.array_equal(values.values[:BLOCK], values.values[BLOCK:])
+
+    def test_pool_threads_end_with_the_call(self):
+        before = threading.active_count()
+        _simulate_on(2, make_family("rademacher"), Deterministic(4), 3 * BLOCK, SEED)
+        assert threading.active_count() == before
+
+    def test_workers_beyond_cores_match_serial(self):
+        # blocks fill disjoint slices of one array: five workers (one per block,
+        # more than the cores) switching every microsecond write the same bytes
+        # as the calling thread alone
+        args = (make_family("uniform"), make_index("poisson", 3), 5 * BLOCK, SEED)
+        serial = _simulate_on(1, *args).values
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            crowded = _simulate_on(8, *args).values
+        finally:
+            sys.setswitchinterval(interval)
+        assert crowded.tobytes() == serial.tobytes()
+
+    def test_block_map_applies_to_every_block(self):
+        args = (make_family("expcentered"), make_index("geometric", 7), 2 * BLOCK + 5, SEED)
+        plain = simulate(*args).values
+        mapped = simulate(*args, block_map=np.sin).values
+        assert mapped.tobytes() == np.sin(plain).tobytes()
+
+
 class TestNormalization:
     def test_mean_and_variance_bands(self):
         # normalized sums have mean 0 and variance 1; allow 5/sqrt(T) and
@@ -104,8 +201,8 @@ class TestNormalization:
             fam = parse_family(spec)
             model = make_index("geometric", 50)
             s = simulate(fam, model, trials, seed=SEED)
-            assert abs(s.mean()) < 5.0 / math.sqrt(trials), spec
-            assert abs(s.variance() - 1.0) < 10.0 / math.sqrt(trials), spec
+            assert abs(np.mean(s.values)) < 5.0 / math.sqrt(trials), spec
+            assert abs(np.var(s.values) - 1.0) < 10.0 / math.sqrt(trials), spec
 
 
 class TestKolmogorovDistance:
