@@ -102,7 +102,7 @@ class RandomIndexModel:
         if values.shape != self.support.shape:
             raise ValueError("values must align with the model support")
         return WeightedExpectation(
-            value=float(np.dot(self.probs, values)),
+            value=float(np.sum(self.probs * values)),  # pairwise, fixed order
             truncation_error_bound=self.truncation_tail_mass * abs_bound,
             terms_used=int(len(self.support)),
         )

@@ -5,12 +5,16 @@ run is a pure function of its configuration and seed.  A simulation cuts its
 trials into blocks of _BLOCK_TRIALS and gives each block two streams: an index
 stream and a summand stream disjoint from it, both started at the block's
 number in the counter's top word (block 0 is the counter's default start, and
-blocks lie 2^192 counter steps apart).  Families whose k-fold sums have an
-exact closed law (binomial, gamma, normal) draw one value per trial from the
-summand stream; every other family draws its summands from the same stream in
-matrices grouped by the realized k.  Blocks fill disjoint slices of one output
-array, on a thread pool when there are several, so the values do not depend on
-the number of workers.
+blocks lie 2^192 counter steps apart).  A normal law's S_k / B_k is N(0, 1)
+for every k, so its blocks draw one standard normal per trial and no index.
+Families whose k-fold sums have an exact closed law (binomial, gamma) draw one
+value per trial from the summand stream; a Rademacher sum of k <= 64 terms
+reads the top k bits of one raw 64-bit word.  Every other family draws its
+summands from the same stream in matrices grouped by the realized k.  Blocks
+run on a thread pool when there are several, and map_blocks hands each
+block's sums to a per-block reduction: simulate copies them into disjoint
+slices of one output array, and rates.smooth_metric keeps only their moments.
+Neither depends on the number of workers.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -80,41 +84,54 @@ class KolmogorovEstimate:
             raise ValueError(f"d_hat must lie in [0, 1]: {self.d_hat}")
 
 
+def map_blocks(
+    family: SummandFamily,
+    index_model: RandomIndexModel,
+    trials: int,
+    seed: int,
+    reduce: Callable[[int, np.ndarray], object],
+) -> list:
+    """reduce(lo, sums) for each block of normalized random sums, in block order.
+
+    Block b holds trials lo = b * _BLOCK_TRIALS onwards.  Per trial: an index
+    k from the block's index stream, then the k summands from the block's
+    summand stream, normalized by the realized cumulative deviation B_k.  An
+    index-free family draws one standard normal per trial and opens no index
+    stream.  reduce runs on the block's worker.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1: {trials}")
+
+    def run(block):
+        lo = block * _BLOCK_TRIALS
+        count = min(_BLOCK_TRIALS, trials - lo)
+        rng = _stream(seed, _TAG_BATCH, block)
+        if family.index_free:
+            return reduce(lo, rng.standard_normal(count))
+        ks = index_model.sample(_stream(seed, _TAG_INDEX, block), count)
+        return reduce(lo, family.batch_normalized_sums(rng, ks))
+
+    blocks = -(-trials // _BLOCK_TRIALS)
+    workers = min(blocks, _usable_cpus())
+    if workers == 1:  # one block, or one usable CPU: no thread to start
+        return [run(block) for block in range(blocks)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run, range(blocks)))  # re-raises a block's error
+
+
 def simulate(
     family: SummandFamily,
     index_model: RandomIndexModel,
     trials: int,
     seed: int,
-    *,
-    block_map: Optional[Callable] = None,
 ) -> EmpiricalSample:
-    """Draw `trials` normalized random sums.
+    """Draw `trials` normalized random sums S_k / B_k, in trial order."""
+    values = np.empty(max(trials, 0))  # map_blocks refuses trials < 1
 
-    Per trial: an index k from its block's index stream, then the k summands
-    from the block's summand stream, normalized by the realized cumulative
-    deviation B_k.  With block_map, the sample holds block_map of the sums,
-    applied to each block as it is drawn.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1: {trials}")
-    values = np.empty(trials)
+    def store(lo, sums):
+        values[lo:lo + len(sums)] = sums
 
-    def fill(block):
-        lo = block * _BLOCK_TRIALS
-        hi = min(lo + _BLOCK_TRIALS, trials)
-        ks = index_model.sample(_stream(seed, _TAG_INDEX, block), hi - lo)
-        sums = family.batch_normalized_sums(_stream(seed, _TAG_BATCH, block), ks)
-        values[lo:hi] = sums if block_map is None else block_map(sums)
-
-    blocks = -(-trials // _BLOCK_TRIALS)
-    workers = min(blocks, _usable_cpus())
-    if workers == 1:  # one block, or one usable CPU: no thread to start
-        for block in range(blocks):
-            fill(block)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for _ in pool.map(fill, range(blocks)):  # re-raises a block's error
-                pass
+    map_blocks(family, index_model, trials, seed, store)
     return EmpiricalSample(values=values, trials=trials)
 
 
@@ -163,7 +180,7 @@ def cf_identity_check(
     for t in t_grid:
         ratio = np.where(finite, (t * t / (2.0 * b2)) * b2, 0.5 * t * t)
         terms = np.exp(-ratio)
-        mixed = float(np.dot(index_model.probs, terms))
+        mixed = float(np.sum(index_model.probs * terms))  # pairwise, fixed order
         devs.append(abs(mixed - math.exp(-0.5 * t * t)))
     return CfIdentityResult(
         t_grid=tuple(float(t) for t in t_grid),

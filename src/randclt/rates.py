@@ -19,7 +19,7 @@ import numpy as np
 from .conditions import random_rotar
 from .families import SummandFamily
 from .indices import RandomIndexModel
-from .montecarlo import simulate
+from .montecarlo import map_blocks, simulate
 
 
 @dataclass(frozen=True)
@@ -120,11 +120,29 @@ def smooth_metric(
     trials: int,
     seed: int,
 ) -> SmoothMetric:
-    """|MC average of f over normalized random sums - E f(Z)| with its stderr."""
-    fv = simulate(family, index_model, trials, seed, block_map=f.evaluate).values
+    """|MC average of f over normalized random sums - E f(Z)| with its stderr.
+
+    Each block reduces its f values to (count, mean, sum of squared
+    deviations) on its worker, and the blocks merge in block order by the
+    pairwise update of Chan, Golub & LeVeque (1983); no trial-length array
+    is held.  The stderr is the population standard deviation / sqrt(trials).
+    """
+    def moments(lo, sums):
+        fv = f.evaluate(sums)
+        mean = float(np.mean(fv))
+        d = fv - mean
+        return len(d), mean, float(np.sum(np.square(d, out=d)))  # no BLAS
+
+    count, mean, m2 = 0, 0.0, 0.0
+    for n_b, mean_b, m2_b in map_blocks(family, index_model, trials, seed, moments):
+        total = count + n_b
+        delta = mean_b - mean
+        mean += delta * n_b / total
+        m2 += m2_b + delta * delta * count * n_b / total
+        count = total
     return SmoothMetric(
-        metric=abs(float(np.mean(fv)) - f.normal_mean),
-        mc_stderr=float(np.std(fv) / math.sqrt(trials)),
+        metric=abs(mean - f.normal_mean),
+        mc_stderr=math.sqrt(m2 / count) / math.sqrt(count),
     )
 
 

@@ -311,6 +311,27 @@ class TestAuditCommand:
         assert payload["configs"][0]["empirical_constant"] >= 0.0
 
 
+class TestBlasThreads:
+    """Outputs are a pure function of the flags, whatever BLAS's thread count."""
+
+    @pytest.mark.parametrize("argv", [
+        ["conditions", "--family", "rademacher", "--index", "geometric",
+         "--n-grid", "10,100,1000", "--epsilon", "0.05,0.5", "--delta", "1"],
+        ["cf-check", "--index", "poisson", "--n-grid", "1000000"],
+    ])
+    def test_bytes_independent_of_blas_threads(self, argv, tmp_path):
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            subprocess.run(
+                [sys.executable, "-m", "randclt.cli", *argv, "--out", str(out)],
+                env=env, check=True, timeout=300,
+            )
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+
 class TestSchemaValidator:
     def test_missing_key_detected(self):
         schema = load_schema("cfcheck.schema.json")

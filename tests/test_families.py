@@ -276,6 +276,56 @@ class TestSampling:
                 assert d < band, fam.kind
 
 
+def _top_bit_sums(words, ks):
+    """2 * (set bits among the top k of each word) - k, in Python ints."""
+    return [2 * bin(int(w) >> (64 - int(k))).count("1") - int(k) for w, k in zip(words, ks)]
+
+
+class TestRademacherBits:
+    """k-fold Rademacher sums for k <= 64 come from one raw 64-bit word."""
+
+    def test_matches_python_bit_count(self):
+        law = make_family("rademacher").law
+        ks = np.tile(np.arange(1, 65), 40)
+        got = law.batch_sums(Generator(Philox(key=[5, 6])), ks)
+        words = Generator(Philox(key=[5, 6])).bit_generator.random_raw(len(ks))
+        assert got.tolist() == _top_bit_sums(words, ks)
+
+    def test_mixed_counts_draw_words_then_binomials(self):
+        # trials on both sides of 64, interleaved: the words of the small k in
+        # trial order first, then the binomials of the large k
+        law = make_family("rademacher").law
+        ks = np.array([3, 65, 64, 200, 1, 1000, 64, 65, 17] * 50)
+        got = law.batch_sums(Generator(Philox(key=[7, 8])), ks)
+        rng = Generator(Philox(key=[7, 8]))
+        small = ks <= 64
+        words = rng.bit_generator.random_raw(int(small.sum()))
+        heads = rng.binomial(ks[~small], 0.5)
+        assert got[small].tolist() == _top_bit_sums(words, ks[small])
+        assert got[~small].tolist() == (2 * heads - ks[~small]).tolist()
+
+    @pytest.mark.parametrize("k", [1, 2, 63, 64, 65])
+    def test_binomial_goodness_of_fit(self, k):
+        from scipy.stats import binom, chisquare
+
+        m = 200_000
+        law = make_family("rademacher").law
+        sums = law.batch_sums(Generator(Philox(key=[9, k])), np.full(m, k))
+        assert np.all((sums + k) % 2 == 0) and np.all(np.abs(sums) <= k)
+        observed = np.bincount((sums + k) // 2, minlength=k + 1)
+        expected = m * binom.pmf(np.arange(k + 1), k, 0.5)
+        # pool the sparse tails into the neighbouring cells (expected >= 5)
+        keep = expected >= 5.0
+        lo, hi = np.flatnonzero(keep)[[0, -1]]
+        obs = observed[lo:hi + 1].astype(float)
+        exp = expected[lo:hi + 1].copy()
+        obs[0] += observed[:lo].sum()
+        exp[0] += expected[:lo].sum()
+        obs[-1] += observed[hi + 1:].sum()
+        exp[-1] += expected[hi + 1:].sum()
+        assert chisquare(obs, exp).pvalue > 1e-3
+
+
 class TestParsing:
     def test_grammar_round_trip(self):
         fam = parse_family("twopoint,growth=3")

@@ -72,7 +72,7 @@ class TestSimulate:
             return ks
 
         monkeypatch.setattr(type(model), "sample", recording)
-        for kind in ("rademacher", "normal", "uniform"):
+        for kind in ("rademacher", "expcentered", "uniform"):
             simulate(make_family(kind), model, 3000, seed=11)
         assert len(draws) == 3
         assert np.array_equal(draws[0], draws[1])
@@ -184,11 +184,20 @@ class TestBlockLayout:
             sys.setswitchinterval(interval)
         assert crowded.tobytes() == serial.tobytes()
 
-    def test_block_map_applies_to_every_block(self):
-        args = (make_family("expcentered"), make_index("geometric", 7), 2 * BLOCK + 5, SEED)
-        plain = simulate(*args).values
-        mapped = simulate(*args, block_map=np.sin).values
-        assert mapped.tobytes() == np.sin(plain).tobytes()
+    @pytest.mark.parametrize("spec", ["normal", "geomnormal"])
+    def test_normal_families_draw_no_index(self, spec, monkeypatch):
+        # S_k / B_k is N(0, 1) whatever k is: no block asks the model for one
+        model = make_index("geometric", 40)
+
+        def refuse(self, rng, size):
+            raise AssertionError("a normal family drew an index")
+
+        monkeypatch.setattr(type(model), "sample", refuse)
+        s = _simulate_on(2, parse_family(spec), model, 2 * BLOCK + 3, SEED)
+        direct = [Generator(Philox(key=_key(SEED, TAG_BATCH),
+                                   counter=[0, 0, 0, b])).standard_normal(n)
+                  for b, n in enumerate((BLOCK, BLOCK, 3))]
+        assert s.values.tobytes() == np.concatenate(direct).tobytes()
 
 
 class TestNormalization:

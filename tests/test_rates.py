@@ -1,13 +1,17 @@
 """Test functions against a modulus-of-continuity oracle, smooth metric, rate audits."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import randclt.conditions
 import randclt.rates
-from randclt.families import make_family
+from randclt import montecarlo
+from randclt.families import make_family, parse_family
 from randclt.indices import make_index
 from randclt.rates import TestFunction as FnSpec
 from randclt.rates import (
@@ -20,6 +24,7 @@ from randclt.rates import (
 )
 
 SEED = 20260808
+BLOCK = 1 << 17  # trials per stream block
 
 
 def modulus_of_continuity(f, eps, halfwidth=8.0, refine_rounds=4):
@@ -152,6 +157,40 @@ class TestSmoothMetric:
         )
         assert abs(make_test_function("sin").normal_mean) < 1e-10
         assert sm.metric <= 4.0 * sm.mc_stderr
+
+
+class TestBlockMoments:
+    """smooth_metric merges per-block (count, mean, squared deviations)."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        spec=st.sampled_from(["rademacher", "uniform", "normal", "expcentered",
+                              "geomnormal", "twopoint", "twopoint,growth=0.5"]),
+        kind=st.sampled_from(["det", "poisson", "geometric", "uniform"]),
+        n=st.integers(1, 80),
+        fn=st.sampled_from(sorted(BUILTIN_TEST_FUNCTIONS)),
+        trials=st.integers(1, 3 * BLOCK),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(spec="rademacher", kind="geometric", n=80, fn="bump",
+             trials=3 * BLOCK, seed=2**64 - 1)
+    @example(spec="rademacher", kind="det", n=1, fn="bump", trials=BLOCK + 1, seed=0)
+    def test_worker_count_free_and_matches_full_array(
+        self, spec, kind, n, fn, trials, seed
+    ):
+        fam, model, f = parse_family(spec), make_index(kind, n), make_test_function(fn)
+        runs = []
+        for workers in (1, 2):
+            with mock.patch.object(montecarlo, "_usable_cpus", lambda: workers):
+                runs.append(smooth_metric(fam, model, f, trials, seed))
+        assert runs[0] == runs[1]  # same floats, bit for bit
+        # oracle: numpy's mean and population std over every f value at once
+        fv = f.evaluate(montecarlo.simulate(fam, model, trials, seed).values)
+        scale = float(np.mean(np.abs(fv)))
+        metric = abs(float(np.mean(fv)) - f.normal_mean)
+        stderr = float(np.std(fv)) / math.sqrt(trials)
+        assert abs(runs[0].metric - metric) <= 1e-13 * max(metric, scale)
+        assert abs(runs[0].mc_stderr - stderr) <= 1e-13 * max(stderr, scale / math.sqrt(trials))
 
 
 class TestLargeOAudit:
