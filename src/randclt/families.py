@@ -22,12 +22,13 @@ from typing import Optional
 import numpy as np
 
 from .gaussian import (
+    KERNEL_BLOCK,
     norm_cdf,
     norm_central_prob,
+    norm_pdf_cdf_sf,
     normal_abs_moment,
     normal_tail_second_moment,
     upper_x_sf_integral,
-    x2_antiderivative,
 )
 
 _SQRT3 = math.sqrt(3.0)
@@ -90,12 +91,47 @@ class Law:
         return None
 
 
+def _gauss_antideriv(z, pdf, cdf):
+    """integral_{-inf}^{z} u * Phi(u) du from phi(z) and Phi(z)."""
+    return 0.5 * z * z * cdf - 0.5 * (cdf - z * pdf)
+
+
+def _piecewise(t, cuts, pieces):
+    """pieces[i] evaluated only on the t in [cuts[i-1], cuts[i]); nan goes last.
+
+    Long inputs go in blocks of KERNEL_BLOCK, whose temporaries stay small.
+    """
+    flat = t.ravel()
+    if flat.size > KERNEL_BLOCK:
+        out = np.empty_like(flat)
+        for a in range(0, flat.size, KERNEL_BLOCK):
+            out[a:a + KERNEL_BLOCK] = _piecewise(flat[a:a + KERNEL_BLOCK], cuts, pieces)
+        return out.reshape(t.shape)
+    which = np.searchsorted(cuts, flat, side="right")
+    if not flat.size or which.min() == which.max():
+        return pieces[which[0] if flat.size else 0](t)
+    out = np.empty_like(flat)
+    for i, piece in enumerate(pieces):
+        sel = which == i
+        if sel.any():
+            out[sel] = piece(flat[sel])
+    return out.reshape(t.shape)
+
+
+def _x_phi_minus_half(z):
+    """Antiderivative of z * (Phi(z) - 1/2)."""
+    pdf, cdf, _ = norm_pdf_cdf_sf(z)
+    return 0.5 * z * z * (cdf - 0.5) - 0.5 * (cdf - z * pdf)
+
+
 class RademacherLaw(Law):
     """P(Z = +1) = P(Z = -1) = 1/2."""
 
     name = "rademacher"
     is_discrete = True
     support = (-1.0, 1.0)
+    _x_phi_at_atom = float(_x_phi_minus_half(1.0))
+    _upper_at_atom = float(upper_x_sf_integral(1.0))
 
     def __init__(self):
         self.atoms = (np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
@@ -118,12 +154,12 @@ class RademacherLaw(Law):
     def rotar_unit_tail(self, t):
         # |F - Phi| equals Phi(z) - 1/2 on 0 < z <= 1 and 1 - Phi(z) beyond;
         # both halves contribute equally by symmetry.
-        t = np.asarray(t, dtype=float)
-        t = np.maximum(t, 0.0)
-        inner_hi = _x_phi_minus_half(np.minimum(t, 1.0))
-        inner = _x_phi_minus_half(1.0) - inner_hi
-        outer = upper_x_sf_integral(np.maximum(t, 1.0))
-        return 2.0 * (np.where(t < 1.0, inner, 0.0) + outer)
+        t = np.maximum(np.asarray(t, dtype=float), 0.0)
+        return 2.0 * _piecewise(t, (1.0,), (self._inside, upper_x_sf_integral))
+
+    def _inside(self, t):
+        # t < 1: the band (t, 1) and the whole tail past the atom
+        return (self._x_phi_at_atom - _x_phi_minus_half(t)) + self._upper_at_atom
 
     def sample(self, rng, size=None):
         return rng.integers(0, 2, size=size) * 2.0 - 1.0
@@ -157,10 +193,12 @@ def _top_bit_counts(rng, ks):
     return np.bitwise_count(words)
 
 
-def _x_phi_minus_half(z):
-    """Antiderivative of z * (Phi(z) - 1/2)."""
+def _uniform_antideriv(z):
+    """integral of z * (F(z) - Phi(z)) dz on [0, sqrt(3)]."""
     z = np.asarray(z, dtype=float)
-    return 0.5 * z * z * (norm_cdf(z) - 0.5) - 0.5 * x2_antiderivative(z)
+    pdf, cdf, _ = norm_pdf_cdf_sf(z)
+    poly = 0.25 * z * z + z**3 / (6.0 * _SQRT3)
+    return poly - _gauss_antideriv(z, pdf, cdf)
 
 
 class UniformLaw(Law):
@@ -168,9 +206,12 @@ class UniformLaw(Law):
 
     name = "uniform"
     support = (-_SQRT3, _SQRT3)
-
-    def __init__(self):
-        self._sign_root = None
+    # The z in (0, sqrt(3)) where F - Phi changes sign: the float that brentq
+    # returns over Cephes' ndtr (the tests check it and its bracket).
+    sign_root = 1.5011307831938003
+    _h_root = float(_uniform_antideriv(sign_root))
+    _h_edge = float(_uniform_antideriv(_SQRT3))
+    _upper_edge = float(upper_x_sf_integral(_SQRT3))
 
     def cdf(self, z):
         z = np.asarray(z, dtype=float)
@@ -188,36 +229,21 @@ class UniformLaw(Law):
         t = np.asarray(t, dtype=float)
         return np.clip(t / _SQRT3, 0.0, 1.0)
 
-    def _diff(self, z):
-        return self.cdf(z) - norm_cdf(z)
-
-    @property
-    def sign_root(self) -> float:
-        """Unique z in (0, sqrt(3)) where F - Phi changes sign."""
-        if self._sign_root is None:
-            from scipy.optimize import brentq
-
-            self._sign_root = brentq(self._diff, 1e-8, _SQRT3 - 1e-12, xtol=1e-15)
-        return self._sign_root
-
-    def _antideriv(self, z):
-        # integral of z * (F(z) - Phi(z)) dz on [0, sqrt(3)]
-        z = np.asarray(z, dtype=float)
-        poly = 0.25 * z * z + z**3 / (6.0 * _SQRT3)
-        gauss = 0.5 * z * z * norm_cdf(z) - 0.5 * x2_antiderivative(z)
-        return poly - gauss
-
     def rotar_unit_tail(self, t):
-        t = np.asarray(t, dtype=float)
-        t = np.maximum(t, 0.0)
-        zs = self.sign_root
         # F - Phi is negative on (0, z*), positive on (z*, sqrt(3)), and equals
         # 1 - Phi beyond the support edge; symmetric in z -> -z.
-        h = self._antideriv
-        neg = np.where(t < zs, -(h(zs) - h(np.minimum(t, zs))), 0.0)
-        pos = np.where(t < _SQRT3, h(_SQRT3) - h(np.clip(t, zs, _SQRT3)), 0.0)
-        outer = upper_x_sf_integral(np.maximum(t, _SQRT3))
-        return 2.0 * (neg + pos + outer)
+        t = np.maximum(np.asarray(t, dtype=float), 0.0)
+        return 2.0 * _piecewise(
+            t, (self.sign_root, _SQRT3),
+            (self._below_root, self._inside, upper_x_sf_integral),
+        )
+
+    def _below_root(self, t):
+        neg = -(self._h_root - _uniform_antideriv(t))
+        return (neg + (self._h_edge - self._h_root)) + self._upper_edge
+
+    def _inside(self, t):
+        return (self._h_edge - _uniform_antideriv(t)) + self._upper_edge
 
     def sample(self, rng, size=None):
         return rng.uniform(-_SQRT3, _SQRT3, size=size)
@@ -247,14 +273,34 @@ class NormalLaw(Law):
         return rng.standard_normal(size)
 
 
+def _exp_antideriv(z, pdf, cdf):
+    """integral of z * (F(z) - Phi(z)) dz for z >= -1, given phi(z) and Phi(z)."""
+    expo = 0.5 * z * z + (z + 1.0) * np.exp(-(z + 1.0))
+    return expo - _gauss_antideriv(z, pdf, cdf)
+
+
+def _exp_antideriv_at(z):
+    return float(_exp_antideriv(z, *norm_pdf_cdf_sf(z)[:2]))
+
+
+def _exp_far_tail(t):
+    """The expcentered unit tail for t >= r2: integral_t^inf z e^{-(z+1)} dz."""
+    return (t + 1.0) * np.exp(-(t + 1.0))
+
+
 class CenteredExponentialLaw(Law):
     """Exp(1) shifted by -1: support [-1, inf), zero mean, unit variance."""
 
     name = "expcentered"
     support = (-1.0, math.inf)
-
-    def __init__(self):
-        self._roots = None
+    # The roots r1 in (-1, 0) and r2 in (1, 3) of F - Phi: the floats that
+    # brentq returns over Cephes' ndtr (the tests check them and their brackets).
+    sign_roots = (-0.7384974064988994, 1.2532517722799263)
+    _g_edge = _exp_antideriv_at(-1.0)
+    _g_root_lo = _exp_antideriv_at(sign_roots[0])
+    _g_root_hi = _exp_antideriv_at(sign_roots[1])
+    _upper_at_edge = float(upper_x_sf_integral(1.0))
+    _right_neg_at_root = float(_exp_far_tail(sign_roots[1]) - upper_x_sf_integral(sign_roots[1]))
 
     def cdf(self, z):
         z = np.asarray(z, dtype=float)
@@ -282,56 +328,34 @@ class CenteredExponentialLaw(Law):
         t = np.asarray(t, dtype=float)
         return np.exp(-np.maximum(0.0, 1.0 - t)) - np.exp(-(1.0 + t))
 
-    def _diff(self, z):
-        return float(self.cdf(z) - norm_cdf(z))
-
-    @property
-    def sign_roots(self) -> tuple[float, float]:
-        """Roots of F - Phi: one in (-1, 0), one past the mode crossing."""
-        if self._roots is None:
-            from scipy.optimize import brentq
-
-            r1 = brentq(self._diff, -1.0 + 1e-13, 0.0, xtol=1e-15)
-            r2 = brentq(self._diff, 1.0, 3.0, xtol=1e-15)
-            self._roots = (r1, r2)
-        return self._roots
-
-    @staticmethod
-    def _antideriv(z):
-        # integral of z * (F(z) - Phi(z)) dz for z >= -1
-        z = np.asarray(z, dtype=float)
-        expo = 0.5 * z * z + (z + 1.0) * np.exp(-(z + 1.0))
-        gauss = 0.5 * z * z * norm_cdf(z) - 0.5 * x2_antiderivative(z)
-        return expo - gauss
-
     def rotar_unit_tail(self, t):
-        t = np.asarray(t, dtype=float)
-        t = np.maximum(t, 0.0)
-        r1, r2 = self.sign_roots
-        G = self._antideriv
-        # Left side, z < -t.  Below -1: F = 0, so |z||F-Phi| = -z Phi(z) and
-        # the whole tail is integral_{max(t,1)}^{inf} u Phi(-u) du.
-        left_far = upper_x_sf_integral(np.maximum(t, 1.0))
-        # Between -1 and -t (only when t < 1): h < 0 on (-1, r1), h > 0 after.
-        a = -np.minimum(t, 1.0)  # upper end of |z|>t on the negative axis
-        lo = -1.0
-        # piece (-1, min(a, r1)): h < 0, z < 0 so |z||h| = z h -> +Delta G
-        p1_hi = np.minimum(a, r1)
-        left_neg = np.where(p1_hi > lo, G(p1_hi) - G(lo), 0.0)
-        # piece (r1, min(a, 0)): h > 0, z < 0 -> -Delta G
-        p2_hi = np.minimum(a, 0.0)
-        left_pos = np.where(p2_hi > r1, -(G(p2_hi) - G(r1)), 0.0)
-        left_mid = np.where(t < 1.0, left_neg + left_pos, 0.0)
-        # Right side, z > t: h > 0 on (0, r2), h < 0 beyond.
-        b = np.maximum(t, 0.0)
-        q1_lo = np.minimum(b, r2)
-        right_pos = np.where(r2 > b, G(r2) - G(q1_lo), 0.0)
-        # beyond r2: |h| = e^{-(z+1)} - Phi_c(z); both terms closed form
-        far_lo = np.maximum(b, r2)
-        right_neg = (far_lo + 1.0) * np.exp(-(far_lo + 1.0)) - upper_x_sf_integral(
-            far_lo
+        # Left side, z < -t: F = 0 below -1, so |z||F - Phi| = -z Phi(z) there,
+        # whose whole tail is integral_{max(t,1)}^{inf} u Phi(-u) du; on
+        # (-1, 0), h = F - Phi is < 0 below r1 and > 0 above.  Right side,
+        # z > t: h > 0 on (0, r2) and |h| = e^{-(z+1)} - Phi_c(z) beyond, so
+        # past r2 the Gaussian parts of the two sides cancel.
+        t = np.maximum(np.asarray(t, dtype=float), 0.0)
+        return _piecewise(
+            t, (1.0, self.sign_roots[1]), (self._inside, self._past_edge, _exp_far_tail)
         )
-        return left_far + left_mid + right_pos + right_neg
+
+    def _inside(self, t):
+        # t < 1: the left side reaches into (-1, -t), the right into (t, r2)
+        pdf, cdf, sf = norm_pdf_cdf_sf(t)
+        g_left = _exp_antideriv(-t, pdf, sf)
+        left_mid = np.where(
+            t < -self.sign_roots[0],
+            self._g_root_lo - self._g_edge + (-(g_left - self._g_root_lo)),
+            g_left - self._g_edge,
+        )
+        right_pos = self._g_root_hi - _exp_antideriv(t, pdf, cdf)
+        return ((self._upper_at_edge + left_mid) + right_pos) + self._right_neg_at_root
+
+    def _past_edge(self, t):
+        # 1 <= t < r2: the left side lies below the support edge
+        parts = norm_pdf_cdf_sf(t)
+        right_pos = self._g_root_hi - _exp_antideriv(t, parts[0], parts[1])
+        return (upper_x_sf_integral(t, parts) + right_pos) + self._right_neg_at_root
 
     def sample(self, rng, size=None):
         return rng.standard_exponential(size) - 1.0

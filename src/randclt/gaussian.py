@@ -1,62 +1,287 @@
-"""Standard-normal helper functions shared across the package.
+"""Standard-normal helper functions shared across the package, in numpy alone.
 
-Everything here is vectorized over numpy arrays and uses scipy's ndtr/erfc
-family for full double-precision accuracy in the tails.
+Phi and erf are a port of Cephes' ndtr/erf/erfc (S. L. Moshier, *Methods and
+Programs for Mathematical Functions*, 1989), the evaluation scipy.special.ndtr
+performs: the same coefficients, the same branches in z = |x|/sqrt(2) (erf
+below sqrt(1/2), 1 - erf below 1, exp(-z^2) P/Q below 8, exp(-z^2) R/S
+beyond, and 0 once z^2 > MAXLOG) and the same order of operations.  Each
+branch is evaluated only on the inputs it keeps.
+
+`norm_pdf_cdf_sf` is the fused kernel of the closed forms: phi(x), Phi(x) and
+Phi(-x) from one exp(-x^2/2), the one phi is computed from, which stands in
+for Cephes' exp(-z*z) in the tails.  Inputs beyond |x| = 40, where phi and
+the far tail are 0.0 in float64, are clamped there, so huge or infinite
+inputs raise no floating-point warning.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
+
 import numpy as np
-from scipy import special
 
-SQRT_2PI = np.sqrt(2.0 * np.pi)
+_SQRT_2PI = np.sqrt(2.0 * np.pi)
+_SQRT2 = np.sqrt(2.0)
+_SQRT1_2 = math.sqrt(0.5)
+_MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX): erfc is 0 once z^2 exceeds it
+_X_CLAMP = 40.0  # past 38.6, phi(x) and Phi(-x) are 0.0 in float64
+KERNEL_BLOCK = 1 << 13  # entries per pass of a kernel; bounds its temporaries
 
 
-def norm_pdf(x):
-    """Density of N(0,1)."""
-    return np.exp(-0.5 * np.square(x)) / SQRT_2PI
+def _first_past_maxlog() -> float:
+    """The least double z with z * z > MAXLOG."""
+    z = math.sqrt(_MAXLOG)
+    while z * z > _MAXLOG:
+        z = math.nextafter(z, 0.0)
+    while z * z <= _MAXLOG:
+        z = math.nextafter(z, math.inf)
+    return z
+
+
+# Branch k of Cephes ndtr holds the z in [_CUTS[k-1], _CUTS[k]): erf (as
+# 1/2 + erf/2 below sqrt(1/2) and 1 - erf above), P/Q, R/S, and 0 past
+# MAXLOG, where nan goes too.
+_CUTS = (1.0, 8.0, _first_past_maxlog())
+
+
+def _columns(num, den):
+    """Horner columns evaluating num and the monic den together.
+
+    The shorter row is padded with leading zeros, which leave Cephes'
+    polevl/p1evl arithmetic unchanged: 0 * z + c is exactly c.
+    """
+    den = (1.0,) + den
+    width = max(len(num), len(den))
+    rows = [(0.0,) * (width - len(c)) + c for c in (num, den)]
+    return np.array(rows).T[:, :, None]
+
+
+# Cephes ndtr.c: erfc(z) = exp(-z^2) P(z)/Q(z) on [1, 8), exp(-z^2) R(z)/S(z)
+# beyond; erf(z) = z T(z^2)/U(z^2) on |z| <= 1.
+_PQ = _columns(
+    (
+        2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+        4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+        9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+    ),
+    (
+        1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+        9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+        1.65666309194161350182e3, 5.57535340817727675546e2,
+    ),
+)
+_RS = _columns(
+    (
+        5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+        6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+    ),
+    (
+        2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+        1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+    ),
+)
+_TU = _columns(
+    (
+        9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+        7.00332514112805075473e3, 5.55923013010394962768e4,
+    ),
+    (
+        3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+        2.26290000613890934246e4, 4.92673942608635921086e4,
+    ),
+)
+
+
+def _rational(z, cols, scale):
+    """scale * num(z) / den(z) for the stacked Horner columns of num and den."""
+    y = cols[0] * z
+    y += cols[1]
+    for c in cols[2:]:
+        y *= z
+        y += c
+    num = y[0]
+    num *= scale
+    num /= y[1]
+    return num
+
+
+def _erf_core(x):
+    """erf(x) for |x| <= 1."""
+    return _rational(x * x, _TU, x)
+
+
+def _branches(z):
+    """(branch, selector) for each branch of _CUTS that z reaches.
+
+    A branch that holds every z is selected by a full slice, which copies
+    nothing; nan goes to the last branch.
+    """
+    if not z.size:
+        return []
+    lo, hi = z.min(), z.max()
+    if lo != lo:  # nan
+        first, last = 0, len(_CUTS)
+    else:
+        first, last = bisect_right(_CUTS, lo), bisect_right(_CUTS, hi)
+        if first == last:
+            return [(first, slice(None))]
+    out = []
+    below = None  # z below the branch's lower cut
+    for b in range(first, last + 1):
+        under = z < _CUTS[b] if b < len(_CUTS) else None
+        if below is None:
+            sel = under
+        elif under is None:
+            sel = ~below
+        else:
+            sel = under & ~below
+        if sel.any():
+            out.append((b, sel))
+        below = under
+    return out
+
+
+def _tails(z, e):
+    """(Phi(-x), Phi(x)) at z = |x| / sqrt(2), each as Cephes ndtr evaluates it.
+
+    e is exp(-z^2) at every z, or None for Cephes' own exp(-z*z) in the
+    tail branches; z must not exceed _X_CLAMP / sqrt(2).
+    """
+    lower, upper = np.empty_like(z), np.empty_like(z)
+    for branch, sel in _branches(z):
+        zb = z[sel]
+        if branch == 0:  # erf, split at sqrt(1/2) as Cephes ndtr splits it
+            erf = _erf_core(zb)
+            half_erf = 0.5 * erf
+            half_erfc = 0.5 * (1.0 - erf)
+            small = zb < _SQRT1_2
+            lower[sel] = np.where(small, 0.5 - half_erf, half_erfc)
+            upper[sel] = np.where(small, 0.5 + half_erf, 1.0 - half_erfc)
+            continue
+        if branch == 3:
+            h = zb * 0.0
+        else:
+            eb = np.exp(-(zb * zb)) if e is None else e[sel]
+            h = _rational(zb, _PQ if branch == 1 else _RS, eb)
+        h *= 0.5
+        lower[sel] = h
+        upper[sel] = 1.0 - h
+    return lower, upper
+
+
+def _in_blocks(kernel, x):
+    """kernel over x as flat float arrays clamped to +-_X_CLAMP, in x's shape.
+
+    Long inputs go in blocks of KERNEL_BLOCK entries, whose temporaries stay
+    small; a kernel returning a tuple has each output joined.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = np.maximum(np.minimum(x.ravel(), _X_CLAMP), -_X_CLAMP)
+    if flat.size <= KERNEL_BLOCK:
+        out = kernel(flat)
+    else:
+        blocks = [kernel(flat[a:a + KERNEL_BLOCK]) for a in range(0, flat.size, KERNEL_BLOCK)]
+        if isinstance(blocks[0], tuple):
+            out = tuple(map(np.concatenate, zip(*blocks)))
+        else:
+            out = np.concatenate(blocks)
+    if isinstance(out, tuple):
+        return tuple(o.reshape(x.shape) for o in out)
+    return out.reshape(x.shape)
+
+
+def _cdf(x):
+    lower, upper = _tails(np.abs(x) * _SQRT1_2, None)
+    return np.where(x < 0.0, lower, upper)
+
+
+def _pdf_cdf_sf(x):
+    e = x * x
+    e *= -0.5
+    np.exp(e, out=e)
+    lower, upper = _tails(np.abs(x) * _SQRT1_2, e)
+    e /= _SQRT_2PI
+    if x.size and x.min() < 0.0:
+        neg = x < 0.0
+        return e, np.where(neg, lower, upper), np.where(neg, upper, lower)
+    return e, upper, lower
+
+
+def _central_prob(t):
+    x = t / _SQRT2
+    z = np.abs(x)
+    inner = z <= 1.0
+    if inner.all():
+        return _erf_core(x)
+    y = np.empty_like(x)
+    y[inner] = _erf_core(x[inner])
+    outer = ~inner
+    erfc_half, _ = _tails(z[outer], None)
+    v = 1.0 - 2.0 * erfc_half  # 1 - erfc(z); exact where erfc_half is normal
+    y[outer] = np.where(x[outer] < 0.0, -v, v)
+    return y
+
+
+def _upper_x_sf(t, pdf, sf):
+    out = t * t
+    np.subtract(1.0, out, out=out)
+    out *= sf
+    out += t * pdf
+    out *= 0.5
+    return out
+
+
+def _normal_tail_second_moment(t):
+    pdf, _, sf = _pdf_cdf_sf(t)
+    out = t * pdf
+    out += sf
+    out *= 2.0
+    return out
 
 
 def norm_cdf(x):
-    """P(Z < x) for Z ~ N(0,1)."""
-    return special.ndtr(x)
+    """P(Z < x) for Z ~ N(0,1): Cephes ndtr."""
+    return _in_blocks(_cdf, x)
 
 
-def norm_sf(x):
-    """P(Z > x), accurate in the far tail."""
-    return special.ndtr(-np.asarray(x, dtype=float))
+def norm_pdf_cdf_sf(x):
+    """(phi(x), Phi(x), Phi(-x)) from one exp(-x^2/2): the fused kernel.
+
+    phi is exp(-x*x/2) / sqrt(2 pi).  Cephes' tail branches compute exp(-z*z),
+    whose argument also carries the rounding of sqrt(1/2)^2; the shared
+    exponential has only that of x*x, so Phi moves from norm_cdf there, at
+    round-off.
+    """
+    return _in_blocks(_pdf_cdf_sf, x)
 
 
 def norm_central_prob(t):
-    """P(|Z| <= t) = erf(t / sqrt(2))."""
-    return special.erf(np.asarray(t, dtype=float) / np.sqrt(2.0))
+    """P(|Z| <= t) = erf(t / sqrt(2)): Cephes erf."""
+    return _in_blocks(_central_prob, t)
 
 
-def x2_antiderivative(z):
-    """Antiderivative of z^2 * pdf(z): integral_{-inf}^{z} u^2 phi(u) du."""
-    z = np.asarray(z, dtype=float)
-    return special.ndtr(z) - z * norm_pdf(z)
-
-
-def upper_x_sf_integral(t):
+def upper_x_sf_integral(t, parts=None):
     """integral_{t}^{inf} z * (1 - Phi(z)) dz, closed form, t >= 0.
 
-    Equals 0.5 * (t*phi(t) + (1 - t^2) * (1 - Phi(t))).
+    Equals 0.5 * (t*phi(t) + (1 - t^2) * (1 - Phi(t))); the two terms cancel
+    as t grows, and so does the exponential they share.  `parts`, when
+    given, is norm_pdf_cdf_sf(t), for callers that need it as well.
     """
+    if parts is None:
+        return _in_blocks(lambda s: _upper_x_sf(s, *_pdf_cdf_sf(s)[::2]), t)
     t = np.asarray(t, dtype=float)
-    return 0.5 * (t * norm_pdf(t) + (1.0 - t * t) * norm_sf(t))
+    pdf, _, sf = (np.ravel(p) for p in parts)
+    return _upper_x_sf(np.clip(t.ravel(), -_X_CLAMP, _X_CLAMP), pdf, sf).reshape(t.shape)
 
 
 def normal_tail_second_moment(t):
     """E[Z^2; |Z| > t] for t >= 0, closed form 2*(t*phi(t) + 1 - Phi(t))."""
-    t = np.asarray(t, dtype=float)
-    return 2.0 * (t * norm_pdf(t) + norm_sf(t))
+    return _in_blocks(_normal_tail_second_moment, t)
 
 
 def normal_abs_moment(order):
     """E|Z|^order = 2^(order/2) * Gamma((order+1)/2) / sqrt(pi)."""
     order = float(order)
-    return float(
-        np.exp(0.5 * order * np.log(2.0) + special.gammaln(0.5 * (order + 1.0)))
-        / np.sqrt(np.pi)
-    )
+    log_moment = 0.5 * order * math.log(2.0) + math.lgamma(0.5 * (order + 1.0))
+    return math.exp(log_moment) / math.sqrt(math.pi)

@@ -16,7 +16,6 @@ from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
-from scipy import special
 
 TRUNCATION_TARGET = 1e-12
 TRUNCATION_CAP = 10_000_000
@@ -142,11 +141,17 @@ class ShiftedPoisson(RandomIndexModel):
     def at(cls, n, param, target):
         return cls(n, float(n if param is None else param), target=target)
 
+    # scipy.special is imported on first use, so that commands without a
+    # Poisson index load no scipy module.
     def cdf(self, k) -> float:
-        return float(special.pdtr(k - 1, self.lam)) if k >= 1 else 0.0
+        from scipy.special import pdtr
+
+        return float(pdtr(k - 1, self.lam)) if k >= 1 else 0.0
 
     def sf(self, k) -> float:
-        return float(special.pdtrc(k - 1, self.lam)) if k >= 1 else 1.0
+        from scipy.special import pdtrc
+
+        return float(pdtrc(k - 1, self.lam)) if k >= 1 else 1.0
 
     @cached_property
     def window(self):
@@ -184,11 +189,20 @@ class ShiftedGeometric(RandomIndexModel):
     def at(cls, n, param, target):
         return cls(n, 1.0 / n if param is None else float(param), target=target)
 
+    @cached_property
+    def _log_q(self) -> float:
+        """log(1 - p); -inf at p = 1, the point mass at 1."""
+        return math.log1p(-self.p) if self.p < 1.0 else -math.inf
+
+    def _log_sf(self, k) -> float:
+        # k log(1 - p), and 0 at k <= 0 even where p = 1 (scipy's xlog1py)
+        return k * self._log_q if k > 0 else 0.0
+
     def cdf(self, k) -> float:
-        return -math.expm1(special.xlog1py(max(k, 0), -self.p))
+        return -math.expm1(self._log_sf(k))
 
     def sf(self, k) -> float:
-        return math.exp(special.xlog1py(max(k, 0), -self.p))
+        return math.exp(self._log_sf(k))
 
     @cached_property
     def window(self):
@@ -197,7 +211,9 @@ class ShiftedGeometric(RandomIndexModel):
         return 1, _first_true(lambda k: self.sf(k) <= self._budget, 1)
 
     def _weights(self):
-        return np.exp(special.xlog1py(self.support - 1, -self.p))
+        if self.p == 1.0:  # the window is {1}, and 0 * log(0) would read nan
+            return np.ones(1)
+        return np.exp((self.support - 1) * self._log_q)
 
     def sample(self, rng: np.random.Generator, size):
         return rng.geometric(self.p, size)

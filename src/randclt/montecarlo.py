@@ -141,12 +141,20 @@ def kolmogorov_distance(
     """Sup distance between the sample's empirical CDF and the standard normal.
 
     The band is the two-sided DKW radius sqrt(ln(2/(1-gamma)) / (2 m)) at
-    confidence gamma.
+    confidence gamma.  Within a run of equal values the deviation peaks at
+    its first and last rank, so Phi is evaluated once per distinct value:
+    sums of discrete summands repeat values (rademacher at geometric n = 10
+    draws 792 distinct values in 1e5 trials).
     """
     m = sample.trials
-    ref = norm_cdf(np.sort(sample.values))
-    i = np.arange(1, m + 1, dtype=float)
-    d_hat = float(max(np.max(i / m - ref), np.max(ref - (i - 1.0) / m)))
+    x = np.sort(sample.values)
+    first = np.empty(m, dtype=bool)  # x[i] starts a run of equal values
+    first[0] = True
+    np.not_equal(x[1:], x[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], m)
+    ref = norm_cdf(x[starts])
+    d_hat = float(max(np.max(ends / m - ref), np.max(ref - starts / m)))
     band = math.sqrt(math.log(2.0 / (1.0 - gamma)) / (2.0 * m))
     return KolmogorovEstimate(d_hat=max(0.0, d_hat), dkw_band=band, trials=m, gamma=gamma)
 

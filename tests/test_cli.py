@@ -14,9 +14,31 @@ from randclt.cli import UsageError, main, parse_args, run
 from randclt.schema import SchemaError, load_schema, validate
 
 
+SCIPY_MODULES = (
+    "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+)
+
+
+def _run_then_list_scipy(commands, tmp_path):
+    """Run randclt commands in one fresh interpreter; the scipy modules after each."""
+    code = (
+        "import json, sys, randclt.cli as cli\n"
+        f"seen = [{SCIPY_MODULES}]\n"
+        f"for i, argv in enumerate({commands!r}):\n"
+        f"    cli.main(argv + ['--out', {str(tmp_path)!r} + f'/out{{i}}'])\n"
+        f"    seen.append({SCIPY_MODULES})\n"
+        "print(json.dumps(seen))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, timeout=300,
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
+
 class TestImports:
     def test_cli_import_skips_heavy_scipy_modules(self):
-        # scipy.special is all the import path needs; brentq loads on first use
+        # no scipy module at all on the import path; see the guard below
         code = (
             "import sys, randclt.cli; "
             "print(sorted(m for m in ('scipy.stats', 'scipy.optimize', "
@@ -27,6 +49,34 @@ class TestImports:
             check=True, timeout=120,
         )
         assert out.stdout.strip() == "[]"
+
+    def test_commands_without_poisson_load_no_scipy(self, tmp_path):
+        # the README commands with no Poisson index (trials cut, paths
+        # unchanged), plus the uniform and expcentered Rotar kernels
+        commands = [
+            ["conditions", "--family", "rademacher", "--index", "geometric", "--n-grid",
+             "10,100,1000", "--epsilon", "0.05,0.5", "--delta", "1"],
+            ["simulate", "--family", "rademacher", "--index", "geometric", "--n-grid",
+             "10,100,1000", "--trials", "2000", "--seed", "7"],
+            ["rates", "--family", "rademacher", "--index", "det", "--fn", "sin",
+             "--n-grid", "4,16,64,256", "--trials", "2000"],
+            ["rates", "--mode", "small-o", "--family", "rademacher", "--index",
+             "geometric", "--fn", "bump", "--n-grid", "10,100,1000", "--trials", "2000"],
+            ["cf-check", "--index", "det:5", "--t-grid", "0,0.5,1,2,4"],
+            ["conditions", "--family", "uniform", "--index", "det", "--n-grid", "10,100"],
+            ["audit", "--family", "expcentered", "--index", "geometric", "--n-grid",
+             "10,100", "--trials", "200"],
+        ]
+        assert _run_then_list_scipy(commands, tmp_path) == [[]] * (len(commands) + 1)
+
+    def test_poisson_index_loads_scipy_special_only(self, tmp_path):
+        seen = _run_then_list_scipy([
+            ["audit", "--family", "uniform", "--index", "poisson", "--n-grid", "10,100",
+             "--epsilon", "0.1,0.5", "--trials", "200"],
+        ], tmp_path)
+        assert seen[0] == []
+        public = {m.split(".")[1] for m in seen[1] if "." in m} - {"version", "__config__"}
+        assert {p for p in public if not p.startswith("_")} == {"special"}
 
 
 class TestParsing:

@@ -14,8 +14,10 @@ from oracles import cdf, density, sigma, variance
 from randclt.conditions import feller_values, lyapunov, max_threshold_ratio
 from randclt.families import (
     BUILTIN_FAMILY_KINDS,
+    CenteredExponentialLaw,
     FamilyConfigError,
     GeometricProfile,
+    UniformLaw,
     make_family,
     parse_family,
 )
@@ -229,6 +231,43 @@ class TestSummandWeights:
     def test_kept_weights_have_unit_sum_of_squares(self, ratio, k):
         w = GeometricProfile(ratio=ratio).weights(k)
         assert abs(float(np.sum(w * w)) - 1.0) <= 1e-12
+
+
+class TestSignRoots:
+    """The sign roots of F - Phi are law constants, not solved at run time."""
+
+    def test_brentq_over_cephes_returns_each_constant(self):
+        from scipy.optimize import brentq
+        from scipy.special import ndtr
+
+        uniform, expo = UniformLaw(), CenteredExponentialLaw()
+
+        def diff(law):
+            return lambda z: float(law.cdf(z)) - ndtr(z)
+
+        assert brentq(diff(uniform), 1e-8, SQRT3 - 1e-12, xtol=1e-15) == uniform.sign_root
+        r1, r2 = expo.sign_roots
+        assert brentq(diff(expo), -1.0 + 1e-13, 0.0, xtol=1e-15) == r1
+        assert brentq(diff(expo), 1.0, 3.0, xtol=1e-15) == r2
+
+    @pytest.mark.parametrize("law, root, ulps", [
+        # brentq's xtol stops 4.8 spacings below the uniform root; the
+        # expcentered constants have the root between their float neighbours
+        (UniformLaw(), UniformLaw.sign_root, 8),
+        (CenteredExponentialLaw(), CenteredExponentialLaw.sign_roots[0], 1),
+        (CenteredExponentialLaw(), CenteredExponentialLaw.sign_roots[1], 1),
+    ])
+    def test_f_minus_phi_changes_sign_next_to_the_constant(self, law, root, ulps):
+        lo, hi = root, root
+        for _ in range(ulps):
+            lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        with mpmath.workdps(50):
+            exact = {
+                "uniform": lambda z: (z + mpmath.sqrt(3)) / (2 * mpmath.sqrt(3)),
+                "expcentered": lambda z: 1 - mpmath.exp(-(z + 1)),
+            }[law.name]
+            signs = [mpmath.sign(exact(mpmath.mpf(z)) - mpmath.ncdf(z)) for z in (lo, hi)]
+        assert signs[0] * signs[1] == -1
 
 
 class TestSampling:

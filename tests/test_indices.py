@@ -87,6 +87,31 @@ class TestPmf:
             make_index("zeta", 10)
 
 
+class TestGeometricEdges:
+    """cdf/sf take k log1p(-p) with xlog1py's edge cases (oracle: scipy)."""
+
+    @pytest.mark.parametrize("p", [1.0, 0.5, 0.1, 1e-3, 1e-5])
+    @pytest.mark.parametrize("k", [-3, 0, 1, 2, 7, 1000])
+    def test_matches_xlog1py(self, p, k):
+        from scipy.special import xlog1py
+
+        model = ShiftedGeometric(1, p=p)
+        log_sf = xlog1py(max(k, 0), -p)
+        if k <= 0 or p == 1.0:  # 0 at k <= 0, -inf at p = 1: both exact
+            assert model.sf(k) == math.exp(log_sf)
+            assert model.cdf(k) == -math.expm1(log_sf)
+        else:
+            assert model.sf(k) == pytest.approx(math.exp(log_sf), rel=1e-14)
+            assert model.cdf(k) == pytest.approx(-math.expm1(log_sf), rel=1e-14)
+
+    def test_n_one_is_the_point_mass_at_one(self):
+        model = make_index("geometric", 1)
+        assert model.window == (1, 1)
+        assert model.probs.tolist() == [1.0]
+        assert model.truncation_tail_mass == 0.0
+        assert (model.cdf(0), model.sf(0), model.cdf(1), model.sf(1)) == (0.0, 1.0, 1.0, 0.0)
+
+
 class TestWindow:
     @pytest.mark.parametrize("n", [10_000, 100_000])
     def test_poisson_tail_covers_closed_form_mass(self, n):
