@@ -22,12 +22,12 @@ from typing import Optional
 import numpy as np
 
 from .gaussian import (
-    KERNEL_BLOCK,
     norm_cdf,
     norm_central_prob,
     norm_pdf_cdf_sf,
     normal_abs_moment,
     normal_tail_second_moment,
+    piecewise,
     upper_x_sf_integral,
 )
 
@@ -96,28 +96,6 @@ def _gauss_antideriv(z, pdf, cdf):
     return 0.5 * z * z * cdf - 0.5 * (cdf - z * pdf)
 
 
-def _piecewise(t, cuts, pieces):
-    """pieces[i] evaluated only on the t in [cuts[i-1], cuts[i]); nan goes last.
-
-    Long inputs go in blocks of KERNEL_BLOCK, whose temporaries stay small.
-    """
-    flat = t.ravel()
-    if flat.size > KERNEL_BLOCK:
-        out = np.empty_like(flat)
-        for a in range(0, flat.size, KERNEL_BLOCK):
-            out[a:a + KERNEL_BLOCK] = _piecewise(flat[a:a + KERNEL_BLOCK], cuts, pieces)
-        return out.reshape(t.shape)
-    which = np.searchsorted(cuts, flat, side="right")
-    if not flat.size or which.min() == which.max():
-        return pieces[which[0] if flat.size else 0](t)
-    out = np.empty_like(flat)
-    for i, piece in enumerate(pieces):
-        sel = which == i
-        if sel.any():
-            out[sel] = piece(flat[sel])
-    return out.reshape(t.shape)
-
-
 def _x_phi_minus_half(z):
     """Antiderivative of z * (Phi(z) - 1/2)."""
     pdf, cdf, _ = norm_pdf_cdf_sf(z)
@@ -155,7 +133,7 @@ class RademacherLaw(Law):
         # |F - Phi| equals Phi(z) - 1/2 on 0 < z <= 1 and 1 - Phi(z) beyond;
         # both halves contribute equally by symmetry.
         t = np.maximum(np.asarray(t, dtype=float), 0.0)
-        return 2.0 * _piecewise(t, (1.0,), (self._inside, upper_x_sf_integral))
+        return 2.0 * piecewise(t, (1.0,), (self._inside, upper_x_sf_integral))
 
     def _inside(self, t):
         # t < 1: the band (t, 1) and the whole tail past the atom
@@ -233,7 +211,7 @@ class UniformLaw(Law):
         # F - Phi is negative on (0, z*), positive on (z*, sqrt(3)), and equals
         # 1 - Phi beyond the support edge; symmetric in z -> -z.
         t = np.maximum(np.asarray(t, dtype=float), 0.0)
-        return 2.0 * _piecewise(
+        return 2.0 * piecewise(
             t, (self.sign_root, _SQRT3),
             (self._below_root, self._inside, upper_x_sf_integral),
         )
@@ -335,7 +313,7 @@ class CenteredExponentialLaw(Law):
         # z > t: h > 0 on (0, r2) and |h| = e^{-(z+1)} - Phi_c(z) beyond, so
         # past r2 the Gaussian parts of the two sides cancel.
         t = np.maximum(np.asarray(t, dtype=float), 0.0)
-        return _piecewise(
+        return piecewise(
             t, (1.0, self.sign_roots[1]), (self._inside, self._past_edge, _exp_far_tail)
         )
 
@@ -353,9 +331,9 @@ class CenteredExponentialLaw(Law):
 
     def _past_edge(self, t):
         # 1 <= t < r2: the left side lies below the support edge
-        parts = norm_pdf_cdf_sf(t)
-        right_pos = self._g_root_hi - _exp_antideriv(t, parts[0], parts[1])
-        return (upper_x_sf_integral(t, parts) + right_pos) + self._right_neg_at_root
+        pdf, cdf, _ = norm_pdf_cdf_sf(t)
+        right_pos = self._g_root_hi - _exp_antideriv(t, pdf, cdf)
+        return (upper_x_sf_integral(t) + right_pos) + self._right_neg_at_root
 
     def sample(self, rng, size=None):
         return rng.standard_exponential(size) - 1.0

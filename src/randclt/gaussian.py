@@ -5,7 +5,8 @@ Programs for Mathematical Functions*, 1989), the evaluation scipy.special.ndtr
 performs: the same coefficients, the same branches in z = |x|/sqrt(2) (erf
 below sqrt(1/2), 1 - erf below 1, exp(-z^2) P/Q below 8, exp(-z^2) R/S
 beyond, and 0 once z^2 > MAXLOG) and the same order of operations.  Each
-branch is evaluated only on the inputs it keeps.
+branch is evaluated only on the inputs it keeps, by `piecewise`, which the
+laws' Rotar kernels share.
 
 `norm_pdf_cdf_sf` is the fused kernel of the closed forms: phi(x), Phi(x) and
 Phi(-x) from one exp(-x^2/2), the one phi is computed from, which stands in
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from functools import partial
 
 import numpy as np
 
@@ -25,24 +27,14 @@ _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _SQRT2 = np.sqrt(2.0)
 _SQRT1_2 = math.sqrt(0.5)
 _MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX): erfc is 0 once z^2 exceeds it
+_PAST_MAXLOG = 26.64174755704633  # the least double z with z * z > MAXLOG
 _X_CLAMP = 40.0  # past 38.6, phi(x) and Phi(-x) are 0.0 in float64
-KERNEL_BLOCK = 1 << 13  # entries per pass of a kernel; bounds its temporaries
-
-
-def _first_past_maxlog() -> float:
-    """The least double z with z * z > MAXLOG."""
-    z = math.sqrt(_MAXLOG)
-    while z * z > _MAXLOG:
-        z = math.nextafter(z, 0.0)
-    while z * z <= _MAXLOG:
-        z = math.nextafter(z, math.inf)
-    return z
-
+_BLOCK = 1 << 13  # entries per pass of a kernel; bounds its temporaries
 
 # Branch k of Cephes ndtr holds the z in [_CUTS[k-1], _CUTS[k]): erf (as
 # 1/2 + erf/2 below sqrt(1/2) and 1 - erf above), P/Q, R/S, and 0 past
 # MAXLOG, where nan goes too.
-_CUTS = (1.0, 8.0, _first_past_maxlog())
+_CUTS = (1.0, 8.0, _PAST_MAXLOG)
 
 
 def _columns(num, den):
@@ -111,25 +103,24 @@ def _erf_core(x):
     return _rational(x * x, _TU, x)
 
 
-def _branches(z):
-    """(branch, selector) for each branch of _CUTS that z reaches.
+def _branches(x, cuts):
+    """(k, selector) for each piece of cuts that x reaches; nan goes last.
 
-    A branch that holds every z is selected by a full slice, which copies
-    nothing; nan goes to the last branch.
+    A piece that holds every x comes alone, with None for its selector.
     """
-    if not z.size:
-        return []
-    lo, hi = z.min(), z.max()
+    if not (x.size and cuts):
+        return [(0, None)]
+    lo, hi = x.min(), x.max()
     if lo != lo:  # nan
-        first, last = 0, len(_CUTS)
+        first, last = 0, len(cuts)
     else:
-        first, last = bisect_right(_CUTS, lo), bisect_right(_CUTS, hi)
+        first, last = bisect_right(cuts, lo), bisect_right(cuts, hi)
         if first == last:
-            return [(first, slice(None))]
+            return [(first, None)]
     out = []
-    below = None  # z below the branch's lower cut
-    for b in range(first, last + 1):
-        under = z < _CUTS[b] if b < len(_CUTS) else None
+    below = None  # x below the piece's lower cut
+    for k in range(first, last + 1):
+        under = x < cuts[k] if k < len(cuts) else None
         if below is None:
             sel = under
         elif under is None:
@@ -137,62 +128,98 @@ def _branches(z):
         else:
             sel = under & ~below
         if sel.any():
-            out.append((b, sel))
+            out.append((k, sel))
         below = under
     return out
 
 
-def _tails(z, e):
-    """(Phi(-x), Phi(x)) at z = |x| / sqrt(2), each as Cephes ndtr evaluates it.
+def piecewise(x, cuts, pieces, *extra):
+    """pieces[k] on the x in [cuts[k-1], cuts[k]), nan in the last piece.
 
-    e is exp(-z^2) at every z, or None for Cephes' own exp(-z*z) in the
-    tail branches; z must not exceed _X_CLAMP / sqrt(2).
-    """
-    lower, upper = np.empty_like(z), np.empty_like(z)
-    for branch, sel in _branches(z):
-        zb = z[sel]
-        if branch == 0:  # erf, split at sqrt(1/2) as Cephes ndtr splits it
-            erf = _erf_core(zb)
-            half_erf = 0.5 * erf
-            half_erfc = 0.5 * (1.0 - erf)
-            small = zb < _SQRT1_2
-            lower[sel] = np.where(small, 0.5 - half_erf, half_erfc)
-            upper[sel] = np.where(small, 0.5 + half_erf, 1.0 - half_erfc)
-            continue
-        if branch == 3:
-            h = zb * 0.0
-        else:
-            eb = np.exp(-(zb * zb)) if e is None else e[sel]
-            h = _rational(zb, _PQ if branch == 1 else _RS, eb)
-        h *= 0.5
-        lower[sel] = h
-        upper[sel] = 1.0 - h
-    return lower, upper
-
-
-def _in_blocks(kernel, x):
-    """kernel over x as flat float arrays clamped to +-_X_CLAMP, in x's shape.
-
-    Long inputs go in blocks of KERNEL_BLOCK entries, whose temporaries stay
-    small; a kernel returning a tuple has each output joined.
+    Each piece is called as piece(x[sel], *[a[sel] for a in extra]) on only
+    the entries it keeps, extra being arrays of x's shape, and returns an
+    array or a tuple of arrays; the result takes x's shape.  Long inputs go
+    in blocks of _BLOCK entries, whose temporaries stay small.
     """
     x = np.asarray(x, dtype=float)
-    flat = np.maximum(np.minimum(x.ravel(), _X_CLAMP), -_X_CLAMP)
-    if flat.size <= KERNEL_BLOCK:
-        out = kernel(flat)
-    else:
-        blocks = [kernel(flat[a:a + KERNEL_BLOCK]) for a in range(0, flat.size, KERNEL_BLOCK)]
-        if isinstance(blocks[0], tuple):
-            out = tuple(map(np.concatenate, zip(*blocks)))
+    flat = x.ravel()
+    extra = [np.ravel(a) for a in extra]
+    if flat.size > _BLOCK:
+        out = [
+            piecewise(flat[i:i + _BLOCK], cuts, pieces, *[a[i:i + _BLOCK] for a in extra])
+            for i in range(0, flat.size, _BLOCK)
+        ]
+        if isinstance(out[0], tuple):
+            out = tuple(map(np.concatenate, zip(*out)))
         else:
-            out = np.concatenate(blocks)
+            out = np.concatenate(out)
+    else:
+        picks = _branches(flat, cuts)
+        k, sel = picks[0]
+        if sel is None:
+            out = pieces[k](flat, *extra)
+        else:
+            out = None
+            for k, sel in picks:
+                part = pieces[k](flat[sel], *[a[sel] for a in extra])
+                alone = not isinstance(part, tuple)
+                if alone:
+                    part = (part,)
+                if out is None:
+                    out = tuple(np.empty_like(flat) for _ in part)
+                for o, p in zip(out, part):
+                    o[sel] = p
+            if alone:
+                out = out[0]
     if isinstance(out, tuple):
         return tuple(o.reshape(x.shape) for o in out)
     return out.reshape(x.shape)
 
 
+def _erf_halves(z, e=None):
+    # split at sqrt(1/2) as Cephes ndtr splits it
+    erf = _erf_core(z)
+    half_erf = 0.5 * erf
+    half_erfc = 0.5 * (1.0 - erf)
+    small = z < _SQRT1_2
+    return np.where(small, 0.5 - half_erf, half_erfc), np.where(small, 0.5 + half_erf, 1.0 - half_erfc)
+
+
+def _rational_halves(z, e=None, *, cols):
+    h = _rational(z, cols, np.exp(-(z * z)) if e is None else e)
+    h *= 0.5
+    return h, 1.0 - h
+
+
+def _underflow(z, e=None):
+    h = z * 0.0
+    return h, 1.0 - h
+
+
+_TAIL_PIECES = (
+    _erf_halves,
+    partial(_rational_halves, cols=_PQ),
+    partial(_rational_halves, cols=_RS),
+    _underflow,
+)
+
+
+def _tails(z, e=None):
+    """(Phi(-x), Phi(x)) at z = |x| / sqrt(2), each as Cephes ndtr evaluates it.
+
+    e is exp(-z^2) at every z, or None for Cephes' own exp(-z*z) in the
+    tail branches; z must not exceed _X_CLAMP / sqrt(2).
+    """
+    return piecewise(z, _CUTS, _TAIL_PIECES, *(() if e is None else (e,)))
+
+
+def _clamped(x):
+    x = np.asarray(x, dtype=float)
+    return np.maximum(np.minimum(x, _X_CLAMP), -_X_CLAMP)
+
+
 def _cdf(x):
-    lower, upper = _tails(np.abs(x) * _SQRT1_2, None)
+    lower, upper = _tails(np.abs(x) * _SQRT1_2)
     return np.where(x < 0.0, lower, upper)
 
 
@@ -202,8 +229,8 @@ def _pdf_cdf_sf(x):
     np.exp(e, out=e)
     lower, upper = _tails(np.abs(x) * _SQRT1_2, e)
     e /= _SQRT_2PI
-    if x.size and x.min() < 0.0:
-        neg = x < 0.0
+    neg = x < 0.0
+    if neg.any():
         return e, np.where(neg, lower, upper), np.where(neg, upper, lower)
     return e, upper, lower
 
@@ -217,13 +244,14 @@ def _central_prob(t):
     y = np.empty_like(x)
     y[inner] = _erf_core(x[inner])
     outer = ~inner
-    erfc_half, _ = _tails(z[outer], None)
+    erfc_half, _ = _tails(z[outer])
     v = 1.0 - 2.0 * erfc_half  # 1 - erfc(z); exact where erfc_half is normal
     y[outer] = np.where(x[outer] < 0.0, -v, v)
     return y
 
 
-def _upper_x_sf(t, pdf, sf):
+def _upper_x_sf(t):
+    pdf, _, sf = _pdf_cdf_sf(t)
     out = t * t
     np.subtract(1.0, out, out=out)
     out *= sf
@@ -240,9 +268,14 @@ def _normal_tail_second_moment(t):
     return out
 
 
+def _kernel(fn, x):
+    """fn over x clamped to +-_X_CLAMP, in blocks."""
+    return piecewise(_clamped(x), (), (fn,))
+
+
 def norm_cdf(x):
     """P(Z < x) for Z ~ N(0,1): Cephes ndtr."""
-    return _in_blocks(_cdf, x)
+    return _kernel(_cdf, x)
 
 
 def norm_pdf_cdf_sf(x):
@@ -253,31 +286,26 @@ def norm_pdf_cdf_sf(x):
     exponential has only that of x*x, so Phi moves from norm_cdf there, at
     round-off.
     """
-    return _in_blocks(_pdf_cdf_sf, x)
+    return _kernel(_pdf_cdf_sf, x)
 
 
 def norm_central_prob(t):
     """P(|Z| <= t) = erf(t / sqrt(2)): Cephes erf."""
-    return _in_blocks(_central_prob, t)
+    return _kernel(_central_prob, t)
 
 
-def upper_x_sf_integral(t, parts=None):
+def upper_x_sf_integral(t):
     """integral_{t}^{inf} z * (1 - Phi(z)) dz, closed form, t >= 0.
 
     Equals 0.5 * (t*phi(t) + (1 - t^2) * (1 - Phi(t))); the two terms cancel
-    as t grows, and so does the exponential they share.  `parts`, when
-    given, is norm_pdf_cdf_sf(t), for callers that need it as well.
+    as t grows, and so does the exponential they share.
     """
-    if parts is None:
-        return _in_blocks(lambda s: _upper_x_sf(s, *_pdf_cdf_sf(s)[::2]), t)
-    t = np.asarray(t, dtype=float)
-    pdf, _, sf = (np.ravel(p) for p in parts)
-    return _upper_x_sf(np.clip(t.ravel(), -_X_CLAMP, _X_CLAMP), pdf, sf).reshape(t.shape)
+    return _kernel(_upper_x_sf, t)
 
 
 def normal_tail_second_moment(t):
     """E[Z^2; |Z| > t] for t >= 0, closed form 2*(t*phi(t) + 1 - Phi(t))."""
-    return _in_blocks(_normal_tail_second_moment, t)
+    return _kernel(_normal_tail_second_moment, t)
 
 
 def normal_abs_moment(order):

@@ -18,12 +18,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from randclt import gaussian
 from randclt.gaussian import (
     norm_cdf,
     norm_central_prob,
     norm_pdf_cdf_sf,
     normal_abs_moment,
     normal_tail_second_moment,
+    piecewise,
     upper_x_sf_integral,
 )
 
@@ -163,6 +165,29 @@ def test_extreme_inputs_raise_no_warning(fn):
     for column in out if isinstance(out, tuple) else (out,):
         assert np.isnan(column[-1])
         assert np.isfinite(column[:-1]).all()
+
+
+def test_fused_kernel_signs_survive_nan():
+    # a nan among negative inputs must not send them down the x >= 0 path
+    _, cdf, sf = norm_pdf_cdf_sf(np.array([-1.0, -np.inf, np.nan]))
+    np.testing.assert_array_equal(cdf, [norm_cdf(-1.0), 0.0, np.nan])
+    np.testing.assert_array_equal(sf, [norm_cdf(1.0), 1.0, np.nan])
+
+
+def test_last_cut_is_the_least_double_past_maxlog():
+    z = gaussian._CUTS[-1]
+    assert z * z > gaussian._MAXLOG >= math.nextafter(z, 0.0) ** 2
+
+
+def test_piecewise_routes_cuts_up_and_nan_last():
+    x = np.array([[0.5, 1.0], [np.nan, 2.0]])
+    got = piecewise(x, (1.0, 2.0), (lambda t: t * 0.0, lambda t: t * 0.0 + 1.0, lambda t: t * 0.0 + 2.0))
+    np.testing.assert_array_equal(got, [[0.0, 1.0], [np.nan, 2.0]])
+    # tuple-valued pieces with an extra array, over several blocks
+    x = np.linspace(-1.0, 1.0, 3 * gaussian._BLOCK + 5)
+    lo, hi = piecewise(x, (0.0,), (lambda t, e: (t, e), lambda t, e: (e, t)), -x)
+    np.testing.assert_array_equal(lo, np.where(x < 0.0, x, -x))
+    np.testing.assert_array_equal(hi, np.where(x < 0.0, -x, x))
 
 
 @pytest.mark.parametrize("x, expected", [
