@@ -39,6 +39,9 @@ _CUT_LOG2 = 60
 # (k, i) entries per flat pass of the geometric kernel; bounds its memory
 _MAX_PASS_ENTRIES = 1 << 16
 
+# terms in the first pass of the geometric-profile infinitesimality sum
+_INF_FIRST_PASS = 1024
+
 # kept (k, i) pairs past which the geometric kernel refuses to run; 10^8
 # rotar unit-tail evaluations take ~18 s on a 2-core Xeon
 _MAX_KERNEL_TERMS = 10**8
@@ -287,35 +290,68 @@ def infinitesimality(family: SummandFamily, n: int, epsilon: float) -> Condition
     """P(max_{j<=n} |X_j| > eps B_n), strict inequality at atoms.
 
     Computed from independence as one minus the product of the central
-    probabilities P(|X_j| <= eps B_n).
+    probabilities P(|X_j| <= eps B_n): on a constant profile, the n-th power
+    of P(|Z| <= eps sqrt(n)).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     prof = family.profile
-    ratio = 1.0 if prof.is_constant else prof.ratio
-    # log(eps B_n / sigma_j) - log eps = (log S_n - q i) / 2 for sigma_j i steps
-    # below the largest, built in place in one array (n runs to 1e6 and past)
-    t = np.arange(n, dtype=float)
-    t *= -_log_step(prof)
-    t += np.log(prof.b2_over_max_var(n))
-    t *= 0.5
-    with np.errstate(over="ignore"):  # t = inf: the whole law lies within
-        np.exp(t, out=t)
-    t *= epsilon
-    _decide_atom_ties(t, family.law, ratio, epsilon, lambda near: (n, near))
-    if ratio > 1.0:
-        t = t[::-1]  # j ascending, the order the log-probabilities are summed in
-    probs = np.asarray(family.law.central_prob(t), dtype=float)
-    if np.any(probs <= 0.0):
-        value = 1.0
+    if prof.is_constant:
+        # the float of the geometric profile's t_0 at q = 0
+        t = np.exp(0.5 * np.log(np.array([float(n)]))) * epsilon
+        _decide_atom_ties(t, family.law, 1.0, epsilon, lambda near: (n, 0))
+        with np.errstate(divide="ignore"):  # P = 0: the product is 0
+            log_prod = n * float(np.log(family.law.central_prob(t))[0])
     else:
-        value = max(0.0, -math.expm1(float(np.sum(np.log(probs)))))
+        log_prod = _geometric_log_central_prob(family.law, prof, n, epsilon)
+    value = max(0.0, -math.expm1(log_prod))
     return _report(
         Condition.INFINITESIMALITY, n, value, _KERNEL_RTOL * (1.0 + value),
         epsilon=epsilon,
     )
+
+
+def _geometric_log_central_prob(law, profile, n, eps) -> float:
+    """sum_j log P(|Z| <= eps B_n / sigma_j) over j <= n, cut with a certificate.
+
+    With i the steps below the largest sigma_j, t_i = eps sqrt(S_n) e^(-q i / 2)
+    grows with i, so p_i = P(|Z| > t_i) falls, and the terms from i on add at
+    most (n - i) p_i / (1 - p_i) to the -log sum: it stops at the first i
+    where that is at most 2^-_CUT_LOG2 of the terms before.  The terms are
+    built in passes of doubling length and summed in the order of j.
+    """
+    q = _log_step(profile)
+    log_s = np.log(profile.b2_over_max_var(n))
+    kept, before, start, size = [], 0.0, 0, _INF_FIRST_PASS
+    while start < n:
+        # log(eps B_n / sigma_j) - log eps = (log S_n - q i) / 2
+        t = np.arange(start, min(n, start + size), dtype=float)
+        t *= -q
+        t += log_s
+        t *= 0.5
+        with np.errstate(over="ignore"):  # t = inf: the whole law lies within
+            np.exp(t, out=t)
+            t *= eps
+        _decide_atom_ties(t, law, profile.ratio, eps, lambda near: (n, start + near))
+        probs = np.asarray(law.central_prob(t), dtype=float)
+        if probs[0] <= 0.0:  # the first is the least
+            return -math.inf
+        neg_log = -np.log(probs)
+        rest = (n - start - np.arange(len(t))) * ((1.0 - probs) / probs)
+        ahead = np.cumsum(neg_log)
+        cut = np.flatnonzero(rest <= np.ldexp(before + ahead - neg_log, -_CUT_LOG2))
+        if cut.size:
+            kept.append(neg_log[:cut[0]])
+            break
+        kept.append(neg_log)
+        before += ahead[-1]
+        start, size = start + size, 2 * size
+    terms = np.concatenate(kept)
+    if profile.ratio > 1.0:
+        terms = terms[::-1]  # j ascending
+    return -float(np.sum(terms))
 
 
 def rotar(family: SummandFamily, n: int, epsilon: float) -> ConditionReport:

@@ -262,8 +262,12 @@ def _exp_antideriv_at(z):
 
 
 def _exp_far_tail(t):
-    """The expcentered unit tail for t >= r2: integral_t^inf z e^{-(z+1)} dz."""
-    return (t + 1.0) * np.exp(-(t + 1.0))
+    """The expcentered unit tail for t >= r2: integral_t^inf z e^{-(z+1)} dz.
+
+    Past t = 800 the value underflows to 0; the clamp keeps inf * 0 out.
+    """
+    u = np.minimum(t, 800.0) + 1.0
+    return u * np.exp(-u)
 
 
 class CenteredExponentialLaw(Law):

@@ -1,11 +1,13 @@
-"""Positive-integer random index models with closed-form tails.
+"""Positive-integer random index models with certified tails.
 
-Each index kind is a small frozen class: closed-form `cdf`/`sf`, a native
-sampler, and a quantile window [lo, hi] leaving out at most the truncation
-target tau (lower tail within half of it).  The window's table is built on
-first use; its closed-form outside mass certifies every pmf-weighted sum
-(tail mass times a bound on the integrand).  A window longer than
-TRUNCATION_CAP terms is a configuration error.
+Each index kind is a small frozen class: `cdf`/`sf`, a native sampler, and a
+quantile window [lo, hi] leaving out at most the truncation target tau (lower
+tail within half of it).  The tails are closed forms, except the Poisson
+ones: pmf walks from Loader's saddle-point pmf with a geometric bound on the
+rest, all in numpy.  The window's table is built on first use; its certified
+outside mass certifies every pmf-weighted sum (tail mass times a bound on the
+integrand).  A window longer than TRUNCATION_CAP terms is a configuration
+error.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ class RandomIndexModel:
 
     @cached_property
     def probs(self) -> np.ndarray:
-        """pmf over the window, scaled to the closed-form window mass."""
+        """pmf over the window, scaled to the certified window mass."""
         w = self._weights()
         return w * ((1.0 - self.truncation_tail_mass) / w.sum())
 
@@ -132,7 +134,7 @@ class Deterministic(RandomIndexModel):
 
 @dataclass(frozen=True)
 class ShiftedPoisson(RandomIndexModel):
-    """1 + Poisson(lam)."""
+    """1 + Poisson(lam), with tails from certified pmf walks (see _poisson_tail)."""
 
     kind = "poisson"
     lam: float
@@ -141,31 +143,78 @@ class ShiftedPoisson(RandomIndexModel):
     def at(cls, n, param, target):
         return cls(n, float(n if param is None else param), target=target)
 
-    # scipy.special is imported on first use, so that commands without a
-    # Poisson index load no scipy module.
+    # X = k - 1 ~ Poisson(lam): each tail is walked on the side away from the mode
     def cdf(self, k) -> float:
-        from scipy.special import pdtr
-
-        return float(pdtr(k - 1, self.lam)) if k >= 1 else 0.0
+        if k < 1:
+            return 0.0
+        if k - 1 < self.lam:
+            return _poisson_tail(self.lam, k - 1, -1)
+        return 1.0 - _poisson_tail(self.lam, k, 1)
 
     def sf(self, k) -> float:
-        from scipy.special import pdtrc
-
-        return float(pdtrc(k - 1, self.lam)) if k >= 1 else 1.0
+        if k < 1:
+            return 1.0
+        if k - 1 < self.lam:
+            return 1.0 - _poisson_tail(self.lam, k - 1, -1)
+        return _poisson_tail(self.lam, k, 1)
 
     @cached_property
     def window(self):
-        if not 0.0 < self.lam < math.inf:
-            raise IndexConfigError(f"poisson rate must be positive and finite: {self.lam}")
-        half = 0.5 * self._budget
-        lo = _first_true(lambda k: self.cdf(k) > half, 1)
-        need = self._budget - self.cdf(lo - 1)
-        hi = _first_true(lambda k: self.sf(k) <= need, lo)
-        if hi - lo >= TRUNCATION_CAP:
-            # pdtr/pdtrc lose accuracy near k ~ lam at such rates, so the
-            # searched ends give no trustworthy count (1.9e84 at lam = 1e100)
+        return self._window_and_mass[0]
+
+    @cached_property
+    def truncation_tail_mass(self) -> float:
+        return self._window_and_mass[1]
+
+    @cached_property
+    def _window_and_mass(self):
+        """The quantile window of 1 + X and its certified outside mass.
+
+        One pmf table over [a, z] around the mode m gives both tails by
+        cumulative sums; the mass beyond the table ends is walked by
+        _poisson_tail.  lo - 1 is the largest x with P(X < x) <= tau / 2 and
+        hi - 1 the first x past it with P(X > x) <= tau - P(X < lo - 1), both
+        read from these upper bounds.
+        """
+        lam = self.lam
+        if not 0.0 < lam < math.inf:
+            raise IndexConfigError(f"poisson rate must be positive and finite: {lam}")
+        m = math.floor(lam)
+        # The pmf is at most p(m) e^(-d (d - 1) / (2 (lam + d))) at distance d
+        # from m, so 2D + 1 terms hold at most p(m) (3 + sqrt(2 pi V)
+        # erf(D / sqrt(2 V))), V = lam + D: below 1 - tau, the window is longer.
+        d = TRUNCATION_CAP // 2
+        sd = math.sqrt(lam + d)
+        reach = math.exp(_log_pmf(float(m), lam)) * (
+            3.0 + math.sqrt(2.0 * math.pi) * sd * math.erf(d / (math.sqrt(2.0) * sd))
+        )
+        if reach * (1.0 + 1e-9) < 1.0 - self.target:
             raise self._past_cap(f"more than {TRUNCATION_CAP} terms")
-        return lo, hi
+        half = 0.5 * self._budget
+        nats = math.log(2.0 / self.target) + 2.0
+        w = int(math.sqrt(2.0 * lam * nats) + nats)
+        while True:
+            logp = np.concatenate((
+                _walk_log_pmf(lam, m, min(w, m) + 1, -1)[::-1],
+                _walk_log_pmf(lam, m + 1, w, 1),
+            ))
+            a, z = m - min(w, m), m + w
+            p = np.exp(logp, out=logp)
+            # round-off of the walks and of the sequential cumulative sums
+            pad = 1.0 + _WALK_RTOL + len(p) * 2.0**-53
+            p *= pad
+            t_low = pad * _poisson_tail(lam, a - 1, -1) if a > 0 else 0.0
+            below = np.cumsum(p)
+            below += t_low  # P(X <= a + i)
+            i = int(np.searchsorted(below, half, side="right"))
+            low = below[i - 1] if i else t_low  # P(X < a + i)
+            del below
+            above = np.append(np.cumsum(p[:0:-1])[::-1], 0.0)
+            above += pad * _poisson_tail(lam, z + 1, 1)  # P(X > a + j)
+            j = i + int(np.argmax(above[i:] <= self._budget - low)) if i < len(p) else i
+            if low <= half and j < len(p) and above[j] <= self._budget - low:
+                return (a + i + 1, a + j + 1), float(low + above[j])
+            w *= 2
 
     def _weights(self):
         # log pmf ratios p(k)/p(k-1) = lam/(k-1), summed from lo; unlike
@@ -241,6 +290,128 @@ class UniformIndex(RandomIndexModel):
 
     def sample(self, rng: np.random.Generator, size):
         return rng.integers(1, self.m, size, endpoint=True)
+
+
+# ---------------------------------------------------------------------------
+# Poisson pmf walks
+# ---------------------------------------------------------------------------
+
+# stirlerr(n) = log(n!) - (n + 1/2) log(n) + n - log(2 pi) / 2 for n = 0..15
+_STIRLERR = (
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+)
+
+# pmf terms per Loader anchor in a walk, and terms per chunk of a tail walk
+_WALK_BLOCK = 1024
+_WALK_CHUNK = 1 << 16
+
+# relative round-off of a walked pmf term or tail sum: a block's cumulated
+# log ratios are off by at most (_WALK_BLOCK / 2 + 2) * 2^-53 * 745 (~4e-11)
+# where the pmf does not underflow, and the tails' pairwise sums add little
+_WALK_RTOL = 2.0**-32
+
+# a tail walk stops once the geometric bound on the rest is this small a share
+_WALK_CUT = 2.0**-60
+
+
+def _stirlerr(n: float) -> float:
+    """log(n!) - (n + 1/2) log(n) + n - log(2 pi) / 2 for integer n >= 0 (Loader)."""
+    if n <= 15:
+        return _STIRLERR[int(n)]
+    nn = n * n
+    if n > 500:
+        return (1 / 12 - (1 / 360) / nn) / n
+    if n > 80:
+        return (1 / 12 - (1 / 360 - (1 / 1260) / nn) / nn) / n
+    if n > 35:
+        return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680) / nn) / nn) / nn) / n
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - (1 / 1188) / nn) / nn) / nn) / nn) / n
+
+
+def _bd0(x: float, mu: float) -> float:
+    """x log(x / mu) + mu - x, by its series in (x - mu) / (x + mu) near mu (Loader)."""
+    if x == mu:  # where 2 x v below may read inf * 0
+        return 0.0
+    if abs(x - mu) < 0.1 * (x + mu):
+        v = (x - mu) / (x + mu)
+        s = (x - mu) * v
+        term = 2.0 * x * v
+        v *= v
+        for j in range(3, 1000, 2):
+            term *= v
+            s1 = s + term / j
+            if s1 == s:
+                break
+            s = s1
+        return s
+    return x * math.log(x / mu) + mu - x
+
+
+def _log_pmf(x: float, lam: float) -> float:
+    """log P(X = x), X ~ Poisson(lam), in Loader's saddle-point form (R's dpois)."""
+    if x == 0:
+        return -lam
+    return -_stirlerr(x) - _bd0(x, lam) - 0.5 * (math.log(2.0 * math.pi) + math.log(x))
+
+
+def _walk_log_pmf(lam: float, x0: int, count: int, step: int) -> np.ndarray:
+    """log P(X = x0 + step j) for j < count, walking away from the mode.
+
+    Every _WALK_BLOCK terms restart from Loader's value; within a block the
+    log pmf ratios are cumulated: log(lam / x) going up (x0 >= 1) and
+    log((x + 1) / lam) going down (count <= x0 + 1), each as the log1p of a
+    difference over lam, so that no ratio is rounded to a float near 1.
+    """
+    blocks = -(-count // _WALK_BLOCK)
+    x = np.arange(blocks * _WALK_BLOCK, dtype=float)
+    x *= step
+    x += x0
+    if step > 0:
+        x -= lam
+    else:
+        np.maximum(x, 0.0, out=x)  # the last block's padding runs below 0
+        x += 1.0 - lam
+    x /= lam
+    np.log1p(x, out=x)
+    if step > 0:
+        np.negative(x, out=x)
+    ratios = x.reshape(blocks, _WALK_BLOCK)
+    ratios[:, 0] = [
+        _log_pmf(float(x0 + step * _WALK_BLOCK * b), lam) for b in range(blocks)
+    ]
+    np.cumsum(ratios, axis=1, out=ratios)
+    return x[:count]
+
+
+def _poisson_tail(lam: float, x: int, step: int) -> float:
+    """P(X >= x) for step 1 (x > lam - 1), P(X <= x) for step -1 (x < lam).
+
+    The pmf is walked away from the mode in chunks until the rest is at most
+    _WALK_CUT of the sum, bounded geometrically: past the end e the pmf
+    ratios stay below r = lam / (e + 1) going up and r = e / lam going down,
+    so the rest is at most p(e) r / (1 - r).  That bound is added, so the
+    value is at least the exact tail, up to a relative round-off below
+    _WALK_RTOL.
+    """
+    total = 0.0
+    # about the steps over which the pmf falls by e^-50 from distance |x - lam|
+    count = int(math.sqrt((x - lam) ** 2 + 100.0 * lam) - abs(x - lam)) + 64
+    while True:
+        count = min(count, _WALK_CHUNK) if step > 0 else min(count, _WALK_CHUNK, x + 1)
+        logp = _walk_log_pmf(lam, x, count, step)
+        total += float(np.sum(np.exp(logp)))
+        end = x + step * (count - 1)
+        if step > 0:
+            rest = math.exp(logp[-1] + math.log(lam / (end + 1 - lam)))
+        else:
+            rest = math.exp(logp[-1] + math.log(end / (lam - end))) if end else 0.0
+        if rest <= _WALK_CUT * total:
+            return total + rest
+        x, count = end + step, 2 * count
 
 
 def _first_true(pred, k: int) -> int:

@@ -5,13 +5,18 @@ log-space profile accessors; these helpers rebuild sigma_j, F_j and the
 continuous laws' densities from the family parameters, so the quadrature
 oracles share no code with the closed forms they check.  The geometric-profile
 kernel is checked against its former direct per-k sum and, at the atoms of
-the two-point law, against exact rational arithmetic.
+the two-point law, against exact rational arithmetic; infinitesimality
+against its former sum over all n thresholds, and the Poisson tails against
+mpmath's incomplete gamma function.
 """
 
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
+
+from randclt.conditions import _decide_atom_ties
 
 SQRT3 = math.sqrt(3.0)
 
@@ -103,3 +108,39 @@ def exact_side_direct(k, i, eps, ratio, atom):
     lhs = c * c * f * f * abs(a**k - b**k)
     rhs = e * e * d * d * a**p * abs(a - b) * b ** (k - 1 - p)
     return (lhs > rhs) - (lhs < rhs)
+
+
+def full_array_infinitesimality(fam, n, eps):
+    """P(max_{j<=n} |X_j| > eps B_n) from all n central probabilities.
+
+    The former O(n) evaluation: every threshold eps B_n / sigma_j in one
+    array, ties at atoms decided exactly, log-probabilities summed in the
+    order of j.
+    """
+    prof = fam.profile
+    ratio = 1.0 if prof.is_constant else prof.ratio
+    t = np.arange(n, dtype=float)
+    t *= abs(math.log(ratio))
+    t += np.log(prof.b2_over_max_var(n))
+    t *= 0.5
+    with np.errstate(over="ignore"):
+        np.exp(t, out=t)
+        t *= eps
+    _decide_atom_ties(t, fam.law, ratio, eps, lambda near: (n, near))
+    if ratio > 1.0:
+        t = t[::-1]
+    probs = np.asarray(fam.law.central_prob(t), dtype=float)
+    if np.any(probs <= 0.0):
+        return 1.0
+    return max(0.0, -math.expm1(float(np.sum(np.log(probs)))))
+
+
+def poisson_outside_mass(lam, lo, hi):
+    """P(1 + X < lo) + P(1 + X > hi) for X ~ Poisson(lam), at 50 digits.
+
+    P(X <= k) is the regularized upper incomplete gamma Q(k + 1, lam).
+    """
+    with mpmath.workdps(50):
+        below = mpmath.gammainc(lo - 1, lam, mpmath.inf, regularized=True) if lo > 1 else 0
+        above = 1 - mpmath.gammainc(hi, lam, mpmath.inf, regularized=True)
+        return below + above

@@ -4,13 +4,19 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import mpmath
 import pytest
 
+import randclt
+
+from oracles import poisson_outside_mass
 from randclt.cli import UsageError, main, parse_args, run
+from randclt.indices import make_index
 from randclt.schema import SchemaError, load_schema, validate
 
 
@@ -69,14 +75,44 @@ class TestImports:
         ]
         assert _run_then_list_scipy(commands, tmp_path) == [[]] * (len(commands) + 1)
 
-    def test_poisson_index_loads_scipy_special_only(self, tmp_path):
-        seen = _run_then_list_scipy([
+    def test_poisson_index_loads_no_scipy(self, tmp_path):
+        # the Poisson tails are numpy pmf walks, so no command imports scipy
+        commands = [
             ["audit", "--family", "uniform", "--index", "poisson", "--n-grid", "10,100",
              "--epsilon", "0.1,0.5", "--trials", "200"],
-        ], tmp_path)
-        assert seen[0] == []
-        public = {m.split(".")[1] for m in seen[1] if "." in m} - {"version", "__config__"}
-        assert {p for p in public if not p.startswith("_")} == {"special"}
+            ["conditions", "--family", "rademacher", "--index", "poisson", "--n-grid",
+             "1000,1000000", "--epsilon", "0.5"],
+            ["cf-check", "--index", "poisson", "--n-grid", "1000000"],
+        ]
+        assert _run_then_list_scipy(commands, tmp_path) == [[]] * (len(commands) + 1)
+
+    def test_no_source_module_imports_scipy(self):
+        src = Path(randclt.__file__).parent
+        pattern = re.compile(r"^\s*(from|import)\s+scipy\b", re.MULTILINE)
+        assert [p.name for p in src.rglob("*.py") if pattern.search(p.read_text())] == []
+
+    def test_every_subcommand_runs_with_scipy_blocked(self, tmp_path):
+        # a None entry in sys.modules makes any scipy import raise ImportError
+        commands = [
+            ["conditions", "--family", "expcentered", "--index", "poisson", "--n-grid",
+             "10,1000", "--epsilon", "0.5"],
+            ["simulate", "--family", "uniform", "--index", "poisson", "--n-grid",
+             "10,100", "--trials", "2000"],
+            ["rates", "--family", "rademacher", "--index", "poisson", "--fn", "bump",
+             "--n-grid", "10,100", "--trials", "2000"],
+            ["cf-check", "--index", "poisson", "--n-grid", "1000000"],
+            ["audit", "--family", "twopoint,growth=1.01", "--index", "poisson",
+             "--n-grid", "10,100", "--epsilon", "0.5", "--trials", "200"],
+        ]
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import randclt.cli as cli\n"
+            f"for i, argv in enumerate({commands!r}):\n"
+            f"    assert cli.main(argv + ['--out', {str(tmp_path)!r} + f'/out{{i}}']) == 0\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=300)
+        assert len(list(tmp_path.iterdir())) == len(commands)
 
 
 class TestParsing:
@@ -327,6 +363,14 @@ class TestCfCheckCommand:
         assert main(["cf-check", "--index", "poisson", "--n-grid", "1000000"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["passed"] is True
+        assert payload["tail_mass"] <= 1e-12
+
+    def test_poisson_tail_mass_covers_the_mass_left_out(self, capsys):
+        # scipy's pdtrc made this read 9.86e-13 while 4.27e-12 lay outside
+        assert main(["cf-check", "--index", "poisson", "--n-grid", "10000000000"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        lo, hi = make_index("poisson", 10**10).window
+        assert payload["tail_mass"] >= poisson_outside_mass(1e10, lo, hi)
         assert payload["tail_mass"] <= 1e-12
 
 

@@ -183,6 +183,14 @@ class TestRotarTailIntegral:
         fam = make_family("expcentered")
         assert 0.0 <= _rotar_tail(fam, 1, 120.0) <= 1e-13
 
+    def test_infinite_threshold_reads_zero(self):
+        # (t + 1) e^-(t + 1) at t = inf was inf * 0: nan and a RuntimeWarning
+        t = np.array([2.0, 744.0, 1e300, np.inf])
+        for kind in ("rademacher", "uniform", "expcentered"):
+            got = make_family(kind).law.rotar_unit_tail(t)
+            assert got[-1] == 0.0, kind
+            assert np.all(np.diff(got) <= 0.0) and np.all(got >= 0.0), kind
+
     def test_monotone_in_threshold(self):
         for kind in ("rademacher", "uniform", "expcentered", "twopoint"):
             fam = make_family(kind)

@@ -1,6 +1,7 @@
 """Condition functionals: frozen oracles, reductions, monotonicity, audits."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from oracles import (
     direct_scale_mixture,
     direct_terms,
     exact_infinitesimality,
+    full_array_infinitesimality,
     exact_lindeberg,
     exact_side_direct,
 )
@@ -32,7 +34,9 @@ from randclt.conditions import (
     rotar,
     rotar_values,
 )
-from randclt.families import GeometricProfile, RademacherLaw, SummandFamily, make_family
+from randclt.families import (
+    GeometricProfile, RademacherLaw, SummandFamily, make_family, parse_family,
+)
 from randclt.indices import Deterministic, ShiftedGeometric, UniformIndex, make_index
 
 
@@ -130,6 +134,49 @@ class TestInfinitesimality:
         # a RuntimeWarning fails the suite
         fam = make_family("twopoint", growth=1e-300)
         assert infinitesimality(fam, 5, 0.5).value == 1.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["rademacher", "uniform", "normal", "expcentered"]),
+        n=st.integers(1, 10**6),
+        eps=st.one_of(st.floats(1e-3, 3.0), st.sampled_from([-1, 0, 1])),
+    )
+    def test_constant_profile_closed_form(self, kind, n, eps):
+        # the n-th power of one central probability against the former sum of n
+        # logs; an integer eps puts the threshold on the Rademacher atom: eps =
+        # 1/sqrt(n) (0) and its float neighbours (-1, +1)
+        if isinstance(eps, int):
+            eps = float(np.nextafter(1.0 / math.sqrt(n), eps * math.inf) if eps else
+                        1.0 / math.sqrt(n))
+        fam = make_family(kind)
+        got = infinitesimality(fam, n, eps).value
+        want = full_array_infinitesimality(fam, n, eps)
+        assert abs(got - want) <= 8 * np.spacing(want), (got, want)
+
+    @pytest.mark.parametrize("spec", [
+        "twopoint,growth=1.01", "geomnormal,ratio=1.01", "geomnormal,ratio=0.99",
+        "geomnormal,ratio=1.0001", "geomnormal,ratio=2",
+    ])
+    @pytest.mark.parametrize("eps", [0.01, 0.5, 2.0])
+    def test_geometric_cut_matches_full_sum(self, spec, eps):
+        # the terms past the certified cut move the -log sum by at most 2^-60
+        fam = parse_family(spec)
+        got = infinitesimality(fam, 10**6, eps).value
+        want = full_array_infinitesimality(fam, 10**6, eps)
+        assert abs(got - want) <= 1e-14 * want, (got, want)
+
+    def test_large_n_stays_in_mebibytes(self):
+        # an n-length threshold array took 2.3 GiB at n = 1e8; numpy reports
+        # its buffers to tracemalloc
+        tracemalloc.start()
+        try:
+            for spec in ("twopoint,growth=1.01", "geomnormal,ratio=1.01",
+                         "rademacher", "expcentered"):
+                infinitesimality(parse_family(spec), 10**8, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestRotar:

@@ -6,18 +6,22 @@ import re
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 from scipy import stats
 
+from oracles import poisson_outside_mass
 from randclt.indices import (
+    _STIRLERR,
     TRUNCATION_CAP,
     Deterministic,
     IndexConfigError,
     ShiftedGeometric,
     ShiftedPoisson,
     UniformIndex,
+    _log_pmf,
+    _stirlerr,
     make_index,
     parse_index,
 )
@@ -169,6 +173,65 @@ class TestWindow:
         assert tail >= _oracle_outside(model, lo, hi) * (1.0 - SUM_ROUNDOFF)
         assert tail <= tau
         assert abs(1.0 - float(model.probs.sum()) - tail) <= SUM_ROUNDOFF
+
+
+class TestPoissonTails:
+    """Numpy pmf walks against mpmath: Loader's pmf, cdf/sf, the window's mass."""
+
+    def test_stirlerr_table_and_series(self):
+        # the table to an ulp; stirlerr enters the log pmf as a summand, so the
+        # series (truncated at n = 16 to ~2e-14 relative) needs absolute accuracy
+        with mpmath.workdps(50):
+            for n in list(range(1, 16)) + [16, 35, 36, 80, 81, 500, 501, 10**6]:
+                exact = (mpmath.loggamma(n + 1) - (n + mpmath.mpf(0.5)) * mpmath.log(n)
+                         + n - mpmath.log(2 * mpmath.pi) / 2)
+                if n <= 15:
+                    assert abs(_STIRLERR[n] - exact) <= 2.0**-53 * abs(exact), n
+                assert abs(_stirlerr(float(n)) - exact) <= 2.0**-52, n
+
+    @pytest.mark.parametrize("lam", [1e-3, 0.7, 12.5, 1e3, 1e6, 1e11])
+    def test_log_pmf_matches_high_precision(self, lam):
+        for x in sorted({0, 1, math.floor(lam), math.floor(lam + 9 * math.sqrt(lam)) + 3}):
+            with mpmath.workdps(50):
+                exact = x * mpmath.log(lam) - lam - mpmath.loggamma(x + 1)
+            assert abs(_log_pmf(float(x), lam) - exact) <= 1e-14 * max(1.0, abs(exact))
+
+    @pytest.mark.parametrize("lam", [0.3, 7.0, 1e4, 1e9])
+    def test_cdf_sf_match_high_precision(self, lam):
+        model = ShiftedPoisson(1, lam=lam)
+        sd = math.sqrt(lam)
+        for k in sorted({1, 2, math.floor(lam), math.floor(lam - 5 * sd),
+                         math.ceil(lam + 6 * sd) + 3}):
+            if k < 1:
+                continue
+            with mpmath.workdps(50):  # P(1 + X <= k) = Q(k, lam)
+                cdf = mpmath.gammainc(k, lam, mpmath.inf, regularized=True)
+            assert abs(model.cdf(k) - cdf) <= 1e-12 * min(cdf, 1 - cdf) + 1e-16, k
+            assert abs(model.sf(k) - (1 - cdf)) <= 1e-12 * min(cdf, 1 - cdf) + 1e-16, k
+
+    @settings(max_examples=10, deadline=None)
+    @given(log10_lam=st.floats(-3.0, 11.0), log10_tau=st.floats(-15.0, -3.0))
+    @example(log10_lam=-3.0, log10_tau=-12.0)
+    @example(log10_lam=11.0, log10_tau=-12.0)
+    def test_tail_mass_bounds_the_exact_mass(self, log10_lam, log10_tau):
+        # no slack: the walks pad their sums by 2^-32 (relative) for round-off,
+        # so the reported mass is at least the exact mass outside the window
+        # and at most 1e-8 (relative) above it
+        lam, tau = 10.0**log10_lam, 10.0**log10_tau
+        model = ShiftedPoisson(1, lam=lam, target=tau)
+        lo, hi = model.window
+        exact = poisson_outside_mass(lam, lo, hi)
+        tail = model.truncation_tail_mass
+        assert exact <= tail <= exact * (1 + 1e-8)
+        assert tail <= tau
+        if math.exp(-lam) > tau:  # P(X = 0) alone exceeds tau / 2
+            assert lo == 1
+
+    def test_rate_past_the_reach_bound_refuses_before_any_table(self):
+        # 10^7 terms around the mode hold less than 1 - tau at lam = 2e12
+        with pytest.raises(IndexConfigError) as info:
+            ShiftedPoisson(5, lam=2e12)
+        assert f"needs more than {TRUNCATION_CAP} terms" in str(info.value)
 
 
 class TestExpectations:
