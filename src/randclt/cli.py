@@ -40,65 +40,81 @@ class UsageError(ValueError):
     """Invalid flags or flag values; exits with status 1."""
 
 
+def _int_list(raw: str) -> tuple:
+    try:
+        values = tuple(int(tok) for tok in raw.split(",") if tok.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects comma-separated integers: {raw!r}")
+    if not values or any(v < 1 for v in values):
+        raise argparse.ArgumentTypeError(f"entries must be positive integers: {raw!r}")
+    return values
+
+
+def _float_list(raw: str) -> tuple:
+    try:
+        values = tuple(float(tok) for tok in raw.split(",") if tok.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects comma-separated numbers: {raw!r}")
+    if not values:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return values
+
+
+def _joined(show):
+    return lambda values: ",".join(show(v) for v in values)
+
+
+def _flag(default, *flags, show=str, **argparse_kwargs):
+    """A RunConfig field that flags set; to_argv writes it back with show, if any."""
+    return dataclasses.field(
+        default=default,
+        metadata={"flags": flags, "show": show, "argparse": argparse_kwargs},
+    )
+
+
 @dataclass(frozen=True)
 class RunConfig:
+    """The flags of every subcommand: each field declares its flags and default."""
+
     subcommand: str
-    family: str = "rademacher"
-    index: str = "det"
-    n_grid: tuple = (10, 100, 1000)
-    epsilon_grid: tuple = (0.5,)
-    delta: float = 1.0
-    trials: int = 0
-    seed: int = 0
-    trunc_mass: float = TRUNCATION_TARGET
-    fn_id: str = "sin"
-    alpha: float | None = None
-    mode: str = "large-o"
-    t_grid: tuple = (0.0, 0.5, 1.0, 2.0, 4.0)
-    out: str | None = None
-    print_config: bool = False
+    family: str = _flag("rademacher", "--family")
+    index: str = _flag("det", "--index")
+    n_grid: tuple = _flag(
+        (10, 100, 1000), "--n-grid", "--n", type=_int_list, show=_joined(str)
+    )
+    epsilon_grid: tuple = _flag(
+        (0.5,), "--epsilon", type=_float_list, show=_joined(repr)
+    )
+    delta: float = _flag(1.0, "--delta", type=float, show=repr)
+    trials: int = _flag(0, "--trials", type=int)
+    seed: int = _flag(0, "--seed", type=int)
+    trunc_mass: float = _flag(TRUNCATION_TARGET, "--trunc-mass", type=float, show=repr)
+    fn_id: str = _flag("sin", "--fn")
+    mode: str = _flag("large-o", "--mode", choices=("large-o", "small-o"))
+    alpha: float | None = _flag(None, "--alpha", type=float, show=repr)
+    t_grid: tuple = _flag(
+        (0.0, 0.5, 1.0, 2.0, 4.0), "--t-grid", type=_float_list, show=_joined(repr)
+    )
+    out: str | None = _flag(None, "--out")
+    print_config: bool = _flag(False, "--print-config", show=None, action="store_true")
 
     def to_argv(self) -> list:
         """Canonical flag list; parse_args on it reproduces this config."""
         argv = [self.subcommand]
-        argv += ["--family", self.family, "--index", self.index]
-        argv += ["--n-grid", ",".join(str(n) for n in self.n_grid)]
-        argv += ["--epsilon", ",".join(repr(e) for e in self.epsilon_grid)]
-        argv += ["--delta", repr(self.delta)]
-        argv += ["--trials", str(self.trials), "--seed", str(self.seed)]
-        argv += ["--trunc-mass", repr(self.trunc_mass)]
-        argv += ["--fn", self.fn_id, "--mode", self.mode]
-        if self.alpha is not None:
-            argv += ["--alpha", repr(self.alpha)]
-        argv += ["--t-grid", ",".join(repr(t) for t in self.t_grid)]
-        if self.out is not None:
-            argv += ["--out", self.out]
+        for f in _flag_fields():
+            value = getattr(self, f.name)
+            if f.metadata["show"] is not None and value is not None:
+                argv += [f.metadata["flags"][0], f.metadata["show"](value)]
         return argv
+
+
+def _flag_fields():
+    return [f for f in dataclasses.fields(RunConfig) if "flags" in f.metadata]
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _int_list(raw: str) -> tuple:
-    try:
-        values = tuple(int(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError:
-        raise UsageError(f"--n-grid expects comma-separated integers: {raw!r}")
-    if not values or any(v < 1 for v in values):
-        raise UsageError(f"--n-grid entries must be positive integers: {raw!r}")
-    return values
-
-
-def _float_list(flag: str, raw: str) -> tuple:
-    try:
-        values = tuple(float(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError:
-        raise UsageError(f"{flag} expects comma-separated numbers: {raw!r}")
-    if not values:
-        raise UsageError(f"{flag} must not be empty")
-    return values
 
 
 def build_parser() -> _Parser:
@@ -113,42 +129,16 @@ def build_parser() -> _Parser:
     }
     for name, help_text in specs.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--family", default="rademacher")
-        p.add_argument("--index", default="det")
-        p.add_argument("--n-grid", "--n", dest="n_grid", default="10,100,1000")
-        p.add_argument("--epsilon", default="0.5")
-        p.add_argument("--delta", type=float, default=1.0)
-        p.add_argument("--trials", type=int, default=0)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trunc-mass", type=float, default=TRUNCATION_TARGET)
-        p.add_argument("--fn", dest="fn_id", default="sin")
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--mode", choices=("large-o", "small-o"), default="large-o")
-        p.add_argument("--t-grid", default="0,0.5,1,2,4")
-        p.add_argument("--out", default=None)
-        p.add_argument("--print-config", action="store_true")
+        for f in _flag_fields():
+            p.add_argument(
+                *f.metadata["flags"], dest=f.name, default=f.default,
+                **f.metadata["argparse"],
+            )
     return parser
 
 
 def parse_args(argv) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    config = RunConfig(
-        subcommand=ns.subcommand,
-        family=ns.family,
-        index=ns.index,
-        n_grid=_int_list(ns.n_grid),
-        epsilon_grid=_float_list("--epsilon", ns.epsilon),
-        delta=ns.delta,
-        trials=ns.trials,
-        seed=ns.seed,
-        trunc_mass=ns.trunc_mass,
-        fn_id=ns.fn_id,
-        alpha=ns.alpha,
-        mode=ns.mode,
-        t_grid=_float_list("--t-grid", ns.t_grid),
-        out=ns.out,
-        print_config=ns.print_config,
-    )
+    config = RunConfig(**vars(build_parser().parse_args(argv)))
     _validate(config)
     return config
 

@@ -33,16 +33,13 @@ _KERNEL_RTOL = 1e-12
 # beyond this many e-folds the remaining geometric weights cannot move a sum
 _LOG_WEIGHT_CUT = 45.0
 
-# the geometric kernel cuts terms worth at most 2^-_CUT_LOG2 of its value
+# the geometric step walk cuts terms worth at most 2^-_CUT_LOG2 of its sum
 _CUT_LOG2 = 60
 
-# (k, i) entries per flat pass of the geometric kernel; bounds its memory
+# (k, i) entries per flat pass of the geometric step walk; bounds its memory
 _MAX_PASS_ENTRIES = 1 << 16
 
-# terms in the first pass of the geometric-profile infinitesimality sum
-_INF_FIRST_PASS = 1024
-
-# kept (k, i) pairs past which the geometric kernel refuses to run; 10^8
+# kept (k, i) pairs past which the geometric step walk refuses to run; 10^8
 # rotar unit-tail evaluations take ~18 s on a 2-core Xeon
 _MAX_KERNEL_TERMS = 10**8
 
@@ -86,11 +83,6 @@ def _report(cond, n, value, err, epsilon=None, delta=None) -> ConditionReport:
 # ---------------------------------------------------------------------------
 # Per-index kernels, vectorized over k
 # ---------------------------------------------------------------------------
-
-
-def _log_step(profile) -> float:
-    """log(sigma_j^2 / sigma_j'^2) for j one step below j' (0 when constant)."""
-    return 0.0 if profile.is_constant else -abs(math.log(profile.ratio))
 
 
 def _exact_side(k: int, i: int, eps: float, ratio: float, atom: float) -> int:
@@ -153,61 +145,64 @@ def _decide_atom_ties(t, law, ratio, eps, k_and_step):
         t[near] = np.nextafter(atom, atom * (1 + sides))[inverse]
 
 
-def _geometric_values(unit_fn, law, profile, ks, eps):
-    """sum_i w_i u(t_i) per k, w_i = e^(q i) / S_k, t_i = eps sqrt(S_k) e^(-q i / 2).
+def _geometric_sum(law, profile, ks, eps, term, rest, log_weight_cut=math.inf):
+    """sum_i term(k, i, w_i, t_i) per k, over the steps i below the largest sigma_j.
 
-    i counts the steps below the largest sigma_j (q = _log_step), and S_k =
-    B_k^2 / max sigma_j^2.  Only the i < k with w_i > e^-45 enter, and past
-    k_sat, where every further weight is below that, the value saturates.
-    u decreases and the w_i of one k sum to 1, so the terms from the first i
-    with u(t_i) <= 2^-60 u(t_0) / S_k on add at most 2^-60 times the i = 0
-    term, itself a lower bound on the value: they are cut.  Every kept
-    (k, i) pair is evaluated in flat passes of _MAX_PASS_ENTRIES.
+    Every geometric-profile sum of the functionals is this walk.  Its
+    w_i = e^(q i) / S_k is sigma_j^2 / B_k^2 (q = profile.log_step, S_k =
+    B_k^2 / max sigma_j^2) and t_i = eps sqrt(S_k) e^(-q i / 2) the
+    threshold eps B_k / sigma_j, put on its exact side of any atom it ties.
+    The steps run over i < k with w_i > e^-log_weight_cut.  The terms must
+    be nonnegative and fall with i, and rest(k, i, w_i, t_i) must bound the
+    terms from i on and fall with i too.  Then a zero i = 0 term makes every
+    term zero, and otherwise the terms from the first i whose rest is at
+    most 2^-60 of the i = 0 term, itself a lower bound on the sum, are cut:
+    that i is found per k by bisection.  The kept (k, i) pairs are counted
+    before any is evaluated, refused past _MAX_KERNEL_TERMS, and summed in
+    flat passes of _MAX_PASS_ENTRIES.
     """
-    q = _log_step(profile)
-    k_sat = int(math.ceil(_LOG_WEIGHT_CUT / -q)) + 2
-    uk, inverse = np.unique(np.minimum(ks, k_sat), return_inverse=True)
-    s = profile.b2_over_max_var(uk)
-    log_s = np.log(s)
+    q = profile.log_step
+    log_s = np.log(profile.b2_over_max_var(ks))
 
-    def terms(rows, steps):
+    def at(rows, steps):
         logw = q * steps - log_s[rows]
-        t = eps * np.exp(-0.5 * logw)
+        with np.errstate(over="ignore"):  # t = inf: the whole law lies within
+            t = eps * np.exp(-0.5 * logw)
         _decide_atom_ties(
-            t, law, profile.ratio, eps, lambda near: (uk[rows[near]], steps[near])
+            t, law, profile.ratio, eps, lambda near: (ks[rows[near]], steps[near])
         )
-        return np.exp(logw), t
+        return ks[rows], steps, np.exp(logw), t
 
-    lo = np.zeros(len(uk), dtype=np.int64)
-    u0 = np.asarray(unit_fn(terms(np.arange(len(uk)), lo)[1]), dtype=float)
-    target = np.ldexp(u0, -_CUT_LOG2) / s
-    live = np.minimum(uk, np.ceil((_LOG_WEIGHT_CUT - log_s) / -q)).astype(np.int64)
-    # count of kept terms: the first i with u(t_i) <= target (live if none),
-    # found by bisection with u(t_lo) > target; none at all where u(t_0) is 0
-    hi = np.where(u0 > 0.0, live, 0)
+    lo = np.zeros(len(ks), dtype=np.int64)
+    first = term(*at(np.arange(len(ks)), lo))
+    target = np.ldexp(first, -_CUT_LOG2)
+    live = np.minimum(ks, np.ceil((log_weight_cut - log_s) / -q)).astype(np.int64)
+    # count of kept terms: the first i >= 1 with rest <= target (live if
+    # none), found by bisection with rest(lo) > target or lo = 0
+    hi = np.where(first > 0.0, live, 0)
     while True:
         act = np.flatnonzero(hi - lo > 1)
         if not act.size:
             break
         mid = (lo[act] + hi[act]) // 2
-        drop = np.asarray(unit_fn(terms(act, mid)[1])) <= target[act]
+        drop = rest(*at(act, mid)) <= target[act]
         hi[act[drop]] = mid[drop]
         lo[act[~drop]] = mid[~drop]
     ends = np.cumsum(hi)
     starts = ends - hi
-    total = int(hi.sum())
+    total = int(ends[-1])
     if total > _MAX_KERNEL_TERMS:
         raise ValueError(
             f"the geometric-profile kernel needs {total} unit-tail evaluations, "
             f"past the cap of {_MAX_KERNEL_TERMS}"
         )
-    out = np.zeros(len(uk))
+    out = np.zeros(len(ks))
     for a in range(0, total, _MAX_PASS_ENTRIES):
         flat = np.arange(a, min(a + _MAX_PASS_ENTRIES, total))
         rows = np.searchsorted(ends, flat, side="right")
-        w, t = terms(rows, flat - starts[rows])
-        out += np.bincount(rows, weights=w * unit_fn(t), minlength=len(uk))
-    return np.maximum(out, 0.0)[inverse]
+        kept = term(*at(rows, flat - starts[rows]))
+        out += np.bincount(rows, weights=kept, minlength=len(ks))
+    return out
 
 
 def _scale_mixture_values(unit_fn, family, ks, eps):
@@ -215,8 +210,11 @@ def _scale_mixture_values(unit_fn, family, ks, eps):
 
     unit_fn maps a normalized threshold to a functional of the standardized
     law (tail second moment, absolute-difference tail, ...).  For constant
-    profiles the sum collapses to unit_fn(eps * sqrt(k)); geometric profiles
-    go through _geometric_values.
+    profiles the sum collapses to unit_fn(eps * sqrt(k)).  Geometric profiles
+    walk the steps with weights above e^-45, and past k_sat, where every
+    further weight is below that, the value saturates.  unit_fn decreases
+    and the weights of one k sum to 1, so unit_fn(t_i) bounds the terms from
+    i on.
     """
     ks = np.asarray(ks, dtype=np.int64)
     profile = family.profile
@@ -224,7 +222,15 @@ def _scale_mixture_values(unit_fn, family, ks, eps):
         t = eps * np.sqrt(ks.astype(float))
         _decide_atom_ties(t, family.law, 1.0, eps, lambda near: (ks[near], 0))
         return np.maximum(np.asarray(unit_fn(t), dtype=float), 0.0)
-    return _geometric_values(unit_fn, family.law, profile, ks, eps)
+    k_sat = int(math.ceil(_LOG_WEIGHT_CUT / -profile.log_step)) + 2
+    uk, inverse = np.unique(np.minimum(ks, k_sat), return_inverse=True)
+    out = _geometric_sum(
+        family.law, profile, uk, eps,
+        term=lambda k, i, w, t: w * unit_fn(t),
+        rest=lambda k, i, w, t: unit_fn(t),
+        log_weight_cut=_LOG_WEIGHT_CUT,
+    )
+    return np.maximum(out, 0.0)[inverse]
 
 
 def lindeberg_values(family: SummandFamily, ks, eps: float) -> np.ndarray:
@@ -290,68 +296,40 @@ def infinitesimality(family: SummandFamily, n: int, epsilon: float) -> Condition
     """P(max_{j<=n} |X_j| > eps B_n), strict inequality at atoms.
 
     Computed from independence as one minus the product of the central
-    probabilities P(|X_j| <= eps B_n): on a constant profile, the n-th power
-    of P(|Z| <= eps sqrt(n)).
+    probabilities P = P(|X_j| <= eps B_n): on a constant profile, the n-th
+    power of P(|Z| <= eps sqrt(n)).  On a geometric one the -log P fall with
+    the step i, and with p = 1 - P the terms from i on add at most
+    (n - i) p / (1 - p) to the -log sum, which bounds the walk's cut.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     prof = family.profile
-    if prof.is_constant:
-        # the float of the geometric profile's t_0 at q = 0
-        t = np.exp(0.5 * np.log(np.array([float(n)]))) * epsilon
-        _decide_atom_ties(t, family.law, 1.0, epsilon, lambda near: (n, 0))
-        with np.errstate(divide="ignore"):  # P = 0: the product is 0
-            log_prod = n * float(np.log(family.law.central_prob(t))[0])
-    else:
-        log_prod = _geometric_log_central_prob(family.law, prof, n, epsilon)
+
+    def prob(t):
+        return np.asarray(family.law.central_prob(t), dtype=float)
+
+    def rest(k, i, w, t):  # (n - i) p / (1 - p), p = 1 - P
+        central = prob(t)
+        return (k - i) * ((1.0 - central) / central)
+
+    with np.errstate(divide="ignore"):  # P = 0: the product is 0
+        if prof.is_constant:
+            # the float of the geometric profile's t_0 at q = 0
+            t = np.exp(0.5 * np.log(np.array([float(n)]))) * epsilon
+            _decide_atom_ties(t, family.law, 1.0, epsilon, lambda near: (n, 0))
+            log_prod = n * float(np.log(prob(t))[0])
+        else:
+            log_prod = -float(_geometric_sum(
+                family.law, prof, np.array([n]), epsilon,
+                term=lambda k, i, w, t: -np.log(prob(t)), rest=rest,
+            )[0])
     value = max(0.0, -math.expm1(log_prod))
     return _report(
         Condition.INFINITESIMALITY, n, value, _KERNEL_RTOL * (1.0 + value),
         epsilon=epsilon,
     )
-
-
-def _geometric_log_central_prob(law, profile, n, eps) -> float:
-    """sum_j log P(|Z| <= eps B_n / sigma_j) over j <= n, cut with a certificate.
-
-    With i the steps below the largest sigma_j, t_i = eps sqrt(S_n) e^(-q i / 2)
-    grows with i, so p_i = P(|Z| > t_i) falls, and the terms from i on add at
-    most (n - i) p_i / (1 - p_i) to the -log sum: it stops at the first i
-    where that is at most 2^-_CUT_LOG2 of the terms before.  The terms are
-    built in passes of doubling length and summed in the order of j.
-    """
-    q = _log_step(profile)
-    log_s = np.log(profile.b2_over_max_var(n))
-    kept, before, start, size = [], 0.0, 0, _INF_FIRST_PASS
-    while start < n:
-        # log(eps B_n / sigma_j) - log eps = (log S_n - q i) / 2
-        t = np.arange(start, min(n, start + size), dtype=float)
-        t *= -q
-        t += log_s
-        t *= 0.5
-        with np.errstate(over="ignore"):  # t = inf: the whole law lies within
-            np.exp(t, out=t)
-            t *= eps
-        _decide_atom_ties(t, law, profile.ratio, eps, lambda near: (n, start + near))
-        probs = np.asarray(law.central_prob(t), dtype=float)
-        if probs[0] <= 0.0:  # the first is the least
-            return -math.inf
-        neg_log = -np.log(probs)
-        rest = (n - start - np.arange(len(t))) * ((1.0 - probs) / probs)
-        ahead = np.cumsum(neg_log)
-        cut = np.flatnonzero(rest <= np.ldexp(before + ahead - neg_log, -_CUT_LOG2))
-        if cut.size:
-            kept.append(neg_log[:cut[0]])
-            break
-        kept.append(neg_log)
-        before += ahead[-1]
-        start, size = start + size, 2 * size
-    terms = np.concatenate(kept)
-    if profile.ratio > 1.0:
-        terms = terms[::-1]  # j ascending
-    return -float(np.sum(terms))
 
 
 def rotar(family: SummandFamily, n: int, epsilon: float) -> ConditionReport:

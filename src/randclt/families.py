@@ -35,6 +35,9 @@ _SQRT3 = math.sqrt(3.0)
 _LN2 = math.log(2.0)
 # Summand matrix size per draw in batch_normalized_sums; bounds its memory.
 _MAX_DRAW_ENTRIES = 1 << 16
+# Summands one trial may draw (the length of its weights), past which a
+# simulation is refused: 10^8 of them take ~0.8 GB and their weights as much.
+_MAX_TRIAL_DRAWS = 10**8
 # Bits in one raw draw of a bit generator: the largest k whose Rademacher sum
 # is read from a single word.
 _WORD_BITS = 64
@@ -377,7 +380,16 @@ class ConstantProfile:
 
     def weights(self, k: int) -> np.ndarray:
         """sigma_j / B_k for j = 1..k."""
-        return np.full(k, 1.0 / math.sqrt(k))
+        return np.full(_checked_draws(k), 1.0 / math.sqrt(k))
+
+
+def _checked_draws(count: int) -> int:
+    """count, the summands of one trial, unless past _MAX_TRIAL_DRAWS."""
+    if count > _MAX_TRIAL_DRAWS:
+        raise ValueError(
+            f"a trial needs {count} summand draws, past the cap of {_MAX_TRIAL_DRAWS}"
+        )
+    return count
 
 
 def _log1mexp(a):
@@ -407,6 +419,11 @@ class GeometricProfile:
     def is_constant(self) -> bool:
         return False
 
+    @property
+    def log_step(self) -> float:
+        """q = -|log ratio|: log sigma_j^2 one step below sigma_j'^2, the larger."""
+        return -abs(math.log(self.ratio))
+
     def log_b_squared(self, n):
         return self.log_sum_sigma_pow(n, 2.0)
 
@@ -429,7 +446,7 @@ class GeometricProfile:
         math.expm1, not np.expm1: numpy's SIMD loops round differently from
         libm on some hosts, and the summand weights must keep their bits.
         """
-        q = -abs(math.log(self.ratio))
+        q = self.log_step
         if np.ndim(k) == 0:  # one call per realized k from weights
             return math.expm1(k * q) / math.expm1(q)
         x = np.asarray(k, dtype=float) * q
@@ -439,18 +456,21 @@ class GeometricProfile:
         return num / math.expm1(q)
 
     def weights(self, k: int) -> np.ndarray:
-        """sigma_j / B_k for the j <= k whose weight exceeds e^-42 (~5e-19).
+        """sigma_j / B_k, in the order of j, for the j <= k whose weight exceeds e^-42.
 
-        Smaller weights cannot move a float64 sum.  The logs are taken
-        relative to the largest sigma_j, through b2_over_max_var:
-        subtracting log B_k from log sigma_j would cost up to ~1e-9 of the
-        unit sum of squares near ratio 1, and ~1e-12 once k is in the
-        thousands.
+        Smaller weights (~5e-19) cannot move a float64 sum.  The weight i
+        steps below the largest sigma_j is exp((q i - log S_k) / 2) with S_k
+        from b2_over_max_var: subtracting log B_k from log sigma_j would cost
+        up to ~1e-9 of the unit sum of squares near ratio 1, and ~1e-12 once
+        k is in the thousands.  Only the steps up to (84 - log S_k) / |q| + 1,
+        at most ceil(84 / |q|) + 1 of them, are built.
         """
-        q = -abs(math.log(self.ratio))
-        # steps below the largest sigma_j, which is j = k when ratio > 1
-        steps = np.arange(k - 1, -1, -1) if self.ratio > 1.0 else np.arange(k)
-        logw = 0.5 * (q * steps - math.log(self.b2_over_max_var(k)))
+        q = self.log_step
+        log_s = math.log(self.b2_over_max_var(k))
+        steps = np.arange(_checked_draws(min(k, math.ceil((84.0 - log_s) / -q) + 1)))
+        if self.ratio > 1.0:  # the largest sigma_j is j = k
+            steps = steps[::-1]
+        logw = 0.5 * (q * steps - log_s)
         return np.exp(logw[logw > -42.0])
 
 
@@ -485,7 +505,8 @@ class SummandFamily:
         trial on a constant profile.  Every other family groups the trials by
         k and multiplies (rows x k) summand matrices, at most
         _MAX_DRAW_ENTRIES entries each (one row when k is larger), by the
-        weights sigma_j / B_k.
+        weights sigma_j / B_k.  einsum without optimize reduces each row in a
+        fixed order, where a BLAS product's bits vary with its thread count.
         """
         if self.index_free:
             return rng.standard_normal(len(ks))
@@ -502,7 +523,8 @@ class SummandFamily:
             rows = max(1, _MAX_DRAW_ENTRIES // len(w))
             for a in range(lo, hi, rows):
                 b = min(a + rows, hi)
-                out[order[a:b]] = self.law.sample(rng, size=(b - a, len(w))) @ w
+                m = self.law.sample(rng, size=(b - a, len(w)))
+                out[order[a:b]] = np.einsum("ij,j->i", m, w)
         return out
 
 

@@ -6,7 +6,8 @@ continuous laws' densities from the family parameters, so the quadrature
 oracles share no code with the closed forms they check.  The geometric-profile
 kernel is checked against its former direct per-k sum and, at the atoms of
 the two-point law, against exact rational arithmetic; infinitesimality
-against its former sum over all n thresholds, and the Poisson tails against
+against its former sum over all n thresholds, the summand weights against
+their former construction from all k steps, and the Poisson tails against
 mpmath's incomplete gamma function.
 """
 
@@ -108,6 +109,19 @@ def exact_side_direct(k, i, eps, ratio, atom):
     lhs = c * c * f * f * abs(a**k - b**k)
     rhs = e * e * d * d * a**p * abs(a - b) * b ** (k - 1 - p)
     return (lhs > rhs) - (lhs < rhs)
+
+
+def full_weights(profile, k):
+    """sigma_j / B_k above e^-42 for a geometric profile, from all k steps.
+
+    The former O(k) construction: every step below the largest sigma_j in
+    the order of j, the logs relative to it, and the small weights dropped
+    after all k are built.
+    """
+    q = -abs(math.log(profile.ratio))
+    steps = np.arange(k - 1, -1, -1) if profile.ratio > 1.0 else np.arange(k)
+    logw = 0.5 * (q * steps - math.log(profile.b2_over_max_var(k)))
+    return np.exp(logw[logw > -42.0])
 
 
 def full_array_infinitesimality(fam, n, eps):

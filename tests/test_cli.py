@@ -5,6 +5,7 @@ import dataclasses
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -235,6 +236,23 @@ class TestConditionsCommand:
         assert "past the cap" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_summand_draw_cap_exits_one_without_output(self, tmp_path):
+        # 10^9 uniform summands per trial ended in a MemoryError traceback or
+        # an OOM kill; the address-space limit keeps a regression contained
+        out = tmp_path / "s.csv"
+        limit = 4 * 2**30  # the weights alone would take 7.45 GiB
+        proc = subprocess.run(
+            [sys.executable, "-m", "randclt.cli", "simulate", "--family", "uniform",
+             "--index", "det", "--n-grid", "1000000000", "--trials", "2",
+             "--out", str(out)],
+            capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == 1
+        assert "a trial needs 1000000000 summand draws, past the cap" in proc.stderr
+        assert not out.exists()
+
     def test_kernel_work_cap_exits_one_without_output(self, tmp_path, capsys):
         # growth 1.000001 keeps 3.8e8 kernel terms: refused with the count,
         # not a silent run of minutes
@@ -412,6 +430,10 @@ class TestBlasThreads:
         ["conditions", "--family", "rademacher", "--index", "geometric",
          "--n-grid", "10,100,1000", "--epsilon", "0.05,0.5", "--delta", "1"],
         ["cf-check", "--index", "poisson", "--n-grid", "1000000"],
+        # one-row summand matrices of 70000 columns, whose dot products a
+        # BLAS gemv would split across threads
+        ["simulate", "--family", "uniform", "--index", "det", "--n-grid", "70000",
+         "--trials", "2000", "--seed", "3"],
     ])
     def test_bytes_independent_of_blas_threads(self, argv, tmp_path):
         outputs = []

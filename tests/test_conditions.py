@@ -165,6 +165,13 @@ class TestInfinitesimality:
         want = full_array_infinitesimality(fam, 10**6, eps)
         assert abs(got - want) <= 1e-14 * want, (got, want)
 
+    def test_walk_cap_refuses_huge_n(self):
+        # ratio 1 + 1e-9 keeps every one of 10^9 steps: refused with the
+        # count, before any central probability past the bisection is taken
+        fam = make_family("geomnormal", ratio=1 + 1e-9)
+        with pytest.raises(ValueError, match=r"needs 1000000000 unit-tail evaluations"):
+            infinitesimality(fam, 10**9, 1e-4)
+
     def test_large_n_stays_in_mebibytes(self):
         # an n-length threshold array took 2.3 GiB at n = 1e8; numpy reports
         # its buffers to tracemalloc

@@ -1,6 +1,7 @@
 """Distribution family contracts: moments, CDFs, cumulative variance, sampling."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -10,11 +11,12 @@ from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 from scipy.integrate import quad
 
-from oracles import cdf, density, sigma, variance
+from oracles import cdf, density, full_weights, sigma, variance
 from randclt.conditions import feller_values, lyapunov, max_threshold_ratio
 from randclt.families import (
     BUILTIN_FAMILY_KINDS,
     CenteredExponentialLaw,
+    ConstantProfile,
     FamilyConfigError,
     GeometricProfile,
     UniformLaw,
@@ -231,6 +233,49 @@ class TestSummandWeights:
     def test_kept_weights_have_unit_sum_of_squares(self, ratio, k):
         w = GeometricProfile(ratio=ratio).weights(k)
         assert abs(float(np.sum(w * w)) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("ratio", [1 - 1e-9, 1 + 1e-9, 0.5, 0.99, 1.01, 2.0, 4.0])
+    def test_kept_steps_match_all_steps_bit_for_bit(self, ratio):
+        # contiguous and in the order of j: a reversed view changes the bits
+        # of the summand reductions
+        prof = GeometricProfile(ratio=ratio)
+        for k in range(1, 5001):
+            w = prof.weights(k)
+            assert w.flags.c_contiguous
+            assert w.tobytes() == full_weights(prof, k).tobytes(), k
+
+    @given(
+        ratio=st.floats(0.9, 1.1).filter(lambda r: r != 1.0),
+        k=st.integers(1, 50_000),
+    )
+    def test_kept_steps_match_all_steps_near_one(self, ratio, k):
+        # ratios near 1 keep thousands of steps: past k ~ 84 / |log r| the
+        # kept steps are fewer than k
+        prof = GeometricProfile(ratio=ratio)
+        assert prof.weights(k).tobytes() == full_weights(prof, k).tobytes()
+
+    def test_huge_k_builds_only_kept_steps(self):
+        # all 10^9 steps took 7.45 GiB for ~8k weights; numpy reports its
+        # buffers to tracemalloc
+        prof = GeometricProfile(ratio=1.01)
+        tracemalloc.start()
+        try:
+            w = prof.weights(10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(w) <= math.ceil(84 / abs(prof.log_step)) + 1
+        assert abs(float(np.sum(w * w)) - 1.0) <= 1e-12
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("profile, k, count", [
+        (ConstantProfile(), 10**8 + 1, 10**8 + 1),
+        (ConstantProfile(), 10**9, 10**9),
+        (GeometricProfile(ratio=1 + 1e-12), 10**9, 10**9),
+    ])
+    def test_summand_draw_cap(self, profile, k, count):
+        with pytest.raises(ValueError, match=rf"a trial needs {count} summand draws"):
+            profile.weights(k)
 
 
 class TestSignRoots:
