@@ -4,9 +4,11 @@ All five classical functionals (Lyapunov, Lindeberg, Feller, asymptotic
 infinitesimality, and the absolute-difference comparison against the matched
 normal sequence) are evaluated in closed form through the scale structure of
 the built-in families, with log-space cumulative variances so that exploding
-profiles stay finite far beyond float64 overflow.  The randomized versions
-average the same per-index kernels against a truncated index distribution and
-carry certified truncation error bounds.
+profiles stay finite far beyond float64 overflow.  Lindeberg, Feller and the
+comparison functional have randomized versions, which average the same
+per-index kernels against a truncated index distribution and carry certified
+truncation error bounds; their classical values are that average at a point
+mass, so the two agree bit for bit.
 
 Normalization note: the absolute-difference functional is normalized by the
 cumulative variance B_n^2 (series form), not by B_n.  Under this scaling the
@@ -25,7 +27,7 @@ import numpy as np
 
 from .families import SummandFamily
 from .gaussian import normal_tail_second_moment
-from .indices import RandomIndexModel
+from .indices import Deterministic, RandomIndexModel
 
 # relative slop granted to closed-form kernel evaluations (roundoff scale)
 _KERNEL_RTOL = 1e-12
@@ -254,7 +256,7 @@ def max_threshold_ratio(family: SummandFamily, ks, eps: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Classical (non-random) conditions
+# Classical conditions with no randomized twin
 # ---------------------------------------------------------------------------
 
 
@@ -270,26 +272,6 @@ def lyapunov(family: SummandFamily, n: int, delta: float) -> ConditionReport:
     logb2 = float(prof.log_b_squared(n))
     value = math.exp(logv - (1.0 + 0.5 * delta) * logb2) * moment
     return _report(Condition.LYAPUNOV, n, value, _KERNEL_RTOL * (1.0 + value), delta=delta)
-
-
-def lindeberg(family: SummandFamily, n: int, epsilon: float) -> ConditionReport:
-    """B_n^-2 * sum_j E[X_j^2; |X_j| > eps B_n]; always in [0, 1]."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    value = float(lindeberg_values(family, np.array([n]), epsilon)[0])
-    return _report(
-        Condition.LINDEBERG, n, value, _KERNEL_RTOL * (1.0 + value), epsilon=epsilon
-    )
-
-
-def feller(family: SummandFamily, n: int) -> ConditionReport:
-    """max_{j<=n} sigma_j^2 / B_n^2."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    value = float(feller_values(family, np.array([n]))[0])
-    return _report(Condition.FELLER, n, value, _KERNEL_RTOL * (1.0 + value))
 
 
 def infinitesimality(family: SummandFamily, n: int, epsilon: float) -> ConditionReport:
@@ -332,67 +314,79 @@ def infinitesimality(family: SummandFamily, n: int, epsilon: float) -> Condition
     )
 
 
+# ---------------------------------------------------------------------------
+# Index-averaged conditions; the classical ones are the point-mass case
+# ---------------------------------------------------------------------------
+
+
+# per-index kernel of each averaged functional, and the bound on it that
+# certifies the truncation: Lindeberg and Feller values are shares of 1, and
+# the Rotar integrand is dominated by the Lindeberg value plus the full
+# normal second moment
+_KERNELS = {
+    "lindeberg": (lindeberg_values, 1.0),
+    "feller": (lambda family, ks, eps: feller_values(family, ks), 1.0),
+    "rotar": (rotar_values, 2.0),
+}
+
+
+def _index_average(
+    cond: Condition, family: SummandFamily, index_model: RandomIndexModel,
+    epsilon: float | None = None,
+) -> ConditionReport:
+    """The per-index kernel named by cond, averaged against the index window.
+
+    A classical value is this average on Deterministic(n): its window is
+    [n] with probability 1.0 and outside mass 0.0, so the value is the
+    kernel's own and the error bound its round-off slack alone.
+    """
+    kernel, abs_bound = _KERNELS[cond.value.removeprefix("random_")]
+    if epsilon is not None and epsilon <= 0.0:
+        raise ValueError("epsilon must be positive")
+    values = kernel(family, index_model.support, epsilon)
+    est = index_model.expect_values(values, abs_bound=abs_bound)
+    err = est.truncation_error_bound + _KERNEL_RTOL * (1.0 + est.value)
+    return _report(cond, index_model.n, est.value, err, epsilon=epsilon)
+
+
+def lindeberg(family: SummandFamily, n: int, epsilon: float) -> ConditionReport:
+    """B_n^-2 * sum_j E[X_j^2; |X_j| > eps B_n]; always in [0, 1]."""
+    return _index_average(Condition.LINDEBERG, family, Deterministic(n), epsilon)
+
+
+def feller(family: SummandFamily, n: int) -> ConditionReport:
+    """max_{j<=n} sigma_j^2 / B_n^2."""
+    return _index_average(Condition.FELLER, family, Deterministic(n))
+
+
 def rotar(family: SummandFamily, n: int, epsilon: float) -> ConditionReport:
     """B_n^-2 * sum_j integral_{|x|>eps B_n} |x| |F_j - Phi_j| dx.
 
     Phi_j is the normal law with the family's variance sigma_j^2.  Exactly
     zero for all-normal families (F_j coincides with Phi_j).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    value = float(rotar_values(family, np.array([n]), epsilon)[0])
-    return _report(
-        Condition.ROTAR, n, value, _KERNEL_RTOL * (1.0 + value), epsilon=epsilon
-    )
-
-
-# ---------------------------------------------------------------------------
-# Randomized conditions
-# ---------------------------------------------------------------------------
+    return _index_average(Condition.ROTAR, family, Deterministic(n), epsilon)
 
 
 def random_lindeberg(
     family: SummandFamily, index_model: RandomIndexModel, epsilon: float
 ) -> ConditionReport:
-    """Index-averaged Lindeberg functional; the integrand is bounded by 1."""
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    values = lindeberg_values(family, index_model.support, epsilon)
-    est = index_model.expect_values(values, abs_bound=1.0)
-    err = est.truncation_error_bound + _KERNEL_RTOL * (1.0 + est.value)
-    return _report(
-        Condition.RANDOM_LINDEBERG, index_model.n, est.value, err, epsilon=epsilon
-    )
+    """Index-averaged Lindeberg functional."""
+    return _index_average(Condition.RANDOM_LINDEBERG, family, index_model, epsilon)
 
 
 def random_feller(
     family: SummandFamily, index_model: RandomIndexModel
 ) -> ConditionReport:
-    """Index-averaged Feller functional; the integrand is bounded by 1."""
-    values = feller_values(family, index_model.support)
-    est = index_model.expect_values(values, abs_bound=1.0)
-    err = est.truncation_error_bound + _KERNEL_RTOL * (1.0 + est.value)
-    return _report(Condition.RANDOM_FELLER, index_model.n, est.value, err)
+    """Index-averaged Feller functional."""
+    return _index_average(Condition.RANDOM_FELLER, family, index_model)
 
 
 def random_rotar(
     family: SummandFamily, index_model: RandomIndexModel, epsilon: float
 ) -> ConditionReport:
-    """Index-averaged comparison functional.
-
-    The integrand is dominated by the Lindeberg value (at most 1) plus the
-    full normal second moment (1), so 2 certifies the truncation.
-    """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    values = rotar_values(family, index_model.support, epsilon)
-    est = index_model.expect_values(values, abs_bound=2.0)
-    err = est.truncation_error_bound + _KERNEL_RTOL * (1.0 + est.value)
-    return _report(
-        Condition.RANDOM_ROTAR, index_model.n, est.value, err, epsilon=epsilon
-    )
+    """Index-averaged comparison functional."""
+    return _index_average(Condition.RANDOM_ROTAR, family, index_model, epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -412,11 +406,6 @@ class InequalityCheck:
 
 @dataclass(frozen=True)
 class ImplicationAudit:
-    family_kind: str
-    index_kind: str
-    n: int
-    epsilon: float
-    delta: float
     checks: tuple[InequalityCheck, ...]
 
     @property
@@ -447,68 +436,43 @@ def implication_audit(
     (d) index-averaged version of (b)
     (e) index-averaged version of (c)
 
-    Failures are reported, never raised; a check passes when its slack is no
-    smaller than the negated combined error bound.
+    (b)/(c) and (d)/(e) are one pair of checks, on Deterministic(n) and on
+    index_model.  Failures are reported, never raised; a check passes when
+    its slack is no smaller than the negated combined error bound.
     """
     lyap = lyapunov(family, n, delta)
-    lind = lindeberg(family, n, epsilon)
-    fel = feller(family, n)
-    rot = rotar(family, n, epsilon)
-    s_n = float(max_threshold_ratio(family, np.array([n]), epsilon)[0])
-    normal_tail = float(normal_tail_second_moment(s_n))
-
-    checks = [
-        _check(
-            "lindeberg_le_scaled_lyapunov",
-            lind.value,
-            epsilon ** (-delta) * lyap.value,
-            lind.error_bound + epsilon ** (-delta) * lyap.error_bound,
-        ),
-        _check(
-            "feller_le_eps2_plus_lindeberg",
-            fel.value,
-            epsilon**2 + lind.value,
-            fel.error_bound + lind.error_bound,
-        ),
-        _check(
-            "rotar_le_lindeberg_plus_normal_tail",
-            rot.value,
-            lind.value + normal_tail,
-            rot.error_bound + lind.error_bound + _KERNEL_RTOL,
-        ),
-    ]
-
-    r_lind = random_lindeberg(family, index_model, epsilon)
-    r_fel = random_feller(family, index_model)
-    r_rot = random_rotar(family, index_model, epsilon)
-    tail_vals = normal_tail_second_moment(
-        max_threshold_ratio(family, index_model.support, epsilon)
-    )
-    r_tail = index_model.expect_values(np.asarray(tail_vals), abs_bound=1.0)
-    checks.append(
-        _check(
-            "random_feller_le_eps2_plus_random_lindeberg",
-            r_fel.value,
-            epsilon**2 + r_lind.value,
-            r_fel.error_bound + r_lind.error_bound,
+    scale = epsilon ** (-delta)
+    checks = []
+    for pre, model in (("", Deterministic(n)), ("random_", index_model)):
+        lind = _index_average(Condition(pre + "lindeberg"), family, model, epsilon)
+        fel = _index_average(Condition(pre + "feller"), family, model)
+        rot = _index_average(Condition(pre + "rotar"), family, model, epsilon)
+        tail = model.expect_values(
+            normal_tail_second_moment(max_threshold_ratio(family, model.support, epsilon)),
+            abs_bound=1.0,
         )
-    )
-    checks.append(
-        _check(
-            "random_rotar_le_random_lindeberg_plus_normal_tail",
-            r_rot.value,
-            r_lind.value + r_tail.value,
-            r_rot.error_bound
-            + r_lind.error_bound
-            + r_tail.truncation_error_bound
-            + _KERNEL_RTOL,
-        )
-    )
-    return ImplicationAudit(
-        family_kind=family.kind,
-        index_kind=index_model.kind,
-        n=n,
-        epsilon=epsilon,
-        delta=delta,
-        checks=tuple(checks),
-    )
+        if not pre:
+            checks.append(_check(
+                "lindeberg_le_scaled_lyapunov",
+                lind.value,
+                scale * lyap.value,
+                lind.error_bound + scale * lyap.error_bound,
+            ))
+        checks += [
+            _check(
+                f"{pre}feller_le_eps2_plus_{pre}lindeberg",
+                fel.value,
+                epsilon**2 + lind.value,
+                fel.error_bound + lind.error_bound,
+            ),
+            _check(
+                f"{pre}rotar_le_{pre}lindeberg_plus_normal_tail",
+                rot.value,
+                lind.value + tail.value,
+                rot.error_bound
+                + lind.error_bound
+                + tail.truncation_error_bound
+                + _KERNEL_RTOL,
+            ),
+        ]
+    return ImplicationAudit(checks=tuple(checks))

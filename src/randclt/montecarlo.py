@@ -188,7 +188,7 @@ def cf_identity_check(
     for t in t_grid:
         ratio = np.where(finite, (t * t / (2.0 * b2)) * b2, 0.5 * t * t)
         terms = np.exp(-ratio)
-        mixed = float(np.sum(index_model.probs * terms))  # pairwise, fixed order
+        mixed = index_model.expect_values(terms, abs_bound=1.0).value
         devs.append(abs(mixed - math.exp(-0.5 * t * t)))
     return CfIdentityResult(
         t_grid=tuple(float(t) for t in t_grid),

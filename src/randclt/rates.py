@@ -16,10 +16,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .conditions import random_rotar
+from .conditions import random_feller, random_rotar
 from .families import SummandFamily
 from .indices import RandomIndexModel
-from .montecarlo import map_blocks, simulate
+from .montecarlo import kolmogorov_distance, map_blocks, simulate
 
 
 @dataclass(frozen=True)
@@ -327,9 +327,6 @@ def empirical_rotar_constant(
 
     Purely informational: reported by the audit, never asserted.
     """
-    from .conditions import random_feller
-    from .montecarlo import kolmogorov_distance
-
     rr = random_rotar(family, index_model, epsilon)
     rf = random_feller(family, index_model)
     d = kolmogorov_distance(simulate(family, index_model, trials, seed))

@@ -291,6 +291,18 @@ class TestConditionsCommand:
             exact = float(1 / mpmath.fsum(r**-i for i in range(10)))
         assert abs(float(row["value"]) - exact) <= float(row["error_bound"])
 
+    @pytest.mark.parametrize("family", ["rademacher", "twopoint,growth=1.01"])
+    def test_det_index_rows_match_classical_rows(self, family, capsys):
+        assert main(["conditions", "--family", family, "--index", "det",
+                     "--n-grid", "1,9,52", "--epsilon", "0.05,0.5,1"]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        by_key = {(r["condition"], r["n"], r["epsilon"]): r for r in rows}
+        classical = [r for r in rows if r["condition"] in ("lindeberg", "feller", "rotar")]
+        assert len(classical) == 3 * (1 + 2 * 3)
+        for r in classical:
+            twin = by_key["random_" + r["condition"], r["n"], r["epsilon"]]
+            assert (twin["value"], twin["error_bound"]) == (r["value"], r["error_bound"])
+
     def test_out_file_mode_follows_umask(self, tmp_path):
         out = tmp_path / "m.csv"
         old = os.umask(0o022)

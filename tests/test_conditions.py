@@ -21,8 +21,10 @@ from oracles import (
     exact_side_direct,
 )
 from randclt.conditions import (
+    _KERNEL_RTOL,
     _exact_side,
     feller,
+    feller_values,
     implication_audit,
     infinitesimality,
     lindeberg,
@@ -35,7 +37,8 @@ from randclt.conditions import (
     rotar_values,
 )
 from randclt.families import (
-    GeometricProfile, RademacherLaw, SummandFamily, make_family, parse_family,
+    BUILTIN_FAMILY_KINDS, GeometricProfile, RademacherLaw, SummandFamily, make_family,
+    parse_family,
 )
 from randclt.indices import Deterministic, ShiftedGeometric, UniformIndex, make_index
 
@@ -393,6 +396,47 @@ class TestRandomConditions:
         assert v1000 < v10
 
 
+class TestClassicalValues:
+    """The classical functionals pinned to their kernels, apart from the index path."""
+
+    @pytest.mark.parametrize("kind", BUILTIN_FAMILY_KINDS)
+    @pytest.mark.parametrize("n", [1, 9, 52, 1000])
+    def test_value_and_budget_match_kernel(self, kind, n):
+        fam = make_family(kind)
+        reps = [(feller(fam, n), feller_values(fam, np.array([n]))[0])]
+        for eps in (0.05, 0.3333333333333333, 0.7071067811865476, 1.0):
+            reps += [
+                (lindeberg(fam, n, eps), lindeberg_values(fam, np.array([n]), eps)[0]),
+                (rotar(fam, n, eps), rotar_values(fam, np.array([n]), eps)[0]),
+            ]
+        for rep, kernel_value in reps:
+            assert rep.n == n
+            assert rep.value == kernel_value
+            assert rep.error_bound == _KERNEL_RTOL * (1 + rep.value)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_n_below_one_raises(self, rademacher, n):
+        for call in (
+            lambda: lindeberg(rademacher, n, 0.5),
+            lambda: feller(rademacher, n),
+            lambda: rotar(rademacher, n, 0.5),
+        ):
+            with pytest.raises(ValueError):
+                call()
+
+    @pytest.mark.parametrize("eps", [0.0, -0.5])
+    def test_nonpositive_epsilon_raises(self, rademacher, eps):
+        model = Deterministic(4)
+        for call in (
+            lambda: lindeberg(rademacher, 4, eps),
+            lambda: rotar(rademacher, 4, eps),
+            lambda: random_lindeberg(rademacher, model, eps),
+            lambda: random_rotar(rademacher, model, eps),
+        ):
+            with pytest.raises(ValueError):
+                call()
+
+
 class TestMonotoneInEpsilon:
     EPS_GRID = (0.05, 0.1, 0.2, 0.5, 1.0)
 
@@ -429,6 +473,13 @@ class TestImplicationAudit:
         assert audit.passed
         names = [c.name for c in audit.checks]
         assert len(names) == 5 and len(set(names)) == 5
+        assert names == [
+            "lindeberg_le_scaled_lyapunov",
+            "feller_le_eps2_plus_lindeberg",
+            "rotar_le_lindeberg_plus_normal_tail",
+            "random_feller_le_eps2_plus_random_lindeberg",
+            "random_rotar_le_random_lindeberg_plus_normal_tail",
+        ]
 
     def test_all_normal_rotar_side_zero(self, geomnormal):
         audit = implication_audit(
