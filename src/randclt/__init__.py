@@ -46,11 +46,9 @@ from .montecarlo import (
 from .rates import (
     BUILTIN_TEST_FUNCTIONS,
     RateCurve,
-    SmallOCurve,
     TestFunction,
-    large_o_audit,
     make_test_function,
-    small_o_audit,
+    rate_audit,
     smooth_metric,
 )
 

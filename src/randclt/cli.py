@@ -26,12 +26,7 @@ from .indices import (
     parse_index,
 )
 from .montecarlo import cf_identity_check, kolmogorov_distance, simulate
-from .rates import (
-    empirical_rotar_constant,
-    large_o_audit,
-    make_test_function,
-    small_o_audit,
-)
+from .rates import empirical_rotar_constant, make_test_function, rate_audit
 
 CF_TOLERANCE = 1e-12  # fixed contract for the mixed-cf identity
 
@@ -282,20 +277,10 @@ def _run_rates(config: RunConfig) -> int:
     def factory(n):
         return make_index(kind, n, param, target=config.trunc_mass)
 
-    rows = []
-    if config.mode == "large-o":
-        curve = large_o_audit(
-            family, factory, f, config.n_grid, config.trials, config.seed
-        )
-        for p in curve.points:
-            ratio = p.metric / p.bound if p.bound > 0 else math.inf
-            rows.append((p.n, p.metric, p.mc_stderr, p.bound, ratio))
-    else:
-        curve = small_o_audit(
-            family, factory, f, config.n_grid, config.trials, config.seed
-        )
-        for p in curve.points:
-            rows.append((p.n, p.metric, p.mc_stderr, p.inv_b_expectation, p.ratio))
+    curve = rate_audit(
+        family, factory, f, config.n_grid, config.trials, config.seed, config.mode
+    )
+    rows = [(p.n, p.metric, p.mc_stderr, p.bound, p.ratio) for p in curve.points]
     _emit(config, _csv(("n", "metric", "mc_stderr", "bound", "ratio"), rows))
     return 0
 
@@ -328,6 +313,7 @@ def _run_audit(config: RunConfig) -> int:
     all_passed = cf_passed
     for n in config.n_grid:
         model = make_index(kind, n, param, target=config.trunc_mass)
+        d_hat = None  # one draw per n, after its first audit
         for eps in config.epsilon_grid:
             audit = cond.implication_audit(family, model, n, eps, config.delta)
             entry = {
@@ -337,9 +323,11 @@ def _run_audit(config: RunConfig) -> int:
                 "passed": audit.passed,
             }
             if config.trials >= 1:
-                entry["empirical_constant"] = empirical_rotar_constant(
-                    family, model, eps, config.trials, config.seed
-                )
+                if d_hat is None:
+                    d_hat = kolmogorov_distance(
+                        simulate(family, model, config.trials, config.seed)
+                    ).d_hat
+                entry["empirical_constant"] = empirical_rotar_constant(audit, d_hat)
             configs.append(entry)
             all_passed = all_passed and audit.passed
     payload = {
@@ -376,7 +364,7 @@ def run(config: RunConfig) -> int:
         return 0
     try:
         return _RUNNERS[config.subcommand](config)
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, OverflowError, RuntimeError, OSError) as exc:
         print(f"randclt: error: {exc}", file=sys.stderr)
         return 1
 

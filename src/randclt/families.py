@@ -603,10 +603,16 @@ def parse_family(spec: str) -> SummandFamily:
 
 
 def family_spec_string(family: SummandFamily) -> str:
-    """Inverse of parse_family for --print-config round trips."""
+    """Inverse of parse_family, written into the JSON outputs.
+
+    Each parameter is its shortest round-trip repr, with a trailing '.0'
+    dropped, so parse_family reads back the same floats.
+    """
     if not family.params:
         return family.kind
-    items = ",".join(f"{k}={v:g}" for k, v in sorted(family.params.items()))
+    items = ",".join(
+        f"{k}={v!r}".removesuffix(".0") for k, v in sorted(family.params.items())
+    )
     return f"{family.kind},{items}"
 
 

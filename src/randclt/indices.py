@@ -453,7 +453,10 @@ def make_index(
 
 
 def parse_index(spec: str):
-    """Parse '[index=]<kind>[:<param>]' into (kind, param or None)."""
+    """Parse '[index=]<kind>[:<param>]' into (kind, param or None).
+
+    param must be finite, and integral for det and uniform.
+    """
     spec = spec.strip()
     if spec.startswith("index="):
         spec = spec[len("index="):]
@@ -464,10 +467,16 @@ def parse_index(spec: str):
     if not sep:
         return kind, None
     try:
-        return kind, float(raw)
+        param = float(raw)
     except ValueError as exc:
         raise IndexConfigError(f"non-numeric index parameter in {spec!r}") from exc
+    if not math.isfinite(param):
+        raise IndexConfigError(f"index parameter must be finite: {spec!r}")
+    if kind in ("det", "uniform") and not param.is_integer():
+        raise IndexConfigError(f"{kind} index parameter must be an integer: {spec!r}")
+    return kind, param
 
 
 def index_spec_string(kind: str, param: float | None) -> str:
-    return kind if param is None else f"{kind}:{param:g}"
+    """Inverse of parse_index: the parameter as its shortest round-trip repr."""
+    return kind if param is None else f"{kind}:{param!r}".removesuffix(".0")

@@ -2,10 +2,10 @@
 
 The metric |E f(S/B) - E f(Z)| is estimated by Monte Carlo against the exact
 E f(Z) each test function carries; rate audits compare it per n with the
-index-averaged bound shapes E[B^-(1+alpha)] (large-O) and E[B^-1] (small-o).
-The large-O multiplicative constant is fitted on the first half of the grid
-from the points above the Monte Carlo noise floor (4 standard errors), never
-asserted.
+index-averaged bound shape of one of two modes, E[B^-(1+alpha)] (large-O) or
+E[B^-1] (small-o), in one rate audit.  The large-O multiplicative constant is
+fitted on the first half of the grid from the points above the Monte Carlo
+noise floor (4 standard errors), never asserted.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .conditions import random_feller, random_rotar
+from .conditions import ImplicationAudit
 from .families import SummandFamily
 from .indices import RandomIndexModel
-from .montecarlo import kolmogorov_distance, map_blocks, simulate
+from .montecarlo import map_blocks
 
 
 @dataclass(frozen=True)
@@ -157,32 +157,49 @@ class RatePoint:
     metric: float
     mc_stderr: float
     bound: float
-    flagged: bool
+
+    @property
+    def ratio(self) -> float:
+        return self.metric / self.bound if self.bound > 0 else math.inf
+
+    @property
+    def flagged(self) -> bool:
+        return self.metric > self.bound + 4.0 * self.mc_stderr
 
 
 @dataclass(frozen=True)
 class RateCurve:
     points: tuple
-    bound_order: float
 
     @property
     def all_within_bound(self) -> bool:
         return not any(p.flagged for p in self.points)
 
+    @property
+    def bound_order(self) -> float:
+        """Least-squares slope of log bound against log n over the positive bounds."""
+        ns = np.array([p.n for p in self.points], dtype=float)
+        ys = np.array([p.bound for p in self.points])
+        keep = ys > 0.0
+        if keep.sum() < 2:
+            return math.nan
+        return float(np.polyfit(np.log(ns[keep]), np.log(ys[keep]), 1)[0])
+
+    def ratios_decreasing(self, z: float = 4.0) -> bool:
+        """Strict decrease of the ratio column beyond z propagated stderrs."""
+        for a, b in zip(self.points[:-1], self.points[1:]):
+            noise = math.hypot(a.mc_stderr / a.bound, b.mc_stderr / b.bound)
+            if not a.ratio - b.ratio > z * noise:
+                return False
+        return True
+
+    def statistically_zero(self, z: float = 4.0) -> bool:
+        return all(p.metric <= z * p.mc_stderr for p in self.points)
+
 
 # Smallest shape held to full precision: the terms that underflow lose at most
 # 2^-1022 in all (their probabilities sum to at most 1), one ulp of 2^-970.
 _MIN_SHAPE = 2.0**-970
-
-
-def _loglog_order(ns, ys):
-    """Least-squares slope of log ys against log ns over the positive ys."""
-    ns = np.asarray(ns, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    keep = ys > 0.0
-    if keep.sum() < 2:
-        return math.nan
-    return float(np.polyfit(np.log(ns[keep]), np.log(ys[keep]), 1)[0])
 
 
 def _mean_inv_b_power(family, model, power):
@@ -204,131 +221,75 @@ def _mean_inv_b_power(family, model, power):
     return est
 
 
-def large_o_audit(
+def _fitted_constant(metrics, shapes):
+    """Least-squares constant from the first half of the grid above the noise
+    floor; 1 where no point qualifies or the fit is not positive."""
+    y = np.array([m.metric for m in metrics])
+    b = np.array(shapes)
+    keep = y > 4.0 * np.array([m.mc_stderr for m in metrics])
+    keep[max(1, (len(y) + 1) // 2):] = False
+    if not keep.any():
+        return 1.0
+    y, b = y[keep], b[keep]
+    return max(float(np.dot(y, b) / np.dot(b, b)), 0.0) or 1.0
+
+
+def rate_audit(
     family: SummandFamily,
     index_at: Callable[[int], RandomIndexModel],
     f: TestFunction,
     n_grid,
     trials: int,
     seed: int,
+    mode: str,
 ) -> RateCurve:
-    """Compare the metric per n against the fitted O(E[B^-(1+alpha)]) shape.
+    """Compare the metric per n with the index-averaged bound shape of mode.
 
-    The multiplicative constant is least-squares fitted on the first half of
-    the grid using only points above the noise floor; with no such points it
-    defaults to 1 so the bound column still carries the theoretical shape.
+    large-o: constant * E[B^-(1+alpha)] for a test function whose derivative
+    has modulus omega(f'; h) <= K h^alpha.  The constant is fitted on the
+    first half of the grid from the points above the noise floor, so the
+    bound column still carries the theoretical shape when there are none.
+    small-o: E[B^-1] itself (constant 1), so the ratio column is
+    metric / E[B^-1], which is o(1) under the randomized Rotar condition;
+    restricted to derivative sup norm at least 1, the normalization the
+    o(E[B^-1]) argument hinges on.
     """
-    if f.lipschitz is None:
-        raise ValueError("large-O audit requires a Lipschitz test function")
-    alpha, _ = f.lipschitz
+    if mode == "large-o":
+        if f.lipschitz is None:
+            raise ValueError("large-O audit requires a Lipschitz test function")
+        power = 1.0 + f.lipschitz[0]
+    elif mode == "small-o":
+        if f.derivative_sup_norm < 1.0 - 1e-12:
+            raise ValueError(
+                "small-o audit requires derivative sup norm >= 1 "
+                f"(got {f.derivative_sup_norm})"
+            )
+        power = 1.0
+    else:
+        raise ValueError(f"unknown rate mode {mode!r}; modes: large-o, small-o")
     ns = [int(n) for n in n_grid]
-    metrics, stderrs, shapes = [], [], []
+    metrics, shapes = [], []
     for n in ns:
         model = index_at(n)
-        sm = smooth_metric(family, model, f, trials, seed)
-        metrics.append(sm.metric)
-        stderrs.append(sm.mc_stderr)
-        shapes.append(_mean_inv_b_power(family, model, 1.0 + alpha).value)
-    metrics = np.array(metrics)
-    stderrs = np.array(stderrs)
-    shapes = np.array(shapes)
-    eligible = metrics > 4.0 * stderrs
-    half = max(1, (len(ns) + 1) // 2)
-    fit_mask = eligible.copy()
-    fit_mask[half:] = False
-    if fit_mask.any():
-        b = shapes[fit_mask]
-        constant = float(np.dot(metrics[fit_mask], b) / np.dot(b, b))
-        constant = max(constant, 0.0) or 1.0
-    else:
-        constant = 1.0
-    bounds = constant * shapes
-    flags = metrics > bounds + 4.0 * stderrs
-    points = tuple(
-        RatePoint(
-            n=ns[i], metric=float(metrics[i]), mc_stderr=float(stderrs[i]),
-            bound=float(bounds[i]), flagged=bool(flags[i]),
-        )
-        for i in range(len(ns))
-    )
-    return RateCurve(points=points, bound_order=_loglog_order(ns, bounds))
+        metrics.append(smooth_metric(family, model, f, trials, seed))
+        shapes.append(_mean_inv_b_power(family, model, power).value)
+    constant = _fitted_constant(metrics, shapes) if mode == "large-o" else 1.0
+    return RateCurve(points=tuple(
+        RatePoint(n=n, metric=m.metric, mc_stderr=m.mc_stderr, bound=constant * s)
+        for n, m, s in zip(ns, metrics, shapes)
+    ))
 
 
-@dataclass(frozen=True)
-class SmallOPoint:
-    n: int
-    metric: float
-    mc_stderr: float
-    inv_b_expectation: float
-    ratio: float
-    ratio_stderr: float
-
-
-@dataclass(frozen=True)
-class SmallOCurve:
-    points: tuple
-
-    def ratios_decreasing(self, z: float = 4.0) -> bool:
-        """Strict decrease of the ratio column beyond z propagated stderrs."""
-        for a, b in zip(self.points[:-1], self.points[1:]):
-            gap = a.ratio - b.ratio
-            noise = math.hypot(a.ratio_stderr, b.ratio_stderr)
-            if not gap > z * noise:
-                return False
-        return True
-
-    def statistically_zero(self, z: float = 4.0) -> bool:
-        return all(p.metric <= z * p.mc_stderr for p in self.points)
-
-
-def small_o_audit(
-    family: SummandFamily,
-    index_at: Callable[[int], RandomIndexModel],
-    f: TestFunction,
-    n_grid,
-    trials: int,
-    seed: int,
-) -> SmallOCurve:
-    """Track r(n) = metric / E[B^-1], o(1) under the randomized Rotar condition.
-
-    Restricted to test functions with derivative sup norm at least 1 (the
-    normalization the o(E[B^-1]) argument hinges on).
-    """
-    if f.derivative_sup_norm < 1.0 - 1e-12:
-        raise ValueError(
-            "small-o audit requires derivative sup norm >= 1 "
-            f"(got {f.derivative_sup_norm})"
-        )
-    points = []
-    for n in n_grid:
-        model = index_at(int(n))
-        sm = smooth_metric(family, model, f, trials, seed)
-        inv_b = _mean_inv_b_power(family, model, 1.0).value
-        points.append(
-            SmallOPoint(
-                n=int(n), metric=sm.metric, mc_stderr=sm.mc_stderr,
-                inv_b_expectation=inv_b,
-                ratio=sm.metric / inv_b,
-                ratio_stderr=sm.mc_stderr / inv_b,
-            )
-        )
-    return SmallOCurve(points=tuple(points))
-
-
-def empirical_rotar_constant(
-    family: SummandFamily,
-    index_model: RandomIndexModel,
-    epsilon: float,
-    trials: int,
-    seed: int,
-) -> float:
+def empirical_rotar_constant(audit: ImplicationAudit, d_hat: float) -> float:
     """Ratio estimate of the unspecified constant linking the comparison
     functional to the CLT distance plus the maximal variance share.
 
-    Purely informational: reported by the audit, never asserted.
+    The randomized Rotar and Feller values are the left-hand sides of the
+    audit's checks (e) and (d); d_hat is the Kolmogorov distance of one
+    simulation at the audit's index model.  Purely informational: reported
+    by the audit, never asserted.
     """
-    rr = random_rotar(family, index_model, epsilon)
-    rf = random_feller(family, index_model)
-    d = kolmogorov_distance(simulate(family, index_model, trials, seed))
-    denom = d.d_hat + rf.value
-    return rr.value / denom if denom > 0 else math.inf
+    lhs = {c.name: c.lhs for c in audit.checks}
+    denom = d_hat + lhs["random_feller_le_eps2_plus_random_lindeberg"]
+    rotar = lhs["random_rotar_le_random_lindeberg_plus_normal_tail"]
+    return rotar / denom if denom > 0 else math.inf

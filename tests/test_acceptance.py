@@ -28,7 +28,7 @@ from randclt.indices import (
     make_index,
 )
 from randclt.montecarlo import cf_identity_check, kolmogorov_distance, simulate
-from randclt.rates import large_o_audit, make_test_function, small_o_audit
+from randclt.rates import make_test_function, rate_audit
 
 SEED = 20260808
 DKW_BAND_1E5 = 0.00617
@@ -163,10 +163,10 @@ def test_criterion_5_random_rotar_clt_forward():
 
 def test_criterion_6_large_o_rate_shape():
     fam = make_family("rademacher")
-    curve = large_o_audit(
+    curve = rate_audit(
         fam, lambda n: make_index("det", n), make_test_function("sin"),
         (4, 16, 64, 256, 1024),
-        1_000_000, seed=SEED,
+        1_000_000, seed=SEED, mode="large-o",
     )
     within = curve.all_within_bound
     order_ok = abs(curve.bound_order - (-1.0)) <= 0.02
@@ -186,9 +186,9 @@ def test_criterion_6_large_o_rate_shape():
 def test_criterion_7_small_o_ratio():
     fam = make_family("rademacher")
     bump = make_test_function("bump")
-    curve = small_o_audit(
+    curve = rate_audit(
         fam, lambda n: make_index("geometric", n), bump, (10, 100, 1000),
-        8_000_000, seed=SEED,
+        8_000_000, seed=SEED, mode="small-o",
     )
     for n in (10, 100, 1000):
         _record(
@@ -198,9 +198,9 @@ def test_criterion_7_small_o_ratio():
     decreasing = curve.ratios_decreasing(4.0)
 
     nrm = make_family("normal")
-    curve_normal = small_o_audit(
+    curve_normal = rate_audit(
         nrm, lambda n: make_index("geometric", n), bump, (10, 100, 1000),
-        100_000, seed=SEED,
+        100_000, seed=SEED, mode="small-o",
     )
     ratios = [p.ratio for p in curve.points]
     _report(

@@ -8,6 +8,7 @@ import re
 import resource
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import mpmath
@@ -16,7 +17,9 @@ import pytest
 import randclt
 
 from oracles import poisson_outside_mass
+from randclt import conditions, montecarlo
 from randclt.cli import UsageError, main, parse_args, run
+from randclt.families import parse_family
 from randclt.indices import make_index
 from randclt.schema import SchemaError, load_schema, validate
 
@@ -163,6 +166,11 @@ class TestParsing:
         ["rates", "--trials", "10", "--alpha", "5"],
         ["rates", "--trials", "10", "--alpha", "-3"],
         ["rates", "--trials", "10", "--alpha", "nan"],
+        # det:5.7 ran det:5, uniform:3.9 ran m = 3, det:inf raised OverflowError
+        *(["cf-check", "--index", index] for index in (
+            "det:5.7", "uniform:3.9", "det:inf", "uniform:inf", "det:nan", "poisson:nan",
+            "geometric:-inf",
+        )),
     ])
     def test_non_finite_or_out_of_range_flag_exits_one(self, argv, capsys):
         assert main(argv) == 1
@@ -280,6 +288,16 @@ class TestConditionsCommand:
         assert f"{index.split(':')[0]} index" in err and "past the cap" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--index", "det:1e300"], ["--index", "det", "--n-grid", "100000000000000000000"],
+    ])
+    def test_index_past_int64_exits_one_without_output(self, argv, tmp_path, capsys):
+        # numpy's int64 support raised OverflowError, which ended in a traceback
+        out = tmp_path / "c.csv"
+        assert main(["conditions", *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("randclt: error: ")
+        assert not out.exists()
+
     def test_feller_near_ratio_one_within_its_bound(self, capsys):
         # max share = 1 / sum_{i<10} r^-i = 0.1 + 4.5e-10: cancellation-prone
         assert main(["conditions", "--family", "twopoint,growth=1.000000001",
@@ -364,6 +382,24 @@ class TestRatesCommand:
                      "--epsilon", "0.5", "--trials", "2000", "--out", str(out)]) == 0
         assert out.read_text().splitlines()[0] == "n,metric,mc_stderr,bound,ratio"
 
+    @pytest.mark.parametrize("mode", ["large-o", "small-o"])
+    def test_every_row_holds_ratio_and_bound(self, mode, tmp_path):
+        out = tmp_path / "r.csv"
+        assert main(["rates", "--mode", mode, "--family", "rademacher",
+                     "--index", "geometric", "--fn", "bump", "--n-grid", "5,25,125",
+                     "--trials", "20000", "--seed", "3", "--out", str(out)]) == 0
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["n"]) for r in rows] == [5, 25, 125]
+        for r in rows:
+            metric, bound, ratio = (float(r[k]) for k in ("metric", "bound", "ratio"))
+            assert ratio == metric / bound
+            if mode == "small-o":
+                # rademacher: B_k = sqrt(k), so the bound is E[index^-1/2]
+                model = make_index("geometric", int(r["n"]))
+                inv_b = model.expect_values(model.support ** -0.5, abs_bound=1.0)
+                assert bound == pytest.approx(inv_b.value, rel=1e-13)
+
     def test_underflowing_bound_shape_exits_one_without_output(self, tmp_path, capsys):
         # E[B^-2] at n = 2000 is ~2^-2000: refused, never written as a 0.0 bound
         out = tmp_path / "r.csv"
@@ -387,6 +423,15 @@ class TestCfCheckCommand:
         assert main(["cf-check", "--family", "rademacher", "--index", "poisson:7"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["max_deviation"] <= 1e-12
+
+    def test_family_and_index_strings_parse_back(self, capsys):
+        # :g formatting wrote growth=1, which the parser rejects
+        assert main(["cf-check", "--family", "twopoint,growth=1.000001",
+                     "--index", "geometric:0.00012345678", "--t-grid", "0,1"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["family"] == "twopoint,growth=1.000001"
+        assert parse_family(payload["family"]).params == {"growth": 1.000001}
+        assert payload["index"] == "geometric:0.00012345678"
 
     def test_poisson_large_n_passes(self, capsys):
         # the identity holds to the tail mass, so the tail must be the true one
@@ -433,6 +478,30 @@ class TestAuditCommand:
         payload = json.loads(capsys.readouterr().out)
         assert "empirical_constant" in payload["configs"][0]
         assert payload["configs"][0]["empirical_constant"] >= 0.0
+
+    def test_each_functional_evaluated_once(self, monkeypatch, capsys):
+        # the empirical constant reads the audit's own randomized Rotar and
+        # Feller values and one draw per n, shared by every epsilon
+        calls = Counter()
+        real_draw, real_average = montecarlo.map_blocks, conditions._index_average
+
+        def draw(*args, **kwargs):
+            calls["draw"] += 1
+            return real_draw(*args, **kwargs)
+
+        def average(cond, *args, **kwargs):
+            calls[cond.value] += 1
+            return real_average(cond, *args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "map_blocks", draw)
+        monkeypatch.setattr(conditions, "_index_average", average)
+        assert main(["audit", "--family", "twopoint,growth=1.001", "--index", "geometric",
+                     "--n-grid", "10,100", "--epsilon", "0.1,0.5", "--trials", "1000"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert all("empirical_constant" in c for c in payload["configs"])
+        assert calls["draw"] == 2  # one simulate per n
+        assert calls["random_rotar"] == 4  # one per (n, epsilon)
+        assert calls["random_feller"] == 4
 
 
 class TestBlasThreads:

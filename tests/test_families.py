@@ -6,7 +6,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 from scipy.integrate import quad
@@ -20,6 +20,7 @@ from randclt.families import (
     FamilyConfigError,
     GeometricProfile,
     UniformLaw,
+    family_spec_string,
     make_family,
     parse_family,
 )
@@ -423,3 +424,21 @@ class TestParsing:
     def test_non_numeric_parameter(self):
         with pytest.raises(FamilyConfigError):
             parse_family("normal,sigma=big")
+
+    @given(
+        key=st.sampled_from(["normal,sigma", "geomnormal,ratio", "twopoint,growth"]),
+        value=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    )
+    @example(key="twopoint,growth", value=1.000001)
+    @example(key="normal,sigma", value=2.5)
+    def test_spec_string_round_trips(self, key, value):
+        kind, name = key.split(",")
+        assume(value != 1.0 or kind == "normal")  # a geometric profile needs ratio != 1
+        fam = make_family(kind, **{name: value})
+        back = parse_family(family_spec_string(fam))
+        assert (back.kind, back.params) == (fam.kind, fam.params)
+
+    def test_default_spec_strings_keep_their_bytes(self):
+        specs = [family_spec_string(make_family(k)) for k in BUILTIN_FAMILY_KINDS]
+        assert specs == ["rademacher", "uniform", "normal,sigma=1", "geomnormal,ratio=2",
+                         "twopoint,growth=2", "expcentered"]

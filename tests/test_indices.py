@@ -22,6 +22,7 @@ from randclt.indices import (
     UniformIndex,
     _log_pmf,
     _stirlerr,
+    index_spec_string,
     make_index,
     parse_index,
 )
@@ -325,6 +326,18 @@ class TestParsing:
     def test_non_numeric_param(self):
         with pytest.raises(IndexConfigError):
             parse_index("poisson:many")
+
+    @given(
+        kind=st.sampled_from(["det", "poisson", "geometric", "uniform"]),
+        param=st.floats(allow_nan=False, allow_infinity=False),
+    )
+    @example(kind="geometric", param=0.00012345678)
+    @example(kind="det", param=5.0)
+    @example(kind="poisson", param=1e6)
+    def test_spec_string_round_trips(self, kind, param):
+        if kind in ("det", "uniform"):
+            param = float(math.floor(param))
+        assert parse_index(index_spec_string(kind, param)) == (kind, param)
 
     def test_make_index_defaults(self):
         assert make_index("det", 42).n == 42

@@ -17,9 +17,8 @@ from randclt.rates import TestFunction as FnSpec
 from randclt.rates import (
     BUILTIN_TEST_FUNCTIONS,
     empirical_rotar_constant,
-    large_o_audit,
     make_test_function,
-    small_o_audit,
+    rate_audit,
     smooth_metric,
 )
 
@@ -197,16 +196,18 @@ class TestLargeOAudit:
     def test_bound_order_iid_deterministic(self):
         # closed form B_n = sqrt(n): the bound column scales as n^-(1+alpha)/2
         fam = make_family("rademacher")
-        curve = large_o_audit(
-            fam, _at("det"), make_test_function("sin"), (4, 16, 64, 256), 50_000, seed=SEED
+        curve = rate_audit(
+            fam, _at("det"), make_test_function("sin"), (4, 16, 64, 256), 50_000, seed=SEED,
+            mode="large-o",
         )
         assert curve.bound_order == pytest.approx(-1.0, abs=0.01)
         assert curve.all_within_bound
 
     def test_all_normal_metric_statistically_zero(self):
         fam = make_family("normal")
-        curve = large_o_audit(
-            fam, _at("poisson"), make_test_function("sin"), (10, 100), 100_000, seed=SEED
+        curve = rate_audit(
+            fam, _at("poisson"), make_test_function("sin"), (10, 100), 100_000, seed=SEED,
+            mode="large-o",
         )
         for p in curve.points:
             assert p.metric <= 4.0 * p.mc_stderr
@@ -219,7 +220,8 @@ class TestLargeOAudit:
             lipschitz=None,
         )
         with pytest.raises(ValueError):
-            large_o_audit(make_family("rademacher"), _at("det"), plain, (4,), 10, seed=1)
+            rate_audit(make_family("rademacher"), _at("det"), plain, (4,), 10, seed=1,
+                       mode="large-o")
 
 
 class TestSmallOAudit:
@@ -232,7 +234,7 @@ class TestSmallOAudit:
         )
         fam = make_family("rademacher")
         with pytest.raises(ValueError):
-            small_o_audit(fam, _at("det"), weak, (4,), 10, seed=1)
+            rate_audit(fam, _at("det"), weak, (4,), 10, seed=1, mode="small-o")
 
     def test_evaluates_no_randomized_functional(self, monkeypatch):
         # the CSV holds the metric and E[B^-1] only; near ratio 1 one
@@ -240,28 +242,65 @@ class TestSmallOAudit:
         def refuse(*args, **kwargs):
             raise AssertionError("small-o audit evaluated random_rotar")
 
-        monkeypatch.setattr(randclt.rates, "random_rotar", refuse)
+        monkeypatch.setattr(randclt.conditions, "_index_average", refuse)
         monkeypatch.setattr(randclt.conditions, "random_rotar", refuse)
-        curve = small_o_audit(
+        curve = rate_audit(
             make_family("twopoint", growth=1.001), _at("geometric"),
-            make_test_function("bump"), (10, 100), 1000, seed=SEED,
+            make_test_function("bump"), (10, 100), 1000, seed=SEED, mode="small-o",
         )
         assert [p.n for p in curve.points] == [10, 100]
 
     def test_all_normal_statistically_zero(self):
         fam = make_family("normal")
-        curve = small_o_audit(
+        curve = rate_audit(
             fam, _at("geometric"), make_test_function("bump"),
-            (10, 100, 1000), 100_000, seed=SEED,
+            (10, 100, 1000), 100_000, seed=SEED, mode="small-o",
         )
         assert curve.statistically_zero(4.0)
 
 
+class TestRateAudit:
+    def test_modes_share_the_metric_and_differ_in_the_bound(self):
+        fam, f = make_family("rademacher"), make_test_function("bump")
+        large, small = (
+            rate_audit(fam, _at("geometric"), f, (5, 50, 500), 20_000, SEED, mode=m)
+            for m in ("large-o", "small-o")
+        )
+        for p, q in zip(large.points, small.points):
+            assert (p.n, p.metric, p.mc_stderr) == (q.n, q.metric, q.mc_stderr)
+            model = make_index("geometric", p.n)
+            # small-o's constant is exactly 1: the bound is E[B^-1] to the bit
+            b1 = np.exp(-0.5 * fam.profile.log_b_squared(model.support.astype(float)))
+            assert q.bound == model.expect_values(b1, abs_bound=1.0).value
+            assert q.ratio == q.metric / q.bound
+        # large-o's constant multiplies E[B^-2] = E[1/index] here (B_k^2 = k)
+        shapes = [make_index("geometric", p.n) for p in large.points]
+        shapes = [m.expect_values(1.0 / m.support, abs_bound=1.0).value for m in shapes]
+        consts = [p.bound / s for p, s in zip(large.points, shapes)]
+        assert consts == pytest.approx([consts[0]] * 3, rel=1e-12)
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown rate mode"):
+            rate_audit(make_family("rademacher"), _at("det"), make_test_function("sin"),
+                       (4,), 10, seed=1, mode="medium-o")
+
+    def test_zero_bound_reads_infinite_ratio(self):
+        p = randclt.rates.RatePoint(n=1, metric=0.5, mc_stderr=0.1, bound=0.0)
+        assert p.ratio == math.inf
+        assert p.flagged
+
+
 class TestEmpiricalConstant:
     def test_finite_and_positive(self):
-        fam = make_family("rademacher")
-        c = empirical_rotar_constant(
-            fam, make_index("geometric", 50), 0.5, 20_000, SEED
-        )
+        fam, model = make_family("rademacher"), make_index("geometric", 50)
+        audit = randclt.conditions.implication_audit(fam, model, 50, 0.5, 1.0)
+        d_hat = montecarlo.kolmogorov_distance(
+            montecarlo.simulate(fam, model, 20_000, SEED)
+        ).d_hat
+        c = empirical_rotar_constant(audit, d_hat)
         assert math.isfinite(c)
         assert c >= 0.0
+        # the audit's lhs values are the randomized functionals, to the bit
+        rr = randclt.conditions.random_rotar(fam, model, 0.5).value
+        rf = randclt.conditions.random_feller(fam, model).value
+        assert c == rr / (d_hat + rf)
