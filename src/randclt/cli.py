@@ -42,6 +42,8 @@ def _int_list(raw: str) -> tuple:
         raise argparse.ArgumentTypeError(f"expects comma-separated integers: {raw!r}")
     if not values or any(v < 1 for v in values):
         raise argparse.ArgumentTypeError(f"entries must be positive integers: {raw!r}")
+    if any(v >= 2**63 for v in values):  # numpy's int64 holds every index
+        raise argparse.ArgumentTypeError(f"entries must be below 2^63: {raw!r}")
     return values
 
 
@@ -157,13 +159,14 @@ def _validate(config: RunConfig) -> None:
         raise UsageError(f"--trials must be nonnegative: {config.trials}")
     if not 0 <= config.seed < 2**64:
         raise UsageError(f"--seed must lie in [0, 2^64): {config.seed}")
-    try:
-        parse_family(config.family)
-        parse_index(config.index)
-        if config.subcommand == "rates":
-            make_test_function(config.fn_id)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    specs = [("--family", parse_family, config.family), ("--index", parse_index, config.index)]
+    if config.subcommand == "rates":
+        specs.append(("--fn", make_test_function, config.fn_id))
+    for flag, parse, spec in specs:
+        try:
+            parse(spec)
+        except ValueError as exc:
+            raise UsageError(f"{flag}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,13 @@ from .gaussian import (
     piecewise,
     upper_x_sf_integral,
 )
+from .indices import _STIRLERR
 
 _SQRT3 = math.sqrt(3.0)
 _LN2 = math.log(2.0)
+_LN_2PI = math.log(2.0 * math.pi)
+# series terms of _two_kl_half: 0.49^48 / (48 * 95) is below 2^-60
+_KL_TERMS = 48
 # Summand matrix size per draw in batch_normalized_sums; bounds its memory.
 _MAX_DRAW_ENTRIES = 1 << 16
 # Summands one trial may draw (the length of its weights), past which a
@@ -85,9 +89,12 @@ class Law:
     def sample(self, rng: np.random.Generator, size=None):
         raise NotImplementedError
 
-    def batch_sums(self, rng: np.random.Generator, ks: np.ndarray):
-        """Vectorized draws of S_k for an array of counts, or None.
+    def batch_sums(self, rng: np.random.Generator, ks, size: Optional[int] = None):
+        """Vectorized draws of S_k, one per trial, or None.
 
+        ks is an array of counts, one per trial, or one count shared by all
+        `size` trials (a det index), which numpy draws with a scalar shape:
+        the same values as the array, with no per-trial shape to read.
         Only laws whose k-fold sum has an exactly samplable distribution
         provide this; it is the Monte Carlo fast path.
         """
@@ -145,21 +152,22 @@ class RademacherLaw(Law):
     def sample(self, rng, size=None):
         return rng.integers(0, 2, size=size) * 2.0 - 1.0
 
-    def batch_sums(self, rng, ks):
+    def batch_sums(self, rng, ks, size=None):
         # S_k = 2 H - k, H ~ Binomial(k, 1/2).  For k <= 64, H counts the set
         # bits among the top k of one raw word; those words are drawn first,
         # in trial order, then the binomials of the larger k.  A count over
         # several words is slower than the binomial sampler.
         ks = np.asarray(ks, dtype=np.int64)
+        size = len(ks) if size is None else size
         small = ks <= _WORD_BITS
         # a block on one side of 64 skips the masked copies (~2x at k = 16)
         if small.all():
-            heads = _top_bit_counts(rng, ks).astype(np.int64)
+            heads = _top_bit_counts(rng, ks, size).astype(np.int64)
         elif not small.any():
-            heads = rng.binomial(ks, 0.5)
+            heads = rng.binomial(ks, 0.5, size)
         else:
             heads = np.empty(len(ks), dtype=np.int64)
-            heads[small] = _top_bit_counts(rng, ks[small])
+            heads[small] = _top_bit_counts(rng, ks[small], int(small.sum()))
             big = ~small
             heads[big] = rng.binomial(ks[big], 0.5)
         heads *= 2
@@ -167,11 +175,68 @@ class RademacherLaw(Law):
         return heads
 
 
-def _top_bit_counts(rng, ks):
-    """Set bits among the top k bits of one raw 64-bit word per k <= 64."""
-    words = rng.bit_generator.random_raw(len(ks))
+def _top_bit_counts(rng, ks, size):
+    """Set bits among the top k bits of one raw 64-bit word per trial, k <= 64."""
+    words = rng.bit_generator.random_raw(size)
     words >>= (_WORD_BITS - ks).view(np.uint64)
     return np.bitwise_count(words)
+
+
+def half_binomial_pmf(k, h):
+    """P(H = h) for H ~ Binomial(k, 1/2), elementwise over integers 0 <= h <= k.
+
+    Loader's saddle-point form, as R's dbinom: log p is stirlerr(k) -
+    stirlerr(h) - stirlerr(k - h) - k KL(h/k || 1/2) - log(2 pi h (k - h)
+    / k) / 2, whose terms do not cancel.  Against exact integer ratios, p
+    is within 4e-13 relative wherever that is a normal float (the worst
+    seen over every cell of k < 400 and rows up to k = 2^17); the end
+    cells h = 0 and h = k are 2^-k exactly.  No log of 0 is taken.
+    """
+    k = np.asarray(k, dtype=np.int64)
+    h = np.asarray(h, dtype=np.int64)
+    p = np.ldexp(1.0, -k)
+    inner = (h > 0) & (h < k)
+    n, x = k[inner].astype(float), h[inner].astype(float)
+    log_p = _stirlerr(n) - _stirlerr(x) - _stirlerr(n - x)
+    log_p -= 0.5 * (_LN_2PI + np.log(x) + np.log1p(-x / n))
+    log_p -= 0.5 * n * _two_kl_half(x, n)  # the one large term, rounded once
+    p[inner] = np.exp(log_p)
+    return p
+
+
+def _stirlerr(n):
+    """log(n!) - (n + 1/2) log(n) + n - log(2 pi) / 2 for integer n >= 1 (Loader).
+
+    The table below 16, and the five-term series above it, where its error
+    is below 1e-17.
+    """
+    table = n <= 15
+    nn = n * n
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - (1 / 1188) / nn) / nn) / nn) / nn) / n
+    series[table] = np.take(_STIRLERR, n[table].astype(np.int64))
+    return series
+
+
+def _two_kl_half(x, n):
+    """2 KL(x/n || 1/2) = (1 + d) log(1 + d) + (1 - d) log(1 - d), d = (2x - n) / n.
+
+    For |d| <= 0.7 by its series, the sum of u^m / (m (2m - 1)) with
+    u = d^2, whose terms are positive and fall by u each: _KL_TERMS of
+    them, by Horner's rule from the smallest, leave out less than 2^-60 of
+    the sum.  Beyond, the two logs cancel by at most 2.3x.  Loader's bd0
+    form, x log(x / mu) + mu - x, loses ~1e-12 of the pmf near |d| = 0.2
+    at k = 3e4.
+    """
+    a, b = 2.0 * x / n, 2.0 * (n - x) / n
+    out = a * np.log(a) + b * np.log(b)
+    near = np.abs(2.0 * x - n) <= 0.7 * n
+    u = np.square(2.0 * x[near] - n[near]) / np.square(n[near])  # one rounding
+    s = np.full_like(u, 1.0 / (_KL_TERMS * (2 * _KL_TERMS - 1)))
+    for m in range(_KL_TERMS - 1, 0, -1):
+        s *= u
+        s += 1.0 / (m * (2 * m - 1))
+    out[near] = s * u
+    return out
 
 
 def _uniform_antideriv(z):
@@ -345,8 +410,8 @@ class CenteredExponentialLaw(Law):
     def sample(self, rng, size=None):
         return rng.standard_exponential(size) - 1.0
 
-    def batch_sums(self, rng, ks):
-        return rng.standard_gamma(ks) - ks
+    def batch_sums(self, rng, ks, size=None):
+        return rng.standard_gamma(ks, size) - ks
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +567,8 @@ class SummandFamily:
 
         An index-free family draws one standard normal per trial.  Laws with
         an exactly samplable k-fold sum (binomial, gamma) draw one value per
-        trial on a constant profile.  Every other family groups the trials by
+        trial on a constant profile, with a scalar shape when every trial has
+        the same k.  Every other family groups the trials by
         k and multiplies (rows x k) summand matrices, at most
         _MAX_DRAW_ENTRIES entries each (one row when k is larger), by the
         weights sigma_j / B_k.  einsum without optimize reduces each row in a
@@ -511,9 +577,12 @@ class SummandFamily:
         if self.index_free:
             return rng.standard_normal(len(ks))
         if self.profile.is_constant:
-            sums = self.law.batch_sums(rng, ks)
+            shape = ks
+            if len(ks) and (ks == ks[0]).all():  # a det index: one scalar shape
+                shape = ks[0]
+            sums = self.law.batch_sums(rng, shape, len(ks))
             if sums is not None:
-                return sums / np.sqrt(ks)
+                return sums / np.sqrt(shape)
         out = np.empty(len(ks))
         order = np.argsort(ks, kind="stable")
         uniq, starts = np.unique(ks[order], return_index=True)

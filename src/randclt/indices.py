@@ -455,7 +455,8 @@ def make_index(
 def parse_index(spec: str):
     """Parse '[index=]<kind>[:<param>]' into (kind, param or None).
 
-    param must be finite, and integral for det and uniform.
+    param must be finite, and integral for det and uniform; a det point
+    lies below 2^63 and a uniform bound at most TRUNCATION_CAP.
     """
     spec = spec.strip()
     if spec.startswith("index="):
@@ -474,6 +475,14 @@ def parse_index(spec: str):
         raise IndexConfigError(f"index parameter must be finite: {spec!r}")
     if kind in ("det", "uniform") and not param.is_integer():
         raise IndexConfigError(f"{kind} index parameter must be an integer: {spec!r}")
+    # past these the run would end in numpy's int64 overflow or a cap message
+    # with the parameter's every digit
+    if kind == "det" and not param < 2**63:
+        raise IndexConfigError(f"det index parameter must be below 2^63: {spec!r}")
+    if kind == "uniform" and param > TRUNCATION_CAP:
+        raise IndexConfigError(
+            f"uniform index parameter must be at most the window cap {TRUNCATION_CAP}: {spec!r}"
+        )
     return kind, param
 
 

@@ -84,32 +84,22 @@ class KolmogorovEstimate:
             raise ValueError(f"d_hat must lie in [0, 1]: {self.d_hat}")
 
 
-def map_blocks(
-    family: SummandFamily,
-    index_model: RandomIndexModel,
-    trials: int,
-    seed: int,
-    reduce: Callable[[int, np.ndarray], object],
-) -> list:
-    """reduce(lo, sums) for each block of normalized random sums, in block order.
+def map_blocks(trials: int, seed: int, per_block: Callable) -> list:
+    """per_block(lo, count, index_rng, rng) for each block of trials, in block order.
 
-    Block b holds trials lo = b * _BLOCK_TRIALS onwards.  Per trial: an index
-    k from the block's index stream, then the k summands from the block's
-    summand stream, normalized by the realized cumulative deviation B_k.  An
-    index-free family draws one standard normal per trial and opens no index
-    stream.  reduce runs on the block's worker.
+    Block b holds the count trials from lo = b * _BLOCK_TRIALS on; index_rng
+    and rng are its index stream and its summand stream.  per_block draws
+    what it needs from them, and runs on the block's worker.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1: {trials}")
 
     def run(block):
         lo = block * _BLOCK_TRIALS
-        count = min(_BLOCK_TRIALS, trials - lo)
-        rng = _stream(seed, _TAG_BATCH, block)
-        if family.index_free:
-            return reduce(lo, rng.standard_normal(count))
-        ks = index_model.sample(_stream(seed, _TAG_INDEX, block), count)
-        return reduce(lo, family.batch_normalized_sums(rng, ks))
+        return per_block(
+            lo, min(_BLOCK_TRIALS, trials - lo),
+            _stream(seed, _TAG_INDEX, block), _stream(seed, _TAG_BATCH, block),
+        )
 
     blocks = -(-trials // _BLOCK_TRIALS)
     workers = min(blocks, _usable_cpus())
@@ -117,6 +107,24 @@ def map_blocks(
         return [run(block) for block in range(blocks)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run, range(blocks)))  # re-raises a block's error
+
+
+def draw_sums(
+    family: SummandFamily,
+    index_model: RandomIndexModel,
+    count: int,
+    index_rng: Generator,
+    rng: Generator,
+) -> np.ndarray:
+    """count normalized random sums S_k / B_k, in trial order.
+
+    Per trial: an index k from index_rng, then the k summands from rng,
+    normalized by the realized cumulative deviation B_k.  An index-free
+    family draws one standard normal per trial and no index.
+    """
+    if family.index_free:
+        return rng.standard_normal(count)
+    return family.batch_normalized_sums(rng, index_model.sample(index_rng, count))
 
 
 def simulate(
@@ -128,10 +136,10 @@ def simulate(
     """Draw `trials` normalized random sums S_k / B_k, in trial order."""
     values = np.empty(max(trials, 0))  # map_blocks refuses trials < 1
 
-    def store(lo, sums):
-        values[lo:lo + len(sums)] = sums
+    def store(lo, count, index_rng, rng):
+        values[lo:lo + count] = draw_sums(family, index_model, count, index_rng, rng)
 
-    map_blocks(family, index_model, trials, seed, store)
+    map_blocks(trials, seed, store)
     return EmpiricalSample(values=values, trials=trials)
 
 

@@ -10,6 +10,7 @@ noise floor (4 standard errors), never asserted.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -17,9 +18,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .conditions import ImplicationAudit
-from .families import SummandFamily
+from .families import RademacherLaw, SummandFamily, half_binomial_pmf
 from .indices import RandomIndexModel
-from .montecarlo import map_blocks
+from .montecarlo import draw_sums, map_blocks
 
 
 @dataclass(frozen=True)
@@ -113,6 +114,94 @@ class SmoothMetric:
     mc_stderr: float
 
 
+_NO_VALUES, _NO_COUNTS = np.empty(0), np.empty(0, dtype=np.int64)
+
+
+def _lattice_pvals(ks, pmf_rows):
+    """The Binomial(k, 1/2) pmf rows of the ascending ks, right-aligned in one rectangle.
+
+    numpy's multinomial takes one rectangle of rows and gives a row's last
+    cell whatever its earlier binomials leave.  Each row therefore ends in
+    the last column, and runs from the tails inward to a mode: position j
+    holds h = j / 2 for even j and h = k - (j - 1) / 2 for odd j, both of
+    pmf Binomial(k, 1/2)(j // 2).  Every conditional probability the draw
+    uses is then a share of a mass still well above round-off.  The cells
+    left of a row are 0, which numpy's multinomial skips without a draw.
+    pmf_rows keeps each k's row for the later blocks of the same call.
+    """
+    new = np.array([k for k in ks.tolist() if k not in pmf_rows], dtype=np.int64)
+    if len(new):
+        widths = new + 1
+        ends = np.cumsum(widths)
+        pos = np.arange(ends[-1]) - np.repeat(ends - widths, widths)
+        pmf = half_binomial_pmf(np.repeat(new, widths), pos // 2)
+        pmf_rows.update(zip(new.tolist(), np.split(pmf, ends[:-1])))
+    width = int(ks[-1]) + 1
+    pvals = np.zeros((len(ks), width))
+    for row, k in zip(pvals, ks.tolist()):
+        row[width - k - 1:] = pmf_rows[k]
+    return pvals
+
+
+def _lattice_split(ks, count):
+    """The ascending lattice ks of one block, their trial counts, and the other trials' ks.
+
+    A k is on the lattice when its trials outnumber its k + 1 cells; the ks
+    are admitted by increasing k while their rectangle holds at most count
+    cells.
+    """
+    # no k >= count has more trials than cells: bin them together
+    bins = ks if ks.max() < count else np.minimum(ks, count)
+    trials_at = np.bincount(bins)
+    lattice = np.flatnonzero(trials_at > np.arange(1, len(trials_at) + 1))
+    lattice = lattice[np.arange(1, len(lattice) + 1) * (lattice + 1) <= count]
+    if not len(lattice):
+        return lattice, lattice, ks
+    off = np.ones(len(trials_at), dtype=bool)
+    off[lattice] = False
+    return lattice, trials_at[lattice], ks[off[bins]]
+
+
+def _lattice_draws(family, index_model, count, index_rng, rng, pmf_rows):
+    """One block of S_k / B_k as (lattice values, their counts, per-trial draws).
+
+    On a constant profile a Rademacher S_k takes only the k + 1 values
+    2h - k, so c_k i.i.d. draws of it matter only through their histogram,
+    which is Multinomial(c_k, Binomial(k, 1/2)).  Every k whose c_k exceeds
+    its k + 1 cells draws its histogram in one multinomial over the block's
+    rows (_lattice_split, _lattice_pvals); the other trials, and every other
+    family, draw per trial as draw_sums does.  The rectangle of rows holds
+    at most count cells, so the histogram draw takes O(block) memory, and so
+    does building the rows.
+    """
+    if not (isinstance(family.law, RademacherLaw) and family.profile.is_constant):
+        return _NO_VALUES, _NO_COUNTS, draw_sums(family, index_model, count, index_rng, rng)
+    lattice, trials, rest = _lattice_split(index_model.sample(index_rng, count), count)
+    values, counts = _NO_VALUES, _NO_COUNTS
+    if len(lattice):
+        pvals = _lattice_pvals(lattice, pmf_rows)
+        hist = rng.multinomial(trials, pvals)
+        row, col = np.nonzero(hist)
+        k = lattice[row]
+        j = col - (pvals.shape[1] - 1 - k)  # position within the row
+        heads = np.where(j % 2 == 0, j // 2, k - j // 2)
+        values, counts = (2 * heads - k) / np.sqrt(k), hist[row, col]
+    return values, counts, family.batch_normalized_sums(rng, rest)
+
+
+def _merged(a, b):
+    """(count, mean, M2) of two parts by the pairwise update of Chan, Golub & LeVeque (1983)."""
+    count, mean, m2 = a
+    n_b, mean_b, m2_b = b
+    total = count + n_b
+    delta = mean_b - mean
+    return (
+        total,
+        mean + delta * n_b / total,
+        m2 + (m2_b + delta * delta * count * n_b / total),
+    )
+
+
 def smooth_metric(
     family: SummandFamily,
     index_model: RandomIndexModel,
@@ -125,21 +214,37 @@ def smooth_metric(
     Each block reduces its f values to (count, mean, sum of squared
     deviations) on its worker, and the blocks merge in block order by the
     pairwise update of Chan, Golub & LeVeque (1983); no trial-length array
-    is held.  The stderr is the population standard deviation / sqrt(trials).
+    is held.  A Rademacher family on a constant profile draws the trials
+    whose k repeats more often than S_k has values as one lattice histogram
+    per block (_lattice_draws), evaluates f once per occupied value, and
+    weighs it by its count; its other trials, and every other family, draw
+    and evaluate f per trial, as simulate draws them.  The stderr is the
+    population standard deviation / sqrt(trials).
     """
-    def moments(lo, sums):
-        fv = f.evaluate(sums)
-        mean = float(np.mean(fv))
-        d = fv - mean
-        return len(d), mean, float(np.sum(np.square(d, out=d)))  # no BLAS
+    pmf_rows = {}
 
-    count, mean, m2 = 0, 0.0, 0.0
-    for n_b, mean_b, m2_b in map_blocks(family, index_model, trials, seed, moments):
-        total = count + n_b
-        delta = mean_b - mean
-        mean += delta * n_b / total
-        m2 += m2_b + delta * delta * count * n_b / total
-        count = total
+    def moments(lo, count, index_rng, rng):
+        values, counts, sums = _lattice_draws(
+            family, index_model, count, index_rng, rng, pmf_rows
+        )
+        part = None
+        if len(sums):
+            fv = f.evaluate(sums)
+            mean = float(np.mean(fv))
+            d = fv - mean
+            part = len(d), mean, float(np.sum(np.square(d, out=d)))  # no BLAS
+        if len(values):
+            fv = f.evaluate(values)
+            n = int(np.sum(counts))
+            mean = float(np.sum(counts * fv) / n)
+            d = fv - mean
+            cells = n, mean, float(np.sum(counts * np.square(d, out=d)))
+            part = cells if part is None else _merged(cells, part)
+        return part
+
+    count, mean, m2 = functools.reduce(
+        _merged, map_blocks(trials, seed, moments), (0, 0.0, 0.0)
+    )
     return SmoothMetric(
         metric=abs(mean - f.normal_mean),
         mc_stderr=math.sqrt(m2 / count) / math.sqrt(count),

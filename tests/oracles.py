@@ -158,3 +158,23 @@ def poisson_outside_mass(lam, lo, hi):
         below = mpmath.gammainc(lo - 1, lam, mpmath.inf, regularized=True) if lo > 1 else 0
         above = 1 - mpmath.gammainc(hi, lam, mpmath.inf, regularized=True)
         return below + above
+
+
+def binomial_chisquare_pvalue(observed, k):
+    """Chi-square p-value of a histogram over h = 0..k against Binomial(k, 1/2).
+
+    The sparse tails (expected count below 5) are pooled into their
+    neighbouring cells.
+    """
+    from scipy.stats import binom, chisquare
+
+    expected = np.sum(observed) * binom.pmf(np.arange(k + 1), k, 0.5)
+    keep = expected >= 5.0
+    lo, hi = np.flatnonzero(keep)[[0, -1]]
+    obs = np.asarray(observed[lo:hi + 1], dtype=float)
+    exp = expected[lo:hi + 1].copy()
+    obs[0] += observed[:lo].sum()
+    exp[0] += expected[:lo].sum()
+    obs[-1] += observed[hi + 1:].sum()
+    exp[-1] += expected[hi + 1:].sum()
+    return chisquare(obs, exp).pvalue

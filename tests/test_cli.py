@@ -176,6 +176,27 @@ class TestParsing:
         assert main(argv) == 1
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["conditions", "--index", "det:1e300", "--n-grid", "10"], "--index"),
+        (["simulate", "--index", "det:1e19", "--trials", "2"], "--index"),
+        (["conditions", "--index", "uniform:1e300", "--n-grid", "10"], "--index"),
+        (["conditions", "--index", "uniform:10000001", "--n-grid", "10"], "--index"),
+        (["conditions", "--n-grid", "100000000000000000000000"], "--n-grid"),
+        (["simulate", "--index", "det", "--n-grid", str(2**63), "--trials", "2"], "--n-grid"),
+    ])
+    def test_huge_integer_names_its_flag(self, argv, flag, capsys):
+        # these ended in numpy's "Python int too large to convert to C long",
+        # or in a cap message with every digit of the term count
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"usage error: {flag}" in err or f"usage error: argument {flag}" in err
+        assert len(err) < 160
+
+    def test_largest_integers_accepted(self):
+        for argv in (["--index", f"det:{2**62}"], ["--index", "uniform:10000000"],
+                     ["--n-grid", str(2**63 - 1)]):
+            parse_args(["conditions", *argv])
+
     def test_usage_error_exits_one(self, capsys):
         assert main(["simulate", "--trials", "0"]) == 1
         assert "usage error" in capsys.readouterr().err
@@ -295,7 +316,8 @@ class TestConditionsCommand:
         # numpy's int64 support raised OverflowError, which ended in a traceback
         out = tmp_path / "c.csv"
         assert main(["conditions", *argv, "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("randclt: error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("randclt: usage error: ") and argv[-2] in err
         assert not out.exists()
 
     def test_feller_near_ratio_one_within_its_bound(self, capsys):

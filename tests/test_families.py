@@ -1,17 +1,18 @@
 """Distribution family contracts: moments, CDFs, cumulative variance, sampling."""
 
 import math
+import sys
 import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 from scipy.integrate import quad
 
-from oracles import cdf, density, full_weights, sigma, variance
+from oracles import binomial_chisquare_pvalue, cdf, density, full_weights, sigma, variance
 from randclt.conditions import feller_values, lyapunov, max_threshold_ratio
 from randclt.families import (
     BUILTIN_FAMILY_KINDS,
@@ -21,6 +22,7 @@ from randclt.families import (
     GeometricProfile,
     UniformLaw,
     family_spec_string,
+    half_binomial_pmf,
     make_family,
     parse_family,
 )
@@ -391,24 +393,63 @@ class TestRademacherBits:
 
     @pytest.mark.parametrize("k", [1, 2, 63, 64, 65])
     def test_binomial_goodness_of_fit(self, k):
-        from scipy.stats import binom, chisquare
-
         m = 200_000
         law = make_family("rademacher").law
         sums = law.batch_sums(Generator(Philox(key=[9, k])), np.full(m, k))
         assert np.all((sums + k) % 2 == 0) and np.all(np.abs(sums) <= k)
         observed = np.bincount((sums + k) // 2, minlength=k + 1)
-        expected = m * binom.pmf(np.arange(k + 1), k, 0.5)
-        # pool the sparse tails into the neighbouring cells (expected >= 5)
-        keep = expected >= 5.0
-        lo, hi = np.flatnonzero(keep)[[0, -1]]
-        obs = observed[lo:hi + 1].astype(float)
-        exp = expected[lo:hi + 1].copy()
-        obs[0] += observed[:lo].sum()
-        exp[0] += expected[:lo].sum()
-        obs[-1] += observed[hi + 1:].sum()
-        exp[-1] += expected[hi + 1:].sum()
-        assert chisquare(obs, exp).pvalue > 1e-3
+        assert binomial_chisquare_pvalue(observed, k) > 1e-3
+
+
+class TestSingleShape:
+    """A block whose trials share one k draws with a scalar shape, same values."""
+
+    @pytest.mark.parametrize("kind", ["rademacher", "expcentered"])
+    @pytest.mark.parametrize("k", [1, 4, 64, 65, 256])
+    def test_matches_array_shape(self, kind, k):
+        fam = make_family(kind)
+        ks = np.full(5_000, k)
+        got = fam.batch_normalized_sums(Generator(Philox(key=[3, k])), ks)
+        rng = Generator(Philox(key=[3, k]))
+        if kind == "expcentered":
+            sums = rng.standard_gamma(ks) - ks
+        elif k <= 64:
+            words = rng.bit_generator.random_raw(len(ks))
+            sums = np.array(_top_bit_sums(words, ks))
+        else:
+            sums = 2 * rng.binomial(ks, 0.5) - ks
+        assert np.array_equal(got, sums / np.sqrt(ks))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestHalfBinomialPmf:
+    """Binomial(k, 1/2) pmf cells against exact integer ratios."""
+
+    @settings(max_examples=40, deadline=None)  # math.comb at k = 2^17 takes ~10 ms
+    @given(
+        k=st.integers(1, 2**17),
+        fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+        near=st.lists(st.integers(-400, 400), max_size=6),
+    )
+    @example(k=1, fracs=[0.0, 1.0], near=[])
+    @example(k=2**17, fracs=[0.0, 0.5, 1.0], near=[-400, -1, 1, 400])
+    def test_matches_comb_over_power_of_two(self, k, fracs, near):
+        h = sorted({round(f * k) for f in fracs} | {min(max(k // 2 + d, 0), k) for d in near})
+        got = half_binomial_pmf(np.full(len(h), k), np.array(h))
+        for hi, p in zip(h, got.tolist()):
+            exact = math.comb(k, hi) / 2**k  # correctly rounded
+            if hi in (0, k):
+                assert p == math.ldexp(1.0, -k)
+            elif exact >= sys.float_info.min:  # a normal float
+                assert abs(p - exact) <= 1e-12 * exact, (k, hi)
+            else:
+                assert p <= 2.0 * sys.float_info.min
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 64, 65, 1000, 5000])
+    def test_rows_sum_to_one(self, k):
+        assert math.fsum(half_binomial_pmf(np.full(k + 1, k), np.arange(k + 1))) == (
+            pytest.approx(1.0, abs=1e-12)
+        )
 
 
 class TestParsing:

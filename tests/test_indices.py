@@ -337,7 +337,11 @@ class TestParsing:
     def test_spec_string_round_trips(self, kind, param):
         if kind in ("det", "uniform"):
             param = float(math.floor(param))
-        assert parse_index(index_spec_string(kind, param)) == (kind, param)
+        if param >= {"det": 2.0**63, "uniform": TRUNCATION_CAP + 1.0}.get(kind, math.inf):
+            with pytest.raises(IndexConfigError):  # past int64, or past the window cap
+                parse_index(index_spec_string(kind, param))
+        else:
+            assert parse_index(index_spec_string(kind, param)) == (kind, param)
 
     def test_make_index_defaults(self):
         assert make_index("det", 42).n == 42

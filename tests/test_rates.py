@@ -1,13 +1,16 @@
 """Test functions against a modulus-of-continuity oracle, smooth metric, rate audits."""
 
 import math
+import sys
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.random import Generator, Philox
 
+from oracles import binomial_chisquare_pvalue
 import randclt.conditions
 import randclt.rates
 from randclt import montecarlo
@@ -184,12 +187,143 @@ class TestBlockMoments:
                 runs.append(smooth_metric(fam, model, f, trials, seed))
         assert runs[0] == runs[1]  # same floats, bit for bit
         # oracle: numpy's mean and population std over every f value at once
-        fv = f.evaluate(montecarlo.simulate(fam, model, trials, seed).values)
+        if spec == "rademacher":  # the same blocks' draws, lattice cells repeated
+            pmf_rows = {}
+            blocks = montecarlo.map_blocks(trials, seed, lambda lo, count, irng, rng: (
+                randclt.rates._lattice_draws(fam, model, count, irng, rng, pmf_rows)))
+            draws = np.concatenate([np.append(np.repeat(v, c), rest) for v, c, rest in blocks])
+        else:
+            draws = montecarlo.simulate(fam, model, trials, seed).values
+        fv = f.evaluate(draws)
         scale = float(np.mean(np.abs(fv)))
         metric = abs(float(np.mean(fv)) - f.normal_mean)
         stderr = float(np.std(fv)) / math.sqrt(trials)
         assert abs(runs[0].metric - metric) <= 1e-13 * max(metric, scale)
         assert abs(runs[0].mc_stderr - stderr) <= 1e-13 * max(stderr, scale / math.sqrt(trials))
+
+
+class _FixedIndex:
+    """An index model whose block draws are the given ks."""
+
+    def __init__(self, ks):
+        self.ks = np.asarray(ks, dtype=np.int64)
+
+    def sample(self, rng, size):
+        assert size == len(self.ks)
+        return self.ks
+
+
+class _Recorder:
+    """A Generator that records the cells of every multinomial it draws."""
+
+    def __init__(self, rng):
+        self._rng, self.cells = rng, []
+
+    def multinomial(self, n, pvals):
+        self.cells.append(np.size(pvals))
+        return self._rng.multinomial(n, pvals)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def _lattice_block(fam, model, count, seed, monkeypatch=None):
+    """One block of rates' Rademacher draws; the pmf cells built and the rng."""
+    built = []
+    if monkeypatch is not None:
+        real = randclt.rates.half_binomial_pmf
+
+        def spy(k, h):
+            built.append(len(k))
+            return real(k, h)
+
+        monkeypatch.setattr(randclt.rates, "half_binomial_pmf", spy)
+    rng = _Recorder(Generator(Philox(key=[seed, 1])))
+    draws = randclt.rates._lattice_draws(
+        fam, model, count, Generator(Philox(key=[seed, 2])), rng, {}
+    )
+    return draws, built, rng
+
+
+def _metric_on(workers, *args):
+    with mock.patch.object(montecarlo, "_usable_cpus", lambda: workers):
+        return smooth_metric(*args)
+
+
+class TestLatticeDraws:
+    """rates draws constant-profile Rademacher trials as lattice histograms."""
+
+    def test_cells_per_block_bounded(self, monkeypatch):
+        # k = 1..400 with k + 2 trials each, the rest of the block at k = 20000:
+        # every group has more trials than cells, but one rectangle over them
+        # all would hold 401 x 20001 cells
+        ks = np.repeat(np.arange(1, 401), np.arange(3, 403))
+        ks = np.append(ks, np.full(BLOCK - len(ks), 20_000))
+        fam = make_family("rademacher")
+        (values, counts, rest), built, rng = _lattice_block(
+            fam, _FixedIndex(ks), BLOCK, 3, monkeypatch
+        )
+        assert len(rng.cells) == 1 and rng.cells[0] <= BLOCK
+        assert sum(built) <= BLOCK
+        # k = 1..361 fill 361 x 362 <= 2^17 cells; k = 362 would pass 2^17
+        assert int(counts.sum()) == int(np.sum(np.arange(1, 362) + 2))
+        assert int(counts.sum()) + len(rest) == BLOCK
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        kind=st.sampled_from(["det", "poisson", "geometric", "uniform"]),
+        n=st.integers(1, 3_000),
+        count=st.integers(1, BLOCK),
+        seed=st.integers(0, 2**32),
+    )
+    def test_block_keeps_its_trials_on_the_lattice(self, kind, n, count, seed):
+        fam = make_family("rademacher")
+        (values, counts, rest), _, rng = _lattice_block(fam, make_index(kind, n), count, seed)
+        assert len(rng.cells) <= 1 and all(c <= count for c in rng.cells)
+        assert int(counts.sum()) + len(rest) == count
+        assert np.all(counts > 0)
+        # every lattice value is (2h - k) / sqrt(k) for a k the block drew
+        ks = make_index(kind, n).sample(Generator(Philox(key=[seed, 2])), count)
+        ok = np.zeros(len(values), dtype=bool)
+        for k in np.unique(ks[ks < count]).tolist():
+            h = (values * math.sqrt(k) + k) / 2.0
+            ok |= (np.abs(h - np.round(h)) < 1e-9) & (h > -0.5) & (h < k + 0.5)
+        assert ok.all()
+
+    @pytest.mark.parametrize("k", [1, 2, 63, 64, 65, 256, 1000])
+    def test_histogram_fits_binomial(self, k):
+        fam = make_family("rademacher")
+        (values, counts, rest), _, _ = _lattice_block(fam, make_index("det", k), BLOCK, k)
+        assert len(rest) == 0 and int(counts.sum()) == BLOCK
+        heads = np.round((values * math.sqrt(k) + k) / 2.0).astype(np.int64)
+        observed = np.bincount(heads, weights=counts, minlength=k + 1)
+        assert binomial_chisquare_pvalue(observed, k) > 1e-3
+
+    def test_shared_pmf_rows_under_thread_switches(self):
+        # the blocks' workers share one call's pmf rows; with more workers
+        # than cores and a thread switch every microsecond, a row lost or
+        # read half-built would move the metric's bits
+        fam, model = make_family("rademacher"), make_index("geometric", 40)
+        f = make_test_function("bump")
+        serial = _metric_on(1, fam, model, f, 8 * BLOCK, SEED)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert _metric_on(8, fam, model, f, 8 * BLOCK, SEED) == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("kind", ["det", "poisson", "geometric", "uniform"])
+    @pytest.mark.parametrize("fn", ["bump", "clamp"])
+    def test_metric_agrees_with_simulate(self, kind, fn):
+        fam, model, f = make_family("rademacher"), make_index(kind, 12), make_test_function(fn)
+        trials = 2 * BLOCK + 1_000
+        got = smooth_metric(fam, model, f, trials, SEED)
+        fv = f.evaluate(montecarlo.simulate(fam, model, trials, SEED + 1).values)
+        metric = abs(float(np.mean(fv)) - f.normal_mean)
+        stderr = float(np.std(fv)) / math.sqrt(trials)
+        assert abs(got.metric - metric) <= 4.0 * math.hypot(got.mc_stderr, stderr)
 
 
 class TestLargeOAudit:
