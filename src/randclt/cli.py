@@ -261,11 +261,11 @@ def _run_conditions(config: RunConfig) -> int:
 
 def _run_simulate(config: RunConfig) -> int:
     family, kind, param = _family_and_index(config)
-    rows = []
+    rows, est = [], None
     for n in config.n_grid:
         model = make_index(kind, n, param, target=config.trunc_mass)
-        sample = simulate(family, model, config.trials, config.seed)
-        est = kolmogorov_distance(sample)
+        if est is None or not family.index_free:  # index-free: one draw for every n
+            est = kolmogorov_distance(simulate(family, model, config.trials, config.seed))
         rows.append((n, config.trials, config.seed, est.d_hat, est.dkw_band))
     _emit(config, _csv(("n", "trials", "seed", "d_hat", "dkw_band"), rows))
     return 0
@@ -314,9 +314,11 @@ def _run_audit(config: RunConfig) -> int:
     cf_passed = cf.max_deviation <= CF_TOLERANCE
     configs = []
     all_passed = cf_passed
+    d_hat = None  # one draw per n, after its first audit; index-free: one for every n
     for n in config.n_grid:
         model = make_index(kind, n, param, target=config.trunc_mass)
-        d_hat = None  # one draw per n, after its first audit
+        if not family.index_free:
+            d_hat = None
         for eps in config.epsilon_grid:
             audit = cond.implication_audit(family, model, n, eps, config.delta)
             entry = {

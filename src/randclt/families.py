@@ -411,7 +411,9 @@ class CenteredExponentialLaw(Law):
         return rng.standard_exponential(size) - 1.0
 
     def batch_sums(self, rng, ks, size=None):
-        return rng.standard_gamma(ks, size) - ks
+        sums = rng.standard_gamma(ks, size)
+        sums -= ks
+        return sums
 
 
 # ---------------------------------------------------------------------------
@@ -581,8 +583,8 @@ class SummandFamily:
             if len(ks) and (ks == ks[0]).all():  # a det index: one scalar shape
                 shape = ks[0]
             sums = self.law.batch_sums(rng, shape, len(ks))
-            if sums is not None:
-                return sums / np.sqrt(shape)
+            if sums is not None:  # a fresh float sum divides in place, integer heads cannot
+                return np.divide(sums, np.sqrt(shape), out=sums if sums.dtype == float else None)
         out = np.empty(len(ks))
         order = np.argsort(ks, kind="stable")
         uniq, starts = np.unique(ks[order], return_index=True)

@@ -170,11 +170,15 @@ class ShiftedPoisson(RandomIndexModel):
     def _window_and_mass(self):
         """The quantile window of 1 + X and its certified outside mass.
 
-        One pmf table over [a, z] around the mode m gives both tails by
+        A pmf table over [a, z] around the mode m gives both tails by
         cumulative sums; the mass beyond the table ends is walked by
         _poisson_tail.  lo - 1 is the largest x with P(X < x) <= tau / 2 and
         hi - 1 the first x past it with P(X > x) <= tau - P(X < lo - 1), both
-        read from these upper bounds.
+        read from these upper bounds.  The table is read in pieces of
+        _TABLE_PIECE terms (_table_piece), up from a to lo and down from z to
+        hi, each sum carried in order from piece to piece: the bits of one
+        whole-table pass in O(piece) memory, so a window past the cap is
+        counted and refused without ever being held.
         """
         lam = self.lam
         if not 0.0 < lam < math.inf:
@@ -194,26 +198,38 @@ class ShiftedPoisson(RandomIndexModel):
         nats = math.log(2.0 / self.target) + 2.0
         w = int(math.sqrt(2.0 * lam * nats) + nats)
         while True:
-            logp = np.concatenate((
-                _walk_log_pmf(lam, m, min(w, m) + 1, -1)[::-1],
-                _walk_log_pmf(lam, m + 1, w, 1),
-            ))
             a, z = m - min(w, m), m + w
-            p = np.exp(logp, out=logp)
             # round-off of the walks and of the sequential cumulative sums
-            pad = 1.0 + _WALK_RTOL + len(p) * 2.0**-53
-            p *= pad
+            pad = 1.0 + _WALK_RTOL + (z - a + 1) * 2.0**-53
             t_low = pad * _poisson_tail(lam, a - 1, -1) if a > 0 else 0.0
-            below = np.cumsum(p)
-            below += t_low  # P(X <= a + i)
-            i = int(np.searchsorted(below, half, side="right"))
-            low = below[i - 1] if i else t_low  # P(X < a + i)
-            del below
-            above = np.append(np.cumsum(p[:0:-1])[::-1], 0.0)
-            above += pad * _poisson_tail(lam, z + 1, 1)  # P(X > a + j)
-            j = i + int(np.argmax(above[i:] <= self._budget - low)) if i < len(p) else i
-            if low <= half and j < len(p) and above[j] <= self._budget - low:
-                return (a + i + 1, a + j + 1), float(low + above[j])
+            t_high = pad * _poisson_tail(lam, z + 1, 1)
+            # up from a: x ends at the first with P(X <= x) > half, low = P(X < x)
+            x, low, run = a, t_low, 0.0
+            while x <= z:
+                below = _table_piece(lam, m, x, min(x + _TABLE_PIECE, z + 1), pad)
+                below[0] += run
+                run = np.cumsum(below, out=below)[-1]
+                below += t_low  # P(X <= x + i)
+                i = int(np.searchsorted(below, half, side="right"))
+                x += i
+                if i < len(below):
+                    low = below[i - 1] if i else low
+                    break
+                low = below[-1]
+            if low <= half and x <= z and t_high <= self._budget - low:
+                # down from z: hi ends at the first y >= x with P(X > y) <= budget - low
+                hi, high, run = z, t_high, 0.0
+                while hi > x:
+                    above = _table_piece(lam, m, max(x + 1, hi + 1 - _TABLE_PIECE), hi + 1, pad)[::-1]
+                    above[0] += run
+                    run = np.cumsum(above, out=above)[-1]
+                    above += t_high  # P(X > hi - 1 - i)
+                    i = int(np.searchsorted(above, self._budget - low, side="right"))
+                    high = above[i - 1] if i else high
+                    hi -= i
+                    if i < len(above):
+                        break
+                return (x + 1, hi + 1), float(low + high)
             w *= 2
 
     def _weights(self):
@@ -309,6 +325,9 @@ _STIRLERR = (
 _WALK_BLOCK = 1024
 _WALK_CHUNK = 1 << 16
 
+# pmf terms per piece of a window table: O(piece) memory whatever the window
+_TABLE_PIECE = 1 << 20
+
 # relative round-off of a walked pmf term or tail sum: a block's cumulated
 # log ratios are off by at most (_WALK_BLOCK / 2 + 2) * 2^-53 * 745 (~4e-11)
 # where the pmf does not underflow, and the tails' pairwise sums add little
@@ -385,6 +404,28 @@ def _walk_log_pmf(lam: float, x0: int, count: int, step: int) -> np.ndarray:
     ]
     np.cumsum(ratios, axis=1, out=ratios)
     return x[:count]
+
+
+def _table_piece(lam: float, m: int, x1: int, x2: int, pad: float) -> np.ndarray:
+    """pad * P(X = x) for x1 <= x < x2, as the walks from the mode m read them.
+
+    The walks go down from m and up from m + 1 and restart at every
+    _WALK_BLOCK-th term, so a piece whose walks start at their last anchor
+    before it reads the same bits wherever the table is cut.
+    """
+    parts = []
+    if x1 <= m:  # steps m - x down from m
+        d0, d1 = m + 1 - min(x2, m + 1), m + 1 - x1
+        b = d0 - d0 % _WALK_BLOCK
+        parts.append(_walk_log_pmf(lam, m - b, d1 - b, -1)[d0 - b:][::-1])
+    if x2 > m + 1:  # steps x - m - 1 up from m + 1
+        u0, u1 = max(x1, m + 1) - m - 1, x2 - m - 1
+        b = u0 - u0 % _WALK_BLOCK
+        parts.append(_walk_log_pmf(lam, m + 1 + b, u1 - b, 1)[u0 - b:])
+    p = np.concatenate(parts)
+    np.exp(p, out=p)
+    p *= pad
+    return p
 
 
 def _poisson_tail(lam: float, x: int, step: int) -> float:

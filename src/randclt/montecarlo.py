@@ -6,15 +6,17 @@ trials into blocks of _BLOCK_TRIALS and gives each block two streams: an index
 stream and a summand stream disjoint from it, both started at the block's
 number in the counter's top word (block 0 is the counter's default start, and
 blocks lie 2^192 counter steps apart).  A normal law's S_k / B_k is N(0, 1)
-for every k, so its blocks draw one standard normal per trial and no index.
-Families whose k-fold sums have an exact closed law (binomial, gamma) draw one
-value per trial from the summand stream; a Rademacher sum of k <= 64 terms
-reads the top k bits of one raw 64-bit word.  Every other family draws its
-summands from the same stream in matrices grouped by the realized k.  Blocks
-run on a thread pool when there are several, and map_blocks hands each
-block's sums to a per-block reduction: simulate copies them into disjoint
-slices of one output array, and rates.smooth_metric keeps only their moments.
-Neither depends on the number of workers.
+for every k, so its blocks draw one standard normal per trial and no index,
+the same draws at every n: the simulate, audit and rates commands draw them
+once and reuse them for each n of the grid.  Families whose k-fold sums have
+an exact closed law (binomial, gamma) draw one value per trial from the
+summand stream; a Rademacher sum of k <= 64 terms reads the top k bits of one
+raw 64-bit word.  Every other family draws its summands from the same stream
+in matrices grouped by the realized k.  Blocks run on a thread pool when there
+are several, and map_blocks hands each block's sums to a per-block reduction:
+simulate copies them into disjoint slices of one output array, and
+rates.smooth_metric keeps only their moments.  Neither depends on the number
+of workers.
 """
 
 from __future__ import annotations

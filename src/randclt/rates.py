@@ -54,8 +54,11 @@ def _cos(x):
 
 
 def _clamp(x):
+    # x / (1 + x^2) with one temporary; x itself is never written
     x = np.asarray(x, dtype=float)
-    return x / (1.0 + x * x)
+    d = np.multiply(x, x, out=np.empty_like(x))
+    d += 1.0
+    return np.divide(x, d, out=d)
 
 
 def _clamp_prime(x):
@@ -64,8 +67,13 @@ def _clamp_prime(x):
 
 
 def _bump(x):
+    # _BUMP_AMP * exp(-x * x) with one temporary; x itself is never written
     x = np.asarray(x, dtype=float)
-    return _BUMP_AMP * np.exp(-x * x)
+    d = np.negative(x, out=np.empty_like(x))
+    d *= x
+    np.exp(d, out=d)
+    d *= _BUMP_AMP
+    return d
 
 
 def _bump_prime(x):
@@ -218,8 +226,11 @@ def smooth_metric(
     whose k repeats more often than S_k has values as one lattice histogram
     per block (_lattice_draws), evaluates f once per occupied value, and
     weighs it by its count; its other trials, and every other family, draw
-    and evaluate f per trial, as simulate draws them.  The stderr is the
-    population standard deviation / sqrt(trials).
+    and evaluate f per trial, as simulate draws them.  A block holds its
+    sums and f's values and centres and squares the latter in place, so it
+    allocates no other trial-length array.  An index-free family's metric
+    does not depend on index_model (rate_audit draws it once for all n).
+    The stderr is the population standard deviation / sqrt(trials).
     """
     pmf_rows = {}
 
@@ -229,16 +240,16 @@ def smooth_metric(
         )
         part = None
         if len(sums):
-            fv = f.evaluate(sums)
+            fv = f.evaluate(sums)  # centred and squared in place
             mean = float(np.mean(fv))
-            d = fv - mean
-            part = len(d), mean, float(np.sum(np.square(d, out=d)))  # no BLAS
+            fv -= mean
+            part = len(fv), mean, float(np.sum(np.square(fv, out=fv)))  # no BLAS
         if len(values):
             fv = f.evaluate(values)
             n = int(np.sum(counts))
             mean = float(np.sum(counts * fv) / n)
-            d = fv - mean
-            cells = n, mean, float(np.sum(counts * np.square(d, out=d)))
+            fv -= mean
+            cells = n, mean, float(np.sum(counts * np.square(fv, out=fv)))
             part = cells if part is None else _merged(cells, part)
         return part
 
@@ -358,6 +369,10 @@ def rate_audit(
     metric / E[B^-1], which is o(1) under the randomized Rotar condition;
     restricted to derivative sup norm at least 1, the normalization the
     o(E[B^-1]) argument hinges on.
+
+    An index-free family's sums are N(0, 1) draws that no n changes, so its
+    metric is drawn once, at the first n, and reused for every n; each n
+    still builds its own index model and bound shape, with their refusals.
     """
     if mode == "large-o":
         if f.lipschitz is None:
@@ -373,10 +388,12 @@ def rate_audit(
     else:
         raise ValueError(f"unknown rate mode {mode!r}; modes: large-o, small-o")
     ns = [int(n) for n in n_grid]
-    metrics, shapes = [], []
+    metrics, shapes, metric = [], [], None
     for n in ns:
         model = index_at(n)
-        metrics.append(smooth_metric(family, model, f, trials, seed))
+        if metric is None or not family.index_free:
+            metric = smooth_metric(family, model, f, trials, seed)
+        metrics.append(metric)
         shapes.append(_mean_inv_b_power(family, model, power).value)
     constant = _fitted_constant(metrics, shapes) if mode == "large-o" else 1.0
     return RateCurve(points=tuple(

@@ -320,6 +320,29 @@ class TestConditionsCommand:
         assert err.startswith("randclt: usage error: ") and argv[-2] in err
         assert not out.exists()
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+    @pytest.mark.parametrize("lam, terms", [("5e11", 10086845), ("1e12", 14264953)])
+    def test_poisson_refusal_counts_its_window_in_little_memory(self, lam, terms):
+        # the window's table was built whole before the refusal: 288 and
+        # 393 MiB of child peak RSS; it is now walked in pieces.  A small
+        # launcher starts the command, because a child's peak RSS counts the
+        # process it was forked from, here the test runner
+        launcher = (
+            "import resource, subprocess, sys\n"
+            "p = subprocess.run(sys.argv[1:], capture_output=True, text=True)\n"
+            "print(p.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+            "print(p.stderr, end='')\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", launcher, sys.executable, "-m", "randclt.cli",
+             "conditions", "--index", f"poisson:{lam}", "--n-grid", "10"],
+            capture_output=True, text=True, timeout=300, check=True,
+        ).stdout
+        status, maxrss_kib = map(int, out.split("\n", 1)[0].split())
+        assert status == 1
+        assert f"needs {terms} terms, past the cap of 10000000" in out
+        assert maxrss_kib < 100 * 1024
+
     def test_feller_near_ratio_one_within_its_bound(self, capsys):
         # max share = 1 / sum_{i<10} r^-i = 0.1 + 4.5e-10: cancellation-prone
         assert main(["conditions", "--family", "twopoint,growth=1.000000001",
@@ -385,6 +408,53 @@ class TestSimulateCommand:
                      "--n-grid", "1000000", "--trials", "20000"])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestIndexFreeDraws:
+    """Normal families draw once per command: each n's row is the one-n command's."""
+
+    @pytest.mark.parametrize("family", ["normal", "geomnormal"])
+    @pytest.mark.parametrize("index", ["det", "geometric", "poisson"])
+    def test_rows_equal_the_one_n_commands(self, family, index, capsys):
+        grid = (3, 12, 40)
+        common = ["--family", family, "--index", index, "--seed", "11"]
+        commands = {
+            "rates": ["rates", "--mode", "small-o", "--fn", "bump", "--trials", "3000"],
+            "simulate": ["simulate", "--trials", "3000"],
+            "audit": ["audit", "--epsilon", "0.5", "--trials", "3000"],
+        }
+
+        def rows(argv, n_grid):
+            assert main([*argv, *common, "--n-grid", ",".join(map(str, n_grid))]) == 0
+            out = capsys.readouterr().out
+            if argv[0] == "audit":
+                return [json.dumps(c, sort_keys=True) for c in json.loads(out)["configs"]]
+            return out.splitlines()[1:]
+
+        for argv in commands.values():
+            assert rows(argv, grid) == [rows(argv, (n,))[0] for n in grid], argv[0]
+
+    def test_large_o_metric_columns_equal_the_one_n_commands(self, capsys):
+        # large-o fits its constant over the grid, so only n, metric and
+        # mc_stderr are the one-n command's
+        def cols(n_grid):
+            assert main(["rates", "--family", "geomnormal", "--index", "geometric",
+                         "--fn", "clamp", "--trials", "3000",
+                         "--n-grid", ",".join(map(str, n_grid))]) == 0
+            return [r.split(",")[:3] for r in capsys.readouterr().out.splitlines()[1:]]
+
+        assert cols((5, 50)) == cols((5,)) + cols((50,))
+
+    @pytest.mark.parametrize("command", ["rates", "simulate", "audit"])
+    def test_each_n_still_builds_its_index(self, command, tmp_path, capsys):
+        # the draw is shared, but the last n's window is still built and refused
+        out = tmp_path / "o"
+        code = main([command, "--family", "normal", "--index", "poisson", "--trials", "100",
+                     "--n-grid", "10,1000000000000", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "n=1000000000000" in err and "needs 14264953 terms, past the cap" in err
+        assert not out.exists()
 
 
 class TestRatesCommand:

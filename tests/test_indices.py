@@ -2,6 +2,7 @@
 
 import math
 import re
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -12,6 +13,7 @@ from numpy.random import Generator, Philox
 from scipy import stats
 
 from oracles import poisson_outside_mass
+import randclt.indices
 from randclt.indices import (
     _STIRLERR,
     TRUNCATION_CAP,
@@ -227,6 +229,26 @@ class TestPoissonTails:
         assert tail <= tau
         if math.exp(-lam) > tau:  # P(X = 0) alone exceeds tau / 2
             assert lo == 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        log10_lam=st.floats(-3.0, 7.0), log10_tau=st.floats(-15.0, -1.0),
+        piece=st.sampled_from([1, 2, 7, 1023, 1024, 1025, 5000]),
+    )
+    @example(log10_lam=math.log10(2.5e6), log10_tau=-12.0, piece=1024)
+    @example(log10_lam=math.log10(0.5), log10_tau=-12.0, piece=1)
+    def test_window_bits_do_not_depend_on_the_piece_size(self, log10_lam, log10_tau, piece):
+        # the table is read in pieces, each walked from its last anchor, with
+        # its sums carried in order: any piece size gives the whole table's bits
+        lam, tau = 10.0**log10_lam, 10.0**log10_tau
+
+        def window_and_mass():
+            model = ShiftedPoisson(1, lam=lam, target=tau)
+            return model.window, model.truncation_tail_mass.hex()
+
+        whole = window_and_mass()
+        with mock.patch.object(randclt.indices, "_TABLE_PIECE", piece):
+            assert window_and_mass() == whole
 
     def test_rate_past_the_reach_bound_refuses_before_any_table(self):
         # 10^7 terms around the mode hold less than 1 - tau at lam = 2e12

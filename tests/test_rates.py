@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.random import Generator, Philox
 
 from oracles import binomial_chisquare_pvalue
@@ -130,6 +131,34 @@ class TestBuiltinFunctions:
     def test_unknown_id(self):
         with pytest.raises(ValueError):
             make_test_function("tanh")
+
+
+# the float64 edges: signed zeros, infinities, nan, subnormals, huge values
+_EDGES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                   2.2e-308, 1e300, -1e300, 1e154, 1.0, -1.0, 0.5])
+
+
+class TestInPlaceFunctions:
+    """_clamp and _bump build one temporary: the bits of the plain expressions."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=40),
+                        elements=st.floats(allow_subnormal=True)
+                        | st.sampled_from(_EDGES.tolist())))
+    @example(x=_EDGES)
+    @example(x=np.float64(-0.0))
+    def test_bits_equal_the_plain_expressions(self, x):
+        x = np.asarray(x, dtype=float)
+        before = x.copy()
+        with np.errstate(all="ignore"):
+            pairs = [
+                (randclt.rates._clamp(x), x / (1.0 + x * x)),
+                (randclt.rates._bump(x), randclt.rates._BUMP_AMP * np.exp(-x * x)),
+            ]
+        for got, want in pairs:
+            assert got.shape == x.shape
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert x.tobytes() == before.tobytes()  # the argument is never written
 
 
 class TestSmoothMetric:
@@ -412,6 +441,37 @@ class TestRateAudit:
         shapes = [m.expect_values(1.0 / m.support, abs_bound=1.0).value for m in shapes]
         consts = [p.bound / s for p, s in zip(large.points, shapes)]
         assert consts == pytest.approx([consts[0]] * 3, rel=1e-12)
+
+    @pytest.mark.parametrize("spec, draws", [
+        ("normal", 1), ("geomnormal", 1), ("rademacher", 3), ("expcentered", 3),
+    ])
+    def test_index_free_families_draw_once(self, spec, draws, monkeypatch):
+        # an index-free S_k / B_k is the same N(0, 1) draw at every n
+        calls = []
+        real = randclt.rates.map_blocks
+        monkeypatch.setattr(randclt.rates, "map_blocks",
+                            lambda *args: calls.append(args[0]) or real(*args))
+        rate_audit(parse_family(spec), _at("geometric"), make_test_function("sin"),
+                   (4, 16, 64), 1_000, SEED, mode="large-o")
+        assert len(calls) == draws
+
+    @pytest.mark.parametrize("spec, kind", [("expcentered", "det"), ("geomnormal", "geometric")])
+    def test_worker_count_free_and_matches_full_array(self, spec, kind):
+        fam, f, trials = parse_family(spec), make_test_function("clamp"), 2 * BLOCK + 7
+        curves = []
+        for workers in (1, 2):
+            with mock.patch.object(montecarlo, "_usable_cpus", lambda: workers):
+                curves.append(rate_audit(fam, _at(kind), f, (4, 16, 64), trials, SEED,
+                                         mode="large-o"))
+        assert curves[0] == curves[1]  # same floats, bit for bit
+        # oracle: numpy's mean and population std over every f value at once
+        for p in curves[0].points:
+            fv = f.evaluate(montecarlo.simulate(fam, make_index(kind, p.n), trials, SEED).values)
+            scale = float(np.mean(np.abs(fv)))
+            metric = abs(float(np.mean(fv)) - f.normal_mean)
+            stderr = float(np.std(fv)) / math.sqrt(trials)
+            assert abs(p.metric - metric) <= 1e-13 * max(metric, scale)
+            assert abs(p.mc_stderr - stderr) <= 1e-13 * max(stderr, scale / math.sqrt(trials))
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown rate mode"):
