@@ -153,6 +153,8 @@ def _validate(config: RunConfig) -> None:
         raise UsageError(f"--delta must lie in (0, 1]: {config.delta}")
     if config.alpha is not None and not (0.0 < config.alpha <= 1.0):
         raise UsageError(f"--alpha must lie in (0, 1]: {config.alpha}")
+    if config.alpha is not None and config.mode == "small-o":
+        raise UsageError("--alpha sets the large-o bound shape; --mode small-o reads none")
     if not (0.0 < config.trunc_mass < 1.0):
         raise UsageError(f"--trunc-mass must lie in (0, 1): {config.trunc_mass}")
     if config.trials < 0:

@@ -445,6 +445,10 @@ class ConstantProfile:
         """B_k^2 / max_{j<=k} sigma_j^2 = k."""
         return np.asarray(k, dtype=float)
 
+    def weight_keys(self, ks: np.ndarray) -> list:
+        """ks as a list: each k has its own weights."""
+        return ks.tolist()
+
     def weights(self, k: int) -> np.ndarray:
         """sigma_j / B_k for j = 1..k."""
         return np.full(_checked_draws(k), 1.0 / math.sqrt(k))
@@ -514,13 +518,23 @@ class GeometricProfile:
         libm on some hosts, and the summand weights must keep their bits.
         """
         q = self.log_step
-        if np.ndim(k) == 0:  # one call per realized k from weights
-            return math.expm1(k * q) / math.expm1(q)
         x = np.asarray(k, dtype=float) * q
         num = np.full_like(x, -1.0)  # expm1 is exactly -1.0 below -40
         live = x > -40.0
         num[live] = [math.expm1(v) for v in x[live].tolist()]
         return num / math.expm1(q)
+
+    def weight_keys(self, ks: np.ndarray) -> list:
+        """(log S_k, kept steps) for each k of ks: weights(k) reads k through these alone.
+
+        Past ~45 / |q| steps S_k rounds to one float and the kept steps stop
+        growing, so every larger k has the same weights.  Equal keys give
+        equal weights; two keys can share weights when the last kept step
+        falls below e^-42.  math.log, not numpy's SIMD log, keeps the bits.
+        """
+        q = self.log_step
+        log_s = map(math.log, self.b2_over_max_var(ks).tolist())
+        return [(s, min(k, math.ceil((84.0 - s) / -q) + 1)) for k, s in zip(ks.tolist(), log_s)]
 
     def weights(self, k: int) -> np.ndarray:
         """sigma_j / B_k, in the order of j, for the j <= k whose weight exceeds e^-42.
@@ -532,12 +546,11 @@ class GeometricProfile:
         k is in the thousands.  Only the steps up to (84 - log S_k) / |q| + 1,
         at most ceil(84 / |q|) + 1 of them, are built.
         """
-        q = self.log_step
-        log_s = math.log(self.b2_over_max_var(k))
-        steps = np.arange(_checked_draws(min(k, math.ceil((84.0 - log_s) / -q) + 1)))
+        [(log_s, kept)] = self.weight_keys(np.array([k]))
+        steps = np.arange(_checked_draws(kept))
         if self.ratio > 1.0:  # the largest sigma_j is j = k
             steps = steps[::-1]
-        logw = 0.5 * (q * steps - log_s)
+        logw = 0.5 * (self.log_step * steps - log_s)
         return np.exp(logw[logw > -42.0])
 
 
@@ -570,11 +583,16 @@ class SummandFamily:
         An index-free family draws one standard normal per trial.  Laws with
         an exactly samplable k-fold sum (binomial, gamma) draw one value per
         trial on a constant profile, with a scalar shape when every trial has
-        the same k.  Every other family groups the trials by
-        k and multiplies (rows x k) summand matrices, at most
-        _MAX_DRAW_ENTRIES entries each (one row when k is larger), by the
-        weights sigma_j / B_k.  einsum without optimize reduces each row in a
-        fixed order, where a BLAS product's bits vary with its thread count.
+        the same k.  Every other family sorts the trials by k (stably),
+        groups each run of k with equal weights sigma_j / B_k (weight_keys),
+        and multiplies (rows x len(w)) summand matrices, at most
+        _MAX_DRAW_ENTRIES entries each (one row when w is longer), by w.
+        The bits are those of one group per k: the trials keep their order;
+        integers(0, 2) takes one 32-bit half of a Philox word per value and
+        the generator keeps the unused half between calls, and uniform takes
+        one word per value, so two matrices draw what their union would; and
+        einsum without optimize reduces each row alone in a fixed order, where
+        a BLAS product's bits vary with its thread count.
         """
         if self.index_free:
             return rng.standard_normal(len(ks))
@@ -588,6 +606,9 @@ class SummandFamily:
         out = np.empty(len(ks))
         order = np.argsort(ks, kind="stable")
         uniq, starts = np.unique(ks[order], return_index=True)
+        keys = self.profile.weight_keys(uniq)
+        new = [a != b for a, b in zip([None] + keys, keys)]  # each run of equal weights
+        uniq, starts = uniq[new], starts[new]
         ends = np.append(starts[1:], len(ks))
         for k, lo, hi in zip(uniq, starts, ends):
             w = self.profile.weights(int(k))

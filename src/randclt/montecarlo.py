@@ -12,11 +12,11 @@ once and reuse them for each n of the grid.  Families whose k-fold sums have
 an exact closed law (binomial, gamma) draw one value per trial from the
 summand stream; a Rademacher sum of k <= 64 terms reads the top k bits of one
 raw 64-bit word.  Every other family draws its summands from the same stream
-in matrices grouped by the realized k.  Blocks run on a thread pool when there
-are several, and map_blocks hands each block's sums to a per-block reduction:
-simulate copies them into disjoint slices of one output array, and
-rates.smooth_metric keeps only their moments.  Neither depends on the number
-of workers.
+in matrices grouped by weight vector sigma_j / B_k.  Blocks run on a thread
+pool when there are several, and map_blocks hands each block's sums to a
+per-block reduction: simulate copies them into disjoint slices of one output
+array, and rates.smooth_metric keeps only their moments.  Neither depends on
+the number of workers.
 """
 
 from __future__ import annotations

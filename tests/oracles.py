@@ -7,7 +7,8 @@ oracles share no code with the closed forms they check.  The geometric-profile
 kernel is checked against its former direct per-k sum and, at the atoms of
 the two-point law, against exact rational arithmetic; infinitesimality
 against its former sum over all n thresholds, the summand weights against
-their former construction from all k steps, and the Poisson tails against
+their former construction from all k steps, the grouped summand draws
+against their former one group per k, and the Poisson tails against
 mpmath's incomplete gamma function.
 """
 
@@ -18,6 +19,7 @@ import mpmath
 import numpy as np
 
 from randclt.conditions import _decide_atom_ties
+from randclt.families import _MAX_DRAW_ENTRIES
 
 SQRT3 = math.sqrt(3.0)
 
@@ -116,12 +118,33 @@ def full_weights(profile, k):
 
     The former O(k) construction: every step below the largest sigma_j in
     the order of j, the logs relative to it, and the small weights dropped
-    after all k are built.
+    after all k are built, with S_k from one scalar math.expm1 ratio.
     """
     q = -abs(math.log(profile.ratio))
     steps = np.arange(k - 1, -1, -1) if profile.ratio > 1.0 else np.arange(k)
-    logw = 0.5 * (q * steps - math.log(profile.b2_over_max_var(k)))
+    logw = 0.5 * (q * steps - math.log(math.expm1(k * q) / math.expm1(q)))
     return np.exp(logw[logw > -42.0])
+
+
+def per_k_normalized_sums(family, rng, ks):
+    """Draws of S_k / B_k that draw and weigh one summand matrix group per k.
+
+    The former matrix path of SummandFamily.batch_normalized_sums: trials
+    sorted stably by k, each distinct k's weights built, and its rows drawn
+    in matrices of at most _MAX_DRAW_ENTRIES entries.
+    """
+    out = np.empty(len(ks))
+    order = np.argsort(ks, kind="stable")
+    uniq, starts = np.unique(ks[order], return_index=True)
+    ends = np.append(starts[1:], len(ks))
+    for k, lo, hi in zip(uniq, starts, ends):
+        w = family.profile.weights(int(k))
+        rows = max(1, _MAX_DRAW_ENTRIES // len(w))
+        for a in range(lo, hi, rows):
+            b = min(a + rows, hi)
+            m = family.law.sample(rng, size=(b - a, len(w)))
+            out[order[a:b]] = np.einsum("ij,j->i", m, w)
+    return out
 
 
 def full_array_infinitesimality(fam, n, eps):

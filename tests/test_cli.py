@@ -201,6 +201,18 @@ class TestParsing:
         assert main(["simulate", "--trials", "0"]) == 1
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand", ["rates", "simulate"])
+    def test_small_o_rejects_alpha(self, subcommand, tmp_path, capsys):
+        # small-o's bound shape is E[B^-1]: --alpha changed no output byte
+        out = tmp_path / "out.csv"
+        argv = [subcommand, "--mode", "small-o", "--alpha", "0.3", "--n-grid", "10",
+                "--trials", "100", "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "usage error: --alpha" in err and "--mode small-o" in err
+        assert not out.exists()
+        parse_args(["rates", "--trials", "10", "--alpha", "0.3"])  # large-o reads it
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_key_range_rejected(self, seed, capsys):
         # masked into the 64-bit Philox key, -1 would draw the stream of 2^64 - 1

@@ -12,7 +12,15 @@ from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 from scipy.integrate import quad
 
-from oracles import binomial_chisquare_pvalue, cdf, density, full_weights, sigma, variance
+from oracles import (
+    binomial_chisquare_pvalue,
+    cdf,
+    density,
+    full_weights,
+    per_k_normalized_sums,
+    sigma,
+    variance,
+)
 from randclt.conditions import feller_values, lyapunov, max_threshold_ratio
 from randclt.families import (
     BUILTIN_FAMILY_KINDS,
@@ -20,12 +28,15 @@ from randclt.families import (
     ConstantProfile,
     FamilyConfigError,
     GeometricProfile,
+    RademacherLaw,
     UniformLaw,
+    _MAX_DRAW_ENTRIES,
     family_spec_string,
     half_binomial_pmf,
     make_family,
     parse_family,
 )
+from randclt.indices import make_index
 
 SQRT3 = math.sqrt(3.0)
 
@@ -419,6 +430,77 @@ class TestSingleShape:
         else:
             sums = 2 * rng.binomial(ks, 0.5) - ks
         assert np.array_equal(got, sums / np.sqrt(ks))
+
+
+class TestWeightGroups:
+    """Trials are drawn per run of equal weight vectors, with the bits of one group per k."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spec=st.sampled_from([
+            "twopoint,growth=0.5", "twopoint,growth=0.99", "twopoint,growth=1.001",
+            "twopoint,growth=1.01", "twopoint,growth=1.5", "twopoint", "twopoint,growth=3",
+            "uniform",
+        ]),
+        index=st.sampled_from(["det", "poisson", "geometric", "uniform"]),
+        n=st.integers(1, 1500),
+        trials=st.integers(0, 3000),
+        seed=st.integers(0, 2**32),
+    )
+    # runs that cross a 2^16-entry matrix: 541 rows of growth 2's 121
+    # weights (an odd count of 32-bit halves), 65 of growth 1.01's 1000 at
+    # k = 1000, 8 of its 7,979 past saturation
+    @example(spec="twopoint", index="geometric", n=1000, trials=5000, seed=1)
+    @example(spec="twopoint,growth=1.01", index="det", n=1000, trials=200, seed=2)
+    @example(spec="twopoint,growth=1.01", index="det", n=10_000, trials=20, seed=3)
+    @example(spec="twopoint,growth=0.5", index="uniform", n=1500, trials=3000, seed=4)
+    @example(spec="uniform", index="poisson", n=1000, trials=500, seed=5)
+    @example(spec="twopoint", index="det", n=10, trials=0, seed=6)
+    @example(spec="uniform", index="det", n=10, trials=0, seed=7)
+    def test_matches_one_group_per_k(self, spec, index, n, trials, seed):
+        fam = parse_family(spec)
+        ks = make_index(index, n).sample(Generator(Philox(key=[seed, 1])), trials)
+        got = fam.batch_normalized_sums(Generator(Philox(key=[seed, 2])), ks)
+        want = per_k_normalized_sums(fam, Generator(Philox(key=[seed, 2])), ks)
+        assert got.tobytes() == want.tobytes()
+
+    def test_one_sample_call_per_chunk_of_a_weight_vector(self, monkeypatch):
+        # the mc-sweep twopoint command at n = 1000: ~2,200 distinct k, ~120
+        # distinct weight vectors
+        fam = make_family("twopoint")
+        ks = make_index("geometric", 1000).sample(Generator(Philox(key=[1, 1])), 5000)
+        groups = {}  # weight key: [trials, weights]
+        for k, key in zip(ks.tolist(), fam.profile.weight_keys(ks)):
+            groups.setdefault(key, [0, len(fam.profile.weights(k))])[0] += 1
+        chunks = sum(
+            -(-count // max(1, _MAX_DRAW_ENTRIES // size)) for count, size in groups.values()
+        )
+        distinct = len({fam.profile.weights(k).tobytes() for k in np.unique(ks).tolist()})
+        calls = []
+        sample = RademacherLaw.sample
+        monkeypatch.setattr(
+            RademacherLaw, "sample",
+            lambda law, rng, size=None: calls.append(size) or sample(law, rng, size),
+        )
+        fam.batch_normalized_sums(Generator(Philox(key=[1, 2])), ks)
+        assert len(np.unique(ks)) >= 2000
+        # k = 122 keeps 122 steps, whose last weight falls below e^-42: the
+        # 121 weights of k = 121 under a second key
+        assert distinct <= len(groups) <= distinct + 1 <= 130
+        assert len(calls) == chunks < 200
+
+    @pytest.mark.parametrize("a, b, width", [(1, 1, 1), (3, 4, 123), (7, 2, 8445), (5, 5, 1)])
+    def test_philox_carries_the_unused_half_word(self, a, b, width):
+        # the premise of the grouped draws: two integers(0, 2) matrices give
+        # the values of their union even when the first takes an odd number
+        # of 32-bit halves, and uniform carries nothing
+        assert a * width % 2 == 1
+        for draw in (lambda g, r: g.integers(0, 2, (r, width)),
+                     lambda g, r: g.uniform(-SQRT3, SQRT3, (r, width))):
+            rng = Generator(Philox(key=[11, 12]))
+            split = np.concatenate([draw(rng, a), draw(rng, b)])
+            whole = draw(Generator(Philox(key=[11, 12])), a + b)
+            assert split.tobytes() == whole.tobytes()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
