@@ -25,7 +25,7 @@ from .indices import (
     make_index,
     parse_index,
 )
-from .montecarlo import cf_identity_check, kolmogorov_distance, simulate
+from .montecarlo import MAX_TRIALS, cf_identity_check, kolmogorov_distance, simulate
 from .rates import empirical_rotar_constant, make_test_function, rate_audit
 
 CF_TOLERANCE = 1e-12  # fixed contract for the mixed-cf identity
@@ -159,6 +159,8 @@ def _validate(config: RunConfig) -> None:
         raise UsageError(f"--trunc-mass must lie in (0, 1): {config.trunc_mass}")
     if config.trials < 0:
         raise UsageError(f"--trials must be nonnegative: {config.trials}")
+    if config.trials > MAX_TRIALS:  # 2^32 stream blocks
+        raise UsageError(f"--trials must be at most 2^49: {config.trials}")
     if not 0 <= config.seed < 2**64:
         raise UsageError(f"--seed must lie in [0, 2^64): {config.seed}")
     specs = [("--family", parse_family, config.family), ("--index", parse_index, config.index)]
@@ -373,6 +375,9 @@ def run(config: RunConfig) -> int:
         return _RUNNERS[config.subcommand](config)
     except (ValueError, OverflowError, RuntimeError, OSError) as exc:
         print(f"randclt: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # the trial-length array of simulate and audit
+        print(f"randclt: error: out of memory at --trials {config.trials}: {exc}", file=sys.stderr)
         return 1
 
 

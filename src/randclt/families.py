@@ -577,32 +577,34 @@ class SummandFamily:
         """
         return isinstance(self.law, NormalLaw)
 
-    def batch_normalized_sums(self, rng: np.random.Generator, ks: np.ndarray) -> np.ndarray:
+    def batch_normalized_sums(
+        self, rng: np.random.Generator, ks, size: Optional[int] = None
+    ) -> np.ndarray:
         """Draws of S_k / B_k for an array of realized indices, all from rng.
 
-        An index-free family draws one standard normal per trial.  Laws with
-        an exactly samplable k-fold sum (binomial, gamma) draw one value per
-        trial on a constant profile, with a scalar shape when every trial has
-        the same k.  Every other family sorts the trials by k (stably),
+        ks is an array of indices, one per trial, or one index shared by
+        `size` trials (a det index), as in Law.batch_sums.  An index-free
+        family draws one standard normal per trial.  Laws with an exactly
+        samplable k-fold sum (binomial, gamma) draw one value per trial on a
+        constant profile.  Every other family sorts the trials by k (stably),
         groups each run of k with equal weights sigma_j / B_k (weight_keys),
         and multiplies (rows x len(w)) summand matrices, at most
         _MAX_DRAW_ENTRIES entries each (one row when w is longer), by w.
         The bits are those of one group per k: the trials keep their order;
-        integers(0, 2) takes one 32-bit half of a Philox word per value and
+        integers(0, 2) takes one 32-bit half of a 64-bit word per value and
         the generator keeps the unused half between calls, and uniform takes
         one word per value, so two matrices draw what their union would; and
         einsum without optimize reduces each row alone in a fixed order, where
         a BLAS product's bits vary with its thread count.
         """
+        size = len(ks) if size is None else size
         if self.index_free:
-            return rng.standard_normal(len(ks))
+            return rng.standard_normal(size)
         if self.profile.is_constant:
-            shape = ks
-            if len(ks) and (ks == ks[0]).all():  # a det index: one scalar shape
-                shape = ks[0]
-            sums = self.law.batch_sums(rng, shape, len(ks))
+            sums = self.law.batch_sums(rng, ks, size)
             if sums is not None:  # a fresh float sum divides in place, integer heads cannot
-                return np.divide(sums, np.sqrt(shape), out=sums if sums.dtype == float else None)
+                return np.divide(sums, np.sqrt(ks), out=sums if sums.dtype == float else None)
+        ks = np.broadcast_to(ks, size)
         out = np.empty(len(ks))
         order = np.argsort(ks, kind="stable")
         uniq, starts = np.unique(ks[order], return_index=True)

@@ -1,19 +1,21 @@
 """Monte Carlo simulation of normalized random sums and distance estimation.
 
-Streams are Philox counter-based generators keyed by (seed, purpose), so every
-run is a pure function of its configuration and seed.  A simulation cuts its
-trials into blocks of _BLOCK_TRIALS and gives each block two streams: an index
-stream and a summand stream disjoint from it, both started at the block's
-number in the counter's top word (block 0 is the counter's default start, and
-blocks lie 2^192 counter steps apart).  A normal law's S_k / B_k is N(0, 1)
-for every k, so its blocks draw one standard normal per trial and no index,
-the same draws at every n: the simulate, audit and rates commands draw them
-once and reuse them for each n of the grid.  Families whose k-fold sums have
-an exact closed law (binomial, gamma) draw one value per trial from the
-summand stream; a Rademacher sum of k <= 64 terms reads the top k bits of one
-raw 64-bit word.  Every other family draws its summands from the same stream
-in matrices grouped by weight vector sigma_j / B_k.  Blocks run on a thread
-pool when there are several, and map_blocks hands each block's sums to a
+Streams are PCG64DXSM generators keyed by (seed, purpose) through a
+SeedSequence's spawn key, so every run is a pure function of its
+configuration and seed.  A simulation cuts its trials into blocks of
+_BLOCK_TRIALS and gives each block two streams: an index stream and a
+summand stream under a different key, both advanced by the block's number
+times 2^96 words (block 0 is the stream's start, and blocks are disjoint
+windows of one keyed stream).  A normal law's S_k / B_k is N(0, 1) for every
+k, so its blocks draw one standard normal per trial and no index, the same
+draws at every n: the simulate, audit and rates commands draw them once and
+reuse them for each n of the grid.  A det index draws nothing either: its k
+reaches the sampler as one scalar shape.  Families whose k-fold sums have an
+exact closed law (binomial, gamma) draw one value per trial from the summand
+stream; a Rademacher sum of k <= 64 terms reads the top k bits of one raw
+64-bit word.  Every other family draws its summands from the same stream in
+matrices grouped by weight vector sigma_j / B_k.  Blocks run on a thread pool
+when there are several, and map_blocks hands each block's sums to a
 per-block reduction: simulate copies them into disjoint slices of one output
 array, and rates.smooth_metric keeps only their moments.  Neither depends on
 the number of workers.
@@ -28,11 +30,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import PCG64DXSM, Generator, SeedSequence
 
 from .families import SummandFamily
 from .gaussian import norm_cdf
-from .indices import RandomIndexModel
+from .indices import Deterministic, RandomIndexModel
 
 _MASK64 = (1 << 64) - 1
 _TAG_INDEX = _MASK64
@@ -44,15 +46,23 @@ DEFAULT_GAMMA = 0.999
 # 1e5-trial simulate across two threads, whose malloc arenas raised its peak
 # RSS by ~5% for no gain in time.
 _BLOCK_TRIALS = 1 << 17
+# block b starts at word b << _BLOCK_SHIFT of its keyed stream; map_blocks
+# keeps b below 2^32, so every start lies within the generator's 2^128 period
+_BLOCK_SHIFT = 96
+MAX_TRIALS = _BLOCK_TRIALS << 32
 
 
 def _stream(seed: int, tag: int, block: int = 0) -> Generator:
-    if not 0 <= seed <= _MASK64:  # masking would give two seeds one stream
+    """Block `block` of the stream keyed by (seed, tag).
+
+    The key is the spawn key of a SeedSequence: the list form [seed, tag]
+    would concatenate 32-bit words, and [2^32 + 1, 1] and [1, 2^32 + 1] would
+    share a stream.
+    """
+    if not 0 <= seed <= _MASK64:  # the range that --seed accepts
         raise ValueError(f"seed must lie in [0, 2^64): {seed}")
-    return Generator(Philox(
-        key=np.array([seed, tag], dtype=np.uint64),
-        counter=np.array([0, 0, 0, block], dtype=np.uint64),
-    ))
+    bits = PCG64DXSM(SeedSequence(seed, spawn_key=(tag,)))
+    return Generator(bits.advance(block << _BLOCK_SHIFT))
 
 
 def _usable_cpus() -> int:
@@ -93,8 +103,8 @@ def map_blocks(trials: int, seed: int, per_block: Callable) -> list:
     and rng are its index stream and its summand stream.  per_block draws
     what it needs from them, and runs on the block's worker.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1: {trials}")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must lie in [1, 2^49]: {trials}")
 
     def run(block):
         lo = block * _BLOCK_TRIALS
@@ -122,10 +132,13 @@ def draw_sums(
 
     Per trial: an index k from index_rng, then the k summands from rng,
     normalized by the realized cumulative deviation B_k.  An index-free
-    family draws one standard normal per trial and no index.
+    family draws one standard normal per trial and no index, and a det
+    index passes its n as the one k of every trial.
     """
     if family.index_free:
         return rng.standard_normal(count)
+    if isinstance(index_model, Deterministic):
+        return family.batch_normalized_sums(rng, index_model.n, count)
     return family.batch_normalized_sums(rng, index_model.sample(index_rng, count))
 
 

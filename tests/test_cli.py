@@ -215,7 +215,7 @@ class TestParsing:
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_key_range_rejected(self, seed, capsys):
-        # masked into the 64-bit Philox key, -1 would draw the stream of 2^64 - 1
+        # masked to 64 bits, -1 would draw the stream of seed 2^64 - 1
         argv = ["simulate", "--n-grid", "10", "--trials", "100", "--seed", str(seed)]
         assert main(argv) == 1
         assert "usage error: --seed" in capsys.readouterr().err
@@ -224,6 +224,24 @@ class TestParsing:
         for seed in (0, 2**64 - 1):
             cfg = parse_args(["simulate", "--trials", "1", "--seed", str(seed)])
             assert cfg.seed == seed
+
+    @pytest.mark.parametrize("subcommand", ["simulate", "rates", "audit"])
+    def test_trials_past_two_to_the_49_rejected(self, subcommand, capsys):
+        # 2^32 blocks of 2^17 trials: one more block would wrap its stream start
+        assert parse_args([subcommand, "--trials", str(2**49)]).trials == 2**49
+        assert main([subcommand, "--n-grid", "10", "--trials", str(2**49 + 1)]) == 1
+        assert "usage error: --trials must be at most 2^49" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["simulate", "audit"])
+    def test_trials_past_memory_exit_one(self, subcommand, tmp_path, capsys):
+        # 1e12 trials need an 8 TB array, which numpy refuses before allocating
+        out = tmp_path / "out"
+        argv = [subcommand, "--n-grid", "10", "--trials", str(10**12), "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("randclt: error: out of memory at --trials 1000000000000: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_print_config_round_trip(self, capsys):
         argv = ["audit", "--family", "twopoint,growth=3", "--index", "geometric:0.05",

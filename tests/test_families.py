@@ -37,6 +37,7 @@ from randclt.families import (
     parse_family,
 )
 from randclt.indices import make_index
+from randclt.montecarlo import _stream
 
 SQRT3 = math.sqrt(3.0)
 
@@ -491,15 +492,16 @@ class TestWeightGroups:
 
     @pytest.mark.parametrize("a, b, width", [(1, 1, 1), (3, 4, 123), (7, 2, 8445), (5, 5, 1)])
     def test_philox_carries_the_unused_half_word(self, a, b, width):
-        # the premise of the grouped draws: two integers(0, 2) matrices give
-        # the values of their union even when the first takes an odd number
-        # of 32-bit halves, and uniform carries nothing
+        # the premise of the grouped draws, on the generator that simulations
+        # draw from (Philox's, when this test was named, carried it too): two
+        # integers(0, 2) matrices give the values of their union even when the
+        # first takes an odd number of 32-bit halves, and uniform carries nothing
         assert a * width % 2 == 1
         for draw in (lambda g, r: g.integers(0, 2, (r, width)),
                      lambda g, r: g.uniform(-SQRT3, SQRT3, (r, width))):
-            rng = Generator(Philox(key=[11, 12]))
+            rng = _stream(11, 12)
             split = np.concatenate([draw(rng, a), draw(rng, b)])
-            whole = draw(Generator(Philox(key=[11, 12])), a + b)
+            whole = draw(_stream(11, 12), a + b)
             assert split.tobytes() == whole.tobytes()
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from numpy.random import Generator, Philox
+from numpy.random import PCG64DXSM, SeedSequence
 
 from randclt import montecarlo
 from randclt.cli import UsageError, parse_args
@@ -29,10 +29,6 @@ SEED = 20260808
 BLOCK = 1 << 17
 TAG_INDEX = 2**64 - 1
 TAG_BATCH = 2**64 - 2
-
-
-def _key(seed, tag):
-    return np.array([seed, tag], dtype=np.uint64)
 
 
 def _simulate_on(workers, *args):
@@ -142,8 +138,8 @@ class TestBlockLayout:
     @pytest.mark.parametrize("trials", [1, 1000, BLOCK])
     def test_one_block_keeps_single_stream_values(self, spec, kind, n, trials):
         fam, model = parse_family(spec), make_index(kind, n)
-        ks = model.sample(Generator(Philox(key=_key(SEED, TAG_INDEX))), trials)
-        ref = fam.batch_normalized_sums(Generator(Philox(key=_key(SEED, TAG_BATCH))), ks)
+        ks = model.sample(montecarlo._stream(SEED, TAG_INDEX), trials)
+        ref = fam.batch_normalized_sums(montecarlo._stream(SEED, TAG_BATCH), ks)
         got = _simulate_on(2, fam, model, trials, SEED).values
         assert got.tobytes() == np.asarray(ref, dtype=float).tobytes()
 
@@ -194,10 +190,62 @@ class TestBlockLayout:
 
         monkeypatch.setattr(type(model), "sample", refuse)
         s = _simulate_on(2, parse_family(spec), model, 2 * BLOCK + 3, SEED)
-        direct = [Generator(Philox(key=_key(SEED, TAG_BATCH),
-                                   counter=[0, 0, 0, b])).standard_normal(n)
+        direct = [montecarlo._stream(SEED, TAG_BATCH, b).standard_normal(n)
                   for b, n in enumerate((BLOCK, BLOCK, 3))]
         assert s.values.tobytes() == np.concatenate(direct).tobytes()
+
+    @pytest.mark.parametrize("spec", ["rademacher", "expcentered", "uniform", "twopoint"])
+    def test_det_index_draws_no_index(self, spec, monkeypatch):
+        # a det index hands its n to the sampler as one scalar shape, with the
+        # bytes of one per-trial array of n
+        model = Deterministic(70)
+        fam = parse_family(spec)
+        ref = [fam.batch_normalized_sums(montecarlo._stream(SEED, TAG_BATCH, b), np.full(n, 70))
+               for b, n in enumerate((BLOCK, 5))]
+
+        def refuse(self, rng, size):
+            raise AssertionError("a det index built its k array")
+
+        monkeypatch.setattr(Deterministic, "sample", refuse)
+        s = _simulate_on(2, fam, model, BLOCK + 5, SEED)
+        assert s.values.tobytes() == np.concatenate(ref).tobytes()
+
+
+class TestStreams:
+    """_stream(seed, tag, block): a PCG64DXSM stream per key, blocks 2^96 words apart."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    @pytest.mark.parametrize("tag", [TAG_INDEX, TAG_BATCH])
+    @pytest.mark.parametrize("block", [0, 1, 2**31])
+    def test_block_starts_its_window_of_the_keyed_stream(self, seed, tag, block):
+        bits = PCG64DXSM(SeedSequence(seed, spawn_key=(tag,)))
+        bits.advance(block << 96)
+        want = bits.random_raw(4)
+        got = montecarlo._stream(seed, tag, block).bit_generator.random_raw(4)
+        assert got.tolist() == want.tolist()
+
+    def test_first_words_distinct_across_keys_and_blocks(self):
+        seeds = (0, 1, 2**32 + 1, 2**64 - 1)
+        firsts = {
+            (seed, tag, block): montecarlo._stream(seed, tag, block).bit_generator.random_raw()
+            for seed in seeds for tag in (TAG_INDEX, TAG_BATCH) for block in (0, 1, 2**31)
+        }
+        assert len(set(firsts.values())) == len(firsts) == 24
+
+    def test_seed_and_tag_do_not_collide_as_a_word_list(self):
+        # the list form concatenates 32-bit words: these two keys share a state
+        list_a = SeedSequence([2**32 + 1, 1]).generate_state(4)
+        list_b = SeedSequence([1, 2**32 + 1]).generate_state(4)
+        assert list_a.tolist() == list_b.tolist()
+        a = montecarlo._stream(2**32 + 1, 1).bit_generator.random_raw(2)
+        b = montecarlo._stream(1, 2**32 + 1).bit_generator.random_raw(2)
+        assert a.tolist() != b.tolist()
+
+    def test_trials_past_the_block_range_rejected(self):
+        # map_blocks refuses before any stream or array is made
+        with pytest.raises(ValueError, match="trials"):
+            montecarlo.map_blocks(montecarlo.MAX_TRIALS + 1, 1, None)
+        assert montecarlo.MAX_TRIALS == BLOCK << 32 == 2**49
 
 
 class TestNormalization:
