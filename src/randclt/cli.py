@@ -1,5 +1,10 @@
 """Command-line front end: conditions, simulate, rates, cf-check, audit.
 
+Each subcommand takes only the flags it reads (RunConfig's field metadata
+names them), spelled in full; any other flag is a usage error.  The one
+exception is `rates --epsilon`, accepted and unread (see _UNREAD_ACCEPTED).
+`--print-config` prints the flags the subcommand read, shell-quoted.
+
 Exit codes: 0 success, 1 configuration/numeric/IO failures, 2 mathematical
 audit failures (an inequality or certified-bound violation beyond its error
 budget).  Output files are written atomically (temp file + rename) and are a
@@ -13,9 +18,12 @@ import dataclasses
 import json
 import math
 import os
+import shlex
 import sys
 import tempfile
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import conditions as cond
 from .families import family_spec_string, parse_family
@@ -26,9 +34,22 @@ from .indices import (
     parse_index,
 )
 from .montecarlo import MAX_TRIALS, cf_identity_check, kolmogorov_distance, simulate
-from .rates import empirical_rotar_constant, make_test_function, rate_audit
+from .rates import BUILTIN_TEST_FUNCTIONS, empirical_rotar_constant, make_test_function, rate_audit
 
 CF_TOLERANCE = 1e-12  # fixed contract for the mixed-cf identity
+_SUBCOMMANDS = {
+    "conditions": "evaluate condition functionals over a grid (CSV)",
+    "simulate": "Monte Carlo sweep of the normalized-sum distance (CSV)",
+    "rates": "approximation-rate audit for a test function (CSV)",
+    "cf-check": "characteristic-function mixing identity (JSON)",
+    "audit": "inequality-chain and certified-bound audit (JSON)",
+}
+_SAMPLED = ("simulate", "rates", "audit")
+_FUNCTIONALS = ("conditions", "audit")
+# rates reads no --epsilon, but the benchmark's rates-smooth workload passes
+# one: rates parses and validates it, and --print-config leaves it out, until
+# the benchmark stops passing it (ROADMAP item 4).  No other unread pair.
+_UNREAD_ACCEPTED = ("rates", "epsilon_grid")
 
 
 class UsageError(ValueError):
@@ -61,17 +82,23 @@ def _joined(show):
     return lambda values: ",".join(show(v) for v in values)
 
 
-def _flag(default, *flags, show=str, **argparse_kwargs):
-    """A RunConfig field that flags set; to_argv writes it back with show, if any."""
+def _flag(default, *flags, read_by=tuple(_SUBCOMMANDS), show=str, **argparse_kwargs):
+    """A RunConfig field that flags set on the subcommands in read_by.
+
+    to_argv writes it back with show, if any.
+    """
     return dataclasses.field(
         default=default,
-        metadata={"flags": flags, "show": show, "argparse": argparse_kwargs},
+        metadata={"flags": flags, "read_by": read_by, "show": show, "argparse": argparse_kwargs},
     )
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """The flags of every subcommand: each field declares its flags and default."""
+    """Every subcommand's flags: each field declares its flags, its readers and its default.
+
+    A field its subcommand does not take keeps its default.
+    """
 
     subcommand: str
     family: str = _flag("rademacher", "--family")
@@ -80,33 +107,31 @@ class RunConfig:
         (10, 100, 1000), "--n-grid", "--n", type=_int_list, show=_joined(str)
     )
     epsilon_grid: tuple = _flag(
-        (0.5,), "--epsilon", type=_float_list, show=_joined(repr)
+        (0.5,), "--epsilon", read_by=_FUNCTIONALS, type=_float_list, show=_joined(repr)
     )
-    delta: float = _flag(1.0, "--delta", type=float, show=repr)
-    trials: int = _flag(0, "--trials", type=int)
-    seed: int = _flag(0, "--seed", type=int)
+    delta: float = _flag(1.0, "--delta", read_by=_FUNCTIONALS, type=float, show=repr)
+    trials: int = _flag(0, "--trials", read_by=_SAMPLED, type=int)
+    seed: int = _flag(0, "--seed", read_by=_SAMPLED, type=int)
     trunc_mass: float = _flag(TRUNCATION_TARGET, "--trunc-mass", type=float, show=repr)
-    fn_id: str = _flag("sin", "--fn")
-    mode: str = _flag("large-o", "--mode", choices=("large-o", "small-o"))
-    alpha: float | None = _flag(None, "--alpha", type=float, show=repr)
+    fn_id: str = _flag("sin", "--fn", read_by=("rates",), choices=tuple(BUILTIN_TEST_FUNCTIONS))
+    mode: str = _flag("large-o", "--mode", read_by=("rates",), choices=("large-o", "small-o"))
+    alpha: float | None = _flag(None, "--alpha", read_by=("rates",), type=float, show=repr)
     t_grid: tuple = _flag(
-        (0.0, 0.5, 1.0, 2.0, 4.0), "--t-grid", type=_float_list, show=_joined(repr)
+        (0.0, 0.5, 1.0, 2.0, 4.0), "--t-grid", read_by=("cf-check", "audit"),
+        type=_float_list, show=_joined(repr),
     )
     out: str | None = _flag(None, "--out")
     print_config: bool = _flag(False, "--print-config", show=None, action="store_true")
 
     def to_argv(self) -> list:
-        """Canonical flag list; parse_args on it reproduces this config."""
+        """The subcommand and the flags it reads; parse_args on it reproduces those fields."""
         argv = [self.subcommand]
-        for f in _flag_fields():
+        for f in dataclasses.fields(self)[1:]:
             value = getattr(self, f.name)
-            if f.metadata["show"] is not None and value is not None:
+            shown = self.subcommand in f.metadata["read_by"] and f.metadata["show"] is not None
+            if shown and value is not None:
                 argv += [f.metadata["flags"][0], f.metadata["show"](value)]
         return argv
-
-
-def _flag_fields():
-    return [f for f in dataclasses.fields(RunConfig) if "flags" in f.metadata]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -115,22 +140,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="randclt", description=__doc__)
+    parser = _Parser(prog="randclt", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    specs = {
-        "conditions": "evaluate condition functionals over a grid (CSV)",
-        "simulate": "Monte Carlo sweep of the normalized-sum distance (CSV)",
-        "rates": "approximation-rate audit for a test function (CSV)",
-        "cf-check": "characteristic-function mixing identity (JSON)",
-        "audit": "inequality-chain and certified-bound audit (JSON)",
-    }
-    for name, help_text in specs.items():
-        p = sub.add_parser(name, help=help_text)
-        for f in _flag_fields():
-            p.add_argument(
-                *f.metadata["flags"], dest=f.name, default=f.default,
-                **f.metadata["argparse"],
-            )
+    for name, help_text in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for f in dataclasses.fields(RunConfig)[1:]:
+            if name in f.metadata["read_by"] or (name, f.name) == _UNREAD_ACCEPTED:
+                p.add_argument(
+                    *f.metadata["flags"], dest=f.name, default=f.default,
+                    **f.metadata["argparse"],
+                )
     return parser
 
 
@@ -163,10 +182,9 @@ def _validate(config: RunConfig) -> None:
         raise UsageError(f"--trials must be at most 2^49: {config.trials}")
     if not 0 <= config.seed < 2**64:
         raise UsageError(f"--seed must lie in [0, 2^64): {config.seed}")
-    specs = [("--family", parse_family, config.family), ("--index", parse_index, config.index)]
-    if config.subcommand == "rates":
-        specs.append(("--fn", make_test_function, config.fn_id))
-    for flag, parse, spec in specs:
+    for flag, parse, spec in (
+        ("--family", parse_family, config.family), ("--index", parse_index, config.index)
+    ):
         try:
             parse(spec)
         except ValueError as exc:
@@ -246,17 +264,10 @@ def _run_conditions(config: RunConfig) -> int:
                 cond.random_lindeberg(family, model, eps),
                 cond.random_rotar(family, model, eps),
             ]
-        for rep in per_n:
-            rows.append(
-                (
-                    rep.condition.value,
-                    rep.n,
-                    rep.epsilon,
-                    rep.delta,
-                    rep.value,
-                    rep.error_bound,
-                )
-            )
+        rows += [
+            (rep.condition.value, rep.n, rep.epsilon, rep.delta, rep.value, rep.error_bound)
+            for rep in per_n
+        ]
     _emit(config, _csv(
         ("condition", "n", "epsilon", "delta", "value", "error_bound"), rows
     ))
@@ -294,16 +305,18 @@ def _run_rates(config: RunConfig) -> int:
 
 def _run_cf_check(config: RunConfig) -> int:
     family, kind, param = _family_and_index(config)
-    model = make_index(kind, config.n_grid[0], param, target=config.trunc_mass)
-    result = cf_identity_check(family, model, config.t_grid)
-    passed = result.max_deviation <= CF_TOLERANCE
+    models = [make_index(kind, n, param, target=config.trunc_mass) for n in config.n_grid]
+    results = [cf_identity_check(family, model, config.t_grid) for model in models]
+    deviations = np.max([r.deviations for r in results], axis=0)  # NaN-propagating over n
+    max_deviation = float(np.max(deviations))
+    passed = max_deviation <= CF_TOLERANCE
     payload = {
         "family": family_spec_string(family),
         "index": index_spec_string(kind, param),
-        "t_grid": list(result.t_grid),
-        "deviations": list(result.deviations),
-        "max_deviation": result.max_deviation,
-        "tail_mass": result.truncation_tail_mass,
+        "t_grid": list(results[0].t_grid),
+        "deviations": deviations.tolist(),
+        "max_deviation": max_deviation,
+        "tail_mass": max(r.truncation_tail_mass for r in results),
         "tolerance": CF_TOLERANCE,
         "passed": passed,
     }
@@ -369,7 +382,7 @@ _RUNNERS = {
 def run(config: RunConfig) -> int:
     """Execute a validated config; returns the process exit status."""
     if config.print_config:
-        sys.stdout.write(" ".join(config.to_argv()) + "\n")
+        sys.stdout.write(shlex.join(config.to_argv()) + "\n")
         return 0
     try:
         return _RUNNERS[config.subcommand](config)

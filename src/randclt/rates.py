@@ -19,7 +19,7 @@ import numpy as np
 
 from .conditions import ImplicationAudit
 from .families import RademacherLaw, SummandFamily, half_binomial_pmf
-from .indices import RandomIndexModel
+from .indices import Deterministic, RandomIndexModel
 from .montecarlo import draw_sums, map_blocks
 
 
@@ -180,11 +180,18 @@ def _lattice_draws(family, index_model, count, index_rng, rng, pmf_rows):
     rows (_lattice_split, _lattice_pvals); the other trials, and every other
     family, draw per trial as draw_sums does.  The rectangle of rows holds
     at most count cells, so the histogram draw takes O(block) memory, and so
-    does building the rows.
+    does building the rows.  A det index has one k, so its split is all or
+    nothing and takes no per-trial array: one row of all count trials, or
+    draw_sums' scalar shape.
     """
-    if not (isinstance(family.law, RademacherLaw) and family.profile.is_constant):
+    det = isinstance(index_model, Deterministic)
+    lattice_family = isinstance(family.law, RademacherLaw) and family.profile.is_constant
+    if not lattice_family or (det and count <= index_model.n + 1):
         return _NO_VALUES, _NO_COUNTS, draw_sums(family, index_model, count, index_rng, rng)
-    lattice, trials, rest = _lattice_split(index_model.sample(index_rng, count), count)
+    if det:
+        lattice, trials, rest = np.array([index_model.n]), np.array([count]), _NO_COUNTS
+    else:
+        lattice, trials, rest = _lattice_split(index_model.sample(index_rng, count), count)
     values, counts = _NO_VALUES, _NO_COUNTS
     if len(lattice):
         pvals = _lattice_pvals(lattice, pmf_rows)

@@ -2,10 +2,12 @@
 
 import csv
 import dataclasses
+import itertools
 import json
 import os
 import re
 import resource
+import shlex
 import subprocess
 import sys
 from collections import Counter
@@ -22,6 +24,29 @@ from randclt.cli import UsageError, main, parse_args, run
 from randclt.families import parse_family
 from randclt.indices import make_index
 from randclt.schema import SchemaError, load_schema, validate
+
+
+# every value flag with a non-default value, and the flags each subcommand reads
+FLAG_VALUES = {
+    "--family": "twopoint,growth=3", "--index": "geometric:0.05", "--n-grid": "5,50",
+    "--epsilon": "0.1,0.7", "--delta": "0.5", "--trials": "11", "--seed": "9",
+    "--trunc-mass": "1e-10", "--fn": "bump", "--mode": "small-o", "--alpha": "0.3",
+    "--t-grid": "0,1.5", "--out": "my out.csv",
+}
+READ_BY_ALL = ("--family", "--index", "--n-grid", "--trunc-mass", "--out")
+READS = {
+    "conditions": READ_BY_ALL + ("--epsilon", "--delta"),
+    "simulate": READ_BY_ALL + ("--trials", "--seed"),
+    "rates": READ_BY_ALL + ("--trials", "--seed", "--fn", "--mode", "--alpha"),
+    "cf-check": READ_BY_ALL + ("--t-grid",),
+    "audit": READ_BY_ALL + ("--epsilon", "--delta", "--trials", "--seed", "--t-grid"),
+}
+# rates-smooth in the benchmark passes it; the benchmark's next change drops both
+UNREAD_ACCEPTED = {("rates", "--epsilon")}
+
+def _shortest_argv(subcommand):
+    """A valid command with no optional flag but the --trials simulate and rates need."""
+    return [subcommand, "--trials", "7"] if subcommand in ("simulate", "rates") else [subcommand]
 
 
 SCIPY_MODULES = (
@@ -203,13 +228,17 @@ class TestParsing:
 
     @pytest.mark.parametrize("subcommand", ["rates", "simulate"])
     def test_small_o_rejects_alpha(self, subcommand, tmp_path, capsys):
-        # small-o's bound shape is E[B^-1]: --alpha changed no output byte
+        # small-o's bound shape is E[B^-1]: --alpha changed no output byte;
+        # simulate reads neither flag, so it takes neither
         out = tmp_path / "out.csv"
         argv = [subcommand, "--mode", "small-o", "--alpha", "0.3", "--n-grid", "10",
                 "--trials", "100", "--out", str(out)]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert "usage error: --alpha" in err and "--mode small-o" in err
+        if subcommand == "rates":
+            assert "usage error: --alpha" in err and "--mode small-o" in err
+        else:
+            assert "usage error: unrecognized arguments: --mode small-o --alpha 0.3" in err
         assert not out.exists()
         parse_args(["rates", "--trials", "10", "--alpha", "0.3"])  # large-o reads it
 
@@ -259,6 +288,59 @@ class TestParsing:
         assert dataclasses.replace(parse_args(printed), print_config=False) == (
             dataclasses.replace(cfg, print_config=False)
         )
+
+    def test_print_config_is_shell_quoted(self, capsys):
+        # joined with spaces, the line reparsed as "unrecognized arguments: growth=3 out.csv"
+        argv = ["conditions", "--family", "twopoint, growth=3", "--out", "my out.csv"]
+        assert main([*argv, "--print-config"]) == 0
+        line = capsys.readouterr().out
+        assert line.count("\n") == 1
+        assert parse_args(shlex.split(line)) == parse_args(argv)
+
+    def test_print_config_lists_only_the_flags_read(self, capsys):
+        assert main(["simulate", "--trials", "5", "--print-config"]) == 0
+        assert capsys.readouterr().out == (
+            "simulate --family rademacher --index det --n-grid 10,100,1000 --trials 5 "
+            "--seed 0 --trunc-mass 1e-12\n"
+        )
+
+    @pytest.mark.parametrize("subcommand, flag", itertools.product(READS, FLAG_VALUES))
+    def test_each_subcommand_takes_only_the_flags_it_reads(
+        self, subcommand, flag, tmp_path, capsys
+    ):
+        base = _shortest_argv(subcommand)
+        argv = [*base, flag, FLAG_VALUES[flag]]
+        if flag in READS[subcommand]:
+            cfg = parse_args(argv)
+            assert cfg != parse_args(base)
+            assert cfg.to_argv().count(flag) == 1
+            assert parse_args(cfg.to_argv()) == cfg
+            assert main([*argv, "--print-config"]) == 0
+            assert shlex.split(capsys.readouterr().out) == cfg.to_argv()
+        elif (subcommand, flag) in UNREAD_ACCEPTED:
+            # parsed and validated, never written back
+            assert flag not in parse_args(argv).to_argv()
+            assert main([*base, flag, "0"]) == 1
+            assert f"usage error: {flag} entries must be positive" in capsys.readouterr().err
+        else:
+            out = tmp_path / "out"
+            assert main([*argv, "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err == (
+                f"randclt: usage error: unrecognized arguments: {flag} {FLAG_VALUES[flag]}\n"
+            )
+            assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--tri", "5"], ["simulate", "--t", "5"], ["conditions", "--eps", "0.5"],
+        ["rates", "--trials", "5", "--fn", "sin", "--mod", "small-o"], ["audit", "--n-g", "5"],
+    ])
+    def test_abbreviation_is_a_usage_error(self, argv, capsys):
+        # only declared spellings: --tri parsed as --trials
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("randclt: usage error: unrecognized arguments: ")
+        assert argv[-2] in err
 
 
 class TestConditionsCommand:
@@ -501,7 +583,7 @@ class TestRatesCommand:
         out = tmp_path / "so.csv"
         assert main(["rates", "--mode", "small-o", "--family", "rademacher",
                      "--index", "geometric", "--fn", "bump", "--n-grid", "5,25",
-                     "--epsilon", "0.5", "--trials", "2000", "--out", str(out)]) == 0
+                     "--trials", "2000", "--out", str(out)]) == 0
         assert out.read_text().splitlines()[0] == "n,metric,mc_stderr,bound,ratio"
 
     @pytest.mark.parametrize("mode", ["large-o", "small-o"])
@@ -561,6 +643,29 @@ class TestCfCheckCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["passed"] is True
         assert payload["tail_mass"] <= 1e-12
+
+    def test_every_n_is_checked(self, capsys):
+        # the command read only the first n: this grid printed --n-grid 100's bytes
+        def payload(n_grid):
+            assert main(["cf-check", "--index", "poisson", "--n-grid", n_grid]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        both, small, large = payload("100,1000000"), payload("100"), payload("1000000")
+        assert both["deviations"] == [
+            max(a, b) for a, b in zip(small["deviations"], large["deviations"])
+        ]
+        assert both["max_deviation"] == max(both["deviations"])
+        assert both["tail_mass"] == max(small["tail_mass"], large["tail_mass"])
+        assert both != small
+
+    def test_an_n_past_the_cap_fails_the_grid(self, tmp_path, capsys):
+        # a later n's window past the cap no longer passes on the first n's check
+        out = tmp_path / "cf.json"
+        code = main(["cf-check", "--index", "geometric", "--n-grid", "10,1000000",
+                     "--out", str(out)])
+        assert code == 1
+        assert "past the cap" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_poisson_tail_mass_covers_the_mass_left_out(self, capsys):
         # scipy's pdtrc made this read 9.86e-13 while 4.27e-12 lay outside
