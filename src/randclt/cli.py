@@ -48,7 +48,8 @@ _SAMPLED = ("simulate", "rates", "audit")
 _FUNCTIONALS = ("conditions", "audit")
 # rates reads no --epsilon, but the benchmark's rates-smooth workload passes
 # one: rates parses and validates it, and --print-config leaves it out, until
-# the benchmark stops passing it (ROADMAP item 4).  No other unread pair.
+# a change to the benchmark drops --epsilon from that workload's small-o
+# rates command.  No other unread pair.
 _UNREAD_ACCEPTED = ("rates", "epsilon_grid")
 
 

@@ -30,7 +30,7 @@ from .gaussian import (
     piecewise,
     upper_x_sf_integral,
 )
-from .indices import _STIRLERR
+from .indices import _stirlerr
 
 _SQRT3 = math.sqrt(3.0)
 _LN2 = math.log(2.0)
@@ -42,9 +42,6 @@ _MAX_DRAW_ENTRIES = 1 << 16
 # Summands one trial may draw (the length of its weights), past which a
 # simulation is refused: 10^8 of them take ~0.8 GB and their weights as much.
 _MAX_TRIAL_DRAWS = 10**8
-# Bits in one raw draw of a bit generator: the largest k whose Rademacher sum
-# is read from a single word.
-_WORD_BITS = 64
 
 
 class FamilyConfigError(ValueError):
@@ -153,33 +150,11 @@ class RademacherLaw(Law):
         return rng.integers(0, 2, size=size) * 2.0 - 1.0
 
     def batch_sums(self, rng, ks, size=None):
-        # S_k = 2 H - k, H ~ Binomial(k, 1/2).  For k <= 64, H counts the set
-        # bits among the top k of one raw word; those words are drawn first,
-        # in trial order, then the binomials of the larger k.  A count over
-        # several words is slower than the binomial sampler.
-        ks = np.asarray(ks, dtype=np.int64)
-        size = len(ks) if size is None else size
-        small = ks <= _WORD_BITS
-        # a block on one side of 64 skips the masked copies (~2x at k = 16)
-        if small.all():
-            heads = _top_bit_counts(rng, ks, size).astype(np.int64)
-        elif not small.any():
-            heads = rng.binomial(ks, 0.5, size)
-        else:
-            heads = np.empty(len(ks), dtype=np.int64)
-            heads[small] = _top_bit_counts(rng, ks[small], int(small.sum()))
-            big = ~small
-            heads[big] = rng.binomial(ks[big], 0.5)
+        # S_k = 2 H - k, H ~ Binomial(k, 1/2)
+        heads = rng.binomial(ks, 0.5, size)
         heads *= 2
         heads -= ks
         return heads
-
-
-def _top_bit_counts(rng, ks, size):
-    """Set bits among the top k bits of one raw 64-bit word per trial, k <= 64."""
-    words = rng.bit_generator.random_raw(size)
-    words >>= (_WORD_BITS - ks).view(np.uint64)
-    return np.bitwise_count(words)
 
 
 def half_binomial_pmf(k, h):
@@ -202,19 +177,6 @@ def half_binomial_pmf(k, h):
     log_p -= 0.5 * n * _two_kl_half(x, n)  # the one large term, rounded once
     p[inner] = np.exp(log_p)
     return p
-
-
-def _stirlerr(n):
-    """log(n!) - (n + 1/2) log(n) + n - log(2 pi) / 2 for integer n >= 1 (Loader).
-
-    The table below 16, and the five-term series above it, where its error
-    is below 1e-17.
-    """
-    table = n <= 15
-    nn = n * n
-    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - (1 / 1188) / nn) / nn) / nn) / nn) / n
-    series[table] = np.take(_STIRLERR, n[table].astype(np.int64))
-    return series
 
 
 def _two_kl_half(x, n):
@@ -583,13 +545,12 @@ class SummandFamily:
         """Draws of S_k / B_k for an array of realized indices, all from rng.
 
         ks is an array of indices, one per trial, or one index shared by
-        `size` trials (a det index), as in Law.batch_sums.  An index-free
-        family draws one standard normal per trial.  Laws with an exactly
-        samplable k-fold sum (binomial, gamma) draw one value per trial on a
-        constant profile.  Every other family sorts the trials by k (stably),
-        groups each run of k with equal weights sigma_j / B_k (weight_keys),
-        and multiplies (rows x len(w)) summand matrices, at most
-        _MAX_DRAW_ENTRIES entries each (one row when w is longer), by w.
+        `size` trials (a det index), as in Law.batch_sums.  Laws with an
+        exactly samplable k-fold sum (binomial, gamma) draw one value per
+        trial on a constant profile.  Every other family sorts the trials by
+        k (stably), groups each run of k with equal weights sigma_j / B_k
+        (weight_keys), and multiplies (rows x len(w)) summand matrices, at
+        most _MAX_DRAW_ENTRIES entries each (one row when w is longer), by w.
         The bits are those of one group per k: the trials keep their order;
         integers(0, 2) takes one 32-bit half of a 64-bit word per value and
         the generator keeps the unused half between calls, and uniform takes
@@ -598,8 +559,6 @@ class SummandFamily:
         a BLAS product's bits vary with its thread count.
         """
         size = len(ks) if size is None else size
-        if self.index_free:
-            return rng.standard_normal(size)
         if self.profile.is_constant:
             sums = self.law.batch_sums(rng, ks, size)
             if sums is not None:  # a fresh float sum divides in place, integer heads cannot

@@ -189,7 +189,7 @@ class ShiftedPoisson(RandomIndexModel):
         # erf(D / sqrt(2 V))), V = lam + D: below 1 - tau, the window is longer.
         d = TRUNCATION_CAP // 2
         sd = math.sqrt(lam + d)
-        reach = math.exp(_log_pmf(float(m), lam)) * (
+        reach = math.exp(_log_pmf([float(m)], lam)[0]) * (
             3.0 + math.sqrt(2.0 * math.pi) * sd * math.erf(d / (math.sqrt(2.0) * sd))
         )
         if reach * (1.0 + 1e-9) < 1.0 - self.target:
@@ -337,18 +337,22 @@ _WALK_RTOL = 2.0**-32
 _WALK_CUT = 2.0**-60
 
 
-def _stirlerr(n: float) -> float:
-    """log(n!) - (n + 1/2) log(n) + n - log(2 pi) / 2 for integer n >= 0 (Loader)."""
-    if n <= 15:
-        return _STIRLERR[int(n)]
-    nn = n * n
-    if n > 500:
-        return (1 / 12 - (1 / 360) / nn) / n
-    if n > 80:
-        return (1 / 12 - (1 / 360 - (1 / 1260) / nn) / nn) / n
-    if n > 35:
-        return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680) / nn) / nn) / nn) / n
-    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - (1 / 1188) / nn) / nn) / nn) / nn) / n
+def _stirlerr(n):
+    """log(n!) - (n + 1/2) log(n) + n - log(2 pi) / 2 for integers n >= 0, elementwise (Loader).
+
+    The table up to 15, and above it the series by Horner's rule with R's
+    cut-offs: five terms up to 35, four up to 80, three up to 500 and two
+    beyond.  A term a series leaves out starts its inner sum at 0.
+    """
+    n = np.asarray(n, dtype=float)
+    m = np.maximum(n, 16.0)  # the table covers the rest; no division by 0
+    with np.errstate(over="ignore"):  # past 1e154, mm is inf and 1 / mm is 0
+        mm = m * m
+    s = np.where(n <= 35, (1 / 1188) / mm, 0.0)
+    s = np.where(n <= 80, (1 / 1680 - s) / mm, 0.0)
+    s = np.where(n <= 500, (1 / 1260 - s) / mm, 0.0)
+    s = (1 / 12 - (1 / 360 - s) / mm) / m
+    return np.where(n <= 15, np.take(_STIRLERR, np.minimum(n, 15).astype(np.int64)), s)
 
 
 def _bd0(x: float, mu: float) -> float:
@@ -370,11 +374,12 @@ def _bd0(x: float, mu: float) -> float:
     return x * math.log(x / mu) + mu - x
 
 
-def _log_pmf(x: float, lam: float) -> float:
-    """log P(X = x), X ~ Poisson(lam), in Loader's saddle-point form (R's dpois)."""
-    if x == 0:
-        return -lam
-    return -_stirlerr(x) - _bd0(x, lam) - 0.5 * (math.log(2.0 * math.pi) + math.log(x))
+def _log_pmf(xs: list, lam: float) -> list:
+    """log P(X = x), X ~ Poisson(lam), for each float x of xs: Loader's form (R's dpois)."""
+    return [
+        -lam if x == 0 else -s - _bd0(x, lam) - 0.5 * (math.log(2.0 * math.pi) + math.log(x))
+        for x, s in zip(xs, _stirlerr(xs).tolist())
+    ]
 
 
 def _walk_log_pmf(lam: float, x0: int, count: int, step: int) -> np.ndarray:
@@ -399,9 +404,7 @@ def _walk_log_pmf(lam: float, x0: int, count: int, step: int) -> np.ndarray:
     if step > 0:
         np.negative(x, out=x)
     ratios = x.reshape(blocks, _WALK_BLOCK)
-    ratios[:, 0] = [
-        _log_pmf(float(x0 + step * _WALK_BLOCK * b), lam) for b in range(blocks)
-    ]
+    ratios[:, 0] = _log_pmf([float(x0 + step * _WALK_BLOCK * b) for b in range(blocks)], lam)
     np.cumsum(ratios, axis=1, out=ratios)
     return x[:count]
 

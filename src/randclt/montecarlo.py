@@ -6,16 +6,18 @@ configuration and seed.  A simulation cuts its trials into blocks of
 _BLOCK_TRIALS and gives each block two streams: an index stream and a
 summand stream under a different key, both advanced by the block's number
 times 2^96 words (block 0 is the stream's start, and blocks are disjoint
-windows of one keyed stream).  A normal law's S_k / B_k is N(0, 1) for every
-k, so its blocks draw one standard normal per trial and no index, the same
-draws at every n: the simulate, audit and rates commands draw them once and
-reuse them for each n of the grid.  A det index draws nothing either: its k
-reaches the sampler as one scalar shape.  Families whose k-fold sums have an
-exact closed law (binomial, gamma) draw one value per trial from the summand
-stream; a Rademacher sum of k <= 64 terms reads the top k bits of one raw
-64-bit word.  Every other family draws its summands from the same stream in
-matrices grouped by weight vector sigma_j / B_k.  Blocks run on a thread pool
-when there are several, and map_blocks hands each block's sums to a
+windows of one keyed stream).  draw_block is the one per-block draw of the
+simulate, audit and rates commands.  A normal law's S_k / B_k is N(0, 1) for
+every k, so its blocks draw one standard normal per trial and no index, the
+same draws at every n: the commands draw them once and reuse them for each n
+of the grid.  A det index draws nothing either: its k reaches the sampler as
+one scalar shape.  A Rademacher sum on a constant profile takes only k + 1
+values, so the trials of each k that repeats more often than that are drawn
+as one lattice histogram.  Families whose k-fold sums have an exact closed
+law (binomial, gamma) draw their other trials one value each from the
+summand stream; every other family draws its summands from the same stream
+in matrices grouped by weight vector sigma_j / B_k.  Blocks run on a thread
+pool when there are several, and map_blocks hands each block's draws to a
 per-block reduction: simulate copies them into disjoint slices of one output
 array, and rates.smooth_metric keeps only their moments.  Neither depends on
 the number of workers.
@@ -32,7 +34,7 @@ from typing import Callable
 import numpy as np
 from numpy.random import PCG64DXSM, Generator, SeedSequence
 
-from .families import SummandFamily
+from .families import RademacherLaw, SummandFamily, half_binomial_pmf
 from .gaussian import norm_cdf
 from .indices import Deterministic, RandomIndexModel
 
@@ -74,7 +76,12 @@ def _usable_cpus() -> int:
 
 @dataclass(frozen=True)
 class EmpiricalSample:
-    """Seeded draws of S_index / B_index, in draw order."""
+    """Seeded draws of S_index / B_index.
+
+    Block by block: the lattice values by ascending k, each repeated by its
+    count, then the per-trial draws (draw_block).  The order carries no
+    meaning; only the multiset of values does.
+    """
 
     values: np.ndarray = field(compare=False)
     trials: int
@@ -121,25 +128,101 @@ def map_blocks(trials: int, seed: int, per_block: Callable) -> list:
         return list(pool.map(run, range(blocks)))  # re-raises a block's error
 
 
-def draw_sums(
+_NO_VALUES, _NO_COUNTS = np.empty(0), np.empty(0, dtype=np.int64)
+
+
+def _lattice_pvals(ks, pmf_rows):
+    """The Binomial(k, 1/2) pmf rows of the ascending ks, right-aligned in one rectangle.
+
+    numpy's multinomial takes one rectangle of rows and gives a row's last
+    cell whatever its earlier binomials leave.  Each row therefore ends in
+    the last column, and runs from the tails inward to a mode: position j
+    holds h = j / 2 for even j and h = k - (j - 1) / 2 for odd j, both of
+    pmf Binomial(k, 1/2)(j // 2).  Every conditional probability the draw
+    uses is then a share of a mass still well above round-off.  The cells
+    left of a row are 0, which numpy's multinomial skips without a draw.
+    pmf_rows keeps each k's row for the later blocks of the same call.
+    """
+    new = np.array([k for k in ks.tolist() if k not in pmf_rows], dtype=np.int64)
+    if len(new):
+        widths = new + 1
+        ends = np.cumsum(widths)
+        pos = np.arange(ends[-1]) - np.repeat(ends - widths, widths)
+        pmf = half_binomial_pmf(np.repeat(new, widths), pos // 2)
+        pmf_rows.update(zip(new.tolist(), np.split(pmf, ends[:-1])))
+    width = int(ks[-1]) + 1
+    pvals = np.zeros((len(ks), width))
+    for row, k in zip(pvals, ks.tolist()):
+        row[width - k - 1:] = pmf_rows[k]
+    return pvals
+
+
+def _lattice_split(ks, count):
+    """The ascending lattice ks of one block, their trial counts, and the other trials' ks.
+
+    A k is on the lattice when its trials outnumber its k + 1 cells; the ks
+    are admitted by increasing k while their rectangle holds at most count
+    cells.  A det index's one k (a scalar) is on the lattice with all count
+    trials or off it with none, and builds no per-trial array.
+    """
+    if np.ndim(ks) == 0:
+        if count > ks + 1:
+            return np.array([ks]), np.array([count]), _NO_COUNTS
+        return _NO_COUNTS, _NO_COUNTS, ks
+    # no k >= count has more trials than cells: bin them together
+    bins = ks if ks.max() < count else np.minimum(ks, count)
+    trials_at = np.bincount(bins)
+    lattice = np.flatnonzero(trials_at > np.arange(1, len(trials_at) + 1))
+    lattice = lattice[np.arange(1, len(lattice) + 1) * (lattice + 1) <= count]
+    if not len(lattice):
+        return lattice, lattice, ks
+    off = np.ones(len(trials_at), dtype=bool)
+    off[lattice] = False
+    return lattice, trials_at[lattice], ks[off[bins]]
+
+
+def draw_block(
     family: SummandFamily,
     index_model: RandomIndexModel,
     count: int,
     index_rng: Generator,
     rng: Generator,
-) -> np.ndarray:
-    """count normalized random sums S_k / B_k, in trial order.
+    pmf_rows: dict,
+) -> tuple:
+    """One block of count normalized random sums S_k / B_k as (values, counts, sums).
 
-    Per trial: an index k from index_rng, then the k summands from rng,
+    Each trial's index k comes from index_rng and its summands from rng,
     normalized by the realized cumulative deviation B_k.  An index-free
     family draws one standard normal per trial and no index, and a det
-    index passes its n as the one k of every trial.
+    index passes its n as the one k of every trial.  On a constant profile
+    a Rademacher S_k takes only the k + 1 values 2h - k, so c_k i.i.d. draws
+    of it matter only through their histogram, Multinomial(c_k,
+    Binomial(k, 1/2)).  Every k whose c_k exceeds its k + 1 cells draws its
+    histogram in one multinomial over the block's rows (_lattice_split,
+    _lattice_pvals), and comes back as its occupied values with their
+    counts, by ascending k; the rectangle of rows holds at most count
+    cells, so the histogram draw takes O(block) memory, and so does building
+    the rows.  The other trials, and every other family, come back as one
+    draw per trial in sums.  pmf_rows caches the pmf rows across the blocks
+    of one call.
     """
     if family.index_free:
-        return rng.standard_normal(count)
-    if isinstance(index_model, Deterministic):
-        return family.batch_normalized_sums(rng, index_model.n, count)
-    return family.batch_normalized_sums(rng, index_model.sample(index_rng, count))
+        return _NO_VALUES, _NO_COUNTS, rng.standard_normal(count)
+    det = isinstance(index_model, Deterministic)
+    ks = index_model.n if det else index_model.sample(index_rng, count)
+    if not (isinstance(family.law, RademacherLaw) and family.profile.is_constant):
+        return _NO_VALUES, _NO_COUNTS, family.batch_normalized_sums(rng, ks, count)
+    lattice, trials, ks = _lattice_split(ks, count)
+    values, counts = _NO_VALUES, _NO_COUNTS
+    if len(lattice):
+        pvals = _lattice_pvals(lattice, pmf_rows)
+        hist = rng.multinomial(trials, pvals)
+        row, col = np.nonzero(hist)
+        k = lattice[row]
+        j = col - (pvals.shape[1] - 1 - k)  # position within the row
+        heads = np.where(j % 2 == 0, j // 2, k - j // 2)
+        values, counts = (2 * heads - k) / np.sqrt(k), hist[row, col]
+    return values, counts, family.batch_normalized_sums(rng, ks, count - int(np.sum(trials)))
 
 
 def simulate(
@@ -148,11 +231,15 @@ def simulate(
     trials: int,
     seed: int,
 ) -> EmpiricalSample:
-    """Draw `trials` normalized random sums S_k / B_k, in trial order."""
+    """Draw `trials` normalized random sums S_k / B_k, block by block (draw_block)."""
     values = np.empty(max(trials, 0))  # map_blocks refuses trials < 1
+    pmf_rows = {}
 
     def store(lo, count, index_rng, rng):
-        values[lo:lo + count] = draw_sums(family, index_model, count, index_rng, rng)
+        cells, counts, sums = draw_block(family, index_model, count, index_rng, rng, pmf_rows)
+        mid = lo + count - len(sums)
+        values[lo:mid] = np.repeat(cells, counts)
+        values[mid:lo + count] = sums
 
     map_blocks(trials, seed, store)
     return EmpiricalSample(values=values, trials=trials)
@@ -198,8 +285,12 @@ def cf_identity_check(
     """Verify that mixing exp(-t^2/(2 B_k^2) * B_k^2) over the index is Gaussian.
 
     The per-index factor is evaluated through the realized B_k^2 so the
-    identity's cancellation is exercised numerically; the deviation can only
-    be the truncation tail mass times e^(-t^2/2), at most the tail mass.
+    identity's cancellation is exercised numerically.  In exact arithmetic
+    the deviation is the truncation tail mass times e^(-t^2/2), but the
+    float sum of the window's terms adds its own round-off, so the deviation
+    can exceed the tail mass: a Poisson index at n = 1e6 reads 9.85656e-13
+    at t = 0 against a tail mass of 9.85580e-13.  That still passes the
+    1e-12 gate (cli.CF_TOLERANCE) with ~1.4e-14 to spare.
     Only the sigma profile is read: the identity is about the matched normal
     sequence N(0, sigma_j^2), whatever the family's summand law.
     """

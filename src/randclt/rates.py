@@ -18,9 +18,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .conditions import ImplicationAudit
-from .families import RademacherLaw, SummandFamily, half_binomial_pmf
-from .indices import Deterministic, RandomIndexModel
-from .montecarlo import draw_sums, map_blocks
+from .families import SummandFamily
+from .indices import RandomIndexModel
+from .montecarlo import draw_block, map_blocks
 
 
 @dataclass(frozen=True)
@@ -122,88 +122,6 @@ class SmoothMetric:
     mc_stderr: float
 
 
-_NO_VALUES, _NO_COUNTS = np.empty(0), np.empty(0, dtype=np.int64)
-
-
-def _lattice_pvals(ks, pmf_rows):
-    """The Binomial(k, 1/2) pmf rows of the ascending ks, right-aligned in one rectangle.
-
-    numpy's multinomial takes one rectangle of rows and gives a row's last
-    cell whatever its earlier binomials leave.  Each row therefore ends in
-    the last column, and runs from the tails inward to a mode: position j
-    holds h = j / 2 for even j and h = k - (j - 1) / 2 for odd j, both of
-    pmf Binomial(k, 1/2)(j // 2).  Every conditional probability the draw
-    uses is then a share of a mass still well above round-off.  The cells
-    left of a row are 0, which numpy's multinomial skips without a draw.
-    pmf_rows keeps each k's row for the later blocks of the same call.
-    """
-    new = np.array([k for k in ks.tolist() if k not in pmf_rows], dtype=np.int64)
-    if len(new):
-        widths = new + 1
-        ends = np.cumsum(widths)
-        pos = np.arange(ends[-1]) - np.repeat(ends - widths, widths)
-        pmf = half_binomial_pmf(np.repeat(new, widths), pos // 2)
-        pmf_rows.update(zip(new.tolist(), np.split(pmf, ends[:-1])))
-    width = int(ks[-1]) + 1
-    pvals = np.zeros((len(ks), width))
-    for row, k in zip(pvals, ks.tolist()):
-        row[width - k - 1:] = pmf_rows[k]
-    return pvals
-
-
-def _lattice_split(ks, count):
-    """The ascending lattice ks of one block, their trial counts, and the other trials' ks.
-
-    A k is on the lattice when its trials outnumber its k + 1 cells; the ks
-    are admitted by increasing k while their rectangle holds at most count
-    cells.
-    """
-    # no k >= count has more trials than cells: bin them together
-    bins = ks if ks.max() < count else np.minimum(ks, count)
-    trials_at = np.bincount(bins)
-    lattice = np.flatnonzero(trials_at > np.arange(1, len(trials_at) + 1))
-    lattice = lattice[np.arange(1, len(lattice) + 1) * (lattice + 1) <= count]
-    if not len(lattice):
-        return lattice, lattice, ks
-    off = np.ones(len(trials_at), dtype=bool)
-    off[lattice] = False
-    return lattice, trials_at[lattice], ks[off[bins]]
-
-
-def _lattice_draws(family, index_model, count, index_rng, rng, pmf_rows):
-    """One block of S_k / B_k as (lattice values, their counts, per-trial draws).
-
-    On a constant profile a Rademacher S_k takes only the k + 1 values
-    2h - k, so c_k i.i.d. draws of it matter only through their histogram,
-    which is Multinomial(c_k, Binomial(k, 1/2)).  Every k whose c_k exceeds
-    its k + 1 cells draws its histogram in one multinomial over the block's
-    rows (_lattice_split, _lattice_pvals); the other trials, and every other
-    family, draw per trial as draw_sums does.  The rectangle of rows holds
-    at most count cells, so the histogram draw takes O(block) memory, and so
-    does building the rows.  A det index has one k, so its split is all or
-    nothing and takes no per-trial array: one row of all count trials, or
-    draw_sums' scalar shape.
-    """
-    det = isinstance(index_model, Deterministic)
-    lattice_family = isinstance(family.law, RademacherLaw) and family.profile.is_constant
-    if not lattice_family or (det and count <= index_model.n + 1):
-        return _NO_VALUES, _NO_COUNTS, draw_sums(family, index_model, count, index_rng, rng)
-    if det:
-        lattice, trials, rest = np.array([index_model.n]), np.array([count]), _NO_COUNTS
-    else:
-        lattice, trials, rest = _lattice_split(index_model.sample(index_rng, count), count)
-    values, counts = _NO_VALUES, _NO_COUNTS
-    if len(lattice):
-        pvals = _lattice_pvals(lattice, pmf_rows)
-        hist = rng.multinomial(trials, pvals)
-        row, col = np.nonzero(hist)
-        k = lattice[row]
-        j = col - (pvals.shape[1] - 1 - k)  # position within the row
-        heads = np.where(j % 2 == 0, j // 2, k - j // 2)
-        values, counts = (2 * heads - k) / np.sqrt(k), hist[row, col]
-    return values, counts, family.batch_normalized_sums(rng, rest)
-
-
 def _merged(a, b):
     """(count, mean, M2) of two parts by the pairwise update of Chan, Golub & LeVeque (1983)."""
     count, mean, m2 = a
@@ -229,22 +147,17 @@ def smooth_metric(
     Each block reduces its f values to (count, mean, sum of squared
     deviations) on its worker, and the blocks merge in block order by the
     pairwise update of Chan, Golub & LeVeque (1983); no trial-length array
-    is held.  A Rademacher family on a constant profile draws the trials
-    whose k repeats more often than S_k has values as one lattice histogram
-    per block (_lattice_draws), evaluates f once per occupied value, and
-    weighs it by its count; its other trials, and every other family, draw
-    and evaluate f per trial, as simulate draws them.  A block holds its
-    sums and f's values and centres and squares the latter in place, so it
-    allocates no other trial-length array.  An index-free family's metric
+    is held.  Each block is simulate's draw_block: f is evaluated once per
+    occupied lattice value and weighed by its count, and once per trial of
+    the per-trial draws, whose f values are centred and squared in place,
+    so a block allocates no other trial-length array.  An index-free family's metric
     does not depend on index_model (rate_audit draws it once for all n).
     The stderr is the population standard deviation / sqrt(trials).
     """
     pmf_rows = {}
 
     def moments(lo, count, index_rng, rng):
-        values, counts, sums = _lattice_draws(
-            family, index_model, count, index_rng, rng, pmf_rows
-        )
+        values, counts, sums = draw_block(family, index_model, count, index_rng, rng, pmf_rows)
         part = None
         if len(sums):
             fv = f.evaluate(sums)  # centred and squared in place

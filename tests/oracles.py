@@ -9,7 +9,8 @@ the two-point law, against exact rational arithmetic; infinitesimality
 against its former sum over all n thresholds, the summand weights against
 their former construction from all k steps, the grouped summand draws
 against their former one group per k, and the Poisson tails against
-mpmath's incomplete gamma function.
+mpmath's incomplete gamma function.  Rademacher sums have an exact Kolmogorov
+distance from binomial coefficients.
 """
 
 import math
@@ -201,3 +202,24 @@ def binomial_chisquare_pvalue(observed, k):
     obs[-1] += observed[hi + 1:].sum()
     exp[-1] += expected[hi + 1:].sum()
     return chisquare(obs, exp).pvalue
+
+
+def rademacher_kolmogorov(index_pmf):
+    """sup_x |P(S_nu / B_nu < x) - Phi(x)| for i.i.d. Rademacher summands.
+
+    index_pmf is a list of (k, P(nu = k)) pairs.  Each k puts mass
+    P(nu = k) comb(k, h) / 2^k on the value (2h - k) / sqrt(k), computed as
+    the sampler computes it, so equal floats of several k are one atom.
+    Between atoms the CDF is flat and Phi rises, so the supremum is taken
+    at the atoms, just below and at each.
+    """
+    values, masses = [], []
+    for k, pk in index_pmf:
+        values.append((2 * np.arange(k + 1) - k) / np.sqrt(k))
+        masses.append([pk * (math.comb(k, h) / 2**k) for h in range(k + 1)])
+    atoms, where = np.unique(np.concatenate(values), return_inverse=True)
+    mass = np.bincount(where, weights=np.concatenate(masses))
+    at = np.cumsum(mass)  # P(S <= atom)
+    below = at - mass  # P(S < atom)
+    phi = np.array([0.5 * math.erfc(-x / math.sqrt(2.0)) for x in atoms.tolist()])
+    return float(max(np.max(at - phi), np.max(phi - below)))

@@ -375,33 +375,8 @@ class TestSampling:
                 assert d < band, fam.kind
 
 
-def _top_bit_sums(words, ks):
-    """2 * (set bits among the top k of each word) - k, in Python ints."""
-    return [2 * bin(int(w) >> (64 - int(k))).count("1") - int(k) for w, k in zip(words, ks)]
-
-
 class TestRademacherBits:
-    """k-fold Rademacher sums for k <= 64 come from one raw 64-bit word."""
-
-    def test_matches_python_bit_count(self):
-        law = make_family("rademacher").law
-        ks = np.tile(np.arange(1, 65), 40)
-        got = law.batch_sums(Generator(Philox(key=[5, 6])), ks)
-        words = Generator(Philox(key=[5, 6])).bit_generator.random_raw(len(ks))
-        assert got.tolist() == _top_bit_sums(words, ks)
-
-    def test_mixed_counts_draw_words_then_binomials(self):
-        # trials on both sides of 64, interleaved: the words of the small k in
-        # trial order first, then the binomials of the large k
-        law = make_family("rademacher").law
-        ks = np.array([3, 65, 64, 200, 1, 1000, 64, 65, 17] * 50)
-        got = law.batch_sums(Generator(Philox(key=[7, 8])), ks)
-        rng = Generator(Philox(key=[7, 8]))
-        small = ks <= 64
-        words = rng.bit_generator.random_raw(int(small.sum()))
-        heads = rng.binomial(ks[~small], 0.5)
-        assert got[small].tolist() == _top_bit_sums(words, ks[small])
-        assert got[~small].tolist() == (2 * heads - ks[~small]).tolist()
+    """k-fold Rademacher sums are 2 Binomial(k, 1/2) - k, for every k."""
 
     @pytest.mark.parametrize("k", [1, 2, 63, 64, 65])
     def test_binomial_goodness_of_fit(self, k):
@@ -425,9 +400,6 @@ class TestSingleShape:
         rng = Generator(Philox(key=[3, k]))
         if kind == "expcentered":
             sums = rng.standard_gamma(ks) - ks
-        elif k <= 64:
-            words = rng.bit_generator.random_raw(len(ks))
-            sums = np.array(_top_bit_sums(words, ks))
         else:
             sums = 2 * rng.binomial(ks, 0.5) - ks
         assert np.array_equal(got, sums / np.sqrt(ks))

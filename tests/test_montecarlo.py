@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.random import PCG64DXSM, SeedSequence
 
+from oracles import rademacher_kolmogorov
 from randclt import montecarlo
 from randclt.cli import UsageError, parse_args
 from randclt.families import make_family, parse_family
@@ -34,6 +35,22 @@ TAG_BATCH = 2**64 - 2
 def _simulate_on(workers, *args):
     with mock.patch.object(montecarlo, "_usable_cpus", lambda: workers):
         return simulate(*args)
+
+
+def _block_values(fam, model, count, index_rng, rng):
+    """One draw_block as simulate lays it out: lattice values repeated, then the sums."""
+    values, counts, sums = montecarlo.draw_block(fam, model, count, index_rng, rng, {})
+    return np.append(np.repeat(values, counts), sums)
+
+
+class _Full:
+    """A random index model whose every trial draws k: the per-trial array of a det index."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def sample(self, rng, size):
+        return np.full(size, self.k)
 
 
 class TestSimulate:
@@ -138,10 +155,25 @@ class TestBlockLayout:
     @pytest.mark.parametrize("trials", [1, 1000, BLOCK])
     def test_one_block_keeps_single_stream_values(self, spec, kind, n, trials):
         fam, model = parse_family(spec), make_index(kind, n)
-        ks = model.sample(montecarlo._stream(SEED, TAG_INDEX), trials)
-        ref = fam.batch_normalized_sums(montecarlo._stream(SEED, TAG_BATCH), ks)
+        ref = _block_values(fam, model, trials, montecarlo._stream(SEED, TAG_INDEX),
+                            montecarlo._stream(SEED, TAG_BATCH))
         got = _simulate_on(2, fam, model, trials, SEED).values
-        assert got.tobytes() == np.asarray(ref, dtype=float).tobytes()
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("spec,kind,n", [
+        ("rademacher", "geometric", 40), ("rademacher", "det", 300), ("twopoint", "poisson", 9),
+    ])
+    def test_each_block_lays_out_its_draw(self, spec, kind, n):
+        # block b fills its slice with its lattice values by ascending k, each
+        # repeated by its count, then its per-trial draws; the call's shared
+        # pmf rows read the bits of a fresh cache per block
+        fam, model = parse_family(spec), make_index(kind, n)
+        trials = 2 * BLOCK + 200  # the last block's 200 trials are off a k = 300 lattice
+        got = _simulate_on(2, fam, model, trials, SEED).values
+        ref = [_block_values(fam, model, count, montecarlo._stream(SEED, TAG_INDEX, b),
+                             montecarlo._stream(SEED, TAG_BATCH, b))
+               for b, count in enumerate((BLOCK, BLOCK, 200))]
+        assert got.tobytes() == np.concatenate(ref).tobytes()
 
     def test_blocks_draw_different_indices_and_summands(self, monkeypatch):
         model = make_index("geometric", 40)
@@ -166,11 +198,12 @@ class TestBlockLayout:
         _simulate_on(2, make_family("rademacher"), Deterministic(4), 3 * BLOCK, SEED)
         assert threading.active_count() == before
 
-    def test_workers_beyond_cores_match_serial(self):
+    @pytest.mark.parametrize("spec,kind,n", [("uniform", "poisson", 3), ("rademacher", "geometric", 40)])
+    def test_workers_beyond_cores_match_serial(self, spec, kind, n):
         # blocks fill disjoint slices of one array: five workers (one per block,
         # more than the cores) switching every microsecond write the same bytes
-        # as the calling thread alone
-        args = (make_family("uniform"), make_index("poisson", 3), 5 * BLOCK, SEED)
+        # as the calling thread alone; rademacher's share one call's pmf rows
+        args = (make_family(spec), make_index(kind, n), 5 * BLOCK, SEED)
         serial = _simulate_on(1, *args).values
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -196,11 +229,12 @@ class TestBlockLayout:
 
     @pytest.mark.parametrize("spec", ["rademacher", "expcentered", "uniform", "twopoint"])
     def test_det_index_draws_no_index(self, spec, monkeypatch):
-        # a det index hands its n to the sampler as one scalar shape, with the
-        # bytes of one per-trial array of n
+        # a det index hands its n to the sampler as one scalar shape, or as
+        # one lattice row of all the block's trials, with the bytes of one
+        # per-trial array of n
         model = Deterministic(70)
         fam = parse_family(spec)
-        ref = [fam.batch_normalized_sums(montecarlo._stream(SEED, TAG_BATCH, b), np.full(n, 70))
+        ref = [_block_values(fam, _Full(70), n, None, montecarlo._stream(SEED, TAG_BATCH, b))
                for b, n in enumerate((BLOCK, 5))]
 
         def refuse(self, rng, size):
@@ -260,6 +294,31 @@ class TestNormalization:
             s = simulate(fam, model, trials, seed=SEED)
             assert abs(np.mean(s.values)) < 5.0 / math.sqrt(trials), spec
             assert abs(np.var(s.values) - 1.0) < 10.0 / math.sqrt(trials), spec
+
+
+class TestExactKolmogorov:
+    """simulate's d_hat for Rademacher sums against the exact distance from math.comb."""
+
+    @pytest.mark.parametrize("k, quoted", [(16, 9.82e-2), (64, 4.97e-2), (256, 2.49e-2)])
+    def test_oracle_matches_quoted_values(self, k, quoted):
+        assert rademacher_kolmogorov([(k, 1.0)]) == pytest.approx(quoted, abs=5e-5)
+
+    @pytest.mark.parametrize("kind, n", [
+        ("det", 4), ("det", 16), ("det", 64), ("det", 256), ("geometric", 10),
+    ])
+    def test_d_hat_within_dkw_band_of_exact(self, kind, n):
+        # three blocks: the det ks draw their last 200 trials per trial from
+        # k = 256 on, and the geometric blocks draw both ways
+        if kind == "det":
+            index_pmf, outside = [(n, 1.0)], 0.0
+        else:  # the window mixture over k <= 400, and the mass beyond it
+            p, top = 1.0 / n, 400
+            index_pmf = [(k, p * (1.0 - p) ** (k - 1)) for k in range(1, top + 1)]
+            outside = (1.0 - p) ** top
+        exact = rademacher_kolmogorov(index_pmf)
+        sample = simulate(make_family("rademacher"), make_index(kind, n), 2 * BLOCK + 200, SEED)
+        est = kolmogorov_distance(sample)
+        assert abs(est.d_hat - exact) <= est.dkw_band + outside
 
 
 class TestKolmogorovDistance:

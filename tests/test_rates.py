@@ -215,15 +215,9 @@ class TestBlockMoments:
             with mock.patch.object(montecarlo, "_usable_cpus", lambda: workers):
                 runs.append(smooth_metric(fam, model, f, trials, seed))
         assert runs[0] == runs[1]  # same floats, bit for bit
-        # oracle: numpy's mean and population std over every f value at once
-        if spec == "rademacher":  # the same blocks' draws, lattice cells repeated
-            pmf_rows = {}
-            blocks = montecarlo.map_blocks(trials, seed, lambda lo, count, irng, rng: (
-                randclt.rates._lattice_draws(fam, model, count, irng, rng, pmf_rows)))
-            draws = np.concatenate([np.append(np.repeat(v, c), rest) for v, c, rest in blocks])
-        else:
-            draws = montecarlo.simulate(fam, model, trials, seed).values
-        fv = f.evaluate(draws)
+        # oracle: numpy's mean and population std over every f value of the
+        # same blocks' draws, which simulate lays out with lattice cells repeated
+        fv = f.evaluate(montecarlo.simulate(fam, model, trials, seed).values)
         scale = float(np.mean(np.abs(fv)))
         metric = abs(float(np.mean(fv)) - f.normal_mean)
         stderr = float(np.std(fv)) / math.sqrt(trials)
@@ -257,18 +251,18 @@ class _Recorder:
 
 
 def _lattice_block(fam, model, count, seed, monkeypatch=None):
-    """One block of rates' Rademacher draws; the pmf cells built and the rng."""
+    """One draw_block of Rademacher draws; the pmf cells built and the rng."""
     built = []
     if monkeypatch is not None:
-        real = randclt.rates.half_binomial_pmf
+        real = montecarlo.half_binomial_pmf
 
         def spy(k, h):
             built.append(len(k))
             return real(k, h)
 
-        monkeypatch.setattr(randclt.rates, "half_binomial_pmf", spy)
+        monkeypatch.setattr(montecarlo, "half_binomial_pmf", spy)
     rng = _Recorder(Generator(Philox(key=[seed, 1])))
-    draws = randclt.rates._lattice_draws(
+    draws = montecarlo.draw_block(
         fam, model, count, Generator(Philox(key=[seed, 2])), rng, {}
     )
     return draws, built, rng
@@ -280,7 +274,7 @@ def _metric_on(workers, *args):
 
 
 class TestLatticeDraws:
-    """rates draws constant-profile Rademacher trials as lattice histograms."""
+    """draw_block draws constant-profile Rademacher trials as lattice histograms."""
 
     def test_cells_per_block_bounded(self, monkeypatch):
         # k = 1..400 with k + 2 trials each, the rest of the block at k = 20000:
