@@ -33,7 +33,7 @@ from .indices import (
     make_index,
     parse_index,
 )
-from .montecarlo import MAX_TRIALS, cf_identity_check, kolmogorov_distance, simulate
+from .montecarlo import MAX_TRIALS, cf_identity_check, kolmogorov_distance, simulate, sweep
 from .rates import BUILTIN_TEST_FUNCTIONS, empirical_rotar_constant, make_test_function, rate_audit
 
 CF_TOLERANCE = 1e-12  # fixed contract for the mixed-cf identity
@@ -241,17 +241,23 @@ def _csv(header, rows) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _family_and_index(config: RunConfig):
+def _grid(config: RunConfig):
+    """The family, the index string and a generator of (n, index model) over --n-grid.
+
+    Each model is built when the generator reaches its n, so none outlives
+    its n: an explicit-parameter Poisson window near the term cap holds
+    ~160 MB of support and probabilities.
+    """
     family = parse_family(config.family)
     kind, param = parse_index(config.index)
-    return family, kind, param
+    models = ((n, make_index(kind, n, param, target=config.trunc_mass)) for n in config.n_grid)
+    return family, index_spec_string(kind, param), models
 
 
 def _run_conditions(config: RunConfig) -> int:
-    family, kind, param = _family_and_index(config)
+    family, _, grid = _grid(config)
     rows = []
-    for n in config.n_grid:
-        model = make_index(kind, n, param, target=config.trunc_mass)
+    for n, model in grid:
         per_n = [
             cond.lyapunov(family, n, config.delta),
             cond.feller(family, n),
@@ -276,44 +282,39 @@ def _run_conditions(config: RunConfig) -> int:
 
 
 def _run_simulate(config: RunConfig) -> int:
-    family, kind, param = _family_and_index(config)
-    rows, est = [], None
-    for n in config.n_grid:
-        model = make_index(kind, n, param, target=config.trunc_mass)
-        if est is None or not family.index_free:  # index-free: one draw for every n
-            est = kolmogorov_distance(simulate(family, model, config.trials, config.seed))
-        rows.append((n, config.trials, config.seed, est.d_hat, est.dkw_band))
+    family, _, grid = _grid(config)
+
+    def draw(model):
+        return kolmogorov_distance(simulate(family, model, config.trials, config.seed))
+
+    rows = [
+        (n, config.trials, config.seed, est.d_hat, est.dkw_band)
+        for n, _, est in sweep(family, grid, draw)
+    ]
     _emit(config, _csv(("n", "trials", "seed", "d_hat", "dkw_band"), rows))
     return 0
 
 
 def _run_rates(config: RunConfig) -> int:
-    family, kind, param = _family_and_index(config)
+    family, _, grid = _grid(config)
     f = make_test_function(config.fn_id)
     if config.alpha is not None and f.lipschitz is not None:
         f = dataclasses.replace(f, lipschitz=(config.alpha, f.lipschitz[1]))
-
-    def factory(n):
-        return make_index(kind, n, param, target=config.trunc_mass)
-
-    curve = rate_audit(
-        family, factory, f, config.n_grid, config.trials, config.seed, config.mode
-    )
+    curve = rate_audit(family, grid, f, config.trials, config.seed, config.mode)
     rows = [(p.n, p.metric, p.mc_stderr, p.bound, p.ratio) for p in curve.points]
     _emit(config, _csv(("n", "metric", "mc_stderr", "bound", "ratio"), rows))
     return 0
 
 
 def _run_cf_check(config: RunConfig) -> int:
-    family, kind, param = _family_and_index(config)
-    models = [make_index(kind, n, param, target=config.trunc_mass) for n in config.n_grid]
-    results = [cf_identity_check(family, model, config.t_grid) for model in models]
+    family, index, grid = _grid(config)
+    results = [cf_identity_check(family, model, config.t_grid) for _, model in grid]
     deviations = np.max([r.deviations for r in results], axis=0)  # NaN-propagating over n
     max_deviation = float(np.max(deviations))
     passed = max_deviation <= CF_TOLERANCE
     payload = {
         "family": family_spec_string(family),
-        "index": index_spec_string(kind, param),
+        "index": index,
         "t_grid": list(results[0].t_grid),
         "deviations": deviations.tolist(),
         "max_deviation": max_deviation,
@@ -326,17 +327,15 @@ def _run_cf_check(config: RunConfig) -> int:
 
 
 def _run_audit(config: RunConfig) -> int:
-    family, kind, param = _family_and_index(config)
-    cf_model = make_index(kind, config.n_grid[-1], param, target=config.trunc_mass)
-    cf = cf_identity_check(family, cf_model, config.t_grid)
-    cf_passed = cf.max_deviation <= CF_TOLERANCE
+    family, index, grid = _grid(config)
+
+    def draw(model):  # --trials 0: no sample, no empirical constant
+        if config.trials >= 1:
+            return kolmogorov_distance(simulate(family, model, config.trials, config.seed)).d_hat
+        return None
+
     configs = []
-    all_passed = cf_passed
-    d_hat = None  # one draw per n, after its first audit; index-free: one for every n
-    for n in config.n_grid:
-        model = make_index(kind, n, param, target=config.trunc_mass)
-        if not family.index_free:
-            d_hat = None
+    for n, model, d_hat in sweep(family, grid, draw):
         for eps in config.epsilon_grid:
             audit = cond.implication_audit(family, model, n, eps, config.delta)
             entry = {
@@ -345,17 +344,15 @@ def _run_audit(config: RunConfig) -> int:
                 "checks": [dataclasses.asdict(c) for c in audit.checks],
                 "passed": audit.passed,
             }
-            if config.trials >= 1:
-                if d_hat is None:
-                    d_hat = kolmogorov_distance(
-                        simulate(family, model, config.trials, config.seed)
-                    ).d_hat
+            if d_hat is not None:
                 entry["empirical_constant"] = empirical_rotar_constant(audit, d_hat)
             configs.append(entry)
-            all_passed = all_passed and audit.passed
+    cf = cf_identity_check(family, model, config.t_grid)  # the sweep's last model
+    cf_passed = cf.max_deviation <= CF_TOLERANCE
+    all_passed = cf_passed and all(entry["passed"] for entry in configs)
     payload = {
         "family": family_spec_string(family),
-        "index": index_spec_string(kind, param),
+        "index": index,
         "delta": config.delta,
         "seed": config.seed,
         "cf_identity": {

@@ -57,7 +57,6 @@ class Law:
     """Interface for a standardized (zero-mean, unit-variance) summand law."""
 
     name: str = ""
-    is_discrete: bool = False
     # (lo, hi) outside of which the law carries no mass; +-inf when unbounded
     support: tuple[float, float] = (-math.inf, math.inf)
     # (points, masses) for discrete laws, None otherwise
@@ -113,7 +112,6 @@ class RademacherLaw(Law):
     """P(Z = +1) = P(Z = -1) = 1/2."""
 
     name = "rademacher"
-    is_discrete = True
     support = (-1.0, 1.0)
     _x_phi_at_atom = float(_x_phi_minus_half(1.0))
     _upper_at_atom = float(upper_x_sf_integral(1.0))
@@ -585,12 +583,17 @@ class SummandFamily:
 # Factory and CLI grammar
 # ---------------------------------------------------------------------------
 
-_LAWS = {
-    "rademacher": RademacherLaw,
-    "uniform": UniformLaw,
-    "normal": NormalLaw,
-    "expcentered": CenteredExponentialLaw,
+# kind -> (law, profile, the profile's settable parameter with its default:
+# at most one), in the order of BUILTIN_FAMILY_KINDS
+_KINDS = {
+    "rademacher": (RademacherLaw, ConstantProfile, {}),
+    "uniform": (UniformLaw, ConstantProfile, {}),
+    "normal": (NormalLaw, ConstantProfile, {"sigma": 1.0}),
+    "geomnormal": (NormalLaw, GeometricProfile, {"ratio": 2.0}),
+    "twopoint": (RademacherLaw, GeometricProfile, {"growth": 2.0}),
+    "expcentered": (CenteredExponentialLaw, ConstantProfile, {}),
 }
+BUILTIN_FAMILY_KINDS = tuple(_KINDS)
 
 
 def make_family(kind: str, **params) -> SummandFamily:
@@ -601,37 +604,14 @@ def make_family(kind: str, **params) -> SummandFamily:
            | twopoint[, growth=r]    (two-point +-sigma_j, sigma_j^2 = r^(j-1))
     """
     kind = kind.lower()
-    if kind in ("rademacher", "uniform", "expcentered"):
-        _reject_extra(kind, params, ())
-        return SummandFamily(kind=kind, law=_LAWS[kind](), profile=ConstantProfile())
-    if kind == "normal":
-        _reject_extra(kind, params, ("sigma",))
-        sigma = float(params.get("sigma", 1.0))
-        return SummandFamily(
-            kind=kind, law=NormalLaw(), profile=ConstantProfile(sigma=sigma),
-            params={"sigma": sigma},
-        )
-    if kind == "geomnormal":
-        _reject_extra(kind, params, ("ratio",))
-        ratio = float(params.get("ratio", 2.0))
-        return SummandFamily(
-            kind=kind, law=NormalLaw(), profile=GeometricProfile(ratio=ratio),
-            params={"ratio": ratio},
-        )
-    if kind == "twopoint":
-        _reject_extra(kind, params, ("growth",))
-        growth = float(params.get("growth", 2.0))
-        return SummandFamily(
-            kind=kind, law=RademacherLaw(), profile=GeometricProfile(ratio=growth),
-            params={"growth": growth},
-        )
-    raise FamilyConfigError(f"unknown family kind: {kind!r}")
-
-
-def _reject_extra(kind, params, allowed):
-    extra = set(params) - set(allowed)
+    if kind not in _KINDS:
+        raise FamilyConfigError(f"unknown family kind: {kind!r}")
+    law, profile, defaults = _KINDS[kind]
+    extra = set(params) - set(defaults)
     if extra:
         raise FamilyConfigError(f"family {kind!r} got unknown parameters: {sorted(extra)}")
+    values = {key: float(params.get(key, default)) for key, default in defaults.items()}
+    return SummandFamily(kind=kind, law=law(), profile=profile(*values.values()), params=values)
 
 
 def parse_family(spec: str) -> SummandFamily:
@@ -667,13 +647,3 @@ def family_spec_string(family: SummandFamily) -> str:
         f"{k}={v!r}".removesuffix(".0") for k, v in sorted(family.params.items())
     )
     return f"{family.kind},{items}"
-
-
-BUILTIN_FAMILY_KINDS = (
-    "rademacher",
-    "uniform",
-    "normal",
-    "geomnormal",
-    "twopoint",
-    "expcentered",
-)

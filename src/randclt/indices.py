@@ -45,7 +45,10 @@ class RandomIndexModel:
 
     Subclasses supply `cdf`, `sample` and the cached `window` (lo, hi), which
     rejects invalid parameters; `sf` and the window's unnormalized `_weights`
-    have flat defaults.
+    have flat defaults.  `sample(rng, size)` returns the indices of size
+    trials: an int64 array of that length, or one scalar index shared by all
+    of them where the law is a point mass (Deterministic), which reads no rng
+    and builds no per-trial array.
     """
 
     kind: ClassVar[str]
@@ -129,7 +132,7 @@ class Deterministic(RandomIndexModel):
         return self.n, self.n
 
     def sample(self, rng: np.random.Generator, size):
-        return np.full(size, self.n, dtype=np.int64)
+        return self.n  # one scalar shape for every trial
 
 
 @dataclass(frozen=True)

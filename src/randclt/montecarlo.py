@@ -7,16 +7,18 @@ _BLOCK_TRIALS and gives each block two streams: an index stream and a
 summand stream under a different key, both advanced by the block's number
 times 2^96 words (block 0 is the stream's start, and blocks are disjoint
 windows of one keyed stream).  draw_block is the one per-block draw of the
-simulate, audit and rates commands.  A normal law's S_k / B_k is N(0, 1) for
-every k, so its blocks draw one standard normal per trial and no index, the
-same draws at every n: the commands draw them once and reuse them for each n
-of the grid.  A det index draws nothing either: its k reaches the sampler as
-one scalar shape.  A Rademacher sum on a constant profile takes only k + 1
-values, so the trials of each k that repeats more often than that are drawn
-as one lattice histogram.  Families whose k-fold sums have an exact closed
-law (binomial, gamma) draw their other trials one value each from the
-summand stream; every other family draws its summands from the same stream
-in matrices grouped by weight vector sigma_j / B_k.  Blocks run on a thread
+simulate, audit and rates commands, and sweep is their one walk over a grid
+of (n, index model) pairs.  A normal law's S_k / B_k is N(0, 1) for every k,
+so its blocks draw one standard normal per trial and no index, the same
+draws at every n: sweep draws them at the first n and reuses them for the
+rest of the grid.  A det index draws nothing either: its sample is one
+scalar k, which reaches the sampler as one scalar shape.  A Rademacher sum
+on a constant profile takes only k + 1 values, so the trials of each k that
+repeats more often than that are drawn as one lattice histogram.  Families
+whose k-fold sums have an exact closed law (binomial, gamma) draw their
+other trials one value each from the summand stream; every other family
+draws its summands from the same stream in matrices grouped by weight
+vector sigma_j / B_k.  Blocks run on a thread
 pool when there are several, and map_blocks hands each block's draws to a
 per-block reduction: simulate copies them into disjoint slices of one output
 array, and rates.smooth_metric keeps only their moments.  Neither depends on
@@ -29,19 +31,19 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 from numpy.random import PCG64DXSM, Generator, SeedSequence
 
 from .families import RademacherLaw, SummandFamily, half_binomial_pmf
 from .gaussian import norm_cdf
-from .indices import Deterministic, RandomIndexModel
+from .indices import RandomIndexModel
 
 _MASK64 = (1 << 64) - 1
 _TAG_INDEX = _MASK64
 _TAG_BATCH = _MASK64 - 1
-DEFAULT_GAMMA = 0.999
+DKW_GAMMA = 0.999  # confidence of kolmogorov_distance's DKW band
 
 # trials per stream block.  A run of up to this many trials is one block on
 # the calling thread and keeps the single-stream layout; 2^16 split the README's
@@ -95,8 +97,6 @@ class EmpiricalSample:
 class KolmogorovEstimate:
     d_hat: float
     dkw_band: float
-    trials: int
-    gamma: float = DEFAULT_GAMMA
 
     def __post_init__(self):
         if not (0.0 <= self.d_hat <= 1.0):
@@ -193,8 +193,9 @@ def draw_block(
 
     Each trial's index k comes from index_rng and its summands from rng,
     normalized by the realized cumulative deviation B_k.  An index-free
-    family draws one standard normal per trial and no index, and a det
-    index passes its n as the one k of every trial.  On a constant profile
+    family draws one standard normal per trial and no index; every other
+    family takes its ks from index_model.sample, which a det index answers
+    with its n, one scalar k for every trial.  On a constant profile
     a Rademacher S_k takes only the k + 1 values 2h - k, so c_k i.i.d. draws
     of it matter only through their histogram, Multinomial(c_k,
     Binomial(k, 1/2)).  Every k whose c_k exceeds its k + 1 cells draws its
@@ -208,8 +209,7 @@ def draw_block(
     """
     if family.index_free:
         return _NO_VALUES, _NO_COUNTS, rng.standard_normal(count)
-    det = isinstance(index_model, Deterministic)
-    ks = index_model.n if det else index_model.sample(index_rng, count)
+    ks = index_model.sample(index_rng, count)
     if not (isinstance(family.law, RademacherLaw) and family.profile.is_constant):
         return _NO_VALUES, _NO_COUNTS, family.batch_normalized_sums(rng, ks, count)
     lattice, trials, ks = _lattice_split(ks, count)
@@ -245,16 +245,29 @@ def simulate(
     return EmpiricalSample(values=values, trials=trials)
 
 
-def kolmogorov_distance(
-    sample: EmpiricalSample, gamma: float = DEFAULT_GAMMA
-) -> KolmogorovEstimate:
+def sweep(family: SummandFamily, grid: Iterable, draw: Callable) -> Iterator:
+    """(n, model, draw(model)) for each (n, model) of grid, in grid order.
+
+    An index-free family's draws do not depend on the model, so it draws
+    only at the first n and hands that draw to every later n; every model
+    is still built, with its refusals.  The grid is read lazily, so a model
+    lives no longer than its n.
+    """
+    drawn = None
+    for i, (n, model) in enumerate(grid):
+        if i == 0 or not family.index_free:
+            drawn = draw(model)
+        yield n, model, drawn
+
+
+def kolmogorov_distance(sample: EmpiricalSample) -> KolmogorovEstimate:
     """Sup distance between the sample's empirical CDF and the standard normal.
 
     The band is the two-sided DKW radius sqrt(ln(2/(1-gamma)) / (2 m)) at
-    confidence gamma.  Within a run of equal values the deviation peaks at
-    its first and last rank, so Phi is evaluated once per distinct value:
-    sums of discrete summands repeat values (rademacher at geometric n = 10
-    draws 792 distinct values in 1e5 trials).
+    confidence gamma = DKW_GAMMA.  Within a run of equal values the
+    deviation peaks at its first and last rank, so Phi is evaluated once per
+    distinct value: sums of discrete summands repeat values (rademacher at
+    geometric n = 10 draws 792 distinct values in 1e5 trials).
     """
     m = sample.trials
     x = np.sort(sample.values)
@@ -265,8 +278,8 @@ def kolmogorov_distance(
     ends = np.append(starts[1:], m)
     ref = norm_cdf(x[starts])
     d_hat = float(max(np.max(ends / m - ref), np.max(ref - starts / m)))
-    band = math.sqrt(math.log(2.0 / (1.0 - gamma)) / (2.0 * m))
-    return KolmogorovEstimate(d_hat=max(0.0, d_hat), dkw_band=band, trials=m, gamma=gamma)
+    band = math.sqrt(math.log(2.0 / (1.0 - DKW_GAMMA)) / (2.0 * m))
+    return KolmogorovEstimate(d_hat=max(0.0, d_hat), dkw_band=band)
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@
 The metric |E f(S/B) - E f(Z)| is estimated by Monte Carlo against the exact
 E f(Z) each test function carries; rate audits compare it per n with the
 index-averaged bound shape of one of two modes, E[B^-(1+alpha)] (large-O) or
-E[B^-1] (small-o), in one rate audit.  The large-O multiplicative constant is
-fitted on the first half of the grid from the points above the Monte Carlo
-noise floor (4 standard errors), never asserted.
+E[B^-1] (small-o), in one rate audit over a grid of (n, index model) pairs,
+walked by montecarlo.sweep.  The large-O multiplicative constant is fitted on
+the first half of the grid from the points above the Monte Carlo noise floor
+(4 standard errors), never asserted.
 """
 
 from __future__ import annotations
@@ -13,14 +14,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from .conditions import ImplicationAudit
 from .families import SummandFamily
 from .indices import RandomIndexModel
-from .montecarlo import draw_block, map_blocks
+from .montecarlo import draw_block, map_blocks, sweep
 
 
 @dataclass(frozen=True)
@@ -151,8 +152,8 @@ def smooth_metric(
     occupied lattice value and weighed by its count, and once per trial of
     the per-trial draws, whose f values are centred and squared in place,
     so a block allocates no other trial-length array.  An index-free family's metric
-    does not depend on index_model (rate_audit draws it once for all n).
-    The stderr is the population standard deviation / sqrt(trials).
+    does not depend on index_model (rate_audit's sweep draws it once for all
+    n).  The stderr is the population standard deviation / sqrt(trials).
     """
     pmf_rows = {}
 
@@ -272,14 +273,13 @@ def _fitted_constant(metrics, shapes):
 
 def rate_audit(
     family: SummandFamily,
-    index_at: Callable[[int], RandomIndexModel],
+    grid: Iterable,
     f: TestFunction,
-    n_grid,
     trials: int,
     seed: int,
     mode: str,
 ) -> RateCurve:
-    """Compare the metric per n with the index-averaged bound shape of mode.
+    """Compare the metric at each (n, model) of grid with the index-averaged bound shape of mode.
 
     large-o: constant * E[B^-(1+alpha)] for a test function whose derivative
     has modulus omega(f'; h) <= K h^alpha.  The constant is fitted on the
@@ -290,9 +290,11 @@ def rate_audit(
     restricted to derivative sup norm at least 1, the normalization the
     o(E[B^-1]) argument hinges on.
 
-    An index-free family's sums are N(0, 1) draws that no n changes, so its
-    metric is drawn once, at the first n, and reused for every n; each n
-    still builds its own index model and bound shape, with their refusals.
+    The grid is walked by montecarlo.sweep: each n takes its metric, then
+    its bound shape, so a refusal stops the audit at the first n that makes
+    one.  An index-free family's metric is drawn at the first n only and
+    reused for every n; each n still has its own index model and bound
+    shape, with their refusals.
     """
     if mode == "large-o":
         if f.lipschitz is None:
@@ -307,12 +309,11 @@ def rate_audit(
         power = 1.0
     else:
         raise ValueError(f"unknown rate mode {mode!r}; modes: large-o, small-o")
-    ns = [int(n) for n in n_grid]
-    metrics, shapes, metric = [], [], None
-    for n in ns:
-        model = index_at(n)
-        if metric is None or not family.index_free:
-            metric = smooth_metric(family, model, f, trials, seed)
+    ns, metrics, shapes = [], [], []
+    for n, model, metric in sweep(
+        family, grid, lambda model: smooth_metric(family, model, f, trials, seed)
+    ):
+        ns.append(n)
         metrics.append(metric)
         shapes.append(_mean_inv_b_power(family, model, power).value)
     constant = _fitted_constant(metrics, shapes) if mode == "large-o" else 1.0

@@ -164,8 +164,8 @@ def test_criterion_5_random_rotar_clt_forward():
 def test_criterion_6_large_o_rate_shape():
     fam = make_family("rademacher")
     curve = rate_audit(
-        fam, lambda n: make_index("det", n), make_test_function("sin"),
-        (4, 16, 64, 256, 1024),
+        fam, ((n, make_index("det", n)) for n in (4, 16, 64, 256, 1024)),
+        make_test_function("sin"),
         1_000_000, seed=SEED, mode="large-o",
     )
     within = curve.all_within_bound
@@ -187,7 +187,7 @@ def test_criterion_7_small_o_ratio():
     fam = make_family("rademacher")
     bump = make_test_function("bump")
     curve = rate_audit(
-        fam, lambda n: make_index("geometric", n), bump, (10, 100, 1000),
+        fam, ((n, make_index("geometric", n)) for n in (10, 100, 1000)), bump,
         8_000_000, seed=SEED, mode="small-o",
     )
     for n in (10, 100, 1000):
@@ -199,7 +199,7 @@ def test_criterion_7_small_o_ratio():
 
     nrm = make_family("normal")
     curve_normal = rate_audit(
-        nrm, lambda n: make_index("geometric", n), bump, (10, 100, 1000),
+        nrm, ((n, make_index("geometric", n)) for n in (10, 100, 1000)), bump,
         100_000, seed=SEED, mode="small-o",
     )
     ratios = [p.ratio for p in curve.points]

@@ -557,6 +557,26 @@ class TestIndexFreeDraws:
 
         assert cols((5, 50)) == cols((5,)) + cols((50,))
 
+    @pytest.mark.parametrize("command", ["simulate", "audit", "rates"])
+    @pytest.mark.parametrize("spec, draws", [
+        ("normal", 1), ("geomnormal", 1), ("rademacher", 3), ("expcentered", 3),
+    ])
+    def test_index_free_families_draw_once(self, command, spec, draws, monkeypatch, tmp_path):
+        # an index-free S_k / B_k is the same N(0, 1) draw at every n; each
+        # 1000-trial draw is one map_blocks call (simulate's, or smooth_metric's)
+        calls = []
+        real = montecarlo.map_blocks
+
+        def spy(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(montecarlo, "map_blocks", spy)
+        monkeypatch.setattr(randclt.rates, "map_blocks", spy)
+        assert main([command, "--family", spec, "--index", "geometric", "--n-grid", "4,16,64",
+                     "--trials", "1000", "--seed", "5", "--out", str(tmp_path / "o")]) == 0
+        assert calls == [1000] * draws
+
     @pytest.mark.parametrize("command", ["rates", "simulate", "audit"])
     def test_each_n_still_builds_its_index(self, command, tmp_path, capsys):
         # the draw is shared, but the last n's window is still built and refused
@@ -567,6 +587,24 @@ class TestIndexFreeDraws:
         err = capsys.readouterr().err
         assert "n=1000000000000" in err and "needs 14264953 terms, past the cap" in err
         assert not out.exists()
+
+
+class TestGrid:
+    @pytest.mark.parametrize("command", ["conditions", "simulate", "rates", "cf-check", "audit"])
+    def test_each_n_builds_its_model_once(self, command, monkeypatch, tmp_path):
+        # one index model per n of --n-grid, in grid order; audit's cf_identity
+        # block reads the last n's model instead of building it again
+        built = []
+        real = randclt.cli.make_index
+
+        def spy(kind, n, *args, **kwargs):
+            built.append(n)
+            return real(kind, n, *args, **kwargs)
+
+        monkeypatch.setattr(randclt.cli, "make_index", spy)
+        argv = [command, "--index", "poisson", "--n-grid", "10,100", "--out", str(tmp_path / "o")]
+        assert main(argv + (["--trials", "100"] if command in ("simulate", "rates") else [])) == 0
+        assert built == [10, 100]
 
 
 class TestRatesCommand:

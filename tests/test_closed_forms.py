@@ -39,7 +39,7 @@ def _tail_second_oracle(fam, j, t):
     """Independent route: strict atom sum, or scipy quad of x^2 dF_j(x)."""
     s = sigma(fam, j)
     law = fam.law
-    if law.is_discrete:
+    if law.atoms is not None:
         pts, masses = law.atoms
         x = s * pts
         keep = np.abs(x) > t  # strict: atoms at the threshold excluded

@@ -285,9 +285,12 @@ class TestExpectations:
 
 class TestSampling:
     def test_deterministic_always_n(self):
+        # one scalar k for every trial, drawn without reading the generator
         model = Deterministic(12)
         rng = Generator(Philox(key=[3, 1]))
-        assert set(model.sample(rng, 100).tolist()) == {12}
+        k = model.sample(rng, 100)
+        assert np.ndim(k) == 0 and k == 12
+        assert rng.random() == Generator(Philox(key=[3, 1])).random()
 
     def test_uniform_mean_band(self):
         # oracle (n + 1) / 2 with a 4-standard-error band at 1e6 draws

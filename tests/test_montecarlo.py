@@ -236,13 +236,18 @@ class TestBlockLayout:
         fam = parse_family(spec)
         ref = [_block_values(fam, _Full(70), n, None, montecarlo._stream(SEED, TAG_BATCH, b))
                for b, n in enumerate((BLOCK, 5))]
+        shapes = []  # of the ks reaching the per-trial sampler, one call per block
+        real = type(fam).batch_normalized_sums
 
-        def refuse(self, rng, size):
-            raise AssertionError("a det index built its k array")
+        def spy(family, rng, ks, size=None):
+            shapes.append(np.shape(ks))
+            return real(family, rng, ks, size)
 
-        monkeypatch.setattr(Deterministic, "sample", refuse)
+        monkeypatch.setattr(type(fam), "batch_normalized_sums", spy)
         s = _simulate_on(2, fam, model, BLOCK + 5, SEED)
         assert s.values.tobytes() == np.concatenate(ref).tobytes()
+        # rademacher's full block is one lattice row and draws no trial here
+        assert sorted(shapes) == [(), (0,) if spec == "rademacher" else ()]
 
 
 class TestStreams:

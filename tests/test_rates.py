@@ -69,8 +69,8 @@ def modulus_of_continuity(f, eps, halfwidth=8.0, refine_rounds=4):
     return best[0]
 
 
-def _at(kind):
-    return lambda n: make_index(kind, n)
+def _grid(kind, ns):
+    return ((n, make_index(kind, n)) for n in ns)
 
 
 class TestModulus:
@@ -307,6 +307,7 @@ class TestLatticeDraws:
         assert np.all(counts > 0)
         # every lattice value is (2h - k) / sqrt(k) for a k the block drew
         ks = make_index(kind, n).sample(Generator(Philox(key=[seed, 2])), count)
+        ks = np.atleast_1d(ks)  # a det index samples one scalar k
         ok = np.zeros(len(values), dtype=bool)
         for k in np.unique(ks[ks < count]).tolist():
             h = (values * math.sqrt(k) + k) / 2.0
@@ -354,7 +355,7 @@ class TestLargeOAudit:
         # closed form B_n = sqrt(n): the bound column scales as n^-(1+alpha)/2
         fam = make_family("rademacher")
         curve = rate_audit(
-            fam, _at("det"), make_test_function("sin"), (4, 16, 64, 256), 50_000, seed=SEED,
+            fam, _grid("det", (4, 16, 64, 256)), make_test_function("sin"), 50_000, seed=SEED,
             mode="large-o",
         )
         assert curve.bound_order == pytest.approx(-1.0, abs=0.01)
@@ -363,7 +364,7 @@ class TestLargeOAudit:
     def test_all_normal_metric_statistically_zero(self):
         fam = make_family("normal")
         curve = rate_audit(
-            fam, _at("poisson"), make_test_function("sin"), (10, 100), 100_000, seed=SEED,
+            fam, _grid("poisson", (10, 100)), make_test_function("sin"), 100_000, seed=SEED,
             mode="large-o",
         )
         for p in curve.points:
@@ -377,7 +378,7 @@ class TestLargeOAudit:
             lipschitz=None,
         )
         with pytest.raises(ValueError):
-            rate_audit(make_family("rademacher"), _at("det"), plain, (4,), 10, seed=1,
+            rate_audit(make_family("rademacher"), _grid("det", (4,)), plain, 10, seed=1,
                        mode="large-o")
 
 
@@ -391,7 +392,7 @@ class TestSmallOAudit:
         )
         fam = make_family("rademacher")
         with pytest.raises(ValueError):
-            rate_audit(fam, _at("det"), weak, (4,), 10, seed=1, mode="small-o")
+            rate_audit(fam, _grid("det", (4,)), weak, 10, seed=1, mode="small-o")
 
     def test_evaluates_no_randomized_functional(self, monkeypatch):
         # the CSV holds the metric and E[B^-1] only; near ratio 1 one
@@ -402,16 +403,16 @@ class TestSmallOAudit:
         monkeypatch.setattr(randclt.conditions, "_index_average", refuse)
         monkeypatch.setattr(randclt.conditions, "random_rotar", refuse)
         curve = rate_audit(
-            make_family("twopoint", growth=1.001), _at("geometric"),
-            make_test_function("bump"), (10, 100), 1000, seed=SEED, mode="small-o",
+            make_family("twopoint", growth=1.001), _grid("geometric", (10, 100)),
+            make_test_function("bump"), 1000, seed=SEED, mode="small-o",
         )
         assert [p.n for p in curve.points] == [10, 100]
 
     def test_all_normal_statistically_zero(self):
         fam = make_family("normal")
         curve = rate_audit(
-            fam, _at("geometric"), make_test_function("bump"),
-            (10, 100, 1000), 100_000, seed=SEED, mode="small-o",
+            fam, _grid("geometric", (10, 100, 1000)), make_test_function("bump"),
+            100_000, seed=SEED, mode="small-o",
         )
         assert curve.statistically_zero(4.0)
 
@@ -420,7 +421,7 @@ class TestRateAudit:
     def test_modes_share_the_metric_and_differ_in_the_bound(self):
         fam, f = make_family("rademacher"), make_test_function("bump")
         large, small = (
-            rate_audit(fam, _at("geometric"), f, (5, 50, 500), 20_000, SEED, mode=m)
+            rate_audit(fam, _grid("geometric", (5, 50, 500)), f, 20_000, SEED, mode=m)
             for m in ("large-o", "small-o")
         )
         for p, q in zip(large.points, small.points):
@@ -436,26 +437,13 @@ class TestRateAudit:
         consts = [p.bound / s for p, s in zip(large.points, shapes)]
         assert consts == pytest.approx([consts[0]] * 3, rel=1e-12)
 
-    @pytest.mark.parametrize("spec, draws", [
-        ("normal", 1), ("geomnormal", 1), ("rademacher", 3), ("expcentered", 3),
-    ])
-    def test_index_free_families_draw_once(self, spec, draws, monkeypatch):
-        # an index-free S_k / B_k is the same N(0, 1) draw at every n
-        calls = []
-        real = randclt.rates.map_blocks
-        monkeypatch.setattr(randclt.rates, "map_blocks",
-                            lambda *args: calls.append(args[0]) or real(*args))
-        rate_audit(parse_family(spec), _at("geometric"), make_test_function("sin"),
-                   (4, 16, 64), 1_000, SEED, mode="large-o")
-        assert len(calls) == draws
-
     @pytest.mark.parametrize("spec, kind", [("expcentered", "det"), ("geomnormal", "geometric")])
     def test_worker_count_free_and_matches_full_array(self, spec, kind):
         fam, f, trials = parse_family(spec), make_test_function("clamp"), 2 * BLOCK + 7
         curves = []
         for workers in (1, 2):
             with mock.patch.object(montecarlo, "_usable_cpus", lambda: workers):
-                curves.append(rate_audit(fam, _at(kind), f, (4, 16, 64), trials, SEED,
+                curves.append(rate_audit(fam, _grid(kind, (4, 16, 64)), f, trials, SEED,
                                          mode="large-o"))
         assert curves[0] == curves[1]  # same floats, bit for bit
         # oracle: numpy's mean and population std over every f value at once
@@ -469,8 +457,8 @@ class TestRateAudit:
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown rate mode"):
-            rate_audit(make_family("rademacher"), _at("det"), make_test_function("sin"),
-                       (4,), 10, seed=1, mode="medium-o")
+            rate_audit(make_family("rademacher"), _grid("det", (4,)), make_test_function("sin"),
+                       10, seed=1, mode="medium-o")
 
     def test_zero_bound_reads_infinite_ratio(self):
         p = randclt.rates.RatePoint(n=1, metric=0.5, mc_stderr=0.1, bound=0.0)
