@@ -45,7 +45,6 @@ from .montecarlo import (
 )
 from .rates import (
     BUILTIN_TEST_FUNCTIONS,
-    RateCurve,
     TestFunction,
     make_test_function,
     rate_audit,

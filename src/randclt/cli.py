@@ -300,8 +300,8 @@ def _run_rates(config: RunConfig) -> int:
     f = make_test_function(config.fn_id)
     if config.alpha is not None and f.lipschitz is not None:
         f = dataclasses.replace(f, lipschitz=(config.alpha, f.lipschitz[1]))
-    curve = rate_audit(family, grid, f, config.trials, config.seed, config.mode)
-    rows = [(p.n, p.metric, p.mc_stderr, p.bound, p.ratio) for p in curve.points]
+    points = rate_audit(family, grid, f, config.trials, config.seed, config.mode)
+    rows = [(p.n, p.metric, p.mc_stderr, p.bound, p.ratio) for p in points]
     _emit(config, _csv(("n", "metric", "mc_stderr", "bound", "ratio"), rows))
     return 0
 

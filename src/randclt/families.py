@@ -9,8 +9,10 @@ closed-form even where the float64 value would overflow (log-space accessors).
 The matched normal sequence of Rotar's condition, N(0, sigma_j^2), is read
 from the same profile.
 
-CDFs follow the strict-inequality convention F(x) = P(X < x); tail functionals
-such as E[X^2; |X| > t] exclude atoms located exactly at the threshold.
+A law's CDF F(x) = P(X < x), strict at atoms, enters only through the
+closed-form Rotar tails, so the laws carry no CDF or support of their own:
+the tests keep both as oracles (tests/oracles.py).  Tail functionals such as
+E[X^2; |X| > t] exclude atoms located exactly at the threshold.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from typing import Optional
 import numpy as np
 
 from .gaussian import (
-    norm_cdf,
     norm_central_prob,
     norm_pdf_cdf_sf,
     normal_abs_moment,
@@ -57,14 +58,8 @@ class Law:
     """Interface for a standardized (zero-mean, unit-variance) summand law."""
 
     name: str = ""
-    # (lo, hi) outside of which the law carries no mass; +-inf when unbounded
-    support: tuple[float, float] = (-math.inf, math.inf)
     # (points, masses) for discrete laws, None otherwise
     atoms: Optional[tuple[np.ndarray, np.ndarray]] = None
-
-    def cdf(self, z):
-        """P(Z < z), left-continuous at atoms."""
-        raise NotImplementedError
 
     def abs_moment(self, order: float) -> float:
         """E|Z|^order, closed form."""
@@ -112,16 +107,11 @@ class RademacherLaw(Law):
     """P(Z = +1) = P(Z = -1) = 1/2."""
 
     name = "rademacher"
-    support = (-1.0, 1.0)
     _x_phi_at_atom = float(_x_phi_minus_half(1.0))
     _upper_at_atom = float(upper_x_sf_integral(1.0))
 
     def __init__(self):
         self.atoms = (np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
-
-    def cdf(self, z):
-        z = np.asarray(z, dtype=float)
-        return np.where(z <= -1.0, 0.0, np.where(z <= 1.0, 0.5, 1.0))
 
     def abs_moment(self, order):
         return 1.0
@@ -211,17 +201,12 @@ class UniformLaw(Law):
     """Uniform on [-sqrt(3), sqrt(3)] (unit variance)."""
 
     name = "uniform"
-    support = (-_SQRT3, _SQRT3)
     # The z in (0, sqrt(3)) where F - Phi changes sign: the float that brentq
     # returns over Cephes' ndtr (the tests check it and its bracket).
     sign_root = 1.5011307831938003
     _h_root = float(_uniform_antideriv(sign_root))
     _h_edge = float(_uniform_antideriv(_SQRT3))
     _upper_edge = float(upper_x_sf_integral(_SQRT3))
-
-    def cdf(self, z):
-        z = np.asarray(z, dtype=float)
-        return np.clip((z + _SQRT3) / (2.0 * _SQRT3), 0.0, 1.0)
 
     def abs_moment(self, order):
         return 3.0 ** (0.5 * order) / (order + 1.0)
@@ -259,9 +244,6 @@ class NormalLaw(Law):
     """Standard normal: F_j is its own matched normal law Phi_j."""
 
     name = "normal"
-
-    def cdf(self, z):
-        return norm_cdf(z)
 
     def abs_moment(self, order):
         return normal_abs_moment(order)
@@ -302,7 +284,6 @@ class CenteredExponentialLaw(Law):
     """Exp(1) shifted by -1: support [-1, inf), zero mean, unit variance."""
 
     name = "expcentered"
-    support = (-1.0, math.inf)
     # The roots r1 in (-1, 0) and r2 in (1, 3) of F - Phi: the floats that
     # brentq returns over Cephes' ndtr (the tests check them and their brackets).
     sign_roots = (-0.7384974064988994, 1.2532517722799263)
@@ -311,10 +292,6 @@ class CenteredExponentialLaw(Law):
     _g_root_hi = _exp_antideriv_at(sign_roots[1])
     _upper_at_edge = float(upper_x_sf_integral(1.0))
     _right_neg_at_root = float(_exp_far_tail(sign_roots[1]) - upper_x_sf_integral(sign_roots[1]))
-
-    def cdf(self, z):
-        z = np.asarray(z, dtype=float)
-        return np.where(z >= -1.0, -np.expm1(-(z + 1.0)), 0.0)
 
     def abs_moment(self, order):
         # integral_0^1 u^order e^(u-1) du (the part below 0) via the
@@ -603,7 +580,6 @@ def make_family(kind: str, **params) -> SummandFamily:
            | geomnormal[, ratio=r]   (normal summands, sigma_j^2 = r^(j-1))
            | twopoint[, growth=r]    (two-point +-sigma_j, sigma_j^2 = r^(j-1))
     """
-    kind = kind.lower()
     if kind not in _KINDS:
         raise FamilyConfigError(f"unknown family kind: {kind!r}")
     law, profile, defaults = _KINDS[kind]
@@ -615,10 +591,8 @@ def make_family(kind: str, **params) -> SummandFamily:
 
 
 def parse_family(spec: str) -> SummandFamily:
-    """Parse the flag grammar '[family=]<kind>[,<key>=<value>...]'."""
+    """Parse the flag grammar '<kind>[,<key>=<value>...]'."""
     spec = spec.strip()
-    if spec.startswith("family="):
-        spec = spec[len("family="):]
     parts = [p.strip() for p in spec.split(",") if p.strip()]
     if not parts:
         raise FamilyConfigError("empty family spec")

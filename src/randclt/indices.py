@@ -474,12 +474,11 @@ def _first_true(pred, k: int) -> int:
 
 _KINDS = {
     "det": Deterministic,
-    "deterministic": Deterministic,
     "poisson": ShiftedPoisson,
     "geometric": ShiftedGeometric,
     "uniform": UniformIndex,
 }
-BUILTIN_INDEX_KINDS = ("det", "poisson", "geometric", "uniform")
+BUILTIN_INDEX_KINDS = tuple(_KINDS)
 
 
 def make_index(
@@ -493,23 +492,20 @@ def make_index(
     (det:k, poisson:lam, geometric:p, uniform:m).  target is the truncation
     tail-mass budget tau.
     """
-    cls = _KINDS.get(kind.lower())
+    cls = _KINDS.get(kind)
     if cls is None:
         raise IndexConfigError(f"unknown index kind: {kind!r}")
     return cls.at(n, param, target)
 
 
 def parse_index(spec: str):
-    """Parse '[index=]<kind>[:<param>]' into (kind, param or None).
+    """Parse '<kind>[:<param>]' into (kind, param or None).
 
     param must be finite, and integral for det and uniform; a det point
     lies below 2^63 and a uniform bound at most TRUNCATION_CAP.
     """
-    spec = spec.strip()
-    if spec.startswith("index="):
-        spec = spec[len("index="):]
-    kind, sep, raw = spec.partition(":")
-    kind = kind.strip().lower()
+    kind, sep, raw = spec.strip().partition(":")
+    kind = kind.strip()
     if kind not in _KINDS:
         raise IndexConfigError(f"unknown index kind: {kind!r}")
     if not sep:

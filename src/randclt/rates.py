@@ -1,12 +1,16 @@
 """Smooth-function metric and convergence-rate audits.
 
 The metric |E f(S/B) - E f(Z)| is estimated by Monte Carlo against the exact
-E f(Z) each test function carries; rate audits compare it per n with the
+E f(Z) each test function carries; rate_audit compares it per n with the
 index-averaged bound shape of one of two modes, E[B^-(1+alpha)] (large-O) or
-E[B^-1] (small-o), in one rate audit over a grid of (n, index model) pairs,
-walked by montecarlo.sweep.  The large-O multiplicative constant is fitted on
-the first half of the grid from the points above the Monte Carlo noise floor
-(4 standard errors), never asserted.
+E[B^-1] (small-o), over a grid of (n, index model) pairs walked by
+montecarlo.sweep, and returns one RatePoint per n.  The large-O
+multiplicative constant is fitted on the first half of the grid from the
+points above the Monte Carlo noise floor (4 standard errors), never asserted.
+The audit gives no verdict: the 4-stderr verdicts (flagged points, bound
+order, decreasing ratios, statistical zero) and each test function's
+derivative, against which its norms are verified, are test oracles
+(tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -26,16 +30,16 @@ from .montecarlo import draw_block, map_blocks, sweep
 
 @dataclass(frozen=True)
 class TestFunction:
-    """A bounded C^1 test function with verified norms.
+    """A bounded C^1 test function with the norms the audits read.
 
-    normal_mean is the exact E f(Z) for Z ~ N(0, 1).  lipschitz, when
-    present, is (alpha, K) with the modulus of the derivative satisfying
-    omega(f'; h) <= K * h^alpha.
+    sup_norm is sup|f| and derivative_sup_norm sup|f'|.  normal_mean is the
+    exact E f(Z) for Z ~ N(0, 1).  lipschitz, when present, is (alpha, K)
+    with the modulus of the derivative satisfying omega(f'; h) <= K * h^alpha.
+    The tests verify every norm against f' (tests/oracles.py).
     """
 
     id: str
     evaluate: Callable
-    derivative: Callable
     sup_norm: float
     derivative_sup_norm: float
     normal_mean: float
@@ -46,25 +50,12 @@ _BUMP_AMP = math.sqrt(math.e / 2.0)  # makes sup|f'| exactly 1
 _CLAMP_LIP = (3.0 + 2.0 * math.sqrt(2.0)) / 4.0  # max|f''| of x/(1+x^2)
 
 
-def _sin(x):
-    return np.sin(x)
-
-
-def _cos(x):
-    return np.cos(x)
-
-
 def _clamp(x):
     # x / (1 + x^2) with one temporary; x itself is never written
     x = np.asarray(x, dtype=float)
     d = np.multiply(x, x, out=np.empty_like(x))
     d += 1.0
     return np.divide(x, d, out=d)
-
-
-def _clamp_prime(x):
-    x = np.asarray(x, dtype=float)
-    return (1.0 - x * x) / (1.0 + x * x) ** 2
 
 
 def _bump(x):
@@ -77,24 +68,19 @@ def _bump(x):
     return d
 
 
-def _bump_prime(x):
-    x = np.asarray(x, dtype=float)
-    return -2.0 * _BUMP_AMP * x * np.exp(-x * x)
-
-
 BUILTIN_TEST_FUNCTIONS = {
     "sin": TestFunction(
-        id="sin", evaluate=_sin, derivative=_cos,
+        id="sin", evaluate=np.sin,
         sup_norm=1.0, derivative_sup_norm=1.0, normal_mean=0.0,
         lipschitz=(1.0, 1.0),
     ),
     "clamp": TestFunction(
-        id="clamp", evaluate=_clamp, derivative=_clamp_prime,
+        id="clamp", evaluate=_clamp,
         sup_norm=0.5, derivative_sup_norm=1.0, normal_mean=0.0,
         lipschitz=(1.0, _CLAMP_LIP),
     ),
     "bump": TestFunction(
-        id="bump", evaluate=_bump, derivative=_bump_prime,
+        id="bump", evaluate=_bump,
         sup_norm=_BUMP_AMP, derivative_sup_norm=1.0,
         normal_mean=_BUMP_AMP / math.sqrt(3.0),  # E exp(-Z^2) = 1/sqrt(3)
         lipschitz=(1.0, 2.0 * _BUMP_AMP),
@@ -184,12 +170,14 @@ def smooth_metric(
 
 
 # ---------------------------------------------------------------------------
-# Rate curves
+# Rate audits
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class RatePoint:
+    """One row of the rate audit: the metric at n, its stderr and the bound."""
+
     n: int
     metric: float
     mc_stderr: float
@@ -199,44 +187,13 @@ class RatePoint:
     def ratio(self) -> float:
         return self.metric / self.bound if self.bound > 0 else math.inf
 
-    @property
-    def flagged(self) -> bool:
-        return self.metric > self.bound + 4.0 * self.mc_stderr
-
-
-@dataclass(frozen=True)
-class RateCurve:
-    points: tuple
-
-    @property
-    def all_within_bound(self) -> bool:
-        return not any(p.flagged for p in self.points)
-
-    @property
-    def bound_order(self) -> float:
-        """Least-squares slope of log bound against log n over the positive bounds."""
-        ns = np.array([p.n for p in self.points], dtype=float)
-        ys = np.array([p.bound for p in self.points])
-        keep = ys > 0.0
-        if keep.sum() < 2:
-            return math.nan
-        return float(np.polyfit(np.log(ns[keep]), np.log(ys[keep]), 1)[0])
-
-    def ratios_decreasing(self, z: float = 4.0) -> bool:
-        """Strict decrease of the ratio column beyond z propagated stderrs."""
-        for a, b in zip(self.points[:-1], self.points[1:]):
-            noise = math.hypot(a.mc_stderr / a.bound, b.mc_stderr / b.bound)
-            if not a.ratio - b.ratio > z * noise:
-                return False
-        return True
-
-    def statistically_zero(self, z: float = 4.0) -> bool:
-        return all(p.metric <= z * p.mc_stderr for p in self.points)
-
 
 # Smallest shape held to full precision: the terms that underflow lose at most
 # 2^-1022 in all (their probabilities sum to at most 1), one ulp of 2^-970.
 _MIN_SHAPE = 2.0**-970
+# log of the largest term bound held: 2^1023, half of float64's largest, so a
+# window term an ulp above B_1^-power in its log cannot overflow either.
+_MAX_LOG_SHAPE = 1023 * math.log(2.0)
 
 
 def _mean_inv_b_power(family, model, power):
@@ -244,12 +201,19 @@ def _mean_inv_b_power(family, model, power):
 
     Refused below _MIN_SHAPE: the float64 terms underflow there (an
     exploding profile at large n), and a 0.0 bound would make every metric
-    above the noise floor read as a violation.
+    above the noise floor read as a violation.  Refused where B_1^-power,
+    the bound on every term (B_k grows with k), is above 2^1023: the terms
+    overflow float64 there (a tiny sigma).
     """
+    log_top = -0.5 * power * float(family.profile.log_b_squared(1))
+    if log_top > _MAX_LOG_SHAPE:
+        raise ValueError(
+            f"E[B^-{power:g}] at n={model.n} is past the float64 range: its term "
+            f"bound B_1^-{power:g} is e^{log_top:.6g}, above 2^1023"
+        )
     logb2 = family.profile.log_b_squared(model.support.astype(float))
     vals = np.exp(-0.5 * power * logb2)
-    abs_bound = math.exp(-0.5 * power * float(family.profile.log_b_squared(1)))
-    est = model.expect_values(vals, abs_bound=abs_bound)
+    est = model.expect_values(vals, abs_bound=math.exp(log_top))
     if not est.value >= _MIN_SHAPE:
         raise ValueError(
             f"E[B^-{power:g}] at n={model.n} is {est.value!r}, below 2^-970: "
@@ -278,8 +242,8 @@ def rate_audit(
     trials: int,
     seed: int,
     mode: str,
-) -> RateCurve:
-    """Compare the metric at each (n, model) of grid with the index-averaged bound shape of mode.
+) -> tuple:
+    """A RatePoint per (n, model) of grid: the metric and mode's index-averaged bound shape.
 
     large-o: constant * E[B^-(1+alpha)] for a test function whose derivative
     has modulus omega(f'; h) <= K h^alpha.  The constant is fitted on the
@@ -317,10 +281,10 @@ def rate_audit(
         metrics.append(metric)
         shapes.append(_mean_inv_b_power(family, model, power).value)
     constant = _fitted_constant(metrics, shapes) if mode == "large-o" else 1.0
-    return RateCurve(points=tuple(
+    return tuple(
         RatePoint(n=n, metric=m.metric, mc_stderr=m.mc_stderr, bound=constant * s)
         for n, m, s in zip(ns, metrics, shapes)
-    ))
+    )
 
 
 def empirical_rotar_constant(audit: ImplicationAudit, d_hat: float) -> float:

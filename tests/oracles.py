@@ -11,6 +11,9 @@ their former construction from all k steps, the grouped summand draws
 against their former one group per k, and the Poisson tails against
 mpmath's incomplete gamma function.  Rademacher sums have an exact Kolmogorov
 distance from binomial coefficients.
+
+The laws' CDFs and supports, the test functions' derivatives and the rate
+audit's 4-stderr verdicts are read by the tests alone, so they live here.
 """
 
 import math
@@ -21,8 +24,49 @@ import numpy as np
 
 from randclt.conditions import _decide_atom_ties
 from randclt.families import _MAX_DRAW_ENTRIES
+from randclt.gaussian import norm_cdf
+from randclt.rates import _BUMP_AMP
 
 SQRT3 = math.sqrt(3.0)
+
+
+def _rademacher_cdf(z):
+    z = np.asarray(z, dtype=float)
+    return np.where(z <= -1.0, 0.0, np.where(z <= 1.0, 0.5, 1.0))
+
+
+def _uniform_cdf(z):
+    z = np.asarray(z, dtype=float)
+    return np.clip((z + SQRT3) / (2.0 * SQRT3), 0.0, 1.0)
+
+
+def _expcentered_cdf(z):
+    z = np.asarray(z, dtype=float)
+    return np.where(z >= -1.0, -np.expm1(-(z + 1.0)), 0.0)
+
+
+_CDFS = {
+    "rademacher": _rademacher_cdf,
+    "uniform": _uniform_cdf,
+    "normal": norm_cdf,
+    "expcentered": _expcentered_cdf,
+}
+_SUPPORTS = {
+    "rademacher": (-1.0, 1.0),
+    "uniform": (-SQRT3, SQRT3),
+    "expcentered": (-1.0, math.inf),
+}
+
+
+def law_cdf(law, z):
+    """P(Z < z) of a standardized law, left-continuous at atoms."""
+    return _CDFS[law.name](z)
+
+
+def law_support(law):
+    """(lo, hi) outside of which the standardized law carries no mass."""
+    return _SUPPORTS.get(law.name, (-math.inf, math.inf))
+
 
 _DENSITIES = {
     "uniform": lambda z: np.where(np.abs(z) <= SQRT3, 1.0 / (2.0 * SQRT3), 0.0),
@@ -45,7 +89,7 @@ def variance(fam, j):
 
 def cdf(fam, j, x):
     """F_j(x) = P(sigma_j Z < x)."""
-    return fam.law.cdf(np.asarray(x, dtype=float) / sigma(fam, j))
+    return law_cdf(fam.law, np.asarray(x, dtype=float) / sigma(fam, j))
 
 
 def density(law, z):
@@ -223,3 +267,53 @@ def rademacher_kolmogorov(index_pmf):
     below = at - mass  # P(S < atom)
     phi = np.array([0.5 * math.erfc(-x / math.sqrt(2.0)) for x in atoms.tolist()])
     return float(max(np.max(at - phi), np.max(phi - below)))
+
+
+def _clamp_prime(x):
+    x = np.asarray(x, dtype=float)
+    return (1.0 - x * x) / (1.0 + x * x) ** 2
+
+
+def _bump_prime(x):
+    x = np.asarray(x, dtype=float)
+    return -2.0 * _BUMP_AMP * x * np.exp(-x * x)
+
+
+_DERIVATIVES = {"sin": np.cos, "clamp": _clamp_prime, "bump": _bump_prime}
+
+
+def derivative(tf):
+    """f' of a built-in test function, against which its norms are verified."""
+    return _DERIVATIVES[tf.id]
+
+
+def flagged(p):
+    """The rate point's metric lies above its bound by more than 4 stderrs."""
+    return p.metric > p.bound + 4.0 * p.mc_stderr
+
+
+def all_within_bound(points):
+    return not any(flagged(p) for p in points)
+
+
+def bound_order(points):
+    """Least-squares slope of log bound against log n over the positive bounds."""
+    ns = np.array([p.n for p in points], dtype=float)
+    ys = np.array([p.bound for p in points])
+    keep = ys > 0.0
+    if keep.sum() < 2:
+        return math.nan
+    return float(np.polyfit(np.log(ns[keep]), np.log(ys[keep]), 1)[0])
+
+
+def ratios_decreasing(points, z=4.0):
+    """Strict decrease of the ratio column beyond z propagated stderrs."""
+    for a, b in zip(points[:-1], points[1:]):
+        noise = math.hypot(a.mc_stderr / a.bound, b.mc_stderr / b.bound)
+        if not a.ratio - b.ratio > z * noise:
+            return False
+    return True
+
+
+def statistically_zero(points, z=4.0):
+    return all(p.metric <= z * p.mc_stderr for p in points)

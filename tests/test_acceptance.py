@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 
+from oracles import all_within_bound, bound_order, ratios_decreasing, statistically_zero
 from randclt.conditions import (
     feller,
     implication_audit,
@@ -168,9 +169,9 @@ def test_criterion_6_large_o_rate_shape():
         make_test_function("sin"),
         1_000_000, seed=SEED, mode="large-o",
     )
-    within = curve.all_within_bound
-    order_ok = abs(curve.bound_order - (-1.0)) <= 0.02
-    for p in curve.points:
+    within = all_within_bound(curve)
+    order_ok = abs(bound_order(curve) - (-1.0)) <= 0.02
+    for p in curve:
         _record(
             f"criterion6_n{p.n}",
             simulate(fam, Deterministic(p.n), 1_000_000, seed=SEED),
@@ -178,7 +179,7 @@ def test_criterion_6_large_o_rate_shape():
     _report(
         6,
         f"metric within fitted bound at every n, bound order "
-        f"{curve.bound_order:.4f} within -1.00 +- 0.02",
+        f"{bound_order(curve):.4f} within -1.00 +- 0.02",
         within and order_ok,
     )
 
@@ -195,19 +196,19 @@ def test_criterion_7_small_o_ratio():
             f"criterion7_n{n}",
             simulate(fam, make_index("geometric", n), 200_000, seed=SEED),
         )
-    decreasing = curve.ratios_decreasing(4.0)
+    decreasing = ratios_decreasing(curve, 4.0)
 
     nrm = make_family("normal")
     curve_normal = rate_audit(
         nrm, ((n, make_index("geometric", n)) for n in (10, 100, 1000)), bump,
         100_000, seed=SEED, mode="small-o",
     )
-    ratios = [p.ratio for p in curve.points]
+    ratios = [p.ratio for p in curve]
     _report(
         7,
         f"ratio metric/E[1/B] decreasing {ratios[0]:.4f} > {ratios[1]:.4f} > "
         f"{ratios[2]:.4f} beyond 4 stderr; all-normal statistically zero",
-        decreasing and curve_normal.statistically_zero(4.0),
+        decreasing and statistically_zero(curve_normal, 4.0),
     )
 
 

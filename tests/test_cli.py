@@ -1,20 +1,26 @@
 """CLI parsing, output schemas, exit codes, and byte determinism."""
 
+import contextlib
 import csv
 import dataclasses
+import io
 import itertools
 import json
+import math
 import os
 import re
 import resource
 import shlex
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import randclt
 
@@ -342,6 +348,22 @@ class TestParsing:
         assert err.startswith("randclt: usage error: unrecognized arguments: ")
         assert argv[-2] in err
 
+    @pytest.mark.parametrize("flag, spec", [
+        ("--family", "family=rademacher"),
+        ("--family", "family=twopoint,growth=3"),
+        ("--family", "Rademacher"),
+        ("--index", "index=det"),
+        ("--index", "index=poisson:3"),
+        ("--index", "deterministic"),
+        ("--index", "deterministic:5"),
+        ("--index", "DET"),
+    ])
+    def test_each_kind_has_one_spelling(self, flag, spec, capsys):
+        # the family=/index= prefixes, the deterministic alias and any case
+        # but the listed one all ran as the listed kind
+        assert main(["simulate", flag, spec, "--n-grid", "5", "--trials", "2"]) == 1
+        assert capsys.readouterr().err.startswith(f"randclt: usage error: {flag}: unknown ")
+
 
 class TestConditionsCommand:
     def test_csv_header_and_determinism(self, tmp_path):
@@ -651,6 +673,25 @@ class TestRatesCommand:
         assert "n=2000" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode, sigma, power", [
+        ("large-o", "1e-160", "2"), ("small-o", "1e-310", "1"),
+    ])
+    def test_overflowing_bound_shape_exits_one_without_output(
+        self, mode, sigma, power, tmp_path, capsys
+    ):
+        # E[B^-2] = 1 / (5e-320) at sigma 1e-160: numpy's overflow warning,
+        # then "math range error"
+        out = tmp_path / "r.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["rates", "--family", f"normal,sigma={sigma}", "--index", "det",
+                         "--n-grid", "5", "--trials", "10", "--mode", mode, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"randclt: error: E[B^-{power}] at n=5 is past the float64 range")
+        assert not out.exists()
+
 
 class TestCfCheckCommand:
     def test_deterministic_passes_with_schema(self, tmp_path):
@@ -712,6 +753,35 @@ class TestCfCheckCommand:
         lo, hi = make_index("poisson", 10**10).window
         assert payload["tail_mass"] >= poisson_outside_mass(1e10, lo, hi)
         assert payload["tail_mass"] <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        log_sigma=st.floats(-300.0, 300.0),
+        kind=st.sampled_from(["det", "poisson", "geometric", "uniform"]),
+        n=st.integers(1, 1000),
+        t=st.floats(0.0, 1e200),
+    )
+    @example(log_sigma=-160.0, kind="poisson", n=10, t=1.0)  # read e^(-1/2)
+    @example(log_sigma=-200.0, kind="poisson", n=10, t=1.0)  # read NaN
+    @example(log_sigma=-300.0, kind="geometric", n=1000, t=1e5)
+    @example(log_sigma=300.0, kind="uniform", n=1000, t=1e200)
+    def test_any_sigma_passes_with_finite_deviations(self, log_sigma, kind, n, t):
+        # B_k^2 underflowed: t^2/(2 B_k^2) * B_k^2 read inf or NaN
+        argv = ["cf-check", "--family", f"normal,sigma={10.0 ** log_sigma!r}",
+                "--index", kind, "--n-grid", str(n), "--t-grid", f"0,0.5,1,4,{t!r}"]
+        stdout = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout):
+            warnings.simplefilter("error")
+            code = main(argv)
+        payload = json.loads(stdout.getvalue())
+        assert code == 0 and payload["passed"] is True
+        assert all(math.isfinite(d) for d in payload["deviations"])
+        assert payload["max_deviation"] <= 1e-12
+
+    def test_tiny_sigma_audit_passes(self, capsys):
+        assert main(["audit", "--family", "normal,sigma=1e-160", "--index", "det",
+                     "--n-grid", "5", "--trials", "0", "--t-grid", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["cf_identity"]["max_deviation"] == 0.0
 
 
 class TestAuditCommand:

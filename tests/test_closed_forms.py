@@ -14,7 +14,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ndtr
 
-from oracles import cdf, density, sigma, variance
+from oracles import cdf, density, law_cdf, law_support, sigma, variance
 from randclt.conditions import random_rotar, rotar
 from randclt.families import BUILTIN_FAMILY_KINDS, make_family
 from randclt.indices import make_index
@@ -44,8 +44,8 @@ def _tail_second_oracle(fam, j, t):
         x = s * pts
         keep = np.abs(x) > t  # strict: atoms at the threshold excluded
         return float(np.sum(masses[keep] * x[keep] ** 2))
-    lo = s * max(law.support[0], -60.0)
-    hi = s * min(law.support[1], 60.0)
+    lo = s * max(law_support(law)[0], -60.0)
+    hi = s * min(law_support(law)[1], 60.0)
 
     def integrand(x):
         return x * x * float(density(law, x / s)) / s
@@ -205,7 +205,7 @@ class TestRotarTailIntegral:
             law = make_family(kind).law
 
             def integrand(z):
-                return abs(z) * abs(float(law.cdf(z)) - ndtr(z))
+                return abs(z) * abs(float(law_cdf(law, z)) - ndtr(z))
 
             up = quad(integrand, 0.3, 12.0, points=[1.0, SQRT3], epsabs=1e-14)[0]
             dn = quad(integrand, -12.0, -0.3, points=[-SQRT3, -1.0], epsabs=1e-14)[0]
