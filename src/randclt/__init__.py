@@ -7,7 +7,6 @@ rate audits against the index-averaged bound shapes.
 """
 
 from .conditions import (
-    Condition,
     ConditionReport,
     ImplicationAudit,
     feller,

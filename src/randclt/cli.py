@@ -34,7 +34,7 @@ from .indices import (
     parse_index,
 )
 from .montecarlo import MAX_TRIALS, cf_identity_check, kolmogorov_distance, simulate, sweep
-from .rates import BUILTIN_TEST_FUNCTIONS, empirical_rotar_constant, make_test_function, rate_audit
+from .rates import BUILTIN_TEST_FUNCTIONS, make_test_function, rate_audit
 
 CF_TOLERANCE = 1e-12  # fixed contract for the mixed-cf identity
 _SUBCOMMANDS = {
@@ -83,14 +83,14 @@ def _joined(show):
     return lambda values: ",".join(show(v) for v in values)
 
 
-def _flag(default, *flags, read_by=tuple(_SUBCOMMANDS), show=str, **argparse_kwargs):
-    """A RunConfig field that flags set on the subcommands in read_by.
+def _flag(default, flag, read_by=tuple(_SUBCOMMANDS), show=str, **argparse_kwargs):
+    """A RunConfig field that its one flag sets on the subcommands in read_by.
 
     to_argv writes it back with show, if any.
     """
     return dataclasses.field(
         default=default,
-        metadata={"flags": flags, "read_by": read_by, "show": show, "argparse": argparse_kwargs},
+        metadata={"flag": flag, "read_by": read_by, "show": show, "argparse": argparse_kwargs},
     )
 
 
@@ -104,9 +104,7 @@ class RunConfig:
     subcommand: str
     family: str = _flag("rademacher", "--family")
     index: str = _flag("det", "--index")
-    n_grid: tuple = _flag(
-        (10, 100, 1000), "--n-grid", "--n", type=_int_list, show=_joined(str)
-    )
+    n_grid: tuple = _flag((10, 100, 1000), "--n-grid", type=_int_list, show=_joined(str))
     epsilon_grid: tuple = _flag(
         (0.5,), "--epsilon", read_by=_FUNCTIONALS, type=_float_list, show=_joined(repr)
     )
@@ -131,7 +129,7 @@ class RunConfig:
             value = getattr(self, f.name)
             shown = self.subcommand in f.metadata["read_by"] and f.metadata["show"] is not None
             if shown and value is not None:
-                argv += [f.metadata["flags"][0], f.metadata["show"](value)]
+                argv += [f.metadata["flag"], f.metadata["show"](value)]
         return argv
 
 
@@ -148,7 +146,7 @@ def build_parser() -> _Parser:
         for f in dataclasses.fields(RunConfig)[1:]:
             if name in f.metadata["read_by"] or (name, f.name) == _UNREAD_ACCEPTED:
                 p.add_argument(
-                    *f.metadata["flags"], dest=f.name, default=f.default,
+                    f.metadata["flag"], dest=f.name, default=f.default,
                     **f.metadata["argparse"],
                 )
     return parser
@@ -272,7 +270,7 @@ def _run_conditions(config: RunConfig) -> int:
                 cond.random_rotar(family, model, eps),
             ]
         rows += [
-            (rep.condition.value, rep.n, rep.epsilon, rep.delta, rep.value, rep.error_bound)
+            (rep.condition, rep.n, rep.epsilon, rep.delta, rep.value, rep.error_bound)
             for rep in per_n
         ]
     _emit(config, _csv(
@@ -345,7 +343,7 @@ def _run_audit(config: RunConfig) -> int:
                 "passed": audit.passed,
             }
             if d_hat is not None:
-                entry["empirical_constant"] = empirical_rotar_constant(audit, d_hat)
+                entry["empirical_constant"] = cond.empirical_rotar_constant(audit, d_hat)
             configs.append(entry)
     cf = cf_identity_check(family, model, config.t_grid)  # the sweep's last model
     cf_passed = cf.max_deviation <= CF_TOLERANCE

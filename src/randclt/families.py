@@ -212,9 +212,10 @@ class UniformLaw(Law):
         return 3.0 ** (0.5 * order) / (order + 1.0)
 
     def tail_second_moment(self, t):
+        # exactly 0 from the support edge on, where central_prob reads 1
         t = np.asarray(t, dtype=float)
-        t = np.clip(t, 0.0, _SQRT3)
-        return 1.0 - t**3 / (3.0 * _SQRT3)
+        inside = 1.0 - np.clip(t, 0.0, _SQRT3) ** 3 / (3.0 * _SQRT3)
+        return np.where(t >= _SQRT3, 0.0, inside)
 
     def central_prob(self, t):
         t = np.asarray(t, dtype=float)
@@ -306,7 +307,8 @@ class CenteredExponentialLaw(Law):
 
     def tail_second_moment(self, t):
         t = np.asarray(t, dtype=float)
-        right = np.exp(-(t + 1.0)) * (t * t + 2.0 * t + 2.0)
+        tr = np.minimum(t, 800.0)  # the right tail underflows to 0 there; keeps inf * 0 out
+        right = np.exp(-(tr + 1.0)) * (tr * tr + 2.0 * tr + 2.0)
         tl = np.minimum(t, 1.0)
         left = 1.0 - np.exp(tl - 1.0) * (tl * tl - 2.0 * tl + 2.0)
         return right + np.where(t < 1.0, left, 0.0)

@@ -4,9 +4,11 @@ Phi and erf are a port of Cephes' ndtr/erf/erfc (S. L. Moshier, *Methods and
 Programs for Mathematical Functions*, 1989), the evaluation scipy.special.ndtr
 performs: the same coefficients, the same branches in z = |x|/sqrt(2) (erf
 below sqrt(1/2), 1 - erf below 1, exp(-z^2) P/Q below 8, exp(-z^2) R/S
-beyond, and 0 once z^2 > MAXLOG) and the same order of operations.  Each
-branch is evaluated only on the inputs it keeps, by `piecewise`, which the
-laws' Rotar kernels share.
+beyond, and 0 once z^2 > MAXLOG) and the same order of operations; erf
+takes |x| <= 1 inclusive and 1 - erfc beyond.  Each branch is evaluated
+only on the inputs it keeps, by `piecewise`, which the laws' Rotar kernels
+share: one loop over blocks of _BLOCK entries, each routed by its min and
+max, so a block that one piece holds goes to that piece in one call.
 
 `norm_pdf_cdf_sf` is the fused kernel of the closed forms: phi(x), Phi(x) and
 Phi(-x) from one exp(-x^2/2), the one phi is computed from, which stands in
@@ -35,6 +37,7 @@ _BLOCK = 1 << 13  # entries per pass of a kernel; bounds its temporaries
 # 1/2 + erf/2 below sqrt(1/2) and 1 - erf above), P/Q, R/S, and 0 past
 # MAXLOG, where nan goes too.
 _CUTS = (1.0, 8.0, _PAST_MAXLOG)
+_PAST_ONE = math.nextafter(1.0, 2.0)  # Cephes erf takes |x| <= 1 inclusive
 
 
 def _columns(num, den):
@@ -103,34 +106,36 @@ def _erf_core(x):
     return _rational(x * x, _TU, x)
 
 
-def _branches(x, cuts):
-    """(k, selector) for each piece of cuts that x reaches; nan goes last.
+def _route(x, cuts, pieces, extra):
+    """pieces[k] on the entries of one block in [cuts[k-1], cuts[k]); nan goes last.
 
-    A piece that holds every x comes alone, with None for its selector.
+    The block's min and max pick the pieces it reaches; a piece that holds
+    the whole block is called on it directly.
     """
-    if not (x.size and cuts):
-        return [(0, None)]
-    lo, hi = x.min(), x.max()
-    if lo != lo:  # nan
-        first, last = 0, len(cuts)
-    else:
-        first, last = bisect_right(cuts, lo), bisect_right(cuts, hi)
-        if first == last:
-            return [(first, None)]
-    out = []
-    below = None  # x below the piece's lower cut
-    for k in range(first, last + 1):
-        under = x < cuts[k] if k < len(cuts) else None
-        if below is None:
-            sel = under
-        elif under is None:
-            sel = ~below
+    first = last = 0
+    if x.size and cuts:
+        lo, hi = x.min(), x.max()
+        if lo != lo:  # nan
+            first, last = 0, len(cuts)
         else:
-            sel = under & ~below
-        if sel.any():
-            out.append((k, sel))
-        below = under
-    return out
+            first, last = bisect_right(cuts, lo), bisect_right(cuts, hi)
+    if first == last:
+        return pieces[first](x, *extra)
+    k = np.array(cuts).searchsorted(x, side="right")  # bisect_right per entry; nan last
+    out = None
+    for piece in range(first, last + 1):
+        sel = k == piece
+        if not sel.any():
+            continue
+        part = pieces[piece](x[sel], *[a[sel] for a in extra])
+        alone = not isinstance(part, tuple)
+        if alone:
+            part = (part,)
+        if out is None:
+            out = tuple(np.empty_like(x) for _ in part)
+        for o, p in zip(out, part):
+            o[sel] = p
+    return out[0] if alone else out
 
 
 def piecewise(x, cuts, pieces, *extra):
@@ -138,42 +143,20 @@ def piecewise(x, cuts, pieces, *extra):
 
     Each piece is called as piece(x[sel], *[a[sel] for a in extra]) on only
     the entries it keeps, extra being arrays of x's shape, and returns an
-    array or a tuple of arrays; the result takes x's shape.  Long inputs go
+    array or a tuple of arrays; the result takes x's shape.  The input goes
     in blocks of _BLOCK entries, whose temporaries stay small.
     """
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
     extra = [np.ravel(a) for a in extra]
-    if flat.size > _BLOCK:
-        out = [
-            piecewise(flat[i:i + _BLOCK], cuts, pieces, *[a[i:i + _BLOCK] for a in extra])
-            for i in range(0, flat.size, _BLOCK)
-        ]
-        if isinstance(out[0], tuple):
-            out = tuple(map(np.concatenate, zip(*out)))
-        else:
-            out = np.concatenate(out)
-    else:
-        picks = _branches(flat, cuts)
-        k, sel = picks[0]
-        if sel is None:
-            out = pieces[k](flat, *extra)
-        else:
-            out = None
-            for k, sel in picks:
-                part = pieces[k](flat[sel], *[a[sel] for a in extra])
-                alone = not isinstance(part, tuple)
-                if alone:
-                    part = (part,)
-                if out is None:
-                    out = tuple(np.empty_like(flat) for _ in part)
-                for o, p in zip(out, part):
-                    o[sel] = p
-            if alone:
-                out = out[0]
-    if isinstance(out, tuple):
-        return tuple(o.reshape(x.shape) for o in out)
-    return out.reshape(x.shape)
+    blocks = [
+        _route(flat[i:i + _BLOCK], cuts, pieces, [a[i:i + _BLOCK] for a in extra])
+        for i in range(0, max(flat.size, 1), _BLOCK)  # an empty x is one empty block
+    ]
+    join = np.concatenate if len(blocks) > 1 else lambda c: c[0]
+    if isinstance(blocks[0], tuple):
+        return tuple(join(c).reshape(x.shape) for c in zip(*blocks))
+    return join(blocks).reshape(x.shape)
 
 
 def _erf_halves(z, e=None):
@@ -235,19 +218,15 @@ def _pdf_cdf_sf(x):
     return e, upper, lower
 
 
+def _erf_outer(z, x):
+    erfc_half, _ = _tails(z)
+    v = 1.0 - 2.0 * erfc_half  # 1 - erfc(z); exact where erfc_half is normal
+    return np.where(x < 0.0, -v, v)
+
+
 def _central_prob(t):
     x = t / _SQRT2
-    z = np.abs(x)
-    inner = z <= 1.0
-    if inner.all():
-        return _erf_core(x)
-    y = np.empty_like(x)
-    y[inner] = _erf_core(x[inner])
-    outer = ~inner
-    erfc_half, _ = _tails(z[outer])
-    v = 1.0 - 2.0 * erfc_half  # 1 - erfc(z); exact where erfc_half is normal
-    y[outer] = np.where(x[outer] < 0.0, -v, v)
-    return y
+    return piecewise(np.abs(x), (_PAST_ONE,), (lambda z, x: _erf_core(x), _erf_outer), x)
 
 
 def _upper_x_sf(t):

@@ -22,7 +22,6 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .conditions import ImplicationAudit
 from .families import SummandFamily
 from .indices import RandomIndexModel
 from .montecarlo import draw_block, map_blocks, sweep
@@ -285,18 +284,3 @@ def rate_audit(
         RatePoint(n=n, metric=m.metric, mc_stderr=m.mc_stderr, bound=constant * s)
         for n, m, s in zip(ns, metrics, shapes)
     )
-
-
-def empirical_rotar_constant(audit: ImplicationAudit, d_hat: float) -> float:
-    """Ratio estimate of the unspecified constant linking the comparison
-    functional to the CLT distance plus the maximal variance share.
-
-    The randomized Rotar and Feller values are the left-hand sides of the
-    audit's checks (e) and (d); d_hat is the Kolmogorov distance of one
-    simulation at the audit's index model.  Purely informational: reported
-    by the audit, never asserted.
-    """
-    lhs = {c.name: c.lhs for c in audit.checks}
-    denom = d_hat + lhs["random_feller_le_eps2_plus_random_lindeberg"]
-    rotar = lhs["random_rotar_le_random_lindeberg_plus_normal_tail"]
-    return rotar / denom if denom > 0 else math.inf

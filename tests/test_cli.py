@@ -366,6 +366,24 @@ class TestParsing:
 
 
 class TestConditionsCommand:
+    @pytest.mark.parametrize("family, index, epsilon, values", [
+        # eps sqrt(n) past float64 is t = inf, the whole law inside: the
+        # constant-profile thresholds warned "overflow encountered in multiply"
+        ("uniform", "poisson", "1e308", [0.0, 0.0, 0.0, 0.0, 0.0]),
+        # P(|Z| <= t) is subnormal, so the geometric walk's rest bound
+        # (1 - P) / P warned "overflow encountered in divide"
+        ("geomnormal", "det", "1e-310", [1.0, 1.0, 0.0, 1.0, 0.0]),
+    ])
+    def test_extreme_thresholds_raise_no_warning(self, family, index, epsilon, values, tmp_path):
+        out = tmp_path / "c.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["conditions", "--family", family, "--index", index,
+                         "--n-grid", "10", "--epsilon", epsilon, "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        # lindeberg, infinitesimality, rotar, random_lindeberg, random_rotar
+        assert [float(r["value"]) for r in rows if r["epsilon"]] == values
+
     def test_csv_header_and_determinism(self, tmp_path):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
@@ -532,9 +550,11 @@ class TestSimulateCommand:
                      "--n-grid", "5,10,20", "--trials", "50", "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 4
 
-    def test_n_alias(self):
-        cfg = parse_args(["simulate", "--n", "50", "--trials", "10"])
-        assert cfg.n_grid == (50,)
+    def test_n_alias(self, capsys):
+        # --n-grid has one spelling: its old alias --n is a usage error
+        assert main(["simulate", "--n", "50", "--trials", "10"]) == 1
+        err = capsys.readouterr().err
+        assert err == "randclt: usage error: unrecognized arguments: --n 50\n"
 
     def test_numeric_failure_exits_one(self, capsys):
         # an index window past the enumeration cap is refused, not truncated
@@ -785,6 +805,18 @@ class TestCfCheckCommand:
 
 
 class TestAuditCommand:
+    @pytest.mark.parametrize("epsilon", ["1e155", "1e-310"])
+    def test_epsilon_past_float64_range_is_refused(self, epsilon, tmp_path, capsys):
+        # eps^2 = 1e310 and eps^-delta = 1e310 overflow float64; they exited 1
+        # with a bare "(34, 'Numerical result out of range')"
+        out = tmp_path / "a.json"
+        assert main(["audit", "--family", "rademacher", "--index", "det", "--n-grid", "5",
+                     "--epsilon", epsilon, "--trials", "0", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"randclt: error: epsilon {float(epsilon)!r}: ")
+        assert err.count("\n") == 1 and "float64 range" in err
+        assert not out.exists()
+
     def test_all_normal_passes(self, tmp_path):
         out = tmp_path / "audit.json"
         assert main(["audit", "--family", "geomnormal", "--index", "poisson",
@@ -825,7 +857,7 @@ class TestAuditCommand:
             return real_draw(*args, **kwargs)
 
         def average(cond, *args, **kwargs):
-            calls[cond.value] += 1
+            calls[cond] += 1
             return real_average(cond, *args, **kwargs)
 
         monkeypatch.setattr(montecarlo, "map_blocks", draw)

@@ -134,6 +134,14 @@ class TestTailSecondMoment:
                     assert value == pytest.approx(oracle, rel=1e-9, abs=1e-13), (
                         kind, j, t,
                     )
+        # past a bounded law's support edge nothing is left: exactly 0 (the
+        # uniform law read 2.2e-16 there); the centred exponential's tail
+        # underflows to 0 from t = 800 on (it read NaN past t ~ 1.3e154)
+        for kind, edge in (("rademacher", 1.0), ("uniform", SQRT3), ("expcentered", 800.0)):
+            law = make_family(kind).law
+            for t in (edge, 2.0 * edge, 1e155, math.inf):
+                with np.errstate(over="raise", invalid="raise"):
+                    assert float(law.tail_second_moment(t)) == 0.0, (kind, t)
 
 
 class TestRotarTailIntegral:

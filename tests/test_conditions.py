@@ -1,11 +1,13 @@
 """Condition functionals: frozen oracles, reductions, monotonicity, audits."""
 
 import math
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
@@ -508,3 +510,31 @@ class TestImplicationAudit:
         edge = next(c for c in audit.checks if c.name == "feller_le_eps2_plus_lindeberg")
         assert edge.slack == 0.0
         assert edge.passed
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        epsilon=st.floats(5e-324, 1.7976931348623157e308),
+        kind=st.sampled_from(["rademacher", "uniform", "expcentered"]),
+        delta=st.sampled_from([0.01, 0.5, 1.0]),
+    )
+    @example(epsilon=1e154, kind="expcentered", delta=1.0)  # finite eps^2, t^2 past float64
+    @example(epsilon=1e155, kind="rademacher", delta=1.0)
+    @example(epsilon=1e-310, kind="rademacher", delta=1.0)
+    def test_epsilon_is_refused_or_every_check_is_finite(self, epsilon, kind, delta):
+        # eps^2 and eps^-delta overflowed as a bare OverflowError (34,
+        # 'Numerical result out of range'), and an infinite bound would be
+        # written as Infinity; either is now a refusal that names epsilon
+        family = make_family(kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                audit = implication_audit(family, make_index("geometric", 5), 5, epsilon, delta)
+            except ValueError as exc:
+                assert str(exc).startswith(f"epsilon {epsilon!r}: ")
+                assert "float64 range" in str(exc)
+                # only a bound within a factor e^2 of float64's largest is refused
+                log_eps = math.log(epsilon)
+                assert max(2.0 * log_eps, -delta * log_eps) > math.log(sys.float_info.max) - 2.0
+                return
+        for c in audit.checks:
+            assert all(map(math.isfinite, (c.lhs, c.rhs, c.slack, c.error_bound))), c

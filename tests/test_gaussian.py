@@ -10,6 +10,7 @@ kernel's Phi moves from Cephes by its shared exponent (test_fused_kernel_parts).
 
 import math
 import warnings
+from bisect import bisect_right
 
 import mpmath as mp
 import numpy as np
@@ -188,6 +189,63 @@ def test_piecewise_routes_cuts_up_and_nan_last():
     lo, hi = piecewise(x, (0.0,), (lambda t, e: (t, e), lambda t, e: (e, t)), -x)
     np.testing.assert_array_equal(lo, np.where(x < 0.0, x, -x))
     np.testing.assert_array_equal(hi, np.where(x < 0.0, -x, x))
+
+
+ROUTE_CUTS = (-1.0, 0.5, 2.0)
+# the cuts and their float neighbours, then nan and the infinities
+ROUTE_POOL = np.array(
+    [v for c in ROUTE_CUTS for v in (math.nextafter(c, -math.inf), c, math.nextafter(c, math.inf))]
+    + [np.nan, np.inf, -np.inf]
+)
+# per block: one pool value throughout, or every pool value shuffled
+block_layouts = st.lists(
+    st.tuples(st.sampled_from(["fill", "mix"]), st.integers(0, ROUTE_POOL.size - 1),
+              st.integers(0, 2**32 - 1)),
+    min_size=4, max_size=4,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=st.integers(0, 3 * gaussian._BLOCK + 1), layout=block_layouts)
+@example(size=2 * gaussian._BLOCK + 1,
+         layout=[("fill", 3, 0), ("mix", 0, 1), ("fill", 9, 0), ("mix", 0, 2)])
+def test_piecewise_matches_per_element_routing(size, layout):
+    """Each piece is called once per block it reaches, on that block's entries
+    whose bisect_right route (nan last) is its own, in order and with the
+    extra array's matching entries; its tuple lands back in place."""
+    size_b = gaussian._BLOCK
+    x = np.empty(size)
+    for start, (kind, value, seed) in zip(range(0, size, size_b), layout):
+        n = min(size_b, size - start)
+        if kind == "fill":
+            x[start:start + n] = ROUTE_POOL[value]
+        else:
+            x[start:start + n] = np.random.default_rng(seed).permutation(np.resize(ROUTE_POOL, n))
+    extra = np.arange(size, dtype=float)
+    calls = []
+
+    def piece(k):
+        def fn(t, e):
+            calls.append((k, t.copy(), e.copy()))
+            return np.full_like(t, k), e
+        return fn
+
+    got, carried = piecewise(x, ROUTE_CUTS, [piece(k) for k in range(len(ROUTE_CUTS) + 1)], extra)
+    routes = np.array([len(ROUTE_CUTS) if v != v else bisect_right(ROUTE_CUTS, v) for v in x.tolist()])
+    np.testing.assert_array_equal(got, routes)
+    np.testing.assert_array_equal(carried, extra)
+    expected = [(0, x, extra)]  # an empty input is one call of the first piece
+    if size:
+        expected = [
+            (k, x[start:start + size_b][sel], extra[start:start + size_b][sel])
+            for start in range(0, size, size_b)
+            for k in np.unique(routes[start:start + size_b]).tolist()
+            for sel in [routes[start:start + size_b] == k]
+        ]
+    assert [k for k, _, _ in calls] == [k for k, _, _ in expected]
+    for (_, t, e), (_, want_t, want_e) in zip(calls, expected):
+        np.testing.assert_array_equal(t, want_t)
+        np.testing.assert_array_equal(e, want_e)
 
 
 @pytest.mark.parametrize("x, expected", [

@@ -22,12 +22,12 @@ from oracles import (
 import randclt.conditions
 import randclt.rates
 from randclt import montecarlo
+from randclt.conditions import empirical_rotar_constant
 from randclt.families import make_family, parse_family
 from randclt.indices import make_index
 from randclt.rates import TestFunction as FnSpec
 from randclt.rates import (
     BUILTIN_TEST_FUNCTIONS,
-    empirical_rotar_constant,
     make_test_function,
     rate_audit,
     smooth_metric,
