@@ -138,11 +138,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def build_parser() -> _Parser:
+def build_parser(argv=None) -> _Parser:
+    """The randclt parser; given argv, only the subcommand it names gets its flags.
+
+    argparse parses the rest of argv with the subcommand its first positional
+    argument names, and no argument before that names one, so the other
+    subparsers are registered by name and help alone: the parse, the help and
+    every usage error are those of the full parser.
+    """
+    named = None if argv is None else next((a for a in argv if a in _SUBCOMMANDS), None)
     parser = _Parser(prog="randclt", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, help_text in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        if named not in (None, name):
+            continue
         for f in dataclasses.fields(RunConfig)[1:]:
             if name in f.metadata["read_by"] or (name, f.name) == _UNREAD_ACCEPTED:
                 p.add_argument(
@@ -153,7 +163,7 @@ def build_parser() -> _Parser:
 
 
 def parse_args(argv) -> RunConfig:
-    config = RunConfig(**vars(build_parser().parse_args(argv)))
+    config = RunConfig(**vars(build_parser(argv).parse_args(argv)))
     _validate(config)
     return config
 

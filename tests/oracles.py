@@ -5,8 +5,9 @@ log-space profile accessors; these helpers rebuild sigma_j, F_j and the
 continuous laws' densities from the family parameters, so the quadrature
 oracles share no code with the closed forms they check.  The geometric-profile
 kernel is checked against its former direct per-k sum and, at the atoms of
-the two-point law, against exact rational arithmetic; infinitesimality
-against its former sum over all n thresholds, the summand weights against
+the two-point law, against exact rational arithmetic, and bit for bit
+against its former binary-search passes; infinitesimality against its
+former sum over all n thresholds, the summand weights against
 their former construction from all k steps, the grouped summand draws
 against their former one group per k, and the Poisson tails against
 mpmath's incomplete gamma function.  Rademacher sums have an exact Kolmogorov
@@ -22,7 +23,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from randclt.conditions import _decide_atom_ties
+from randclt.conditions import _CUT_LOG2, _MAX_PASS_ENTRIES, _decide_atom_ties
 from randclt.families import _MAX_DRAW_ENTRIES
 from randclt.gaussian import norm_cdf
 from randclt.rates import _BUMP_AMP
@@ -215,6 +216,50 @@ def full_array_infinitesimality(fam, n, eps):
     if np.any(probs <= 0.0):
         return 1.0
     return max(0.0, -math.expm1(float(np.sum(np.log(probs)))))
+
+
+def searchsorted_geometric_sum(law, profile, ks, eps, term, rest, log_weight_cut=math.inf):
+    """conditions._geometric_sum as it found each pass's rows by binary search.
+
+    The former walk: the same thresholds, bisection and passes of
+    _MAX_PASS_ENTRIES flat entries, but every entry's row is
+    searchsorted(ends, flat) over all row ends.  Without the refusal.
+    """
+    q = profile.log_step
+    log_s = np.log(profile.b2_over_max_var(ks))
+
+    def at(rows, steps):
+        logw = q * steps - log_s[rows]
+        with np.errstate(over="ignore"):
+            t = eps * np.exp(-0.5 * logw)
+        _decide_atom_ties(
+            t, law, profile.ratio, eps, lambda near: (ks[rows[near]], steps[near])
+        )
+        return ks[rows], steps, np.exp(logw), t
+
+    lo = np.zeros(len(ks), dtype=np.int64)
+    first = term(*at(np.arange(len(ks)), lo))
+    target = np.ldexp(first, -_CUT_LOG2)
+    live = np.minimum(ks, np.ceil((log_weight_cut - log_s) / -q)).astype(np.int64)
+    hi = np.where(first > 0.0, live, 0)
+    while True:
+        act = np.flatnonzero(hi - lo > 1)
+        if not act.size:
+            break
+        mid = (lo[act] + hi[act]) // 2
+        drop = rest(*at(act, mid)) <= target[act]
+        hi[act[drop]] = mid[drop]
+        lo[act[~drop]] = mid[~drop]
+    ends = np.cumsum(hi)
+    starts = ends - hi
+    total = int(ends[-1])
+    out = np.zeros(len(ks))
+    for a in range(0, total, _MAX_PASS_ENTRIES):
+        flat = np.arange(a, min(a + _MAX_PASS_ENTRIES, total))
+        rows = np.searchsorted(ends, flat, side="right")
+        kept = term(*at(rows, flat - starts[rows]))
+        out += np.bincount(rows, weights=kept, minlength=len(ks))
+    return out
 
 
 def poisson_outside_mass(lam, lo, hi):

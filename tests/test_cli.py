@@ -26,7 +26,7 @@ import randclt
 
 from oracles import poisson_outside_mass
 from randclt import conditions, montecarlo
-from randclt.cli import UsageError, main, parse_args, run
+from randclt.cli import RunConfig, UsageError, build_parser, main, parse_args, run
 from randclt.families import parse_family
 from randclt.indices import make_index
 from randclt.schema import SchemaError, load_schema, validate
@@ -363,6 +363,43 @@ class TestParsing:
         # but the listed one all ran as the listed kind
         assert main(["simulate", flag, spec, "--n-grid", "5", "--trials", "2"]) == 1
         assert capsys.readouterr().err.startswith(f"randclt: usage error: {flag}: unknown ")
+
+
+def _parsed(parser, argv):
+    """What parser makes of argv: a RunConfig, a usage error, or an exit and its output."""
+    printed = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(printed):
+            namespace = parser.parse_args(argv)
+    except UsageError as exc:
+        return "usage error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, printed.getvalue()
+    return "config", RunConfig(**vars(namespace))
+
+
+_ARGV_TOKENS = st.sampled_from([
+    *READS, *FLAG_VALUES, *FLAG_VALUES.values(), "--print-config", "--help", "-h",
+    "--bogus", "--tri", "--", "-5", "5", "x",
+])
+
+
+class TestParserForArgv:
+    """A parser built for argv, with only its subcommand's flags, acts as the full one."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], [], ["bogus"], ["--bogus", "rates", "--trials", "3"],
+        *([s, "--help"] for s in READS),
+    ])
+    def test_help_and_errors(self, argv):
+        assert _parsed(build_parser(argv), argv) == _parsed(build_parser(), argv)
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=st.lists(_ARGV_TOKENS, max_size=8))
+    @example(argv=["conditions", "--epsilon", "0.5", "simulate"])
+    @example(argv=["--", "audit", "--trials", "5"])
+    def test_any_argv(self, argv):
+        assert _parsed(build_parser(argv), argv) == _parsed(build_parser(), argv)
 
 
 class TestConditionsCommand:

@@ -21,10 +21,13 @@ from oracles import (
     full_array_infinitesimality,
     exact_lindeberg,
     exact_side_direct,
+    searchsorted_geometric_sum,
 )
 from randclt.conditions import (
     _KERNEL_RTOL,
+    _LOG_WEIGHT_CUT,
     _exact_side,
+    _geometric_sum,
     feller,
     feller_values,
     implication_audit,
@@ -39,8 +42,8 @@ from randclt.conditions import (
     rotar_values,
 )
 from randclt.families import (
-    BUILTIN_FAMILY_KINDS, GeometricProfile, RademacherLaw, SummandFamily, make_family,
-    parse_family,
+    BUILTIN_FAMILY_KINDS, GeometricProfile, NormalLaw, RademacherLaw, SummandFamily,
+    UniformLaw, make_family, parse_family,
 )
 from randclt.indices import Deterministic, ShiftedGeometric, UniformIndex, make_index
 
@@ -267,6 +270,65 @@ class TestGeometricKernel:
         fam = SummandFamily("twopoint", law, GeometricProfile(1.001))
         random_rotar(fam, make_index("geometric", 1000), 0.5)
         assert 0 < law.evaluated < 2e7
+
+    def test_memory_is_bounded_near_ratio_one(self):
+        # 9.2e6 kept pairs in 141 passes: an array as long as all of them
+        # would take ~74 MB; numpy reports its buffers to tracemalloc
+        fam = make_family("twopoint", growth=1.001)
+        model = make_index("geometric", 1000)
+        tracemalloc.start()
+        try:
+            random_rotar(fam, model, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20  # ~7 MiB: a few pass-length arrays
+
+    @pytest.mark.parametrize("spec", ["twopoint", "geomnormal", "rademacher"])
+    def test_no_index_gives_no_values(self, spec):
+        # the geometric walk read its last row end, ends[-1], of no rows
+        fam = make_family(spec)
+        for values in (lindeberg_values(fam, [], 0.5), rotar_values(fam, [], 0.5)):
+            assert values.shape == (0,) and values.dtype == float
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        law=st.sampled_from([RademacherLaw(), UniformLaw(), NormalLaw()]),
+        ratio=st.sampled_from([0.5, 0.99, 1.01, 2.0, 1.0001]),
+        eps=st.one_of(st.sampled_from([0.25, 0.5, 1e-4]), st.floats(1e-4, 2.0)),
+        functional=st.sampled_from(["lindeberg", "rotar", "infinitesimality"]),
+        ks=st.lists(
+            st.one_of(st.integers(1, 3_000), st.integers(1, 200_000)), min_size=1, max_size=4
+        ),
+    )
+    @example(RademacherLaw(), 1.0001, 1e-4, "lindeberg", [150_000, 7, 120_000])
+    @example(NormalLaw(), 1.0001, 1e-3, "infinitesimality", [100_000])
+    @example(RademacherLaw(), 2.0, 0.5, "rotar", [*range(1, 80)])
+    def test_matches_searchsorted_passes(self, law, ratio, eps, functional, ks):
+        # ratio 2 at eps 0.25 or 0.5 ties an atom at every k; at ratio 1.0001
+        # the examples' rows run longer than one pass of _MAX_PASS_ENTRIES
+        ks = np.array(ks, dtype=np.int64)
+        if functional == "infinitesimality":
+            def rest(k, i, w, t):
+                central = np.asarray(law.central_prob(t), dtype=float)
+                return (k - i) * ((1.0 - central) / central)
+
+            walk = dict(
+                term=lambda k, i, w, t: -np.log(np.asarray(law.central_prob(t), dtype=float)),
+                rest=rest,
+            )
+        else:
+            unit = getattr(law, {"lindeberg": "tail_second_moment",
+                                 "rotar": "rotar_unit_tail"}[functional])
+            walk = dict(
+                term=lambda k, i, w, t: w * unit(t), rest=lambda k, i, w, t: unit(t),
+                log_weight_cut=_LOG_WEIGHT_CUT,
+            )
+        profile = GeometricProfile(ratio)
+        with np.errstate(divide="ignore", over="ignore"):
+            got = _geometric_sum(law, profile, ks, eps, **walk)
+            ref = searchsorted_geometric_sum(law, profile, ks, eps, **walk)
+        assert got.tobytes() == ref.tobytes(), (got, ref)
 
 
 class TestAtomTies:
