@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Optional
 
 import numpy as np
@@ -238,7 +239,12 @@ class UniformLaw(Law):
         return (self._h_edge - _uniform_antideriv(t)) + self._upper_edge
 
     def sample(self, rng, size=None):
-        return rng.uniform(-_SQRT3, _SQRT3, size=size)
+        # rng.uniform(-sqrt(3), sqrt(3), size) computes low + (high - low) U:
+        # the same two roundings, in place
+        u = rng.random(size)
+        u *= 2.0 * _SQRT3
+        u -= _SQRT3
+        return u
 
 
 class NormalLaw(Law):
@@ -389,7 +395,7 @@ class ConstantProfile:
         return ks.tolist()
 
     def weights(self, k: int) -> np.ndarray:
-        """sigma_j / B_k for j = 1..k."""
+        """sigma_j / B_k for j = 1..k, from the weight key k."""
         return np.full(_checked_draws(k), 1.0 / math.sqrt(k))
 
 
@@ -464,7 +470,7 @@ class GeometricProfile:
         return num / math.expm1(q)
 
     def weight_keys(self, ks: np.ndarray) -> list:
-        """(log S_k, kept steps) for each k of ks: weights(k) reads k through these alone.
+        """(log S_k, kept steps) for each k of ks: the key from which weights builds.
 
         Past ~45 / |q| steps S_k rounds to one float and the kept steps stop
         growing, so every larger k has the same weights.  Equal keys give
@@ -475,17 +481,18 @@ class GeometricProfile:
         log_s = map(math.log, self.b2_over_max_var(ks).tolist())
         return [(s, min(k, math.ceil((84.0 - s) / -q) + 1)) for k, s in zip(ks.tolist(), log_s)]
 
-    def weights(self, k: int) -> np.ndarray:
+    def weights(self, key: tuple) -> np.ndarray:
         """sigma_j / B_k, in the order of j, for the j <= k whose weight exceeds e^-42.
 
-        Smaller weights (~5e-19) cannot move a float64 sum.  The weight i
-        steps below the largest sigma_j is exp((q i - log S_k) / 2) with S_k
-        from b2_over_max_var: subtracting log B_k from log sigma_j would cost
-        up to ~1e-9 of the unit sum of squares near ratio 1, and ~1e-12 once
-        k is in the thousands.  Only the steps up to (84 - log S_k) / |q| + 1,
-        at most ceil(84 / |q|) + 1 of them, are built.
+        key is k's weight key (log S_k, kept steps).  Smaller weights
+        (~5e-19) cannot move a float64 sum.  The weight i steps below the
+        largest sigma_j is exp((q i - log S_k) / 2) with S_k from
+        b2_over_max_var: subtracting log B_k from log sigma_j would cost up
+        to ~1e-9 of the unit sum of squares near ratio 1, and ~1e-12 once k
+        is in the thousands.  Only the kept steps, up to (84 - log S_k) /
+        |q| + 1 and at most ceil(84 / |q|) + 1 of them, are built.
         """
-        [(log_s, kept)] = self.weight_keys(np.array([k]))
+        log_s, kept = key
         steps = np.arange(_checked_draws(kept))
         if self.ratio > 1.0:  # the largest sigma_j is j = k
             steps = steps[::-1]
@@ -526,14 +533,16 @@ class SummandFamily:
         exactly samplable k-fold sum (binomial, gamma) draw one value per
         trial on a constant profile.  Every other family sorts the trials by
         k (stably), groups each run of k with equal weights sigma_j / B_k
-        (weight_keys), and multiplies (rows x len(w)) summand matrices, at
-        most _MAX_DRAW_ENTRIES entries each (one row when w is longer), by w.
-        The bits are those of one group per k: the trials keep their order;
-        integers(0, 2) takes one 32-bit half of a 64-bit word per value and
-        the generator keeps the unused half between calls, and uniform takes
-        one word per value, so two matrices draw what their union would; and
-        einsum without optimize reduces each row alone in a fixed order, where
-        a BLAS product's bits vary with its thread count.
+        (weight_keys), and packs the groups' rows into chunks (_chunks): one
+        law.sample call per chunk of at most _MAX_DRAW_ENTRIES entries (one
+        row when w is longer), cut into each group's contiguous (rows x
+        len(w)) matrix and multiplied by its w.  The bits are those of one
+        group per k: the trials keep their order; integers(0, 2) takes one
+        32-bit half of a 64-bit word per value and the generator keeps the
+        unused half between calls, and random takes one word per value, so
+        a chunk draws what its groups' matrices would one by one; and einsum
+        without optimize reduces each row alone in a fixed order, where a
+        BLAS product's bits vary with its thread count.
         """
         size = len(ks) if size is None else size
         if self.profile.is_constant:
@@ -546,16 +555,41 @@ class SummandFamily:
         uniq, starts = np.unique(ks[order], return_index=True)
         keys = self.profile.weight_keys(uniq)
         new = [a != b for a, b in zip([None] + keys, keys)]  # each run of equal weights
-        uniq, starts = uniq[new], starts[new]
-        ends = np.append(starts[1:], len(ks))
-        for k, lo, hi in zip(uniq, starts, ends):
-            w = self.profile.weights(int(k))
-            rows = max(1, _MAX_DRAW_ENTRIES // len(w))
-            for a in range(lo, hi, rows):
-                b = min(a + rows, hi)
-                m = self.law.sample(rng, size=(b - a, len(w)))
-                out[order[a:b]] = np.einsum("ij,j->i", m, w)
+        starts = starts[new].tolist()
+        groups = (
+            (self.profile.weights(key), lo, hi)
+            for key, lo, hi in zip(compress(keys, new), starts, starts[1:] + [len(ks)])
+        )
+        for chunk in _chunks(groups):
+            m = self.law.sample(rng, size=sum((b - a) * len(w) for w, a, b in chunk))
+            at = 0
+            for w, a, b in chunk:
+                rows = m[at:at + (b - a) * len(w)].reshape(b - a, len(w))
+                out[order[a:b]] = np.einsum("ij,j->i", rows, w)
+                at += rows.size
         return out
+
+
+def _chunks(groups):
+    """The rows of groups (w, lo, hi), in order, packed into lists of (w, a, b).
+
+    A list takes rows while their len(w) entries fit in _MAX_DRAW_ENTRIES;
+    a row longer than that is a list of its own.  The weights come from the
+    groups one at a time, as the lists reach them.
+    """
+    chunk, room = [], _MAX_DRAW_ENTRIES
+    for w, lo, hi in groups:
+        while lo < hi:
+            rows = min(hi - lo, max(room // len(w), int(not chunk)))
+            if not rows:
+                yield chunk
+                chunk, room = [], _MAX_DRAW_ENTRIES
+                continue
+            chunk.append((w, lo, lo + rows))
+            room -= rows * len(w)
+            lo += rows
+    if chunk:
+        yield chunk
 
 
 # ---------------------------------------------------------------------------

@@ -284,7 +284,23 @@ class ShiftedGeometric(RandomIndexModel):
         return np.exp((self.support - 1) * self._log_q)
 
     def sample(self, rng: np.random.Generator, size):
-        return rng.geometric(self.p, size)
+        """rng.geometric(p, size), the same bits, by one vectorized inversion for p < 1/3.
+
+        numpy searches the cdf from p = 1/3 up (the literal is numpy's), and
+        below draws ceil(-E / log1p(-p)) from one standard exponential E,
+        with libm's log1p (as math.log1p) and values from 2^63 on clamped to
+        INT64_MAX.  Dividing E by -log1p(-p) rounds as -E / log1p(-p) does.
+        """
+        if self.p >= 0.333333333333333333333333:
+            return rng.geometric(self.p, size)
+        z = rng.standard_exponential(size)
+        z /= -math.log1p(-self.p)
+        np.ceil(z, out=z)
+        big = z >= 9.223372036854776e18
+        z[big] = 0.0
+        ks = z.astype(np.int64)
+        ks[big] = np.iinfo(np.int64).max
+        return ks
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,9 @@ on a constant profile takes only k + 1 values, so the trials of each k that
 repeats more often than that are drawn as one lattice histogram.  Families
 whose k-fold sums have an exact closed law (binomial, gamma) draw their
 other trials one value each from the summand stream; every other family
-draws its summands from the same stream in matrices grouped by weight
-vector sigma_j / B_k.  Blocks run on a thread
+groups its trials by weight vector sigma_j / B_k and draws their summands
+from the same stream in shared draws of at most 2^16 entries, one matrix
+of rows per group cut out of each.  Blocks run on a thread
 pool when there are several, and map_blocks hands each block's draws to a
 per-block reduction: simulate copies them into disjoint slices of one output
 array, and rates.smooth_metric keeps only their moments.  Neither depends on
@@ -141,15 +142,19 @@ def _lattice_pvals(ks, pmf_rows):
     pmf Binomial(k, 1/2)(j // 2).  Every conditional probability the draw
     uses is then a share of a mass still well above round-off.  The cells
     left of a row are 0, which numpy's multinomial skips without a draw.
-    pmf_rows keeps each k's row for the later blocks of the same call.
+    Each pmf value is built once, for h <= k / 2, and repeated into its two
+    positions (one: an even k's middle cell).  pmf_rows keeps each k's row
+    for the later blocks of the same call.
     """
     new = np.array([k for k in ks.tolist() if k not in pmf_rows], dtype=np.int64)
     if len(new):
-        widths = new + 1
-        ends = np.cumsum(widths)
-        pos = np.arange(ends[-1]) - np.repeat(ends - widths, widths)
-        pmf = half_binomial_pmf(np.repeat(new, widths), pos // 2)
-        pmf_rows.update(zip(new.tolist(), np.split(pmf, ends[:-1])))
+        halves = new // 2 + 1
+        ends = np.cumsum(halves)
+        h = np.arange(ends[-1]) - np.repeat(ends - halves, halves)
+        twice = np.full(ends[-1], 2)
+        twice[ends - 1] = 1 + new % 2
+        pmf = np.repeat(half_binomial_pmf(np.repeat(new, halves), h), twice)
+        pmf_rows.update(zip(new.tolist(), np.split(pmf, np.cumsum(new + 1)[:-1])))
     width = int(ks[-1]) + 1
     pvals = np.zeros((len(ks), width))
     for row, k in zip(pvals, ks.tolist()):

@@ -172,6 +172,12 @@ def full_weights(profile, k):
     return np.exp(logw[logw > -42.0])
 
 
+def weights_at(profile, k):
+    """profile.weights at one index k, through k's weight key."""
+    [key] = profile.weight_keys(np.array([k]))
+    return profile.weights(key)
+
+
 def per_k_normalized_sums(family, rng, ks):
     """Draws of S_k / B_k that draw and weigh one summand matrix group per k.
 
@@ -184,7 +190,7 @@ def per_k_normalized_sums(family, rng, ks):
     uniq, starts = np.unique(ks[order], return_index=True)
     ends = np.append(starts[1:], len(ks))
     for k, lo, hi in zip(uniq, starts, ends):
-        w = family.profile.weights(int(k))
+        w = weights_at(family.profile, int(k))
         rows = max(1, _MAX_DRAW_ENTRIES // len(w))
         for a in range(lo, hi, rows):
             b = min(a + rows, hi)

@@ -22,6 +22,7 @@ from oracles import (
     per_k_normalized_sums,
     sigma,
     variance,
+    weights_at,
 )
 from randclt.conditions import feller_values, lyapunov, max_threshold_ratio
 from randclt.families import (
@@ -248,7 +249,7 @@ class TestSummandWeights:
         k=st.integers(1, 5000),
     )
     def test_kept_weights_have_unit_sum_of_squares(self, ratio, k):
-        w = GeometricProfile(ratio=ratio).weights(k)
+        w = weights_at(GeometricProfile(ratio=ratio), k)
         assert abs(float(np.sum(w * w)) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("ratio", [1 - 1e-9, 1 + 1e-9, 0.5, 0.99, 1.01, 2.0, 4.0])
@@ -257,7 +258,7 @@ class TestSummandWeights:
         # of the summand reductions
         prof = GeometricProfile(ratio=ratio)
         for k in range(1, 5001):
-            w = prof.weights(k)
+            w = weights_at(prof, k)
             assert w.flags.c_contiguous
             assert w.tobytes() == full_weights(prof, k).tobytes(), k
 
@@ -269,7 +270,7 @@ class TestSummandWeights:
         # ratios near 1 keep thousands of steps: past k ~ 84 / |log r| the
         # kept steps are fewer than k
         prof = GeometricProfile(ratio=ratio)
-        assert prof.weights(k).tobytes() == full_weights(prof, k).tobytes()
+        assert weights_at(prof, k).tobytes() == full_weights(prof, k).tobytes()
 
     def test_huge_k_builds_only_kept_steps(self):
         # all 10^9 steps took 7.45 GiB for ~8k weights; numpy reports its
@@ -277,7 +278,7 @@ class TestSummandWeights:
         prof = GeometricProfile(ratio=1.01)
         tracemalloc.start()
         try:
-            w = prof.weights(10**9)
+            w = weights_at(prof, 10**9)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -292,7 +293,7 @@ class TestSummandWeights:
     ])
     def test_summand_draw_cap(self, profile, k, count):
         with pytest.raises(ValueError, match=rf"a trial needs {count} summand draws"):
-            profile.weights(k)
+            weights_at(profile, k)
 
 
 class TestSignRoots:
@@ -377,6 +378,15 @@ class TestSampling:
                 assert d < band, fam.kind
 
 
+class TestUniformBits:
+    @pytest.mark.parametrize("size", [None, 1, 7, 65_537, (3, 5), (121, 541)])
+    def test_matches_numpy_uniform(self, size):
+        # random() scaled in place: the two roundings of low + (high - low) U
+        got = UniformLaw().sample(_stream(3, 4), size)
+        want = _stream(3, 4).uniform(-SQRT3, SQRT3, size)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 class TestRademacherBits:
     """k-fold Rademacher sums are 2 Binomial(k, 1/2) - k, for every k."""
 
@@ -430,6 +440,9 @@ class TestWeightGroups:
     @example(spec="twopoint,growth=1.01", index="det", n=10_000, trials=20, seed=3)
     @example(spec="twopoint,growth=0.5", index="uniform", n=1500, trials=3000, seed=4)
     @example(spec="uniform", index="poisson", n=1000, trials=500, seed=5)
+    # one draw spans many weight groups; a weight vector longer than 2^16
+    @example(spec="twopoint", index="geometric", n=10, trials=3000, seed=8)
+    @example(spec="uniform", index="det", n=70_000, trials=3, seed=9)
     @example(spec="twopoint", index="det", n=10, trials=0, seed=6)
     @example(spec="uniform", index="det", n=10, trials=0, seed=7)
     def test_matches_one_group_per_k(self, spec, index, n, trials, seed):
@@ -442,28 +455,37 @@ class TestWeightGroups:
 
     def test_one_sample_call_per_chunk_of_a_weight_vector(self, monkeypatch):
         # the mc-sweep twopoint command at n = 1000: ~2,200 distinct k, ~120
-        # distinct weight vectors
+        # distinct weight vectors, whose 569,448 entries pack into 9 draws of
+        # at most 2^16, the fewest that hold them; a uniform det n = 70,000
+        # draws one row per call
+        calls = []
+
+        def counted(sample):
+            return lambda law, rng, size=None: calls.append(size) or sample(law, rng, size)
+
+        for law in (RademacherLaw, UniformLaw):
+            monkeypatch.setattr(law, "sample", counted(law.sample))
         fam = make_family("twopoint")
         ks = make_index("geometric", 1000).sample(Generator(Philox(key=[1, 1])), 5000)
-        groups = {}  # weight key: [trials, weights]
-        for k, key in zip(ks.tolist(), fam.profile.weight_keys(ks)):
-            groups.setdefault(key, [0, len(fam.profile.weights(k))])[0] += 1
-        chunks = sum(
-            -(-count // max(1, _MAX_DRAW_ENTRIES // size)) for count, size in groups.values()
-        )
-        distinct = len({fam.profile.weights(k).tobytes() for k in np.unique(ks).tolist()})
-        calls = []
-        sample = RademacherLaw.sample
-        monkeypatch.setattr(
-            RademacherLaw, "sample",
-            lambda law, rng, size=None: calls.append(size) or sample(law, rng, size),
-        )
+        keys = fam.profile.weight_keys(ks)
+        groups = {key: len(fam.profile.weights(key)) for key in keys}
+        distinct = len({fam.profile.weights(key).tobytes() for key in groups})
+        chunks, room = 0, 0  # the rows by k, packed while they fit
+        for _, key in sorted(zip(ks.tolist(), keys)):
+            if groups[key] > room:
+                chunks, room = chunks + 1, _MAX_DRAW_ENTRIES
+            room -= groups[key]
         fam.batch_normalized_sums(Generator(Philox(key=[1, 2])), ks)
         assert len(np.unique(ks)) >= 2000
         # k = 122 keeps 122 steps, whose last weight falls below e^-42: the
         # 121 weights of k = 121 under a second key
         assert distinct <= len(groups) <= distinct + 1 <= 130
-        assert len(calls) == chunks < 200
+        assert len(calls) == chunks == 9
+        assert max(calls) <= _MAX_DRAW_ENTRIES
+        assert sum(calls) == sum(groups[key] for key in keys) == 569_448
+        calls.clear()
+        make_family("uniform").batch_normalized_sums(Generator(Philox(key=[1, 3])), 70_000, 3)
+        assert calls == [70_000] * 3
 
     @pytest.mark.parametrize("a, b, width", [(1, 1, 1), (3, 4, 123), (7, 2, 8445), (5, 5, 1)])
     def test_philox_carries_the_unused_half_word(self, a, b, width):
@@ -473,7 +495,8 @@ class TestWeightGroups:
         # first takes an odd number of 32-bit halves, and uniform carries nothing
         assert a * width % 2 == 1
         for draw in (lambda g, r: g.integers(0, 2, (r, width)),
-                     lambda g, r: g.uniform(-SQRT3, SQRT3, (r, width))):
+                     lambda g, r: g.uniform(-SQRT3, SQRT3, (r, width)),
+                     lambda g, r: UniformLaw().sample(g, (r, width))):
             rng = _stream(11, 12)
             split = np.concatenate([draw(rng, a), draw(rng, b)])
             whole = draw(_stream(11, 12), a + b)

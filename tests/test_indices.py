@@ -2,6 +2,7 @@
 
 import math
 import re
+from types import SimpleNamespace
 from unittest import mock
 
 import mpmath
@@ -28,6 +29,7 @@ from randclt.indices import (
     make_index,
     parse_index,
 )
+from randclt.montecarlo import _stream
 
 SUM_ROUNDOFF = 64 * 2.0**-52
 
@@ -117,6 +119,31 @@ class TestGeometricEdges:
         assert model.probs.tolist() == [1.0]
         assert model.truncation_tail_mass == 0.0
         assert (model.cdf(0), model.sf(0), model.cdf(1), model.sf(1)) == (0.0, 1.0, 1.0, 0.0)
+
+
+class TestGeometricSampler:
+    """The vectorized inversion below p = 1/3 draws rng.geometric's bits."""
+
+    @pytest.mark.parametrize("p", [
+        1.0, 0.5, 1 / 3, math.nextafter(1 / 3, 0.0), 0.1, 1e-3, 2.0**-20,
+    ])
+    @pytest.mark.parametrize("size", [0, 1, 100_003])
+    def test_matches_numpy_geometric(self, p, size):
+        model = ShiftedGeometric(1, p=p, target=1e-3)  # 2^-20 keeps a window below the cap
+        got = model.sample(_stream(5, 6), size)
+        want = _stream(5, 6).geometric(p, size)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("p", [1e-18, 2e-19, 1e-300])
+    def test_clamps_past_int64_as_numpy_does(self, p):
+        # no window below the cap exists here: sample reads only p.  A draw
+        # reaches 2^63 and reads INT64_MAX where E > 9.2 at 1e-18 (about one
+        # in 10^4; this stream has one), E > 1.8 at 2e-19, almost always at 1e-300
+        model = SimpleNamespace(p=p)
+        got = ShiftedGeometric.sample(model, _stream(5, 7), 10_000)
+        want = _stream(5, 7).geometric(p, 10_000)
+        assert got.tobytes() == want.tobytes()
+        assert np.iinfo(np.int64).max in got.tolist()
 
 
 class TestWindow:

@@ -14,7 +14,7 @@ from numpy.random import PCG64DXSM, SeedSequence
 from oracles import rademacher_kolmogorov
 from randclt import montecarlo
 from randclt.cli import UsageError, parse_args
-from randclt.families import make_family, parse_family
+from randclt.families import half_binomial_pmf, make_family, parse_family
 from randclt.indices import Deterministic, make_index
 from randclt.montecarlo import (
     EmpiricalSample,
@@ -248,6 +248,18 @@ class TestBlockLayout:
         assert s.values.tobytes() == np.concatenate(ref).tobytes()
         # rademacher's full block is one lattice row and draws no trial here
         assert sorted(shapes) == [(), (0,) if spec == "rademacher" else ()]
+
+
+class TestLatticeRows:
+    def test_rows_keep_the_bytes_of_one_pmf_call_per_position(self):
+        # each (k, h <= k / 2) is built once and repeated; the rows equal
+        # those that evaluate half_binomial_pmf(k, j // 2) at every position j
+        ks = np.arange(1, 400)
+        rows = {}
+        montecarlo._lattice_pvals(ks, rows)
+        for k in ks.tolist():
+            want = half_binomial_pmf(np.full(k + 1, k), np.arange(k + 1) // 2)
+            assert rows[k].tobytes() == want.tobytes(), k
 
 
 class TestStreams:
