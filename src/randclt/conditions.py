@@ -40,8 +40,9 @@ _CUT_LOG2 = 60
 # (k, i) entries per flat pass of the geometric step walk; bounds its memory
 _MAX_PASS_ENTRIES = 1 << 16
 
-# kept (k, i) pairs past which the geometric step walk refuses to run; 10^8
-# rotar unit-tail evaluations take ~7 s on a 2-core Xeon
+# kept (k, i) pairs, over every row, repeated or not, past which the geometric
+# step walk refuses to run; 10^8 rotar unit-tail evaluations take ~7 s on a
+# 2-core Xeon
 _MAX_KERNEL_TERMS = 10**8
 
 # thresholds this close (relative) to an atom are decided exactly; the float
@@ -135,8 +136,15 @@ def _decide_atom_ties(t, law, ratio, eps, k_and_step):
         t[near] = np.nextafter(atom, atom * (1 + sides))[inverse]
 
 
+def _runs(rows, first, counts):
+    """Each row repeated counts times, with its steps first, first + 1, ..."""
+    repeated = np.repeat(rows, counts)
+    offsets = np.repeat(first - (np.cumsum(counts) - counts), counts)
+    return repeated, np.arange(repeated.size) + offsets
+
+
 def _geometric_sum(law, profile, ks, eps, term, rest, log_weight_cut=math.inf):
-    """sum_i term(k, i, w_i, t_i) per k, over the steps i below the largest sigma_j.
+    """sum_i term(w_i, t_i) per k, over the steps i below the largest sigma_j.
 
     Every geometric-profile sum of the functionals is this walk.  Its
     w_i = e^(q i) / S_k is sigma_j^2 / B_k^2 (q = profile.log_step, S_k =
@@ -147,22 +155,34 @@ def _geometric_sum(law, profile, ks, eps, term, rest, log_weight_cut=math.inf):
     terms from i on and fall with i too.  Then a zero i = 0 term makes every
     term zero, and otherwise the terms from the first i whose rest is at
     most 2^-60 of the i = 0 term, itself a lower bound on the sum, are cut:
-    that i is found per k by bisection.  The kept (k, i) pairs are counted
-    before any is evaluated, refused past _MAX_KERNEL_TERMS, and summed in
-    flat passes of _MAX_PASS_ENTRIES over the rows in order: each row's run
-    of steps clipped to the pass is repeated out, with no search per pair.
+    that i is found per k by bisection.  The kept (k, i) pairs of every row
+    are counted before any is evaluated, refused past _MAX_KERNEL_TERMS, and
+    summed in flat passes of _MAX_PASS_ENTRIES over the rows in order: each
+    row's run of steps clipped to the pass is repeated out, with no search
+    per pair.
+
+    term reads w_i and t_i, never k, so adjacent rows with equal log S_k
+    and kept count, as the rows past some 31 / |q| steps are, sum the same
+    terms.  A row whole in one pass, after the first such row of its run,
+    is skipped and copies that row's sum: bincount adds a whole row's terms
+    in the same order in any pass, so the sums keep their bits.  Rows that
+    a pass splits are walked as they are.  Only the atom ties read k,
+    through _exact_side, whose side is monotone in k at a fixed step: a run
+    shares its terms when its least and largest k decide every tie of its
+    first row alike, and is walked row by row otherwise.  The cap counts
+    the pairs of every row, shared or not.
     """
     q = profile.log_step
     log_s = np.log(profile.b2_over_max_var(ks))
 
-    def at(rows, steps):
+    def at(rows, steps, k=ks):  # w and t, with the atom ties decided at k
         logw = q * steps - log_s[rows]
         with np.errstate(over="ignore"):  # t = inf: the whole law lies within
             t = eps * np.exp(-0.5 * logw)
         _decide_atom_ties(
-            t, law, profile.ratio, eps, lambda near: (ks[rows[near]], steps[near])
+            t, law, profile.ratio, eps, lambda near: (k[rows[near]], steps[near])
         )
-        return ks[rows], steps, np.exp(logw), t
+        return np.exp(logw), t
 
     lo = np.zeros(len(ks), dtype=np.int64)
     first = term(*at(np.arange(len(ks)), lo))
@@ -176,7 +196,7 @@ def _geometric_sum(law, profile, ks, eps, term, rest, log_weight_cut=math.inf):
         if not act.size:
             break
         mid = (lo[act] + hi[act]) // 2
-        drop = rest(*at(act, mid)) <= target[act]
+        drop = rest(ks[act], mid, *at(act, mid)) <= target[act]
         hi[act[drop]] = mid[drop]
         lo[act[~drop]] = mid[~drop]
     ends = np.cumsum(hi)
@@ -187,16 +207,36 @@ def _geometric_sum(law, profile, ks, eps, term, rest, log_weight_cut=math.inf):
             f"the geometric-profile kernel needs {total} unit-tail evaluations, "
             f"past the cap of {_MAX_KERNEL_TERMS}"
         )
+    # source[r]: the row whose sum row r copies, or -1 if r is walked; k_lo
+    # and k_hi: the least and largest k of the rows that copy a row
+    whole = np.flatnonzero((hi > 0) & (starts // _MAX_PASS_ENTRIES
+                                       == (ends - 1) // _MAX_PASS_ENTRIES))
+    run = np.cumsum(np.r_[True, (log_s[1:] != log_s[:-1]) | (hi[1:] != hi[:-1])])
+    lead = np.diff(run[whole], prepend=0) != 0  # the first whole row of a run
+    copies = whole[~lead]
+    source = np.full(len(ks), -1)
+    source[copies] = whole[lead][np.cumsum(lead) - 1][~lead]
+    k_lo, k_hi = ks.copy(), ks.copy()
+    np.minimum.at(k_lo, source[copies], ks[copies])
+    np.maximum.at(k_hi, source[copies], ks[copies])
     out = np.zeros(len(ks))
     for a in range(0, total, _MAX_PASS_ENTRIES):
         b = min(a + _MAX_PASS_ENTRIES, total)
         # rows r0..r1-1 hold the pass, each its run of steps clipped to [a, b)
         r0 = np.searchsorted(ends, a, side="right")
         r1 = np.searchsorted(ends, b - 1, side="right") + 1
-        counts = np.minimum(ends[r0:r1], b) - np.maximum(starts[r0:r1], a)
-        rows = np.repeat(np.arange(r0, r1), counts)
-        kept = term(*at(rows, np.arange(a, b) - starts[rows]))
-        out += np.bincount(rows, weights=kept, minlength=len(ks))
+        leads = r0 + np.flatnonzero(k_lo[r0:r1] != k_hi[r0:r1])
+        if leads.size and law.atoms is not None:  # runs whose k ends tie apart
+            rows, steps = _runs(leads, 0, hi[leads])
+            apart = rows[at(rows, steps, k_lo)[1] != at(rows, steps, k_hi)[1]]
+            source[np.isin(source, apart)] = -1
+        walked = r0 + np.flatnonzero(source[r0:r1] < 0)
+        skip = np.maximum(starts[walked], a) - starts[walked]
+        counts = np.minimum(ends[walked], b) - starts[walked] - skip
+        rows, steps = _runs(walked, skip, counts)
+        out += np.bincount(rows, weights=term(*at(rows, steps)), minlength=len(ks))
+    copies = np.flatnonzero(source >= 0)
+    out[copies] = out[source[copies]]
     return out
 
 
@@ -222,7 +262,7 @@ def _scale_mixture_values(unit_fn, family, ks, eps):
     uk, inverse = np.unique(np.minimum(ks, k_sat), return_inverse=True)
     out = _geometric_sum(
         family.law, profile, uk, eps,
-        term=lambda k, i, w, t: w * unit_fn(t),
+        term=lambda w, t: w * unit_fn(t),
         rest=lambda k, i, w, t: unit_fn(t),
         log_weight_cut=_LOG_WEIGHT_CUT,
     )
@@ -301,7 +341,7 @@ def infinitesimality(family: SummandFamily, n: int, epsilon: float) -> Condition
         else:
             log_prod = -float(_geometric_sum(
                 family.law, prof, np.array([n]), epsilon,
-                term=lambda k, i, w, t: -np.log(prob(t)), rest=rest,
+                term=lambda w, t: -np.log(prob(t)), rest=rest,
             )[0])
     value = max(0.0, -math.expm1(log_prod))
     return _report(

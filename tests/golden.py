@@ -6,9 +6,13 @@ test_golden.py replays every entry in process through cli.main and compares.
 A change that moves bytes then shows as a diff of golden.json.
 
 Sampled bytes are a function of the flags, the seed and numpy's version
-(numpy's Generator makes no stream promise across versions, NEP 19), so a
-sampled entry is keyed to the numpy version that wrote it; deterministic
-entries carry no version.  Regenerate the corpus with
+(numpy's Generator makes no stream promise across versions, NEP 19).  Every
+float byte also follows the rounding of numpy's float64 exp, log, expm1,
+log1p and sin, whose SIMD loops are picked per host (AVX512F, AVX2, or
+none) and round differently from one another and from libm.  So each entry
+is keyed to the numpy version that wrote it and to float_fingerprint(), a
+hash of those functions' bits over fixed inputs; on any other numpy or
+host it is skipped, and the skip names both.  Regenerate the corpus with
 
     PYTHONPATH=src python tests/golden.py
 
@@ -29,32 +33,64 @@ import numpy as np
 
 CORPUS = Path(__file__).with_name("golden.json")
 
-# (argv, sampled): sampled entries are keyed to numpy's version
 COMMANDS = [
     # the mc-sweep workload's four commands at workload seed 1
-    ("simulate --family rademacher --index geometric --n-grid 10,100,1000"
-     " --trials 100000 --seed 577090037", True),
-    ("simulate --family twopoint --index geometric --n-grid 10,100,1000"
-     " --trials 5000 --seed 271041745", True),
-    ("simulate --family uniform --index poisson --n-grid 10,100,1000"
-     " --trials 5000 --seed 1095513148", True),
-    ("audit --family uniform --index poisson --n-grid 10,100 --epsilon 0.1,0.5"
-     " --trials 5000 --seed 506456969", True),
+    "simulate --family rademacher --index geometric --n-grid 10,100,1000"
+    " --trials 100000 --seed 577090037",
+    "simulate --family twopoint --index geometric --n-grid 10,100,1000"
+    " --trials 5000 --seed 271041745",
+    "simulate --family uniform --index poisson --n-grid 10,100,1000"
+    " --trials 5000 --seed 1095513148",
+    "audit --family uniform --index poisson --n-grid 10,100 --epsilon 0.1,0.5"
+    " --trials 5000 --seed 506456969",
     # the README simulate and small-o rates
-    ("simulate --family rademacher --index geometric --n-grid 10,100,1000"
-     " --trials 100000 --seed 7", True),
-    ("rates --mode small-o --family rademacher --index geometric --fn bump"
-     " --n-grid 10,100,1000 --trials 1000000", True),
+    "simulate --family rademacher --index geometric --n-grid 10,100,1000"
+    " --trials 100000 --seed 7",
+    "rates --mode small-o --family rademacher --index geometric --fn bump"
+    " --n-grid 10,100,1000 --trials 1000000",
     # more than 2^17 trials: several blocks of weight-group draws
-    ("simulate --family uniform --index poisson --n-grid 10,100"
-     " --trials 300000 --seed 3", True),
-    ("simulate --family twopoint --index geometric --n-grid 10,100,1000"
-     " --trials 200000 --seed 3", True),
+    "simulate --family uniform --index poisson --n-grid 10,100 --trials 300000 --seed 3",
+    "simulate --family twopoint --index geometric --n-grid 10,100,1000"
+    " --trials 200000 --seed 3",
+    # the functionals workload's seven commands, among them the README
+    # conditions and cf-check, and the geometric n = 1e6 refusal (exit 1)
+    "conditions --family rademacher --index geometric --n-grid 10,100,1000"
+    " --epsilon 0.05,0.5 --delta 1",
+    "cf-check --index det:5 --t-grid 0,0.5,1,2,4",
+    "conditions --family rademacher --index poisson --n-grid 1000,1000000 --epsilon 0.5",
+    "conditions --family rademacher --index geometric --n-grid 1000,1000000 --epsilon 0.5",
+    "conditions --family twopoint,growth=1.01 --index geometric --n-grid 1000 --epsilon 0.5",
+    "audit --family uniform --index poisson --n-grid 10,100 --epsilon 0.1,0.5 --trials 0",
+    "cf-check --index poisson --n-grid 1000000",
+    # the geometric walk's 10^8 kept-pair cap: exit 1, the count on stderr
+    "conditions --family twopoint,growth=1.000001 --index geometric --n-grid 1000"
+    " --epsilon 0.05",
+    # geometric-profile walks whose rows repeat, whole or split by a pass
+    # (twopoint growth 1.01 at geometric n = 1000), at every index kind
+    *(
+        f"conditions --family {family} --index {index} --n-grid 10,100,1000"
+        " --epsilon 0.05,0.5,2"
+        for family in ("twopoint,growth=0.5", "twopoint,growth=1.01",
+                       "twopoint,growth=2", "geomnormal,ratio=1.05")
+        for index in ("det", "geometric", "poisson", "uniform")
+    ),
 ]
 
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def float_fingerprint() -> str:
+    """The first 16 hex digits of the SHA-256 of numpy's float64 exp, log,
+    expm1, log1p and sin over fixed inputs, whose own bits are exact."""
+    x = np.arange(-745_000, 709_000, 7) / 1000.0
+    y = np.ldexp(1.0 + np.arange(40_009) / 40_009.0, np.arange(40_009) % 2_001 - 1_000)
+    bits = b"".join(
+        f(v).tobytes()
+        for f, v in ((np.exp, x), (np.log, y), (np.expm1, x), (np.log1p, y), (np.sin, x))
+    )
+    return _sha(bits)[:16]
 
 
 def replay(argv: list) -> dict:
@@ -76,10 +112,10 @@ def replay(argv: list) -> dict:
 
 
 def build() -> list:
-    entries = []
-    for line, sampled in COMMANDS:
+    entries, host = [], float_fingerprint()
+    for line in COMMANDS:
         argv = line.split()
-        entry = {"argv": argv, "numpy": np.__version__ if sampled else None}
+        entry = {"argv": argv, "numpy": np.__version__, "float": host}
         entry.update(replay(argv))
         entries.append(entry)
         print(entry["exit"], line, file=sys.stderr)

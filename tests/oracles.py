@@ -244,7 +244,7 @@ def searchsorted_geometric_sum(law, profile, ks, eps, term, rest, log_weight_cut
         return ks[rows], steps, np.exp(logw), t
 
     lo = np.zeros(len(ks), dtype=np.int64)
-    first = term(*at(np.arange(len(ks)), lo))
+    first = term(*at(np.arange(len(ks)), lo)[2:])
     target = np.ldexp(first, -_CUT_LOG2)
     live = np.minimum(ks, np.ceil((log_weight_cut - log_s) / -q)).astype(np.int64)
     hi = np.where(first > 0.0, live, 0)
@@ -263,7 +263,7 @@ def searchsorted_geometric_sum(law, profile, ks, eps, term, rest, log_weight_cut
     for a in range(0, total, _MAX_PASS_ENTRIES):
         flat = np.arange(a, min(a + _MAX_PASS_ENTRIES, total))
         rows = np.searchsorted(ends, flat, side="right")
-        kept = term(*at(rows, flat - starts[rows]))
+        kept = term(*at(rows, flat - starts[rows])[2:])
         out += np.bincount(rows, weights=kept, minlength=len(ks))
     return out
 

@@ -23,6 +23,7 @@ from oracles import (
     exact_side_direct,
     searchsorted_geometric_sum,
 )
+import randclt.conditions as conditions
 from randclt.conditions import (
     _KERNEL_RTOL,
     _LOG_WEIGHT_CUT,
@@ -304,9 +305,18 @@ class TestGeometricKernel:
     @example(RademacherLaw(), 1.0001, 1e-4, "lindeberg", [150_000, 7, 120_000])
     @example(NormalLaw(), 1.0001, 1e-3, "infinitesimality", [100_000])
     @example(RademacherLaw(), 2.0, 0.5, "rotar", [*range(1, 80)])
+    @example(RademacherLaw(), 1.01, 0.05, "rotar", [*range(3000, 4601)])
+    @example(RademacherLaw(), 2.0, 0.5, "lindeberg", [*range(1, 201)])
+    @example(NormalLaw(), 1.05, 1e-10, "lindeberg", [*range(400, 2400)])
     def test_matches_searchsorted_passes(self, law, ratio, eps, functional, ks):
         # ratio 2 at eps 0.25 or 0.5 ties an atom at every k; at ratio 1.0001
-        # the examples' rows run longer than one pass of _MAX_PASS_ENTRIES
+        # the examples' rows run longer than one pass of _MAX_PASS_ENTRIES.
+        # Past ~31 / |log ratio| steps rows repeat: ratio 1.01 over k 3000..4600
+        # (21 passes) and ratio 1.05 over k 400..2399 (25) have repeated rows
+        # whole in a pass and split by one, ratio 2 over k 1..200 146 whole
+        # repeats of a row whose atom tie at i = 1 every k decides alike.  At
+        # eps 1e-10 no term is cut before e^-45, so rows k ~ 680..860, with
+        # equal log S_k, keep k terms each: their kept counts tell them apart
         ks = np.array(ks, dtype=np.int64)
         if functional == "infinitesimality":
             def rest(k, i, w, t):
@@ -314,14 +324,14 @@ class TestGeometricKernel:
                 return (k - i) * ((1.0 - central) / central)
 
             walk = dict(
-                term=lambda k, i, w, t: -np.log(np.asarray(law.central_prob(t), dtype=float)),
+                term=lambda w, t: -np.log(np.asarray(law.central_prob(t), dtype=float)),
                 rest=rest,
             )
         else:
             unit = getattr(law, {"lindeberg": "tail_second_moment",
                                  "rotar": "rotar_unit_tail"}[functional])
             walk = dict(
-                term=lambda k, i, w, t: w * unit(t), rest=lambda k, i, w, t: unit(t),
+                term=lambda w, t: w * unit(t), rest=lambda k, i, w, t: unit(t),
                 log_weight_cut=_LOG_WEIGHT_CUT,
             )
         profile = GeometricProfile(ratio)
@@ -329,6 +339,39 @@ class TestGeometricKernel:
             got = _geometric_sum(law, profile, ks, eps, **walk)
             ref = searchsorted_geometric_sum(law, profile, ks, eps, **walk)
         assert got.tobytes() == ref.tobytes(), (got, ref)
+
+
+class TestRepeatedRows:
+    """Rows with equal log S_k and kept count are walked once."""
+
+    def test_unit_tail_evaluations(self):
+        # 739,854 thresholds when every row is walked; 1,403 of the 4,525
+        # rows copy the sum of an equal row
+        law = _CountingRademacher()
+        fam = SummandFamily("twopoint", law, GeometricProfile(1.01))
+        random_rotar(fam, make_index("geometric", 1000), 0.5)
+        assert 0 < law.evaluated <= 530_000
+
+    def test_a_run_whose_ends_decide_a_tie_apart_is_walked_row_by_row(self, monkeypatch):
+        # ratio 2 at eps 0.5 puts t_1 = 1 on the atom in every row from
+        # k = 54 on, where S_k rounds to 2.  A stand-in side that flips at
+        # k = 100, monotone in k as the exact side is, splits the run of
+        # equal rows k = 60..200; the term jumps there while the rest, which
+        # fixes the kept count, reads w alone
+        law = RademacherLaw()
+        monkeypatch.setattr(
+            conditions, "_exact_side", lambda k, i, eps, ratio, atom: 1 if k >= 100 else -1
+        )
+        walk = dict(
+            term=lambda w, t: w * (1.0 + law.tail_second_moment(t)),
+            rest=lambda k, i, w, t: w,
+            log_weight_cut=_LOG_WEIGHT_CUT,
+        )
+        ks = np.arange(1, 201)
+        got = _geometric_sum(law, GeometricProfile(2.0), ks, 0.5, **walk)
+        ref = searchsorted_geometric_sum(law, GeometricProfile(2.0), ks, 0.5, **walk)
+        assert got.tobytes() == ref.tobytes(), (got, ref)
+        assert got[ks == 99] != got[ks == 100]
 
 
 class TestAtomTies:
