@@ -40,9 +40,9 @@ _CUT_LOG2 = 60
 # (k, i) entries per flat pass of the geometric step walk; bounds its memory
 _MAX_PASS_ENTRIES = 1 << 16
 
-# kept (k, i) pairs, over every row, repeated or not, past which the geometric
-# step walk refuses to run; 10^8 rotar unit-tail evaluations take ~7 s on a
-# 2-core Xeon
+# kept (k, i) terms, counted over every row, repeated or not, past which the
+# geometric step walk refuses to run; 10^8 evaluated terms of the comparison
+# kernel (one unit tail each) take ~7 s on a 2-core Xeon
 _MAX_KERNEL_TERMS = 10**8
 
 # thresholds this close (relative) to an atom are decided exactly; the float
@@ -204,7 +204,7 @@ def _geometric_sum(law, profile, ks, eps, term, rest, log_weight_cut=math.inf):
     total = int(hi.sum())
     if total > _MAX_KERNEL_TERMS:
         raise ValueError(
-            f"the geometric-profile kernel needs {total} unit-tail evaluations, "
+            f"the geometric-profile kernel needs {total} kept (k, i) terms, "
             f"past the cap of {_MAX_KERNEL_TERMS}"
         )
     # source[r]: the row whose sum row r copies, or -1 if r is walked; k_lo

@@ -56,30 +56,19 @@ class FamilyConfigError(ValueError):
 
 
 class Law:
-    """Interface for a standardized (zero-mean, unit-variance) summand law."""
+    """A standardized (zero-mean, unit-variance) summand law.
+
+    Each law supplies the first four in closed form:
+      abs_moment(order)      E|Z|^order;
+      tail_second_moment(t)  E[Z^2; |Z| > t] for t >= 0 (strict inequality at atoms);
+      central_prob(t)        P(|Z| <= t); the complement P(|Z| > t) is strict;
+      rotar_unit_tail(t)     integral_{|z|>t} |z| * |F(z) - Phi(z)| dz;
+      sample(rng, size)      size draws of Z.
+    """
 
     name: str = ""
     # (points, masses) for discrete laws, None otherwise
     atoms: Optional[tuple[np.ndarray, np.ndarray]] = None
-
-    def abs_moment(self, order: float) -> float:
-        """E|Z|^order, closed form."""
-        raise NotImplementedError
-
-    def tail_second_moment(self, t):
-        """E[Z^2; |Z| > t] for t >= 0 (strict inequality at atoms)."""
-        raise NotImplementedError
-
-    def central_prob(self, t):
-        """P(|Z| <= t); the complement P(|Z| > t) uses strict inequality."""
-        raise NotImplementedError
-
-    def rotar_unit_tail(self, t):
-        """integral_{|z|>t} |z| * |F(z) - Phi(z)| dz, closed form."""
-        raise NotImplementedError
-
-    def sample(self, rng: np.random.Generator, size=None):
-        raise NotImplementedError
 
     def batch_sums(self, rng: np.random.Generator, ks, size: Optional[int] = None):
         """Vectorized draws of S_k, one per trial, or None.

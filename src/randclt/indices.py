@@ -116,7 +116,7 @@ class RandomIndexModel:
 class Deterministic(RandomIndexModel):
     """Point mass at n: recovers every non-random functional exactly."""
 
-    kind = "deterministic"
+    kind = "det"
 
     @classmethod
     def at(cls, n, param, target):
@@ -488,13 +488,7 @@ def _first_true(pred, k: int) -> int:
     return hi
 
 
-_KINDS = {
-    "det": Deterministic,
-    "poisson": ShiftedPoisson,
-    "geometric": ShiftedGeometric,
-    "uniform": UniformIndex,
-}
-BUILTIN_INDEX_KINDS = tuple(_KINDS)
+_KINDS = {cls.kind: cls for cls in (Deterministic, ShiftedPoisson, ShiftedGeometric, UniformIndex)}
 
 
 def make_index(

@@ -12,7 +12,12 @@ log1p and sin, whose SIMD loops are picked per host (AVX512F, AVX2, or
 none) and round differently from one another and from libm.  So each entry
 is keyed to the numpy version that wrote it and to float_fingerprint(), a
 hash of those functions' bits over fixed inputs; on any other numpy or
-host it is skipped, and the skip names both.  Regenerate the corpus with
+host it is skipped, and the skip names both.  The help, usage-error and
+refusal entries (TEXT_COMMANDS) hold argparse's text, which varies across
+Python versions, so they are keyed to Python's minor version as well.  Each
+replay runs with COLUMNS=80, the width argparse wraps help to, and records
+the code of a SystemExit (argparse's --help exits 0 that way) as the exit
+code.  Regenerate the corpus with
 
     PYTHONPATH=src python tests/golden.py
 
@@ -25,9 +30,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -76,6 +83,17 @@ COMMANDS = [
     ),
 ]
 
+# help, usage errors and refusals: the text on stdout and stderr is the output
+TEXT_COMMANDS = [
+    "--help",
+    *(f"{name} --help" for name in ("conditions", "simulate", "rates", "cf-check", "audit")),
+    "conditions --n-grid 10 --trials 5",
+    "conditions --n 50",
+    "conditions --family Rademacher",
+    "rates --family normal,sigma=1e-160 --index det --n-grid 5 --trials 10",
+    "audit --family rademacher --index det --n-grid 5 --epsilon 1e155 --trials 0",
+]
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -93,6 +111,10 @@ def float_fingerprint() -> str:
     return _sha(bits)[:16]
 
 
+def python_version() -> str:
+    return "%d.%d" % sys.version_info[:2]
+
+
 def replay(argv: list) -> dict:
     """Run argv + --out <file> through cli.main in process; its exit code and hashes."""
     from randclt.cli import main
@@ -100,8 +122,12 @@ def replay(argv: list) -> dict:
     stdout, stderr = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main(argv + ["--out", str(out)])
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+            try:
+                code = main(argv + ["--out", str(out)])
+            except SystemExit as exc:
+                code = exc.code
         written = _sha(out.read_bytes()) if out.exists() else None
     return {
         "exit": code,
@@ -113,9 +139,11 @@ def replay(argv: list) -> dict:
 
 def build() -> list:
     entries, host = [], float_fingerprint()
-    for line in COMMANDS:
+    for line in COMMANDS + TEXT_COMMANDS:
         argv = line.split()
         entry = {"argv": argv, "numpy": np.__version__, "float": host}
+        if line in TEXT_COMMANDS:
+            entry["python"] = python_version()
         entry.update(replay(argv))
         entries.append(entry)
         print(entry["exit"], line, file=sys.stderr)

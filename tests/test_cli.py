@@ -480,7 +480,7 @@ class TestConditionsCommand:
                      "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
-        assert "needs 381777528 unit-tail evaluations, past the cap" in err
+        assert "needs 381777528 kept (k, i) terms, past the cap" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -178,7 +178,7 @@ class TestInfinitesimality:
         # ratio 1 + 1e-9 keeps every one of 10^9 steps: refused with the
         # count, before any central probability past the bisection is taken
         fam = make_family("geomnormal", ratio=1 + 1e-9)
-        with pytest.raises(ValueError, match=r"needs 1000000000 unit-tail evaluations"):
+        with pytest.raises(ValueError, match=r"needs 1000000000 kept \(k, i\) terms, past the cap"):
             infinitesimality(fam, 10**9, 1e-4)
 
     def test_large_n_stays_in_mebibytes(self):
@@ -445,7 +445,7 @@ class TestAtomTies:
     def test_kernel_work_cap(self):
         # 3.8e8 kept (k, i) pairs: refused with the count, before any is evaluated
         fam = make_family("twopoint", growth=1.000001)
-        with pytest.raises(ValueError, match=r"needs 381777528 unit-tail evaluations"):
+        with pytest.raises(ValueError, match=r"needs 381777528 kept \(k, i\) terms, past the cap"):
             random_rotar(fam, make_index("geometric", 1000), 0.05)
 
 

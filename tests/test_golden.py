@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from golden import CORPUS, float_fingerprint, replay
+from golden import CORPUS, float_fingerprint, python_version, replay
 
 ENTRIES = json.loads(CORPUS.read_text())
 HOST = float_fingerprint()
+PYTHON = python_version()
 
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=[" ".join(e["argv"]) for e in ENTRIES])
@@ -18,5 +19,7 @@ def test_replay_keeps_its_bytes(entry):
     if entry["float"] != HOST:
         pytest.skip(f"bytes written where float64 exp/log/expm1/log1p/sin hash to "
                     f"{entry['float']}, not {HOST}")
+    if entry.get("python", PYTHON) != PYTHON:
+        pytest.skip(f"text written by Python {entry['python']}, not {PYTHON}")
     got = replay(entry["argv"])
     assert got == {key: entry[key] for key in got}

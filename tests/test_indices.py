@@ -1,7 +1,9 @@
 """Random index models: closed-form tails, certified windows, sampling."""
 
+import ast
 import math
 import re
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -378,6 +380,15 @@ class TestParsing:
     def test_non_numeric_param(self):
         with pytest.raises(IndexConfigError):
             parse_index("poisson:many")
+
+    def test_each_kind_and_name_has_one_home(self):
+        # a model's kind is the spelling parse_index accepts for it, and the
+        # package root re-exports no name: each lives in its module alone
+        for kind in randclt.indices._KINDS:
+            assert parse_index(kind) == (kind, None)
+            assert make_index(kind, 5).kind == kind
+        root = ast.parse(Path(randclt.__file__).read_text())
+        assert [n for n in ast.walk(root) if isinstance(n, (ast.Import, ast.ImportFrom))] == []
 
     @given(
         kind=st.sampled_from(["det", "poisson", "geometric", "uniform"]),
