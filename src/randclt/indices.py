@@ -1,13 +1,14 @@
 """Positive-integer random index models with certified tails.
 
-Each index kind is a small frozen class: `cdf`/`sf`, a native sampler, and a
-quantile window [lo, hi] leaving out at most the truncation target tau (lower
-tail within half of it).  The tails are closed forms, except the Poisson
-ones: pmf walks from Loader's saddle-point pmf with a geometric bound on the
-rest, all in numpy.  The window's table is built on first use; its certified
-outside mass certifies every pmf-weighted sum (tail mass times a bound on the
-integrand).  A window longer than TRUNCATION_CAP terms is a configuration
-error.
+Each index kind is a small frozen class: a quantile window [lo, hi] leaving
+out at most the truncation target tau (lower tail within half of it), its
+certified outside mass, the pmf over it and a native sampler.  The outside
+mass is 0 for det and uniform and a closed form for geometric; the Poisson
+tails are pmf walks from Loader's saddle-point pmf with a geometric bound on
+the rest, all in numpy.  The window's table is built on first use; its
+certified outside mass certifies every pmf-weighted sum (tail mass times a
+bound on the integrand).  A window longer than TRUNCATION_CAP terms, or a
+parameter outside its kind's domain, is a configuration error.
 """
 
 from __future__ import annotations
@@ -43,15 +44,18 @@ class WeightedExpectation:
 class RandomIndexModel:
     """A law on {1, 2, ...}; n is the outer parameter reported with results.
 
-    Subclasses supply `cdf`, `sample` and the cached `window` (lo, hi), which
-    rejects invalid parameters; `sf` and the window's unnormalized `_weights`
-    have flat defaults.  `sample(rng, size)` returns the indices of size
+    Subclasses supply their parameter's `domain` (its words and its test),
+    `sample` and the cached `_window_and_mass`: the window (lo, hi) and the
+    certified mass outside it, once the parameter is checked against the
+    domain.  The window's unnormalized `_weights` default to flat.
+    `sample(rng, size)` returns the indices of size
     trials: an int64 array of that length, or one scalar index shared by all
     of them where the law is a point mass (Deterministic), which reads no rng
     and builds no per-trial array.
     """
 
     kind: ClassVar[str]
+    domain: ClassVar[tuple]
     n: int
     target: float = field(default=TRUNCATION_TARGET, kw_only=True)
 
@@ -71,26 +75,33 @@ class RandomIndexModel:
             f"needs {needs}, past the cap of {TRUNCATION_CAP}"
         )
 
+    @classmethod
+    def check_domain(cls, param, shown) -> None:
+        """Refuse a parameter outside the kind's domain, naming it as shown."""
+        words, admits = cls.domain
+        if not admits(param):
+            raise IndexConfigError(f"{cls.kind} index parameter must be {words}: {shown!r}")
+
     @property
     def _budget(self) -> float:
         """tau less a reserve so a float sum of the table still reads within tau."""
         return max(self.target - SUM_ROUNDOFF, 0.5 * self.target)
 
-    def sf(self, k) -> float:
-        return 1.0 - self.cdf(k)
-
     def _weights(self) -> np.ndarray:
         return np.ones(len(self.support))
+
+    @property
+    def window(self) -> tuple:
+        return self._window_and_mass[0]
+
+    @property
+    def truncation_tail_mass(self) -> float:
+        return self._window_and_mass[1]
 
     @cached_property
     def support(self) -> np.ndarray:
         lo, hi = self.window
         return np.arange(lo, hi + 1, dtype=np.int64)
-
-    @cached_property
-    def truncation_tail_mass(self) -> float:
-        lo, hi = self.window
-        return float(self.cdf(lo - 1) + self.sf(hi))
 
     @cached_property
     def probs(self) -> np.ndarray:
@@ -117,19 +128,16 @@ class Deterministic(RandomIndexModel):
     """Point mass at n: recovers every non-random functional exactly."""
 
     kind = "det"
+    domain = (">= 1", lambda k: k >= 1)
 
     @classmethod
     def at(cls, n, param, target):
         return cls(n if param is None else int(param), target=target)
 
-    def cdf(self, k) -> float:
-        return 1.0 if k >= self.n else 0.0
-
     @cached_property
-    def window(self):
-        if self.n < 1:
-            raise IndexConfigError(f"deterministic index must be >= 1: {self.n}")
-        return self.n, self.n
+    def _window_and_mass(self):
+        self.check_domain(self.n, self.n)
+        return (self.n, self.n), 0.0
 
     def sample(self, rng: np.random.Generator, size):
         return self.n  # one scalar shape for every trial
@@ -140,52 +148,27 @@ class ShiftedPoisson(RandomIndexModel):
     """1 + Poisson(lam), with tails from certified pmf walks (see _poisson_tail)."""
 
     kind = "poisson"
+    domain = ("positive and finite", lambda lam: 0.0 < lam < math.inf)
     lam: float
 
     @classmethod
     def at(cls, n, param, target):
         return cls(n, float(n if param is None else param), target=target)
 
-    # X = k - 1 ~ Poisson(lam): each tail is walked on the side away from the mode
-    def cdf(self, k) -> float:
-        if k < 1:
-            return 0.0
-        if k - 1 < self.lam:
-            return _poisson_tail(self.lam, k - 1, -1)
-        return 1.0 - _poisson_tail(self.lam, k, 1)
-
-    def sf(self, k) -> float:
-        if k < 1:
-            return 1.0
-        if k - 1 < self.lam:
-            return 1.0 - _poisson_tail(self.lam, k - 1, -1)
-        return _poisson_tail(self.lam, k, 1)
-
-    @cached_property
-    def window(self):
-        return self._window_and_mass[0]
-
-    @cached_property
-    def truncation_tail_mass(self) -> float:
-        return self._window_and_mass[1]
-
     @cached_property
     def _window_and_mass(self):
-        """The quantile window of 1 + X and its certified outside mass.
+        """The quantile window of 1 + X, X ~ Poisson(lam), and its certified outside mass.
 
         A pmf table over [a, z] around the mode m gives both tails by
         cumulative sums; the mass beyond the table ends is walked by
         _poisson_tail.  lo - 1 is the largest x with P(X < x) <= tau / 2 and
         hi - 1 the first x past it with P(X > x) <= tau - P(X < lo - 1), both
-        read from these upper bounds.  The table is read in pieces of
-        _TABLE_PIECE terms (_table_piece), up from a to lo and down from z to
-        hi, each sum carried in order from piece to piece: the bits of one
-        whole-table pass in O(piece) memory, so a window past the cap is
-        counted and refused without ever being held.
+        read from these upper bounds by _table_scan, up from a to lo and down
+        from z to hi: the bits of one whole-table pass in O(piece) memory, so
+        a window past the cap is counted and refused without ever being held.
         """
         lam = self.lam
-        if not 0.0 < lam < math.inf:
-            raise IndexConfigError(f"poisson rate must be positive and finite: {lam}")
+        self.check_domain(lam, lam)
         m = math.floor(lam)
         # The pmf is at most p(m) e^(-d (d - 1) / (2 (lam + d))) at distance d
         # from m, so 2D + 1 terms hold at most p(m) (3 + sqrt(2 pi V)
@@ -206,33 +189,13 @@ class ShiftedPoisson(RandomIndexModel):
             pad = 1.0 + _WALK_RTOL + (z - a + 1) * 2.0**-53
             t_low = pad * _poisson_tail(lam, a - 1, -1) if a > 0 else 0.0
             t_high = pad * _poisson_tail(lam, z + 1, 1)
-            # up from a: x ends at the first with P(X <= x) > half, low = P(X < x)
-            x, low, run = a, t_low, 0.0
-            while x <= z:
-                below = _table_piece(lam, m, x, min(x + _TABLE_PIECE, z + 1), pad)
-                below[0] += run
-                run = np.cumsum(below, out=below)[-1]
-                below += t_low  # P(X <= x + i)
-                i = int(np.searchsorted(below, half, side="right"))
-                x += i
-                if i < len(below):
-                    low = below[i - 1] if i else low
-                    break
-                low = below[-1]
+            # up from a: x is the first with P(X <= x) > half, low = P(X < x)
+            passed, low = _table_scan(lam, m, a, z - a + 1, 1, t_low, half, pad)
+            x = a + passed
             if low <= half and x <= z and t_high <= self._budget - low:
-                # down from z: hi ends at the first y >= x with P(X > y) <= budget - low
-                hi, high, run = z, t_high, 0.0
-                while hi > x:
-                    above = _table_piece(lam, m, max(x + 1, hi + 1 - _TABLE_PIECE), hi + 1, pad)[::-1]
-                    above[0] += run
-                    run = np.cumsum(above, out=above)[-1]
-                    above += t_high  # P(X > hi - 1 - i)
-                    i = int(np.searchsorted(above, self._budget - low, side="right"))
-                    high = above[i - 1] if i else high
-                    hi -= i
-                    if i < len(above):
-                        break
-                return (x + 1, hi + 1), float(low + high)
+                # down from z: hi is the first y >= x with P(X > y) <= budget - low
+                passed, high = _table_scan(lam, m, z, z - x, -1, t_high, self._budget - low, pad)
+                return (x + 1, z - passed + 1), float(low + high)
             w *= 2
 
     def _weights(self):
@@ -251,6 +214,7 @@ class ShiftedGeometric(RandomIndexModel):
     """Geometric on {1, 2, ...} with success probability p."""
 
     kind = "geometric"
+    domain = ("in (0, 1]", lambda p: 0.0 < p <= 1.0)
     p: float
 
     @classmethod
@@ -262,21 +226,15 @@ class ShiftedGeometric(RandomIndexModel):
         """log(1 - p); -inf at p = 1, the point mass at 1."""
         return math.log1p(-self.p) if self.p < 1.0 else -math.inf
 
-    def _log_sf(self, k) -> float:
-        # k log(1 - p), and 0 at k <= 0 even where p = 1 (scipy's xlog1py)
-        return k * self._log_q if k > 0 else 0.0
-
-    def cdf(self, k) -> float:
-        return -math.expm1(self._log_sf(k))
-
     def sf(self, k) -> float:
-        return math.exp(self._log_sf(k))
+        # exp(k log(1 - p)), and 1 at k <= 0 even where p = 1 (scipy's xlog1py)
+        return math.exp(k * self._log_q) if k > 0 else 1.0
 
     @cached_property
-    def window(self):
-        if not 0.0 < self.p <= 1.0:
-            raise IndexConfigError(f"geometric p must be in (0, 1]: {self.p}")
-        return 1, _first_true(lambda k: self.sf(k) <= self._budget, 1)
+    def _window_and_mass(self):
+        self.check_domain(self.p, self.p)
+        hi = _first_true(lambda k: self.sf(k) <= self._budget, 1)
+        return (1, hi), self.sf(hi)
 
     def _weights(self):
         if self.p == 1.0:  # the window is {1}, and 0 * log(0) would read nan
@@ -308,20 +266,17 @@ class UniformIndex(RandomIndexModel):
     """Uniform on {1, ..., m}."""
 
     kind = "uniform"
+    domain = (">= 1", lambda m: m >= 1)
     m: int
 
     @classmethod
     def at(cls, n, param, target):
         return cls(n, n if param is None else int(param), target=target)
 
-    def cdf(self, k) -> float:
-        return min(max(k, 0), self.m) / self.m
-
     @cached_property
-    def window(self):
-        if self.m < 1:
-            raise IndexConfigError(f"uniform index bound must be >= 1: {self.m}")
-        return 1, self.m
+    def _window_and_mass(self):
+        self.check_domain(self.m, self.m)
+        return (1, self.m), 0.0
 
     def sample(self, rng: np.random.Generator, size):
         return rng.integers(1, self.m, size, endpoint=True)
@@ -450,6 +405,32 @@ def _table_piece(lam: float, m: int, x1: int, x2: int, pad: float) -> np.ndarray
     return p
 
 
+def _table_scan(lam, m, start, count, step, base, limit, pad):
+    """Walk count table terms from start by step (1 or -1): (terms passed, mass).
+
+    The table (pad * P(X = x), as _table_piece reads it for the mode m) is
+    read in pieces of _TABLE_PIECE terms, and its cumulative sum is carried
+    in order from piece to piece.  A term passes while base plus the sum
+    through it is at most limit; the mass is base plus the sum through the
+    last term passed.
+    """
+    passed, mass, run = 0, base, 0.0
+    while passed < count:
+        size = min(_TABLE_PIECE, count - passed)
+        x1 = start + passed if step > 0 else start - passed + 1 - size
+        piece = _table_piece(lam, m, x1, x1 + size, pad)[::step]
+        piece[0] += run
+        run = np.cumsum(piece, out=piece)[-1]
+        piece += base
+        i = int(np.searchsorted(piece, limit, side="right"))
+        passed += i
+        if i:
+            mass = piece[i - 1]
+        if i < size:
+            break
+    return passed, mass
+
+
 def _poisson_tail(lam: float, x: int, step: int) -> float:
     """P(X >= x) for step 1 (x > lam - 1), P(X <= x) for step -1 (x < lam).
 
@@ -511,8 +492,9 @@ def make_index(
 def parse_index(spec: str):
     """Parse '<kind>[:<param>]' into (kind, param or None).
 
-    param must be finite, and integral for det and uniform; a det point
-    lies below 2^63 and a uniform bound at most TRUNCATION_CAP.
+    param must be finite, integral for det and uniform, and in its kind's
+    domain; a det point lies below 2^63 and a uniform bound at most
+    TRUNCATION_CAP.
     """
     kind, sep, raw = spec.strip().partition(":")
     kind = kind.strip()
@@ -528,6 +510,7 @@ def parse_index(spec: str):
         raise IndexConfigError(f"index parameter must be finite: {spec!r}")
     if kind in ("det", "uniform") and not param.is_integer():
         raise IndexConfigError(f"{kind} index parameter must be an integer: {spec!r}")
+    _KINDS[kind].check_domain(param, spec)
     # past these the run would end in numpy's int64 overflow or a cap message
     # with the parameter's every digit
     if kind == "det" and not param < 2**63:

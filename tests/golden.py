@@ -12,9 +12,11 @@ log1p and sin, whose SIMD loops are picked per host (AVX512F, AVX2, or
 none) and round differently from one another and from libm.  So each entry
 is keyed to the numpy version that wrote it and to float_fingerprint(), a
 hash of those functions' bits over fixed inputs; on any other numpy or
-host it is skipped, and the skip names both.  The help, usage-error and
-refusal entries (TEXT_COMMANDS) hold argparse's text, which varies across
-Python versions, so they are keyed to Python's minor version as well.  Each
+host it is skipped, and the skip names both.  The help and usage-error
+entries (TEXT_COMMANDS) hold argparse's text and the parser's messages,
+which read no float but vary across Python versions, so they are keyed to
+Python's minor version alone.  The refusals of numeric limits (REFUSALS)
+print floats as well, so they carry all three keys.  Each
 replay runs with COLUMNS=80, the width argparse wraps help to, and records
 the code of a SystemExit (argparse's --help exits 0 that way) as the exit
 code.  Regenerate the corpus with
@@ -50,6 +52,16 @@ COMMANDS = [
     " --trials 5000 --seed 1095513148",
     "audit --family uniform --index poisson --n-grid 10,100 --epsilon 0.1,0.5"
     " --trials 5000 --seed 506456969",
+    # the rates-smooth workload's four commands at workload seed 1; the
+    # small-o command's --epsilon is accepted and unread
+    "rates --family rademacher --index det --fn sin --n-grid 4,16,64,256"
+    " --trials 1000000 --seed 577090037",
+    "rates --mode small-o --family rademacher --index geometric --fn bump"
+    " --n-grid 10,100,1000 --epsilon 0.5 --trials 1000000 --seed 271041745",
+    "rates --family expcentered --index det --fn clamp --n-grid 4,16,64,256"
+    " --trials 2000000 --seed 1095513148",
+    "rates --family geomnormal --index geometric --fn sin --n-grid 10,100,1000"
+    " --trials 2000000 --seed 506456969",
     # the README simulate and small-o rates
     "simulate --family rademacher --index geometric --n-grid 10,100,1000"
     " --trials 100000 --seed 7",
@@ -83,13 +95,20 @@ COMMANDS = [
     ),
 ]
 
-# help, usage errors and refusals: the text on stdout and stderr is the output
+# help and usage errors: the text on stdout and stderr is the output
 TEXT_COMMANDS = [
     "--help",
     *(f"{name} --help" for name in ("conditions", "simulate", "rates", "cf-check", "audit")),
     "conditions --n-grid 10 --trials 5",
     "conditions --n 50",
     "conditions --family Rademacher",
+    # index parameters outside their kind's domain
+    *(f"conditions --index {spec}" for spec in
+      ("det:0", "det:-3", "uniform:0", "poisson:0", "geometric:0", "geometric:1.5")),
+]
+
+# refusals of numeric limits: their text is the output, and it prints floats
+REFUSALS = [
     "rates --family normal,sigma=1e-160 --index det --n-grid 5 --trials 10",
     "audit --family rademacher --index det --n-grid 5 --epsilon 1e155 --trials 0",
 ]
@@ -139,10 +158,12 @@ def replay(argv: list) -> dict:
 
 def build() -> list:
     entries, host = [], float_fingerprint()
-    for line in COMMANDS + TEXT_COMMANDS:
+    for line in COMMANDS + TEXT_COMMANDS + REFUSALS:
         argv = line.split()
-        entry = {"argv": argv, "numpy": np.__version__, "float": host}
-        if line in TEXT_COMMANDS:
+        entry = {"argv": argv}
+        if line not in TEXT_COMMANDS:
+            entry.update(numpy=np.__version__, float=host)
+        if line not in COMMANDS:
             entry["python"] = python_version()
         entry.update(replay(argv))
         entries.append(entry)

@@ -364,6 +364,33 @@ class TestParsing:
         assert main(["simulate", flag, spec, "--n-grid", "5", "--trials", "2"]) == 1
         assert capsys.readouterr().err.startswith(f"randclt: usage error: {flag}: unknown ")
 
+    @settings(max_examples=60, deadline=None)
+    @given(spec=st.one_of(
+        st.integers(max_value=0).map(lambda k: f"det:{k}"),
+        st.integers(max_value=0).map(lambda m: f"uniform:{m}"),
+        st.floats(max_value=0.0, allow_infinity=False).map(lambda lam: f"poisson:{lam!r}"),
+        st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0, exclude_min=True))
+        .filter(math.isfinite).map(lambda p: f"geometric:{p!r}"),
+    ))
+    @example(spec="det:0")
+    @example(spec="det:-3")
+    @example(spec="uniform:0")
+    @example(spec="poisson:0")
+    @example(spec="geometric:0")
+    @example(spec="geometric:1.5")
+    def test_parameter_outside_its_domain_is_a_usage_error(self, spec):
+        # these parsed, then failed at run time as "randclt: error:", and
+        # det's message spelled the kind "deterministic"
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["conditions", "--index", spec, "--n-grid", "5"])
+        kind = spec.partition(":")[0]
+        assert code == 1
+        assert stderr.getvalue().startswith(
+            f"randclt: usage error: --index: {kind} index parameter must be "
+        )
+        assert stderr.getvalue().endswith(f": {spec!r}\n")
+
 
 def _parsed(parser, argv):
     """What parser makes of argv: a RunConfig, a usage error, or an exit and its output."""

@@ -14,9 +14,9 @@ PYTHON = python_version()
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=[" ".join(e["argv"]) for e in ENTRIES])
 def test_replay_keeps_its_bytes(entry):
-    if entry["numpy"] != np.__version__:
+    if entry.get("numpy", np.__version__) != np.__version__:
         pytest.skip(f"bytes written by numpy {entry['numpy']}, not {np.__version__}")
-    if entry["float"] != HOST:
+    if entry.get("float", HOST) != HOST:
         pytest.skip(f"bytes written where float64 exp/log/expm1/log1p/sin hash to "
                     f"{entry['float']}, not {HOST}")
     if entry.get("python", PYTHON) != PYTHON:

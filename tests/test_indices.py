@@ -1,4 +1,4 @@
-"""Random index models: closed-form tails, certified windows, sampling."""
+"""Random index models: certified windows and outside mass, Poisson tails, sampling."""
 
 import ast
 import math
@@ -26,6 +26,7 @@ from randclt.indices import (
     ShiftedPoisson,
     UniformIndex,
     _log_pmf,
+    _poisson_tail,
     _stirlerr,
     index_spec_string,
     make_index,
@@ -36,15 +37,20 @@ from randclt.montecarlo import _stream
 SUM_ROUNDOFF = 64 * 2.0**-52
 
 
-def _oracle_outside(model, lo, hi):
-    """Mass outside [lo, hi] from scipy.stats (or the point mass itself)."""
-    if isinstance(model, Deterministic):
-        return 0.0 if lo <= model.n <= hi else 1.0
-    law = {
+def _scipy_law(model):
+    """scipy.stats' law of a random (non-point-mass) index model, at its own parameter."""
+    return {
         ShiftedPoisson: lambda: stats.poisson(model.lam, loc=1),
         ShiftedGeometric: lambda: stats.geom(model.p),
         UniformIndex: lambda: stats.randint(1, model.m + 1),
     }[type(model)]()
+
+
+def _oracle_outside(model, lo, hi):
+    """Mass outside [lo, hi] from scipy.stats (or the point mass itself)."""
+    if isinstance(model, Deterministic):
+        return 0.0 if lo <= model.n <= hi else 1.0
+    law = _scipy_law(model)
     with np.errstate(divide="ignore"):  # geom at p = 1 takes log1p(-1)
         return float(law.cdf(lo - 1) + law.sf(hi))
 
@@ -59,22 +65,17 @@ def _poisson_pmf_mp(lam, k):
 class TestPmf:
     def test_deterministic_point_mass(self):
         model = Deterministic(7)
-        assert model.cdf(7) == 1.0
-        assert model.cdf(6) == 0.0
-        assert model.sf(7) == 0.0
+        assert model.window == (7, 7)
+        assert model.probs.tolist() == [1.0]
 
     def test_shifted_poisson_at_origin(self):
         # oracle: Poisson(2) pmf at 0 is e^-2
         model = ShiftedPoisson(2, lam=2.0)
-        assert model.cdf(1) == pytest.approx(math.exp(-2.0), rel=1e-12)
-        assert model.cdf(1) == pytest.approx(0.1353352832366127, rel=1e-12)
         assert model.support[0] == 1
         assert model.probs[0] == pytest.approx(math.exp(-2.0), rel=1e-12)
 
     def test_geometric_pmf(self):
         model = ShiftedGeometric(5, p=0.2)
-        assert model.cdf(1) == pytest.approx(0.2, rel=1e-14)
-        assert model.cdf(3) - model.cdf(2) == pytest.approx(0.2 * 0.8**2, rel=1e-13)
         assert model.probs[2] == pytest.approx(0.2 * 0.8**2, rel=1e-13)
 
     def test_enumerated_mass_reaches_target(self):
@@ -99,7 +100,7 @@ class TestPmf:
 
 
 class TestGeometricEdges:
-    """cdf/sf take k log1p(-p) with xlog1py's edge cases (oracle: scipy)."""
+    """sf takes k log1p(-p) with xlog1py's edge cases (oracle: scipy)."""
 
     @pytest.mark.parametrize("p", [1.0, 0.5, 0.1, 1e-3, 1e-5])
     @pytest.mark.parametrize("k", [-3, 0, 1, 2, 7, 1000])
@@ -110,17 +111,15 @@ class TestGeometricEdges:
         log_sf = xlog1py(max(k, 0), -p)
         if k <= 0 or p == 1.0:  # 0 at k <= 0, -inf at p = 1: both exact
             assert model.sf(k) == math.exp(log_sf)
-            assert model.cdf(k) == -math.expm1(log_sf)
         else:
             assert model.sf(k) == pytest.approx(math.exp(log_sf), rel=1e-14)
-            assert model.cdf(k) == pytest.approx(-math.expm1(log_sf), rel=1e-14)
 
     def test_n_one_is_the_point_mass_at_one(self):
         model = make_index("geometric", 1)
         assert model.window == (1, 1)
         assert model.probs.tolist() == [1.0]
         assert model.truncation_tail_mass == 0.0
-        assert (model.cdf(0), model.sf(0), model.cdf(1), model.sf(1)) == (0.0, 1.0, 1.0, 0.0)
+        assert (model.sf(0), model.sf(1)) == (1.0, 0.0)
 
 
 class TestGeometricSampler:
@@ -206,9 +205,27 @@ class TestWindow:
         assert tail <= tau
         assert abs(1.0 - float(model.probs.sum()) - tail) <= SUM_ROUNDOFF
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["det", "geometric", "uniform"]),
+        n=st.integers(1, 100_000),
+        log10_tau=st.floats(-15.0, -3.0),
+    )
+    @example(kind="geometric", n=1, log10_tau=-12.0)  # p = 1: the point mass at 1
+    @example(kind="geometric", n=3, log10_tau=-12.0)
+    def test_outside_mass_bits(self, kind, n, log10_tau):
+        # geometric: q^hi = exp(hi log1p(-p)) at the window's end, bit for
+        # bit; det and uniform: +0.0, their windows hold the whole law
+        model = make_index(kind, n, target=10.0**log10_tau)
+        _, hi = model.window
+        want = 0.0
+        if kind == "geometric" and model.p < 1.0:
+            want = math.exp(hi * math.log1p(-model.p))
+        assert model.truncation_tail_mass.hex() == want.hex()
+
 
 class TestPoissonTails:
-    """Numpy pmf walks against mpmath: Loader's pmf, cdf/sf, the window's mass."""
+    """Numpy pmf walks against mpmath: Loader's pmf, the tails, the window's mass."""
 
     def test_stirlerr_table_and_series(self):
         # the table to an ulp; stirlerr enters the log pmf as a summand, so the
@@ -229,17 +246,21 @@ class TestPoissonTails:
             assert abs(_log_pmf([float(x)], lam)[0] - exact) <= 1e-14 * max(1.0, abs(exact))
 
     @pytest.mark.parametrize("lam", [0.3, 7.0, 1e4, 1e9])
-    def test_cdf_sf_match_high_precision(self, lam):
-        model = ShiftedPoisson(1, lam=lam)
+    def test_poisson_tail_matches_high_precision(self, lam):
+        # each tail is walked on its side of the mode: P(X <= k - 1) below
+        # lam, P(X >= k) from it
         sd = math.sqrt(lam)
         for k in sorted({1, 2, math.floor(lam), math.floor(lam - 5 * sd),
                          math.ceil(lam + 6 * sd) + 3}):
             if k < 1:
                 continue
-            with mpmath.workdps(50):  # P(1 + X <= k) = Q(k, lam)
+            with mpmath.workdps(50):  # P(X <= k - 1) = Q(k, lam)
                 cdf = mpmath.gammainc(k, lam, mpmath.inf, regularized=True)
-            assert abs(model.cdf(k) - cdf) <= 1e-12 * min(cdf, 1 - cdf) + 1e-16, k
-            assert abs(model.sf(k) - (1 - cdf)) <= 1e-12 * min(cdf, 1 - cdf) + 1e-16, k
+            if k - 1 < lam:
+                got, want = _poisson_tail(lam, k - 1, -1), cdf
+            else:
+                got, want = _poisson_tail(lam, k, 1), 1 - cdf
+            assert abs(got - want) <= 1e-12 * min(cdf, 1 - cdf) + 1e-16, k
 
     @settings(max_examples=10, deadline=None)
     @given(log10_lam=st.floats(-3.0, 11.0), log10_tau=st.floats(-15.0, -3.0))
@@ -352,18 +373,19 @@ class TestDivergence:
         # realization of the divergence-in-probability requirement: the mass
         # below K = 10 decreases strictly along n and is near its closed-form
         # floor at n = 1000 (1e-2 for the uniform and geometric kinds, far
-        # smaller for the shifted Poisson)
+        # smaller for the shifted Poisson); scipy's law at each model's own
+        # lam, p or m
         for kind in ("poisson", "geometric", "uniform"):
-            probs = [make_index(kind, n).cdf(10) for n in (10, 100, 1000)]
+            probs = [_scipy_law(make_index(kind, n)).cdf(10) for n in (10, 100, 1000)]
             assert probs[0] > probs[1] > probs[2], kind
             assert probs[2] < 1.05e-2, kind
-        assert make_index("poisson", 1000).cdf(10) < 1e-3
+        assert _scipy_law(make_index("poisson", 1000)).cdf(10) < 1e-3
 
     def test_prob_matches_enumeration(self):
         for kind in ("poisson", "geometric", "uniform"):
             model = make_index(kind, 50)
             enum = float(model.probs[model.support <= 10].sum())
-            assert model.cdf(10) == pytest.approx(enum, abs=1e-12), kind
+            assert _scipy_law(model).cdf(10) == pytest.approx(enum, abs=1e-12), kind
 
 
 class TestParsing:
@@ -400,8 +422,14 @@ class TestParsing:
     def test_spec_string_round_trips(self, kind, param):
         if kind in ("det", "uniform"):
             param = float(math.floor(param))
-        if param >= {"det": 2.0**63, "uniform": TRUNCATION_CAP + 1.0}.get(kind, math.inf):
-            with pytest.raises(IndexConfigError):  # past int64, or past the window cap
+        refused = {
+            "det": not 1.0 <= param < 2.0**63,
+            "uniform": not 1.0 <= param <= TRUNCATION_CAP,
+            "poisson": not param > 0.0,
+            "geometric": not 0.0 < param <= 1.0,
+        }[kind]
+        if refused:  # outside the kind's domain, past int64, or past the window cap
+            with pytest.raises(IndexConfigError):
                 parse_index(index_spec_string(kind, param))
         else:
             assert parse_index(index_spec_string(kind, param)) == (kind, param)
