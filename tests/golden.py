@@ -93,6 +93,15 @@ COMMANDS = [
                        "twopoint,growth=2", "geomnormal,ratio=1.05")
         for index in ("det", "geometric", "poisson", "uniform")
     ),
+    # the mixing identity's verdict at an unsorted t-grid and several n
+    "cf-check --index poisson --n-grid 10,1000 --t-grid 0.25,3,0",
+    "audit --family twopoint,growth=1.01 --index geometric --n-grid 10,100"
+    " --epsilon 0.5 --t-grid 0.25,3 --trials 0",
+    # atom ties: eps sqrt(k) on or near the Rademacher atom
+    "conditions --family rademacher --index det --n-grid 9 --epsilon 0.3333333333333333",
+    "conditions --family rademacher --index poisson --n-grid 9 --epsilon 0.3333333333333333",
+    "conditions --family rademacher --index uniform --n-grid 16 --epsilon 0.5",
+    "conditions --family twopoint --index det --n-grid 50 --epsilon 0.5",
 ]
 
 # help and usage errors: the text on stdout and stderr is the output
