@@ -314,24 +314,33 @@ def _run_rates(config: RunConfig) -> int:
     return 0
 
 
+def _cf_verdict(config: RunConfig, max_deviation: float) -> dict:
+    """The mixing identity's verdict, shared by cf-check and audit: within CF_TOLERANCE."""
+    return {
+        "t_grid": list(config.t_grid),
+        "max_deviation": max_deviation,
+        "tolerance": CF_TOLERANCE,
+        "passed": max_deviation <= CF_TOLERANCE,
+    }
+
+
 def _run_cf_check(config: RunConfig) -> int:
     family, index, grid = _grid(config)
-    results = [cf_identity_check(family, model, config.t_grid) for _, model in grid]
-    deviations = np.max([r.deviations for r in results], axis=0)  # NaN-propagating over n
-    max_deviation = float(np.max(deviations))
-    passed = max_deviation <= CF_TOLERANCE
+    devs, masses = zip(*(
+        (cf_identity_check(family, model, config.t_grid).deviations, model.truncation_tail_mass)
+        for _, model in grid
+    ))
+    deviations = np.max(devs, axis=0)  # NaN-propagating over n
+    verdict = _cf_verdict(config, float(np.max(deviations)))
     payload = {
         "family": family_spec_string(family),
         "index": index,
-        "t_grid": list(results[0].t_grid),
         "deviations": deviations.tolist(),
-        "max_deviation": max_deviation,
-        "tail_mass": max(r.truncation_tail_mass for r in results),
-        "tolerance": CF_TOLERANCE,
-        "passed": passed,
+        "tail_mass": max(masses),
+        **verdict,
     }
     _emit(config, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return 0 if passed else 2
+    return 0 if verdict["passed"] else 2
 
 
 def _run_audit(config: RunConfig) -> int:
@@ -355,20 +364,15 @@ def _run_audit(config: RunConfig) -> int:
             if d_hat is not None:
                 entry["empirical_constant"] = cond.empirical_rotar_constant(audit, d_hat)
             configs.append(entry)
-    cf = cf_identity_check(family, model, config.t_grid)  # the sweep's last model
-    cf_passed = cf.max_deviation <= CF_TOLERANCE
-    all_passed = cf_passed and all(entry["passed"] for entry in configs)
+    # the sweep's last model
+    cf = _cf_verdict(config, cf_identity_check(family, model, config.t_grid).max_deviation)
+    all_passed = cf["passed"] and all(entry["passed"] for entry in configs)
     payload = {
         "family": family_spec_string(family),
         "index": index,
         "delta": config.delta,
         "seed": config.seed,
-        "cf_identity": {
-            "max_deviation": cf.max_deviation,
-            "tolerance": CF_TOLERANCE,
-            "passed": cf_passed,
-            "t_grid": list(cf.t_grid),
-        },
+        "cf_identity": cf,
         "configs": configs,
         "passed": all_passed,
     }

@@ -112,7 +112,10 @@ def _decide_atom_ties(t, law, ratio, eps, k_and_step):
 
     A tail functional of a discrete law jumps at its atoms, so a threshold
     that rounds onto an atom from below would drop a whole atom's mass.
-    k_and_step maps positions in t to their k and step i (arrays or scalars).
+    k_and_step maps positions in t to their k and step i (arrays or scalars,
+    broadcast over the positions), and every near position gets its own
+    _exact_side call, for a constant profile (ratio 1) as for a geometric
+    one.  The callers pass each k once: a window's ks, or one n.
     """
     if law.atoms is None:
         return
@@ -122,18 +125,12 @@ def _decide_atom_ties(t, law, ratio, eps, k_and_step):
         del gap
         if not near.size:
             continue
-        ks, steps = k_and_step(near)
-        if ratio == 1.0:  # the side depends on k alone: one decision per k
-            ks, inverse = np.unique(ks, return_inverse=True)
-            steps = np.zeros_like(ks)
-        else:
-            ks, steps = np.broadcast_arrays(ks, steps)
-            inverse = slice(None)
+        ks, steps, _ = np.broadcast_arrays(*k_and_step(near), near)
         sides = np.array([
             _exact_side(k, i, eps, ratio, atom)
             for k, i in zip(ks.tolist(), steps.tolist())
         ])
-        t[near] = np.nextafter(atom, atom * (1 + sides))[inverse]
+        t[near] = np.nextafter(atom, atom * (1 + sides))
 
 
 def _runs(rows, first, counts):

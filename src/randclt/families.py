@@ -66,7 +66,6 @@ class Law:
       sample(rng, size)      size draws of Z.
     """
 
-    name: str = ""
     # (points, masses) for discrete laws, None otherwise
     atoms: Optional[tuple[np.ndarray, np.ndarray]] = None
 
@@ -96,7 +95,6 @@ def _x_phi_minus_half(z):
 class RademacherLaw(Law):
     """P(Z = +1) = P(Z = -1) = 1/2."""
 
-    name = "rademacher"
     _x_phi_at_atom = float(_x_phi_minus_half(1.0))
     _upper_at_atom = float(upper_x_sf_integral(1.0))
 
@@ -190,7 +188,6 @@ def _uniform_antideriv(z):
 class UniformLaw(Law):
     """Uniform on [-sqrt(3), sqrt(3)] (unit variance)."""
 
-    name = "uniform"
     # The z in (0, sqrt(3)) where F - Phi changes sign: the float that brentq
     # returns over Cephes' ndtr (the tests check it and its bracket).
     sign_root = 1.5011307831938003
@@ -239,8 +236,6 @@ class UniformLaw(Law):
 class NormalLaw(Law):
     """Standard normal: F_j is its own matched normal law Phi_j."""
 
-    name = "normal"
-
     def abs_moment(self, order):
         return normal_abs_moment(order)
 
@@ -279,7 +274,6 @@ def _exp_far_tail(t):
 class CenteredExponentialLaw(Law):
     """Exp(1) shifted by -1: support [-1, inf), zero mean, unit variance."""
 
-    name = "expcentered"
     # The roots r1 in (-1, 0) and r2 in (1, 3) of F - Phi: the floats that
     # brentq returns over Cephes' ndtr (the tests check them and their brackets).
     sign_roots = (-0.7384974064988994, 1.2532517722799263)

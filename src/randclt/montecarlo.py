@@ -289,12 +289,14 @@ def kolmogorov_distance(sample: EmpiricalSample) -> KolmogorovEstimate:
 
 @dataclass(frozen=True)
 class CfIdentityResult:
-    """Deviation of the index-mixed normal characteristic function from e^(-t^2/2)."""
+    """Deviation of the index-mixed normal characteristic function from e^(-t^2/2).
 
-    t_grid: tuple
+    One deviation per t of the caller's grid, in its order, and their
+    maximum; the caller holds the grid and the index's truncation tail mass.
+    """
+
     deviations: tuple
     max_deviation: float
-    truncation_tail_mass: float
 
 
 def cf_identity_check(
@@ -302,8 +304,10 @@ def cf_identity_check(
 ) -> CfIdentityResult:
     """Verify that mixing exp(-t^2/(2 B_k^2) * B_k^2) over the index is Gaussian.
 
-    The per-index factor is evaluated through the realized B_k^2 so the
-    identity's cancellation is exercised numerically.  In exact arithmetic
+    Returns |mixed - e^(-t^2/2)| at each t of t_grid and their maximum; the
+    verdict against cli.CF_TOLERANCE is the caller's.  The per-index factor
+    is evaluated through the realized B_k^2 so the identity's cancellation
+    is exercised numerically.  In exact arithmetic
     the deviation is the truncation tail mass times e^(-t^2/2), but the
     float sum of the window's terms adds its own round-off, so the deviation
     can exceed the tail mass: a Poisson index at n = 1e6 reads 9.85656e-13
@@ -327,8 +331,6 @@ def cf_identity_check(
         mixed = index_model.expect_values(terms, abs_bound=1.0).value
         devs.append(abs(mixed - math.exp(-0.5 * t * t)))
     return CfIdentityResult(
-        t_grid=tuple(float(t) for t in t_grid),
         deviations=tuple(devs),
         max_deviation=float(np.max(devs)),  # NaN-propagating, unlike max()
-        truncation_tail_mass=index_model.truncation_tail_mass,
     )

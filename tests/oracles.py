@@ -11,7 +11,9 @@ former sum over all n thresholds, the summand weights against
 their former construction from all k steps, the grouped summand draws
 against their former one group per k, and the Poisson tails against
 mpmath's incomplete gamma function.  Rademacher sums have an exact Kolmogorov
-distance from binomial coefficients.
+distance from binomial coefficients, and sin on a constant profile an exact
+smooth metric from the summand law's characteristic function, against which
+the Monte Carlo metric of each per-block draw path is checked.
 
 The laws' CDFs and supports, the test functions' derivatives and the rate
 audit's 4-stderr verdicts are read by the tests alone, so they live here.
@@ -24,7 +26,13 @@ import mpmath
 import numpy as np
 
 from randclt.conditions import _CUT_LOG2, _MAX_PASS_ENTRIES, _decide_atom_ties
-from randclt.families import _MAX_DRAW_ENTRIES
+from randclt.families import (
+    _MAX_DRAW_ENTRIES,
+    CenteredExponentialLaw,
+    NormalLaw,
+    RademacherLaw,
+    UniformLaw,
+)
 from randclt.gaussian import norm_cdf
 from randclt.rates import _BUMP_AMP
 
@@ -47,32 +55,32 @@ def _expcentered_cdf(z):
 
 
 _CDFS = {
-    "rademacher": _rademacher_cdf,
-    "uniform": _uniform_cdf,
-    "normal": norm_cdf,
-    "expcentered": _expcentered_cdf,
+    RademacherLaw: _rademacher_cdf,
+    UniformLaw: _uniform_cdf,
+    NormalLaw: norm_cdf,
+    CenteredExponentialLaw: _expcentered_cdf,
 }
 _SUPPORTS = {
-    "rademacher": (-1.0, 1.0),
-    "uniform": (-SQRT3, SQRT3),
-    "expcentered": (-1.0, math.inf),
+    RademacherLaw: (-1.0, 1.0),
+    UniformLaw: (-SQRT3, SQRT3),
+    CenteredExponentialLaw: (-1.0, math.inf),
 }
 
 
 def law_cdf(law, z):
     """P(Z < z) of a standardized law, left-continuous at atoms."""
-    return _CDFS[law.name](z)
+    return _CDFS[type(law)](z)
 
 
 def law_support(law):
     """(lo, hi) outside of which the standardized law carries no mass."""
-    return _SUPPORTS.get(law.name, (-math.inf, math.inf))
+    return _SUPPORTS.get(type(law), (-math.inf, math.inf))
 
 
 _DENSITIES = {
-    "uniform": lambda z: np.where(np.abs(z) <= SQRT3, 1.0 / (2.0 * SQRT3), 0.0),
-    "normal": lambda z: np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi),
-    "expcentered": lambda z: np.where(z >= -1.0, np.exp(-(z + 1.0)), 0.0),
+    UniformLaw: lambda z: np.where(np.abs(z) <= SQRT3, 1.0 / (2.0 * SQRT3), 0.0),
+    NormalLaw: lambda z: np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi),
+    CenteredExponentialLaw: lambda z: np.where(z >= -1.0, np.exp(-(z + 1.0)), 0.0),
 }
 
 
@@ -95,7 +103,7 @@ def cdf(fam, j, x):
 
 def density(law, z):
     """Density of a continuous standardized law."""
-    return _DENSITIES[law.name](np.asarray(z, dtype=float))
+    return _DENSITIES[type(law)](np.asarray(z, dtype=float))
 
 
 def direct_terms(profile, k, eps):
@@ -318,6 +326,27 @@ def rademacher_kolmogorov(index_pmf):
     below = at - mass  # P(S < atom)
     phi = np.array([0.5 * math.erfc(-x / math.sqrt(2.0)) for x in atoms.tolist()])
     return float(max(np.max(at - phi), np.max(phi - below)))
+
+
+def exact_sin_metric(family, model):
+    """E sin(S_nu / B_nu) on a constant profile, as a WeightedExpectation.
+
+    Sum over the index window of p_k Im phi_Z(1/sqrt(k))^k, the sigma of the
+    profile cancelling; its truncation_error_bound is the window's outside
+    mass, since |sin| <= 1.  The Rademacher, uniform and normal laws are
+    symmetric, so phi_Z is real and every term is exactly 0.  The centred
+    exponential's phi_Z(v) = e^(-iv) / (1 - iv) gives, with v = 1/sqrt(k),
+    Im exp(k (-iv - log1p(-iv))) = (1 + v^2)^(-k/2) sin(k (atan(v) - v)).
+    E sin(Z) = 0, so this is the signed smooth metric of sin.
+    """
+    if not family.profile.is_constant:
+        raise ValueError("exact_sin_metric needs a constant profile")
+    k = model.support.astype(float)
+    terms = np.zeros(len(k))
+    if isinstance(family.law, CenteredExponentialLaw):
+        v = 1.0 / np.sqrt(k)
+        terms = np.exp(-0.5 * k * np.log1p(v * v)) * np.sin(k * (np.arctan(v) - v))
+    return model.expect_values(terms, abs_bound=1.0)
 
 
 def _clamp_prime(x):

@@ -326,9 +326,9 @@ class TestSignRoots:
             lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
         with mpmath.workdps(50):
             exact = {
-                "uniform": lambda z: (z + mpmath.sqrt(3)) / (2 * mpmath.sqrt(3)),
-                "expcentered": lambda z: 1 - mpmath.exp(-(z + 1)),
-            }[law.name]
+                UniformLaw: lambda z: (z + mpmath.sqrt(3)) / (2 * mpmath.sqrt(3)),
+                CenteredExponentialLaw: lambda z: 1 - mpmath.exp(-(z + 1)),
+            }[type(law)]
             signs = [mpmath.sign(exact(mpmath.mpf(z)) - mpmath.ncdf(z)) for z in (lo, hi)]
         assert signs[0] * signs[1] == -1
 

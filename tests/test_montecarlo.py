@@ -394,8 +394,9 @@ class TestCfIdentity:
 
     def test_t_zero_both_sides_one(self):
         fam = make_family("normal")
-        res = cf_identity_check(fam, make_index("poisson", 5), [0.0])
-        assert res.deviations[0] <= res.truncation_tail_mass + 1e-15
+        model = make_index("poisson", 5)
+        res = cf_identity_check(fam, model, [0.0])
+        assert res.deviations[0] <= model.truncation_tail_mass + 1e-15
 
     def test_mixture_bounded_by_tail_mass(self):
         # the n sweep puts tails within float round-off of tau, where the

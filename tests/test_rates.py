@@ -4,6 +4,7 @@ import math
 import sys
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +17,7 @@ from oracles import (
     binomial_chisquare_pvalue,
     bound_order,
     derivative,
+    exact_sin_metric,
     flagged,
     statistically_zero,
 )
@@ -469,6 +471,55 @@ class TestRateAudit:
         p = randclt.rates.RatePoint(n=1, metric=0.5, mc_stderr=0.1, bound=0.0)
         assert p.ratio == math.inf
         assert flagged(p)
+
+
+class TestExactSinMetric:
+    """E sin(S_nu / B_nu) on constant profiles, exactly, against quadrature and MC."""
+
+    TRIALS = 300_000  # three stream blocks, the last one partial
+    SKEWED = [("det", 4), ("det", 16), ("det", 64), ("det", 256), ("det", 1024),
+              ("poisson", 1000), ("geometric", 10), ("geometric", 100),
+              ("geometric", 1000), ("uniform", 100)]
+    SYMMETRIC = [("det", 16), ("poisson", 100), ("geometric", 100), ("uniform", 100)]
+
+    @pytest.mark.parametrize("k", [4, 16])
+    def test_matches_gamma_quadrature(self, k):
+        # S_k = G - k with G ~ Gamma(k, 1)
+        with mpmath.workdps(30):
+            want = mpmath.quad(
+                lambda x: mpmath.sin((x - k) / mpmath.sqrt(k)) * x ** (k - 1)
+                * mpmath.exp(-x) / mpmath.gamma(k),
+                [0, k, 2 * k, 4 * k, mpmath.inf],
+            )
+        got = exact_sin_metric(make_family("expcentered"), make_index("det", k))
+        assert abs(got.value - float(want)) <= 1e-15
+        assert got.truncation_error_bound == 0.0
+
+    @pytest.mark.parametrize("kind, n", SKEWED)
+    def test_gamma_draws_match_the_exact_metric(self, kind, n):
+        # the gamma sampler of the centred exponential, where |exact| > 0
+        fam, model = make_family("expcentered"), make_index(kind, n)
+        exact = exact_sin_metric(fam, model)
+        sm = smooth_metric(fam, model, make_test_function("sin"), self.TRIALS, SEED)
+        assert exact.value < 0.0
+        assert abs(sm.metric - abs(exact.value)) <= (
+            4.0 * sm.mc_stderr + exact.truncation_error_bound
+        )
+
+    @pytest.mark.parametrize("kind, n", SYMMETRIC)
+    @pytest.mark.parametrize("spec", ["rademacher", "uniform", "normal"])
+    def test_symmetric_draws_read_zero(self, spec, kind, n):
+        # lattice and binomial (rademacher), summand matrix (uniform) and
+        # index-free (normal) draws, where the exact metric is 0
+        fam, model = make_family(spec), make_index(kind, n)
+        assert exact_sin_metric(fam, model).value == 0.0
+        sm = smooth_metric(fam, model, make_test_function("sin"), self.TRIALS, SEED)
+        assert sm.metric <= 4.0 * sm.mc_stderr
+
+    def test_first_edgeworth_term(self):
+        # (kappa_3 / 6) |E f'''(Z)| / sqrt(k): kappa_3 = 2, E sin'''(Z) = -e^(-1/2)
+        exact = exact_sin_metric(make_family("expcentered"), make_index("det", 1024))
+        assert abs(math.sqrt(1024) * abs(exact.value) - math.exp(-0.5) / 3.0) <= 1e-3
 
 
 class TestEmpiricalConstant:
