@@ -102,6 +102,14 @@ COMMANDS = [
     "conditions --family rademacher --index poisson --n-grid 9 --epsilon 0.3333333333333333",
     "conditions --family rademacher --index uniform --n-grid 16 --epsilon 0.5",
     "conditions --family twopoint --index det --n-grid 50 --epsilon 0.5",
+    # index windows past the term cap (geometric n = 1e6): the commands that
+    # read a window refuse before any draw, and simulate reads none
+    "rates --family uniform --index geometric --n-grid 1000000 --trials 1000000 --seed 1",
+    "audit --family uniform --index geometric --n-grid 10,1000000 --epsilon 0.5"
+    " --trials 1000 --seed 1",
+    "cf-check --index geometric --n-grid 1000000",
+    "simulate --family rademacher --index geometric --n-grid 10,1000000"
+    " --trials 1000 --seed 1",
 ]
 
 # help and usage errors: the text on stdout and stderr is the output
