@@ -46,6 +46,8 @@ _SUBCOMMANDS = {
 }
 _SAMPLED = ("simulate", "rates", "audit")
 _FUNCTIONALS = ("conditions", "audit")
+# simulate only samples its index models; every other subcommand reads their windows
+_WINDOWED = ("conditions", "rates", "cf-check", "audit")
 # rates reads no --epsilon, but the benchmark's rates-smooth workload passes
 # one: rates parses and validates it, and --print-config leaves it out, until
 # a change to the benchmark drops --epsilon from that workload's small-o
@@ -111,7 +113,9 @@ class RunConfig:
     delta: float = _flag(1.0, "--delta", read_by=_FUNCTIONALS, type=float, show=repr)
     trials: int = _flag(0, "--trials", read_by=_SAMPLED, type=int)
     seed: int = _flag(0, "--seed", read_by=_SAMPLED, type=int)
-    trunc_mass: float = _flag(TRUNCATION_TARGET, "--trunc-mass", type=float, show=repr)
+    trunc_mass: float = _flag(
+        TRUNCATION_TARGET, "--trunc-mass", read_by=_WINDOWED, type=float, show=repr
+    )
     fn_id: str = _flag("sin", "--fn", read_by=("rates",), choices=tuple(BUILTIN_TEST_FUNCTIONS))
     mode: str = _flag("large-o", "--mode", read_by=("rates",), choices=("large-o", "small-o"))
     alpha: float | None = _flag(None, "--alpha", read_by=("rates",), type=float, show=repr)
@@ -254,11 +258,15 @@ def _grid(config: RunConfig):
 
     Each model is built when the generator reaches its n, so none outlives
     its n: an explicit-parameter Poisson window near the term cap holds
-    ~160 MB of support and probabilities.
+    ~160 MB of support and probabilities.  A subcommand that reads windows
+    reads each model's window as the generator reaches its n, so a window
+    past the cap is refused before anything is drawn at that n.
     """
     family = parse_family(config.family)
     kind, param = parse_index(config.index)
     models = ((n, make_index(kind, n, param, target=config.trunc_mass)) for n in config.n_grid)
+    if config.subcommand in _WINDOWED:  # the read builds, or refuses, the window; none is empty
+        models = ((n, model) for n, model in models if model.window)
     return family, index_spec_string(kind, param), models
 
 

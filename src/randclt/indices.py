@@ -5,10 +5,11 @@ out at most the truncation target tau (lower tail within half of it), its
 certified outside mass, the pmf over it and a native sampler.  The outside
 mass is 0 for det and uniform and a closed form for geometric; the Poisson
 tails are pmf walks from Loader's saddle-point pmf with a geometric bound on
-the rest, all in numpy.  The window's table is built on first use; its
-certified outside mass certifies every pmf-weighted sum (tail mass times a
-bound on the integrand).  A window longer than TRUNCATION_CAP terms, or a
-parameter outside its kind's domain, is a configuration error.
+the rest, all in numpy.  The window is built when first read, so a model that
+is only sampled builds none; its certified outside mass certifies every
+pmf-weighted sum (tail mass times a bound on the integrand).  A parameter
+outside its kind's domain is a configuration error when the model is made, a
+window longer than TRUNCATION_CAP terms when it is first read.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ class IndexConfigError(ValueError):
 class WeightedExpectation:
     value: float
     truncation_error_bound: float
-    terms_used: int
 
     def __post_init__(self):
         if self.truncation_error_bound < 0.0:
@@ -44,10 +44,10 @@ class WeightedExpectation:
 class RandomIndexModel:
     """A law on {1, 2, ...}; n is the outer parameter reported with results.
 
-    Subclasses supply their parameter's `domain` (its words and its test),
-    `sample` and the cached `_window_and_mass`: the window (lo, hi) and the
-    certified mass outside it, once the parameter is checked against the
-    domain.  The window's unnormalized `_weights` default to flat.
+    Subclasses supply their parameter's `domain` (its field, its words and
+    its test), `sample` and `_window_and_mass`: the window (lo, hi) and the
+    certified mass outside it.  The window's unnormalized `_weights` default
+    to flat.
     `sample(rng, size)` returns the indices of size
     trials: an int64 array of that length, or one scalar index shared by all
     of them where the law is a point mass (Deterministic), which reads no rng
@@ -62,12 +62,8 @@ class RandomIndexModel:
     def __post_init__(self):
         if not 0.0 < self.target < 1.0:
             raise IndexConfigError(f"truncation target must lie in (0, 1): {self.target}")
-        try:
-            lo, hi = self.window
-        except OverflowError as exc:  # the window search galloped past float range
-            raise self._past_cap("a window beyond float range") from exc
-        if hi - lo + 1 > TRUNCATION_CAP:
-            raise self._past_cap(f"{hi - lo + 1} terms")
+        param = getattr(self, self.domain[0])
+        self.check_domain(param, param)
 
     def _past_cap(self, needs: str) -> IndexConfigError:
         return IndexConfigError(
@@ -78,7 +74,7 @@ class RandomIndexModel:
     @classmethod
     def check_domain(cls, param, shown) -> None:
         """Refuse a parameter outside the kind's domain, naming it as shown."""
-        words, admits = cls.domain
+        _, words, admits = cls.domain
         if not admits(param):
             raise IndexConfigError(f"{cls.kind} index parameter must be {words}: {shown!r}")
 
@@ -90,13 +86,24 @@ class RandomIndexModel:
     def _weights(self) -> np.ndarray:
         return np.ones(len(self.support))
 
+    @cached_property
+    def _capped(self) -> tuple:
+        """_window_and_mass, refused past TRUNCATION_CAP terms."""
+        try:
+            (lo, hi), mass = self._window_and_mass()
+        except OverflowError as exc:  # the window search galloped past float range
+            raise self._past_cap("a window beyond float range") from exc
+        if hi - lo + 1 > TRUNCATION_CAP:
+            raise self._past_cap(f"{hi - lo + 1} terms")
+        return (lo, hi), mass
+
     @property
     def window(self) -> tuple:
-        return self._window_and_mass[0]
+        return self._capped[0]
 
     @property
     def truncation_tail_mass(self) -> float:
-        return self._window_and_mass[1]
+        return self._capped[1]
 
     @cached_property
     def support(self) -> np.ndarray:
@@ -119,7 +126,6 @@ class RandomIndexModel:
         return WeightedExpectation(
             value=float(np.sum(self.probs * values)),  # pairwise, fixed order
             truncation_error_bound=self.truncation_tail_mass * abs_bound,
-            terms_used=int(len(self.support)),
         )
 
 
@@ -128,15 +134,13 @@ class Deterministic(RandomIndexModel):
     """Point mass at n: recovers every non-random functional exactly."""
 
     kind = "det"
-    domain = (">= 1", lambda k: k >= 1)
+    domain = ("n", ">= 1", lambda k: k >= 1)
 
     @classmethod
     def at(cls, n, param, target):
         return cls(n if param is None else int(param), target=target)
 
-    @cached_property
     def _window_and_mass(self):
-        self.check_domain(self.n, self.n)
         return (self.n, self.n), 0.0
 
     def sample(self, rng: np.random.Generator, size):
@@ -148,14 +152,13 @@ class ShiftedPoisson(RandomIndexModel):
     """1 + Poisson(lam), with tails from certified pmf walks (see _poisson_tail)."""
 
     kind = "poisson"
-    domain = ("positive and finite", lambda lam: 0.0 < lam < math.inf)
+    domain = ("lam", "positive and finite", lambda lam: 0.0 < lam < math.inf)
     lam: float
 
     @classmethod
     def at(cls, n, param, target):
         return cls(n, float(n if param is None else param), target=target)
 
-    @cached_property
     def _window_and_mass(self):
         """The quantile window of 1 + X, X ~ Poisson(lam), and its certified outside mass.
 
@@ -168,7 +171,6 @@ class ShiftedPoisson(RandomIndexModel):
         a window past the cap is counted and refused without ever being held.
         """
         lam = self.lam
-        self.check_domain(lam, lam)
         m = math.floor(lam)
         # The pmf is at most p(m) e^(-d (d - 1) / (2 (lam + d))) at distance d
         # from m, so 2D + 1 terms hold at most p(m) (3 + sqrt(2 pi V)
@@ -214,7 +216,7 @@ class ShiftedGeometric(RandomIndexModel):
     """Geometric on {1, 2, ...} with success probability p."""
 
     kind = "geometric"
-    domain = ("in (0, 1]", lambda p: 0.0 < p <= 1.0)
+    domain = ("p", "in (0, 1]", lambda p: 0.0 < p <= 1.0)
     p: float
 
     @classmethod
@@ -230,9 +232,7 @@ class ShiftedGeometric(RandomIndexModel):
         # exp(k log(1 - p)), and 1 at k <= 0 even where p = 1 (scipy's xlog1py)
         return math.exp(k * self._log_q) if k > 0 else 1.0
 
-    @cached_property
     def _window_and_mass(self):
-        self.check_domain(self.p, self.p)
         hi = _first_true(lambda k: self.sf(k) <= self._budget, 1)
         return (1, hi), self.sf(hi)
 
@@ -266,16 +266,14 @@ class UniformIndex(RandomIndexModel):
     """Uniform on {1, ..., m}."""
 
     kind = "uniform"
-    domain = (">= 1", lambda m: m >= 1)
+    domain = ("m", ">= 1", lambda m: m >= 1)
     m: int
 
     @classmethod
     def at(cls, n, param, target):
         return cls(n, n if param is None else int(param), target=target)
 
-    @cached_property
     def _window_and_mass(self):
-        self.check_domain(self.m, self.m)
         return (1, self.m), 0.0
 
     def sample(self, rng: np.random.Generator, size):

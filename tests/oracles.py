@@ -223,7 +223,11 @@ def full_array_infinitesimality(fam, n, eps):
     with np.errstate(over="ignore"):
         np.exp(t, out=t)
         t *= eps
-    _decide_atom_ties(t, fam.law, ratio, eps, lambda near: (n, near))
+    if prof.is_constant:  # n equal thresholds: decide a tie on the first and copy it
+        _decide_atom_ties(t[:1], fam.law, ratio, eps, lambda near: (n, near))
+        t[1:] = t[0]
+    else:
+        _decide_atom_ties(t, fam.law, ratio, eps, lambda near: (n, near))
     if ratio > 1.0:
         t = t[::-1]
     probs = np.asarray(fam.law.central_prob(t), dtype=float)

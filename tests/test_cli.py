@@ -39,13 +39,15 @@ FLAG_VALUES = {
     "--trunc-mass": "1e-10", "--fn": "bump", "--mode": "small-o", "--alpha": "0.3",
     "--t-grid": "0,1.5", "--out": "my out.csv",
 }
-READ_BY_ALL = ("--family", "--index", "--n-grid", "--trunc-mass", "--out")
+READ_BY_ALL = ("--family", "--index", "--n-grid", "--out")
+# simulate only samples its index models: every other subcommand reads their windows
+READ_WINDOWS = READ_BY_ALL + ("--trunc-mass",)
 READS = {
-    "conditions": READ_BY_ALL + ("--epsilon", "--delta"),
+    "conditions": READ_WINDOWS + ("--epsilon", "--delta"),
     "simulate": READ_BY_ALL + ("--trials", "--seed"),
-    "rates": READ_BY_ALL + ("--trials", "--seed", "--fn", "--mode", "--alpha"),
-    "cf-check": READ_BY_ALL + ("--t-grid",),
-    "audit": READ_BY_ALL + ("--epsilon", "--delta", "--trials", "--seed", "--t-grid"),
+    "rates": READ_WINDOWS + ("--trials", "--seed", "--fn", "--mode", "--alpha"),
+    "cf-check": READ_WINDOWS + ("--t-grid",),
+    "audit": READ_WINDOWS + ("--epsilon", "--delta", "--trials", "--seed", "--t-grid"),
 }
 # rates-smooth in the benchmark passes it; the benchmark's next change drops both
 UNREAD_ACCEPTED = {("rates", "--epsilon")}
@@ -307,7 +309,7 @@ class TestParsing:
         assert main(["simulate", "--trials", "5", "--print-config"]) == 0
         assert capsys.readouterr().out == (
             "simulate --family rademacher --index det --n-grid 10,100,1000 --trials 5 "
-            "--seed 0 --trunc-mass 1e-12\n"
+            "--seed 0\n"
         )
 
     @pytest.mark.parametrize("subcommand, flag", itertools.product(READS, FLAG_VALUES))
@@ -621,9 +623,9 @@ class TestSimulateCommand:
         assert err == "randclt: usage error: unrecognized arguments: --n 50\n"
 
     def test_numeric_failure_exits_one(self, capsys):
-        # an index window past the enumeration cap is refused, not truncated
-        code = main(["simulate", "--family", "normal", "--index", "geometric",
-                     "--n-grid", "1000000", "--trials", "20000"])
+        # a trial past the summand-draw cap is refused, not attempted
+        code = main(["simulate", "--family", "uniform", "--index", "det:200000000",
+                     "--trials", "20000"])
         assert code == 1
         assert "error" in capsys.readouterr().err
 
@@ -686,9 +688,16 @@ class TestIndexFreeDraws:
     @pytest.mark.parametrize("command", ["rates", "simulate", "audit"])
     def test_each_n_still_builds_its_index(self, command, tmp_path, capsys):
         # the draw is shared, but the last n's window is still built and refused
+        # where the command reads windows; simulate reads none, and writes each n
         out = tmp_path / "o"
         code = main([command, "--family", "normal", "--index", "poisson", "--trials", "100",
                      "--n-grid", "10,1000000000000", "--out", str(out)])
+        if command == "simulate":
+            assert code == 0
+            assert [row.split(",")[0] for row in out.read_text().splitlines()[1:]] == [
+                "10", "1000000000000"
+            ]
+            return
         assert code == 1
         err = capsys.readouterr().err
         assert "n=1000000000000" in err and "needs 14264953 terms, past the cap" in err
@@ -711,6 +720,38 @@ class TestGrid:
         argv = [command, "--index", "poisson", "--n-grid", "10,100", "--out", str(tmp_path / "o")]
         assert main(argv + (["--trials", "100"] if command in ("simulate", "rates") else [])) == 0
         assert built == [10, 100]
+
+    def test_simulate_reads_no_window(self, capsys):
+        # simulate samples the index natively: a window past the cap is never
+        # built, and each n writes its row
+        assert main(["simulate", "--family", "rademacher", "--index", "geometric",
+                     "--n-grid", "10,1000000", "--trials", "1000", "--seed", "1"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["10", "1000000"]
+
+    @pytest.mark.parametrize("argv", [
+        ["rates", "--family", "uniform", "--index", "geometric", "--n-grid", "1000000",
+         "--trials", "1000000", "--seed", "1"],
+        ["audit", "--family", "uniform", "--index", "geometric", "--n-grid", "1000000",
+         "--epsilon", "0.5", "--trials", "1000", "--seed", "1"],
+    ])
+    def test_window_past_the_cap_is_refused_before_any_draw(
+        self, argv, monkeypatch, tmp_path, capsys
+    ):
+        # uniform at geometric n = 1e6 would draw ~1e6 summands per trial
+        # before a refusal that came after the draw
+        def spy(*args):
+            raise AssertionError("drew at an n whose window is past the cap")
+
+        monkeypatch.setattr(montecarlo, "map_blocks", spy)
+        monkeypatch.setattr(randclt.rates, "map_blocks", spy)
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "randclt: error: geometric index at n=1000000 with trunc-mass 1e-12 needs "
+            "27645321 terms, past the cap of 10000000\n"
+        )
+        assert not out.exists()
 
 
 class TestRatesCommand:

@@ -97,6 +97,25 @@ class TestPmf:
             UniformIndex(1, m=0)
         with pytest.raises(IndexConfigError):
             make_index("zeta", 10)
+        # each kind's domain is checked when the model is made, on the field it names
+        for kind, n, param, words in (
+            ("det", 0, None, ">= 1: 0"), ("det", 5, -3, ">= 1: -3"),
+            ("uniform", 5, 0, ">= 1: 0"), ("poisson", 5, 0.0, "positive and finite: 0.0"),
+            ("poisson", 5, math.nan, "positive and finite: nan"),
+            ("geometric", 5, 0.0, "in (0, 1]: 0.0"), ("geometric", 5, 1.5, "in (0, 1]: 1.5"),
+        ):
+            with pytest.raises(IndexConfigError, match=re.escape(f"must be {words}")):
+                make_index(kind, n, param)
+
+    def test_window_past_the_cap_is_refused_on_first_read(self):
+        # geometric n = 1e6 needs 2.8e7 window terms: the model is made and
+        # samples natively, and only reading its window refuses it
+        model = make_index("geometric", 1_000_000)
+        ks = model.sample(_stream(1, 0), 1000)
+        assert ks.shape == (1000,) and ks.min() >= 1 and 5e5 < ks.mean() < 2e6
+        for read in ("window", "truncation_tail_mass", "support", "probs"):
+            with pytest.raises(IndexConfigError, match="needs 27645321 terms, past the cap"):
+                getattr(model, read)
 
 
 class TestGeometricEdges:
@@ -168,7 +187,7 @@ class TestWindow:
 
     def test_cap_is_a_loud_configuration_error(self):
         with pytest.raises(IndexConfigError) as info:
-            make_index("geometric", 1_000_000)
+            make_index("geometric", 1_000_000).window
         msg = str(info.value)
         for part in ("geometric", "n=1000000", "1e-12", str(TRUNCATION_CAP)):
             assert part in msg
@@ -179,7 +198,7 @@ class TestWindow:
         # the window is ~14 sqrt(lam) terms, but pdtr/pdtrc read near k ~ lam
         # put its searched ends 1.9e84 apart at lam = 1e100
         with pytest.raises(IndexConfigError) as info:
-            ShiftedPoisson(5, lam=lam)
+            ShiftedPoisson(5, lam=lam).window
         msg = str(info.value)
         assert f"needs more than {TRUNCATION_CAP} terms, past the cap" in msg
         assert re.search(r"needs \d+ terms", msg) is None
@@ -192,12 +211,12 @@ class TestWindow:
     )
     def test_window_certifies_its_tail(self, kind, n, log10_tau):
         tau = 10.0**log10_tau
+        model = make_index(kind, n, target=tau)
         try:
-            model = make_index(kind, n, target=tau)
+            lo, hi = model.window
         except IndexConfigError as exc:
             assert "past the cap" in str(exc)
             return
-        lo, hi = model.window
         tail = model.truncation_tail_mass
         # q^k = exp(k log q) carries k ulps of log q, up to |log tau| ~ 35
         # ulps of the result, in scipy's evaluation as in ours
@@ -303,7 +322,7 @@ class TestPoissonTails:
     def test_rate_past_the_reach_bound_refuses_before_any_table(self):
         # 10^7 terms around the mode hold less than 1 - tau at lam = 2e12
         with pytest.raises(IndexConfigError) as info:
-            ShiftedPoisson(5, lam=2e12)
+            ShiftedPoisson(5, lam=2e12).window
         assert f"needs more than {TRUNCATION_CAP} terms" in str(info.value)
 
 
@@ -313,7 +332,6 @@ class TestExpectations:
         est = model.expect_values(np.sqrt(model.support), abs_bound=100.0)
         assert est.value == 3.0
         assert est.truncation_error_bound == 0.0
-        assert est.terms_used == 1
 
     def test_normalization(self):
         for model in (make_index("poisson", 12), ShiftedGeometric(20, p=0.05),
