@@ -110,6 +110,30 @@ COMMANDS = [
     "cf-check --index geometric --n-grid 1000000",
     "simulate --family rademacher --index geometric --n-grid 10,1000000"
     " --trials 1000 --seed 1",
+    # exit-2 verdicts: a --trunc-mass past the mixing identity's tolerance;
+    # the audit's configs pass, its cf_identity and its top level fail
+    "cf-check --index poisson --n-grid 100 --trunc-mass 0.001",
+    "audit --family uniform --index poisson --n-grid 10,100 --epsilon 0.5"
+    " --trunc-mass 0.001 --trials 0",
+    # closed forms of the expcentered, uniform and normal laws and of the
+    # geometric, Poisson and uniform indices
+    "conditions --family expcentered --index geometric --n-grid 10,100,1000"
+    " --epsilon 0.05,0.5,2",
+    "conditions --family uniform --index poisson --n-grid 10,100,1000"
+    " --epsilon 0.05,0.5,2",
+    "conditions --family normal,sigma=3 --index uniform --n-grid 10,100,1000"
+    " --epsilon 0.05,0.5,2",
+    "audit --family expcentered --index geometric --n-grid 10,100"
+    " --epsilon 0.1,0.5 --trials 0",
+    # the exact integer comparison of an atom tie on a constant profile
+    "conditions --family twopoint --index det --n-grid 51 --epsilon 0.5000000000000001",
+    # index edges: geometric windows at p = 1 and p >= 1/3, the uniform
+    # index's sampler and numpy's geometric sampler at p >= 1/3
+    "conditions --family uniform --index geometric --n-grid 1,2,3 --epsilon 0.5",
+    "simulate --family expcentered --index uniform --n-grid 1,3,10 --trials 5000 --seed 2",
+    "simulate --family twopoint --index geometric --n-grid 1,2,3 --trials 5000 --seed 2",
+    # an explicit det point between the sweep's n
+    "conditions --index det:5 --n-grid 10,100 --epsilon 0.5",
 ]
 
 # help and usage errors: the text on stdout and stderr is the output
@@ -122,6 +146,8 @@ TEXT_COMMANDS = [
     # index parameters outside their kind's domain
     *(f"conditions --index {spec}" for spec in
       ("det:0", "det:-3", "uniform:0", "poisson:0", "geometric:0", "geometric:1.5")),
+    # a test function that is not built in
+    "rates --fn tanh",
 ]
 
 # refusals of numeric limits: their text is the output, and it prints floats
