@@ -34,7 +34,7 @@ from .indices import (
     parse_index,
 )
 from .montecarlo import MAX_TRIALS, cf_identity_check, kolmogorov_distance, simulate, sweep
-from .rates import BUILTIN_TEST_FUNCTIONS, make_test_function, rate_audit
+from .rates import BUILTIN_TEST_FUNCTIONS, rate_audit
 
 CF_TOLERANCE = 1e-12  # fixed contract for the mixed-cf identity
 _SUBCOMMANDS = {
@@ -287,8 +287,9 @@ def _run_conditions(config: RunConfig) -> int:
                 cond.random_lindeberg(family, model, eps),
                 cond.random_rotar(family, model, eps),
             ]
+        # every row carries the sweep's n, a det:k index's random_* rows too
         rows += [
-            (rep.condition, rep.n, rep.epsilon, rep.delta, rep.value, rep.error_bound)
+            (rep.condition, n, rep.epsilon, rep.delta, rep.value, rep.error_bound)
             for rep in per_n
         ]
     _emit(config, _csv(
@@ -313,7 +314,7 @@ def _run_simulate(config: RunConfig) -> int:
 
 def _run_rates(config: RunConfig) -> int:
     family, _, grid = _grid(config)
-    f = make_test_function(config.fn_id)
+    f = BUILTIN_TEST_FUNCTIONS[config.fn_id]  # --fn takes only its keys
     if config.alpha is not None and f.lipschitz is not None:
         f = dataclasses.replace(f, lipschitz=(config.alpha, f.lipschitz[1]))
     points = rate_audit(family, grid, f, config.trials, config.seed, config.mode)
@@ -322,8 +323,11 @@ def _run_rates(config: RunConfig) -> int:
     return 0
 
 
-def _cf_verdict(config: RunConfig, max_deviation: float) -> dict:
-    """The mixing identity's verdict, shared by cf-check and audit: within CF_TOLERANCE."""
+# every verdict behind exit 2 is formed from here on
+def _cf_verdict(config: RunConfig, deviations: np.ndarray) -> dict:
+    """The mixing identity's verdict, shared by cf-check and audit: the
+    largest deviation (NaN-propagating, unlike max()) within CF_TOLERANCE."""
+    max_deviation = float(np.max(deviations))
     return {
         "t_grid": list(config.t_grid),
         "max_deviation": max_deviation,
@@ -335,11 +339,11 @@ def _cf_verdict(config: RunConfig, max_deviation: float) -> dict:
 def _run_cf_check(config: RunConfig) -> int:
     family, index, grid = _grid(config)
     devs, masses = zip(*(
-        (cf_identity_check(family, model, config.t_grid).deviations, model.truncation_tail_mass)
+        (cf_identity_check(family, model, config.t_grid), model.truncation_tail_mass)
         for _, model in grid
     ))
     deviations = np.max(devs, axis=0)  # NaN-propagating over n
-    verdict = _cf_verdict(config, float(np.max(deviations)))
+    verdict = _cf_verdict(config, deviations)
     payload = {
         "family": family_spec_string(family),
         "index": index,
@@ -362,18 +366,18 @@ def _run_audit(config: RunConfig) -> int:
     configs = []
     for n, model, d_hat in sweep(family, grid, draw):
         for eps in config.epsilon_grid:
-            audit = cond.implication_audit(family, model, n, eps, config.delta)
+            checks = cond.implication_audit(family, model, n, eps, config.delta)
             entry = {
                 "n": n,
                 "epsilon": eps,
-                "checks": [dataclasses.asdict(c) for c in audit.checks],
-                "passed": audit.passed,
+                "checks": [dataclasses.asdict(c) for c in checks],
+                "passed": all(c.passed for c in checks),
             }
             if d_hat is not None:
-                entry["empirical_constant"] = cond.empirical_rotar_constant(audit, d_hat)
+                entry["empirical_constant"] = cond.empirical_rotar_constant(checks, d_hat)
             configs.append(entry)
     # the sweep's last model
-    cf = _cf_verdict(config, cf_identity_check(family, model, config.t_grid).max_deviation)
+    cf = _cf_verdict(config, cf_identity_check(family, model, config.t_grid))
     all_passed = cf["passed"] and all(entry["passed"] for entry in configs)
     payload = {
         "family": family_spec_string(family),

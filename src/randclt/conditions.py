@@ -64,10 +64,12 @@ class ConditionReport:
             raise ValueError(f"condition value must be nonnegative: {self.value}")
 
 
-def _report(cond, n, value, err, epsilon=None, delta=None) -> ConditionReport:
+def _report(cond, n, value, truncation=0.0, epsilon=None, delta=None) -> ConditionReport:
+    """The report of value, whose error bound is the truncation bound plus
+    the kernel's round-off slack _KERNEL_RTOL (1 + value)."""
     return ConditionReport(
         condition=cond, n=int(n), epsilon=epsilon, delta=delta,
-        value=float(value), error_bound=float(err),
+        value=float(value), error_bound=float(truncation + _KERNEL_RTOL * (1.0 + value)),
     )
 
 
@@ -302,7 +304,7 @@ def lyapunov(family: SummandFamily, n: int, delta: float) -> ConditionReport:
     logv = float(prof.log_sum_sigma_pow(n, 2.0 + delta))
     logb2 = float(prof.log_b_squared(n))
     value = math.exp(logv - (1.0 + 0.5 * delta) * logb2) * moment
-    return _report("lyapunov", n, value, _KERNEL_RTOL * (1.0 + value), delta=delta)
+    return _report("lyapunov", n, value, delta=delta)
 
 
 def infinitesimality(family: SummandFamily, n: int, epsilon: float) -> ConditionReport:
@@ -341,10 +343,7 @@ def infinitesimality(family: SummandFamily, n: int, epsilon: float) -> Condition
                 term=lambda w, t: -np.log(prob(t)), rest=rest,
             )[0])
     value = max(0.0, -math.expm1(log_prod))
-    return _report(
-        "infinitesimality", n, value, _KERNEL_RTOL * (1.0 + value),
-        epsilon=epsilon,
-    )
+    return _report("infinitesimality", n, value, epsilon=epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +377,7 @@ def _index_average(
         raise ValueError("epsilon must be positive")
     values = kernel(family, index_model.support, epsilon)
     est = index_model.expect_values(values, abs_bound=abs_bound)
-    err = est.truncation_error_bound + _KERNEL_RTOL * (1.0 + est.value)
-    return _report(cond, index_model.n, est.value, err, epsilon=epsilon)
+    return _report(cond, index_model.n, est.value, est.truncation_error_bound, epsilon=epsilon)
 
 
 def lindeberg(family: SummandFamily, n: int, epsilon: float) -> ConditionReport:
@@ -437,15 +435,6 @@ class InequalityCheck:
     passed: bool
 
 
-@dataclass(frozen=True)
-class ImplicationAudit:
-    checks: tuple[InequalityCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
 def _check(name, lhs, rhs, err) -> InequalityCheck:
     slack = rhs - lhs
     return InequalityCheck(
@@ -460,7 +449,7 @@ def implication_audit(
     n: int,
     epsilon: float,
     delta: float,
-) -> ImplicationAudit:
+) -> tuple[InequalityCheck, ...]:
     """Check the domination inequalities linking the condition functionals.
 
     (a) lindeberg <= eps^-delta * lyapunov        (Markov-type domination)
@@ -471,7 +460,8 @@ def implication_audit(
 
     (b)/(c) and (d)/(e) are one pair of checks, on Deterministic(n) and on
     index_model.  Failures are reported, never raised; a check passes when
-    its slack is no smaller than the negated combined error bound.
+    its slack is no smaller than the negated combined error bound.  The
+    config's verdict, all checks passed, is the caller's.
     """
     lyap = lyapunov(family, n, delta)
     try:
@@ -516,19 +506,19 @@ def implication_audit(
                 + _KERNEL_RTOL,
             ),
         ]
-    return ImplicationAudit(checks=tuple(checks))
+    return tuple(checks)
 
 
-def empirical_rotar_constant(audit: ImplicationAudit, d_hat: float) -> float:
+def empirical_rotar_constant(checks: tuple, d_hat: float) -> float:
     """Ratio estimate of the unspecified constant linking the comparison
     functional to the CLT distance plus the maximal variance share.
 
-    The randomized Rotar and Feller values are the left-hand sides of the
-    audit's checks (e) and (d); d_hat is the Kolmogorov distance of one
-    simulation at the audit's index model.  Purely informational: reported
-    by the audit, never asserted.
+    The randomized Rotar and Feller values are the left-hand sides of
+    implication_audit's checks (e) and (d); d_hat is the Kolmogorov
+    distance of one simulation at the audit's index model.  Purely
+    informational: reported by the audit, never asserted.
     """
-    lhs = {c.name: c.lhs for c in audit.checks}
+    lhs = {c.name: c.lhs for c in checks}
     denom = d_hat + lhs["random_feller_le_eps2_plus_random_lindeberg"]
     rotar = lhs["random_rotar_le_random_lindeberg_plus_normal_tail"]
     return rotar / denom if denom > 0 else math.inf

@@ -90,16 +90,6 @@ BUILTIN_TEST_FUNCTIONS = {
 }
 
 
-def make_test_function(fn_id: str) -> TestFunction:
-    try:
-        return BUILTIN_TEST_FUNCTIONS[fn_id]
-    except KeyError:
-        raise ValueError(
-            f"unknown test function {fn_id!r}; built-ins: "
-            f"{sorted(BUILTIN_TEST_FUNCTIONS)}"
-        ) from None
-
-
 # ---------------------------------------------------------------------------
 # Smooth-function metric
 # ---------------------------------------------------------------------------

@@ -461,6 +461,16 @@ class TestConditionsCommand:
         assert text.splitlines()[0] == "condition,n,epsilon,delta,value,error_bound"
         assert text == out2.read_text()
 
+    @pytest.mark.parametrize("index", ["det:5", "poisson:3"])
+    def test_every_row_carries_its_sweep_n(self, index, capsys):
+        # a det:k index's random_* rows read n = k, between the classical
+        # rows of n = 10 and n = 100; an explicit Poisson parameter's never did
+        assert main(["conditions", "--index", index, "--n-grid", "10,100",
+                     "--epsilon", "0.5"]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        # three rows per n and five per epsilon, in sweep order
+        assert [int(r["n"]) for r in rows] == [10] * 8 + [100] * 8
+
     def test_poisson_rows_certify_truncation(self, capsys):
         # at n = 1e6 a table from k = 1 needs ~1e6 terms of exact zeros, and
         # its 1 - sum(pmf) round-off (5.5e-10) would swamp the 1e-12 budget

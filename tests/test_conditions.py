@@ -577,8 +577,8 @@ class TestImplicationAudit:
             rademacher, make_index("geometric", 10),
             10, 0.5, 1.0,
         )
-        assert audit.passed
-        names = [c.name for c in audit.checks]
+        assert all(c.passed for c in audit)
+        names = [c.name for c in audit]
         assert len(names) == 5 and len(set(names)) == 5
         assert names == [
             "lindeberg_le_scaled_lyapunov",
@@ -594,16 +594,16 @@ class TestImplicationAudit:
             20, 0.1, 1.0,
         )
         rotar_check = next(
-            c for c in audit.checks if c.name == "rotar_le_lindeberg_plus_normal_tail"
+            c for c in audit if c.name == "rotar_le_lindeberg_plus_normal_tail"
         )
         assert rotar_check.lhs == 0.0
-        assert audit.passed
+        assert all(c.passed for c in audit)
 
     def test_slack_definition(self, rademacher):
         audit = implication_audit(
             rademacher, Deterministic(4), 4, 1.0, 1.0
         )
-        for c in audit.checks:
+        for c in audit:
             assert c.slack == pytest.approx(c.rhs - c.lhs, abs=1e-15)
             assert c.passed == (c.slack >= -c.error_bound)
 
@@ -612,7 +612,7 @@ class TestImplicationAudit:
         audit = implication_audit(
             rademacher, Deterministic(1), 1, 1.0, 1.0
         )
-        edge = next(c for c in audit.checks if c.name == "feller_le_eps2_plus_lindeberg")
+        edge = next(c for c in audit if c.name == "feller_le_eps2_plus_lindeberg")
         assert edge.slack == 0.0
         assert edge.passed
 
@@ -641,5 +641,5 @@ class TestImplicationAudit:
                 log_eps = math.log(epsilon)
                 assert max(2.0 * log_eps, -delta * log_eps) > math.log(sys.float_info.max) - 2.0
                 return
-        for c in audit.checks:
+        for c in audit:
             assert all(map(math.isfinite, (c.lhs, c.rhs, c.slack, c.error_bound))), c

@@ -30,7 +30,6 @@ from randclt.indices import make_index
 from randclt.rates import TestFunction as FnSpec
 from randclt.rates import (
     BUILTIN_TEST_FUNCTIONS,
-    make_test_function,
     rate_audit,
     smooth_metric,
 )
@@ -137,10 +136,6 @@ class TestBuiltinFunctions:
                 om = modulus_of_continuity(derivative(tf), eps)
                 assert om <= K * eps**alpha + 1e-9, tf.id
 
-    def test_unknown_id(self):
-        with pytest.raises(ValueError):
-            make_test_function("tanh")
-
 
 # the float64 edges: signed zeros, infinities, nan, subnormals, huge values
 _EDGES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
@@ -192,9 +187,9 @@ class TestSmoothMetric:
         # single Rademacher summand and sin: both expectations vanish
         sm = smooth_metric(
             make_family("rademacher"), make_index("det", 1),
-            make_test_function("sin"), 200_000, seed=SEED,
+            BUILTIN_TEST_FUNCTIONS["sin"], 200_000, seed=SEED,
         )
-        assert abs(make_test_function("sin").normal_mean) < 1e-10
+        assert abs(BUILTIN_TEST_FUNCTIONS["sin"].normal_mean) < 1e-10
         assert sm.metric <= 4.0 * sm.mc_stderr
 
 
@@ -217,7 +212,7 @@ class TestBlockMoments:
     def test_worker_count_free_and_matches_full_array(
         self, spec, kind, n, fn, trials, seed
     ):
-        fam, model, f = parse_family(spec), make_index(kind, n), make_test_function(fn)
+        fam, model, f = parse_family(spec), make_index(kind, n), BUILTIN_TEST_FUNCTIONS[fn]
         runs = []
         for workers in (1, 2):
             with mock.patch.object(montecarlo, "_usable_cpus", lambda: workers):
@@ -336,7 +331,7 @@ class TestLatticeDraws:
         # than cores and a thread switch every microsecond, a row lost or
         # read half-built would move the metric's bits
         fam, model = make_family("rademacher"), make_index("geometric", 40)
-        f = make_test_function("bump")
+        f = BUILTIN_TEST_FUNCTIONS["bump"]
         serial = _metric_on(1, fam, model, f, 8 * BLOCK, SEED)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -349,7 +344,7 @@ class TestLatticeDraws:
     @pytest.mark.parametrize("kind", ["det", "poisson", "geometric", "uniform"])
     @pytest.mark.parametrize("fn", ["bump", "clamp"])
     def test_metric_agrees_with_simulate(self, kind, fn):
-        fam, model, f = make_family("rademacher"), make_index(kind, 12), make_test_function(fn)
+        fam, model, f = make_family("rademacher"), make_index(kind, 12), BUILTIN_TEST_FUNCTIONS[fn]
         trials = 2 * BLOCK + 1_000
         got = smooth_metric(fam, model, f, trials, SEED)
         fv = f.evaluate(montecarlo.simulate(fam, model, trials, SEED + 1).values)
@@ -363,7 +358,7 @@ class TestLargeOAudit:
         # closed form B_n = sqrt(n): the bound column scales as n^-(1+alpha)/2
         fam = make_family("rademacher")
         curve = rate_audit(
-            fam, _grid("det", (4, 16, 64, 256)), make_test_function("sin"), 50_000, seed=SEED,
+            fam, _grid("det", (4, 16, 64, 256)), BUILTIN_TEST_FUNCTIONS["sin"], 50_000, seed=SEED,
             mode="large-o",
         )
         assert bound_order(curve) == pytest.approx(-1.0, abs=0.01)
@@ -372,7 +367,7 @@ class TestLargeOAudit:
     def test_all_normal_metric_statistically_zero(self):
         fam = make_family("normal")
         curve = rate_audit(
-            fam, _grid("poisson", (10, 100)), make_test_function("sin"), 100_000, seed=SEED,
+            fam, _grid("poisson", (10, 100)), BUILTIN_TEST_FUNCTIONS["sin"], 100_000, seed=SEED,
             mode="large-o",
         )
         for p in curve:
@@ -411,14 +406,14 @@ class TestSmallOAudit:
         monkeypatch.setattr(randclt.conditions, "random_rotar", refuse)
         curve = rate_audit(
             make_family("twopoint", growth=1.001), _grid("geometric", (10, 100)),
-            make_test_function("bump"), 1000, seed=SEED, mode="small-o",
+            BUILTIN_TEST_FUNCTIONS["bump"], 1000, seed=SEED, mode="small-o",
         )
         assert [p.n for p in curve] == [10, 100]
 
     def test_all_normal_statistically_zero(self):
         fam = make_family("normal")
         curve = rate_audit(
-            fam, _grid("geometric", (10, 100, 1000)), make_test_function("bump"),
+            fam, _grid("geometric", (10, 100, 1000)), BUILTIN_TEST_FUNCTIONS["bump"],
             100_000, seed=SEED, mode="small-o",
         )
         assert statistically_zero(curve, 4.0)
@@ -426,7 +421,7 @@ class TestSmallOAudit:
 
 class TestRateAudit:
     def test_modes_share_the_metric_and_differ_in_the_bound(self):
-        fam, f = make_family("rademacher"), make_test_function("bump")
+        fam, f = make_family("rademacher"), BUILTIN_TEST_FUNCTIONS["bump"]
         large, small = (
             rate_audit(fam, _grid("geometric", (5, 50, 500)), f, 20_000, SEED, mode=m)
             for m in ("large-o", "small-o")
@@ -446,7 +441,7 @@ class TestRateAudit:
 
     @pytest.mark.parametrize("spec, kind", [("expcentered", "det"), ("geomnormal", "geometric")])
     def test_worker_count_free_and_matches_full_array(self, spec, kind):
-        fam, f, trials = parse_family(spec), make_test_function("clamp"), 2 * BLOCK + 7
+        fam, f, trials = parse_family(spec), BUILTIN_TEST_FUNCTIONS["clamp"], 2 * BLOCK + 7
         curves = []
         for workers in (1, 2):
             with mock.patch.object(montecarlo, "_usable_cpus", lambda: workers):
@@ -464,7 +459,7 @@ class TestRateAudit:
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown rate mode"):
-            rate_audit(make_family("rademacher"), _grid("det", (4,)), make_test_function("sin"),
+            rate_audit(make_family("rademacher"), _grid("det", (4,)), BUILTIN_TEST_FUNCTIONS["sin"],
                        10, seed=1, mode="medium-o")
 
     def test_zero_bound_reads_infinite_ratio(self):
@@ -500,7 +495,7 @@ class TestExactSinMetric:
         # the gamma sampler of the centred exponential, where |exact| > 0
         fam, model = make_family("expcentered"), make_index(kind, n)
         exact = exact_sin_metric(fam, model)
-        sm = smooth_metric(fam, model, make_test_function("sin"), self.TRIALS, SEED)
+        sm = smooth_metric(fam, model, BUILTIN_TEST_FUNCTIONS["sin"], self.TRIALS, SEED)
         assert exact.value < 0.0
         assert abs(sm.metric - abs(exact.value)) <= (
             4.0 * sm.mc_stderr + exact.truncation_error_bound
@@ -513,7 +508,7 @@ class TestExactSinMetric:
         # index-free (normal) draws, where the exact metric is 0
         fam, model = make_family(spec), make_index(kind, n)
         assert exact_sin_metric(fam, model).value == 0.0
-        sm = smooth_metric(fam, model, make_test_function("sin"), self.TRIALS, SEED)
+        sm = smooth_metric(fam, model, BUILTIN_TEST_FUNCTIONS["sin"], self.TRIALS, SEED)
         assert sm.metric <= 4.0 * sm.mc_stderr
 
     def test_first_edgeworth_term(self):
