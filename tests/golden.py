@@ -134,6 +134,18 @@ COMMANDS = [
     "simulate --family twopoint --index geometric --n-grid 1,2,3 --trials 5000 --seed 2",
     # an explicit det point between the sweep's n
     "conditions --index det:5 --n-grid 10,100 --epsilon 0.5",
+    # the mixing identity at the audits' family, index, n-grid, --trunc-mass
+    # and t-grid, at every n of the grid: the uniform Poisson audits of the
+    # mc-sweep and functionals workloads, the exit-2 audit, the twopoint
+    # audit and the expcentered audit
+    "cf-check --family uniform --index poisson --n-grid 10,100",
+    "cf-check --family uniform --index poisson --n-grid 10,100 --trunc-mass 0.001",
+    "cf-check --family twopoint,growth=1.01 --index geometric --n-grid 10,100"
+    " --t-grid 0.25,3",
+    "cf-check --family expcentered --index geometric --n-grid 10,100",
+    # the twopoint audit at the default t-grid
+    "audit --family twopoint,growth=1.01 --index geometric --n-grid 10,100"
+    " --epsilon 0.5 --trials 0",
 ]
 
 # help and usage errors: the text on stdout and stderr is the output
