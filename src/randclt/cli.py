@@ -120,7 +120,7 @@ class RunConfig:
     mode: str = _flag("large-o", "--mode", read_by=("rates",), choices=("large-o", "small-o"))
     alpha: float | None = _flag(None, "--alpha", read_by=("rates",), type=float, show=repr)
     t_grid: tuple = _flag(
-        (0.0, 0.5, 1.0, 2.0, 4.0), "--t-grid", read_by=("cf-check", "audit"),
+        (0.0, 0.5, 1.0, 2.0, 4.0), "--t-grid", read_by=("cf-check",),
         type=_float_list, show=_joined(repr),
     )
     out: str | None = _flag(None, "--out")
@@ -324,18 +324,6 @@ def _run_rates(config: RunConfig) -> int:
 
 
 # every verdict behind exit 2 is formed from here on
-def _cf_verdict(config: RunConfig, deviations: np.ndarray) -> dict:
-    """The mixing identity's verdict, shared by cf-check and audit: the
-    largest deviation (NaN-propagating, unlike max()) within CF_TOLERANCE."""
-    max_deviation = float(np.max(deviations))
-    return {
-        "t_grid": list(config.t_grid),
-        "max_deviation": max_deviation,
-        "tolerance": CF_TOLERANCE,
-        "passed": max_deviation <= CF_TOLERANCE,
-    }
-
-
 def _run_cf_check(config: RunConfig) -> int:
     family, index, grid = _grid(config)
     devs, masses = zip(*(
@@ -343,16 +331,20 @@ def _run_cf_check(config: RunConfig) -> int:
         for _, model in grid
     ))
     deviations = np.max(devs, axis=0)  # NaN-propagating over n
-    verdict = _cf_verdict(config, deviations)
+    max_deviation = float(np.max(deviations))  # over t too, unlike max()
+    passed = max_deviation <= CF_TOLERANCE
     payload = {
         "family": family_spec_string(family),
         "index": index,
         "deviations": deviations.tolist(),
         "tail_mass": max(masses),
-        **verdict,
+        "t_grid": list(config.t_grid),
+        "max_deviation": max_deviation,
+        "tolerance": CF_TOLERANCE,
+        "passed": passed,
     }
     _emit(config, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return 0 if verdict["passed"] else 2
+    return 0 if passed else 2
 
 
 def _run_audit(config: RunConfig) -> int:
@@ -376,15 +368,12 @@ def _run_audit(config: RunConfig) -> int:
             if d_hat is not None:
                 entry["empirical_constant"] = cond.empirical_rotar_constant(checks, d_hat)
             configs.append(entry)
-    # the sweep's last model
-    cf = _cf_verdict(config, cf_identity_check(family, model, config.t_grid))
-    all_passed = cf["passed"] and all(entry["passed"] for entry in configs)
+    all_passed = all(entry["passed"] for entry in configs)
     payload = {
         "family": family_spec_string(family),
         "index": index,
         "delta": config.delta,
         "seed": config.seed,
-        "cf_identity": cf,
         "configs": configs,
         "passed": all_passed,
     }

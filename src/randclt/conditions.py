@@ -53,7 +53,6 @@ _ATOM_RTOL = 2.0**-40
 @dataclass(frozen=True)
 class ConditionReport:
     condition: str
-    n: int
     epsilon: float | None
     delta: float | None
     value: float
@@ -64,11 +63,11 @@ class ConditionReport:
             raise ValueError(f"condition value must be nonnegative: {self.value}")
 
 
-def _report(cond, n, value, truncation=0.0, epsilon=None, delta=None) -> ConditionReport:
+def _report(cond, value, truncation=0.0, epsilon=None, delta=None) -> ConditionReport:
     """The report of value, whose error bound is the truncation bound plus
     the kernel's round-off slack _KERNEL_RTOL (1 + value)."""
     return ConditionReport(
-        condition=cond, n=int(n), epsilon=epsilon, delta=delta,
+        condition=cond, epsilon=epsilon, delta=delta,
         value=float(value), error_bound=float(truncation + _KERNEL_RTOL * (1.0 + value)),
     )
 
@@ -304,7 +303,7 @@ def lyapunov(family: SummandFamily, n: int, delta: float) -> ConditionReport:
     logv = float(prof.log_sum_sigma_pow(n, 2.0 + delta))
     logb2 = float(prof.log_b_squared(n))
     value = math.exp(logv - (1.0 + 0.5 * delta) * logb2) * moment
-    return _report("lyapunov", n, value, delta=delta)
+    return _report("lyapunov", value, delta=delta)
 
 
 def infinitesimality(family: SummandFamily, n: int, epsilon: float) -> ConditionReport:
@@ -343,7 +342,7 @@ def infinitesimality(family: SummandFamily, n: int, epsilon: float) -> Condition
                 term=lambda w, t: -np.log(prob(t)), rest=rest,
             )[0])
     value = max(0.0, -math.expm1(log_prod))
-    return _report("infinitesimality", n, value, epsilon=epsilon)
+    return _report("infinitesimality", value, epsilon=epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +376,7 @@ def _index_average(
         raise ValueError("epsilon must be positive")
     values = kernel(family, index_model.support, epsilon)
     est = index_model.expect_values(values, abs_bound=abs_bound)
-    return _report(cond, index_model.n, est.value, est.truncation_error_bound, epsilon=epsilon)
+    return _report(cond, est.value, est.truncation_error_bound, epsilon=epsilon)
 
 
 def lindeberg(family: SummandFamily, n: int, epsilon: float) -> ConditionReport:

@@ -93,7 +93,8 @@ COMMANDS = [
                        "twopoint,growth=2", "geomnormal,ratio=1.05")
         for index in ("det", "geometric", "poisson", "uniform")
     ),
-    # the mixing identity's verdict at an unsorted t-grid and several n
+    # the mixing identity's verdict at an unsorted t-grid and several n, and
+    # audit --t-grid, a usage error: cf-check alone reads a t-grid
     "cf-check --index poisson --n-grid 10,1000 --t-grid 0.25,3,0",
     "audit --family twopoint,growth=1.01 --index geometric --n-grid 10,100"
     " --epsilon 0.5 --t-grid 0.25,3 --trials 0",
@@ -110,8 +111,8 @@ COMMANDS = [
     "cf-check --index geometric --n-grid 1000000",
     "simulate --family rademacher --index geometric --n-grid 10,1000000"
     " --trials 1000 --seed 1",
-    # exit-2 verdicts: a --trunc-mass past the mixing identity's tolerance;
-    # the audit's configs pass, its cf_identity and its top level fail
+    # a --trunc-mass past the mixing identity's tolerance: cf-check exits 2,
+    # and the audit, whose configs pass, exits 0
     "cf-check --index poisson --n-grid 100 --trunc-mass 0.001",
     "audit --family uniform --index poisson --n-grid 10,100 --epsilon 0.5"
     " --trunc-mass 0.001 --trials 0",
@@ -134,16 +135,17 @@ COMMANDS = [
     "simulate --family twopoint --index geometric --n-grid 1,2,3 --trials 5000 --seed 2",
     # an explicit det point between the sweep's n
     "conditions --index det:5 --n-grid 10,100 --epsilon 0.5",
-    # the mixing identity at the audits' family, index, n-grid, --trunc-mass
-    # and t-grid, at every n of the grid: the uniform Poisson audits of the
-    # mc-sweep and functionals workloads, the exit-2 audit, the twopoint
-    # audit and the expcentered audit
+    # each audit's cf-check twin, the mixing identity at its family, index,
+    # n-grid and --trunc-mass, at every n: the uniform Poisson audits of the
+    # mc-sweep and functionals workloads, the --trunc-mass 0.001 audit, the
+    # twopoint audit (at the t-grid of the audit --t-grid entry above) and
+    # the expcentered audit
     "cf-check --family uniform --index poisson --n-grid 10,100",
     "cf-check --family uniform --index poisson --n-grid 10,100 --trunc-mass 0.001",
     "cf-check --family twopoint,growth=1.01 --index geometric --n-grid 10,100"
     " --t-grid 0.25,3",
     "cf-check --family expcentered --index geometric --n-grid 10,100",
-    # the twopoint audit at the default t-grid
+    # the twopoint audit's configs, run without --t-grid
     "audit --family twopoint,growth=1.01 --index geometric --n-grid 10,100"
     " --epsilon 0.5 --trials 0",
 ]

@@ -517,7 +517,6 @@ class TestClassicalValues:
                 (rotar(fam, n, eps), rotar_values(fam, np.array([n]), eps)[0]),
             ]
         for rep, kernel_value in reps:
-            assert rep.n == n
             assert rep.value == kernel_value
             assert rep.error_bound == _KERNEL_RTOL * (1 + rep.value)
 
