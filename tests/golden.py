@@ -148,6 +148,17 @@ COMMANDS = [
     # the twopoint audit's configs, run without --t-grid
     "audit --family twopoint,growth=1.01 --index geometric --n-grid 10,100"
     " --epsilon 0.5 --trials 0",
+    # d_hat whose sup lies where Phi takes Cephes' P/Q tail branch (|x| >=
+    # sqrt(2)): at x = 1.6442, -1.4879 and 1.6684
+    "simulate --family expcentered --index det --n-grid 10 --trials 20 --seed 3",
+    "simulate --family uniform --index det --n-grid 2 --trials 200 --seed 4",
+    "simulate --family twopoint --index det --n-grid 3 --trials 50 --seed 1",
+    # geometric windows: past float's exact integers (exit 1, the count on
+    # stderr), at a large --trunc-mass (cf-check exits 2), and at p = 1/3
+    "conditions --index geometric:1e-20 --n-grid 5",
+    "cf-check --index geometric:0.9 --n-grid 1 --trunc-mass 0.5",
+    "conditions --family uniform --index geometric:0.3333333333333333 --n-grid 5"
+    " --epsilon 0.5",
 ]
 
 # help and usage errors: the text on stdout and stderr is the output
