@@ -58,12 +58,17 @@ class FamilyConfigError(ValueError):
 class Law:
     """A standardized (zero-mean, unit-variance) summand law.
 
-    Each law supplies the first four in closed form:
+    Each law supplies in closed form:
       abs_moment(order)      E|Z|^order;
       tail_second_moment(t)  E[Z^2; |Z| > t] for t >= 0 (strict inequality at atoms);
       central_prob(t)        P(|Z| <= t); the complement P(|Z| > t) is strict;
-      rotar_unit_tail(t)     integral_{|z|>t} |z| * |F(z) - Phi(z)| dz;
-      sample(rng, size)      size draws of Z.
+      rotar_unit_tail(t)     integral_{|z|>t} |z| * |F(z) - Phi(z)| dz.
+    The laws that Monte Carlo draws summand by summand, through weight groups
+    (rademacher on a geometric profile, and uniform), supply
+      sample(rng, size)      size draws of Z;
+    those with an exactly samplable k-fold sum (rademacher, expcentered)
+    supply batch_sums, which a constant profile reads.  The normal law needs
+    neither: its S_k / B_k is N(0, 1) for every k (SummandFamily.index_free).
     """
 
     # (points, masses) for discrete laws, None otherwise
@@ -248,9 +253,6 @@ class NormalLaw(Law):
     def rotar_unit_tail(self, t):
         return np.zeros_like(np.asarray(t, dtype=float))
 
-    def sample(self, rng, size=None):
-        return rng.standard_normal(size)
-
 
 def _exp_antideriv(z, pdf, cdf):
     """integral of z * (F(z) - Phi(z)) dz for z >= -1, given phi(z) and Phi(z)."""
@@ -334,9 +336,6 @@ class CenteredExponentialLaw(Law):
         pdf, cdf, _ = norm_pdf_cdf_sf(t)
         right_pos = self._g_root_hi - _exp_antideriv(t, pdf, cdf)
         return (upper_x_sf_integral(t) + right_pos) + self._right_neg_at_root
-
-    def sample(self, rng, size=None):
-        return rng.standard_exponential(size) - 1.0
 
     def batch_sums(self, rng, ks, size=None):
         sums = rng.standard_gamma(ks, size)

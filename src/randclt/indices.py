@@ -3,13 +3,14 @@
 Each index kind is a small frozen class: a quantile window [lo, hi] leaving
 out at most the truncation target tau (lower tail within half of it), its
 certified outside mass, the pmf over it and a native sampler.  The outside
-mass is 0 for det and uniform and a closed form for geometric; the Poisson
-tails are pmf walks from Loader's saddle-point pmf with a geometric bound on
-the rest, all in numpy.  The window is built when first read, so a model that
-is only sampled builds none; its certified outside mass certifies every
-pmf-weighted sum (tail mass times a bound on the integrand).  A parameter
-outside its kind's domain is a configuration error when the model is made, a
-window longer than TRUNCATION_CAP terms when it is first read.
+mass is 0 for det and uniform; for geometric, the window's end (log tau over
+log(1 - p), rounded up) and the mass past it are both closed forms.  The
+Poisson tails are pmf walks from Loader's saddle-point pmf with a geometric
+bound on the rest, all in numpy.  The window is built when first read, so a
+model that is only sampled builds none; its certified outside mass certifies
+every pmf-weighted sum (tail mass times a bound on the integrand).  A
+parameter outside its kind's domain is a configuration error when the model
+is made, a window longer than TRUNCATION_CAP terms when it is first read.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ class RandomIndexModel:
         """_window_and_mass, refused past TRUNCATION_CAP terms."""
         try:
             (lo, hi), mass = self._window_and_mass()
-        except OverflowError as exc:  # the window search galloped past float range
+        except OverflowError as exc:  # a window end past float range (subnormal p)
             raise self._past_cap("a window beyond float range") from exc
         if hi - lo + 1 > TRUNCATION_CAP:
             raise self._past_cap(f"{hi - lo + 1} terms")
@@ -233,7 +234,18 @@ class ShiftedGeometric(RandomIndexModel):
         return math.exp(k * self._log_q) if k > 0 else 1.0
 
     def _window_and_mass(self):
-        hi = _first_true(lambda k: self.sf(k) <= self._budget, 1)
+        """(1, hi) for the least hi with sf(hi) <= budget, and sf(hi).
+
+        hi is log(budget) / log(1 - p) rounded up, then stepped to that least
+        k while k is below 2^52: past it, k - 1 and k are one float, and the
+        step would not end.  A subnormal p overflows the ratio.
+        """
+        budget = self._budget
+        hi = max(1, math.ceil(math.log(budget) / self._log_q))
+        while hi < 2**52 and self.sf(hi) > budget:
+            hi += 1
+        while 1 < hi < 2**52 and self.sf(hi - 1) <= budget:
+            hi -= 1
         return (1, hi), self.sf(hi)
 
     def _weights(self):
@@ -454,17 +466,6 @@ def _poisson_tail(lam: float, x: int, step: int) -> float:
         if rest <= _WALK_CUT * total:
             return total + rest
         x, count = end + step, 2 * count
-
-
-def _first_true(pred, k: int) -> int:
-    """Smallest integer j >= k with pred(j), for pred false and then true."""
-    lo, hi = k - 1, k  # pred(lo) is false or lo is below the range
-    while not pred(hi):
-        lo, hi = hi, hi + 2 * (hi - lo)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if pred(mid) else (mid, hi)
-    return hi
 
 
 _KINDS = {cls.kind: cls for cls in (Deterministic, ShiftedPoisson, ShiftedGeometric, UniformIndex)}

@@ -38,7 +38,7 @@ import numpy as np
 from numpy.random import PCG64DXSM, Generator, SeedSequence
 
 from .families import RademacherLaw, SummandFamily, half_binomial_pmf
-from .gaussian import norm_cdf
+from .gaussian import norm_pdf_cdf_sf
 from .indices import RandomIndexModel
 
 _MASK64 = (1 << 64) - 1
@@ -272,7 +272,9 @@ def kolmogorov_distance(sample: EmpiricalSample) -> KolmogorovEstimate:
     confidence gamma = DKW_GAMMA.  Within a run of equal values the
     deviation peaks at its first and last rank, so Phi is evaluated once per
     distinct value: sums of discrete summands repeat values (rademacher at
-    geometric n = 10 draws 792 distinct values in 1e5 trials).
+    geometric n = 10 draws 792 distinct values in 1e5 trials).  Phi is the
+    fused kernel's: against ECDF steps of 1/m, its absolute round-off
+    (within 2^-52) is all that reaches d_hat.
     """
     m = sample.trials
     x = np.sort(sample.values)
@@ -281,7 +283,7 @@ def kolmogorov_distance(sample: EmpiricalSample) -> KolmogorovEstimate:
     np.not_equal(x[1:], x[:-1], out=first[1:])
     starts = np.flatnonzero(first)
     ends = np.append(starts[1:], m)
-    ref = norm_cdf(x[starts])
+    ref = norm_pdf_cdf_sf(x[starts])[1]
     d_hat = float(max(np.max(ends / m - ref), np.max(ref - starts / m)))
     band = math.sqrt(math.log(2.0 / (1.0 - DKW_GAMMA)) / (2.0 * m))
     return KolmogorovEstimate(d_hat=max(0.0, d_hat), dkw_band=band)

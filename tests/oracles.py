@@ -9,14 +9,16 @@ the two-point law, against exact rational arithmetic, and bit for bit
 against its former binary-search passes; infinitesimality against its
 former sum over all n thresholds, the summand weights against
 their former construction from all k steps, the grouped summand draws
-against their former one group per k, and the Poisson tails against
-mpmath's incomplete gamma function.  Rademacher sums have an exact Kolmogorov
+against their former one group per k, the Poisson tails against mpmath's
+incomplete gamma function, and the geometric window's closed form against
+its former galloping search.  Rademacher sums have an exact Kolmogorov
 distance from binomial coefficients, and sin on a constant profile an exact
 smooth metric from the summand law's characteristic function, against which
 the Monte Carlo metric of each per-block draw path is checked.
 
 The laws' CDFs and supports, the test functions' derivatives and the rate
 audit's 4-stderr verdicts are read by the tests alone, so they live here.
+The normal law's CDF is scipy's ndtr, not the package's Phi, which it checks.
 """
 
 import math
@@ -24,6 +26,7 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+from scipy.special import ndtr
 
 from randclt.conditions import _CUT_LOG2, _MAX_PASS_ENTRIES, _decide_atom_ties
 from randclt.families import (
@@ -33,7 +36,6 @@ from randclt.families import (
     RademacherLaw,
     UniformLaw,
 )
-from randclt.gaussian import norm_cdf
 from randclt.rates import _BUMP_AMP
 
 SQRT3 = math.sqrt(3.0)
@@ -57,7 +59,7 @@ def _expcentered_cdf(z):
 _CDFS = {
     RademacherLaw: _rademacher_cdf,
     UniformLaw: _uniform_cdf,
-    NormalLaw: norm_cdf,
+    NormalLaw: ndtr,
     CenteredExponentialLaw: _expcentered_cdf,
 }
 _SUPPORTS = {
@@ -289,6 +291,23 @@ def poisson_outside_mass(lam, lo, hi):
         below = mpmath.gammainc(lo - 1, lam, mpmath.inf, regularized=True) if lo > 1 else 0
         above = 1 - mpmath.gammainc(hi, lam, mpmath.inf, regularized=True)
         return below + above
+
+
+def first_true(pred, k: int) -> int:
+    """Smallest integer j >= k with pred(j), for pred false and then true: a galloping search."""
+    lo, hi = k - 1, k  # pred(lo) is false or lo is below the range
+    while not pred(hi):
+        lo, hi = hi, hi + 2 * (hi - lo)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if pred(mid) else (mid, hi)
+    return hi
+
+
+def searched_geometric_window(model):
+    """A geometric model's window and outside mass as its former galloping search found them."""
+    hi = first_true(lambda k: model.sf(k) <= model._budget, 1)
+    return (1, hi), model.sf(hi)
 
 
 def binomial_chisquare_pvalue(observed, k):

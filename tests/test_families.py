@@ -40,7 +40,7 @@ from randclt.families import (
     parse_family,
 )
 from randclt.indices import make_index
-from randclt.montecarlo import _stream
+from randclt.montecarlo import _stream, draw_block
 
 SQRT3 = math.sqrt(3.0)
 
@@ -333,6 +333,30 @@ class TestSignRoots:
         assert signs[0] * signs[1] == -1
 
 
+DKW_DRAWS = 100_000
+
+
+def _assert_within_dkw(law, draws, kind):
+    """The draws' ECDF within the two-sided DKW band at confidence 0.999 of law's CDF."""
+    m = len(draws)
+    band = math.sqrt(math.log(2.0 / 0.001) / (2.0 * m))
+    draws = np.sort(draws)
+    if law.atoms is not None:
+        pts, masses = law.atoms
+        cum = np.concatenate([[0.0], np.cumsum(masses)])
+        for a, lo, hi in zip(pts, cum[:-1], cum[1:]):
+            below = np.searchsorted(draws, a, side="left") / m
+            at_or_below = np.searchsorted(draws, a, side="right") / m
+            assert abs(below - lo) < band, kind
+            assert abs(at_or_below - hi) < band, kind
+    else:
+        ref = np.asarray(law_cdf(law, draws), dtype=float)
+        i_hi = np.arange(1, m + 1) / m
+        i_lo = np.arange(0, m) / m
+        d = max(np.max(i_hi - ref), np.max(ref - i_lo))
+        assert d < band, kind
+
+
 class TestSampling:
     def test_rademacher_support(self):
         fam = make_family("rademacher")
@@ -340,42 +364,27 @@ class TestSampling:
         draws = set(sigma(fam, 1) * fam.law.sample(rng, size=64))
         assert draws <= {-1.0, 1.0}
 
-    def test_identical_seeds_identical_draws(self):
-        fam = make_family("expcentered")
-        a = [sigma(fam, j) * fam.law.sample(Generator(Philox(key=[9, j])))
-             for j in range(1, 6)]
-        b = [sigma(fam, j) * fam.law.sample(Generator(Philox(key=[9, j])))
-             for j in range(1, 6)]
-        assert a == b
-
-    def test_normal_mean_band(self):
-        # CLT band: mean of 1e6 draws within 4 sigma / 1e3
-        fam = make_family("normal", sigma=2.0)
-        rng = Generator(Philox(key=[4, 4]))
-        draws = 2.0 * fam.law.sample(rng, size=1_000_000)
-        assert abs(float(np.mean(draws))) < 4.0 * 2.0 / 1e3
-
     def test_empirical_cdf_within_dkw(self):
-        # two-sided DKW at confidence 0.999 for 1e5 draws per family
-        m = 100_000
-        band = math.sqrt(math.log(2.0 / 0.001) / (2.0 * m))
+        # the laws drawn summand by summand; normal and expcentered draw
+        # their sums instead (test_program_draws_within_dkw)
         for i, fam in enumerate(all_families()):
-            rng = Generator(Philox(key=[11, i]))
-            draws = np.sort(fam.law.sample(rng, size=m))
-            if fam.law.atoms is not None:
-                pts, masses = fam.law.atoms
-                cum = np.concatenate([[0.0], np.cumsum(masses)])
-                for a, lo, hi in zip(pts, cum[:-1], cum[1:]):
-                    below = np.searchsorted(draws, a, side="left") / m
-                    at_or_below = np.searchsorted(draws, a, side="right") / m
-                    assert abs(below - lo) < band, fam.kind
-                    assert abs(at_or_below - hi) < band, fam.kind
-            else:
-                ref = np.asarray(law_cdf(fam.law, draws), dtype=float)
-                i_hi = np.arange(1, m + 1) / m
-                i_lo = np.arange(0, m) / m
-                d = max(np.max(i_hi - ref), np.max(ref - i_lo))
-                assert d < band, fam.kind
+            if hasattr(fam.law, "sample"):
+                draws = fam.law.sample(Generator(Philox(key=[11, i])), size=DKW_DRAWS)
+                _assert_within_dkw(fam.law, draws, fam.kind)
+
+    @pytest.mark.parametrize("kind", ["normal", "geomnormal", "expcentered"])
+    def test_program_draws_within_dkw(self, kind):
+        # S_k / B_k as simulate draws it: an index-free family's standard
+        # normals from draw_block, expcentered's gamma sums at det k = 1
+        fam = make_family(kind)
+        rng = Generator(Philox(key=[12, BUILTIN_FAMILY_KINDS.index(kind)]))
+        if fam.index_free:
+            values, counts, draws = draw_block(fam, make_index("det", 10), DKW_DRAWS,
+                                               None, rng, {})
+            assert len(values) == len(counts) == 0
+        else:
+            draws = fam.batch_normalized_sums(rng, 1, DKW_DRAWS)
+        _assert_within_dkw(fam.law, draws, kind)
 
 
 class TestUniformBits:

@@ -5,7 +5,9 @@ the exact value, may exceed that of the scipy-based formula it replaces
 (scipy.special.ndtr/erf with a numpy density) by at most 4.
 upper_x_sf_integral cancels two terms as t grows, so its relative error is
 held to that of the scipy formula plus 4 ulp of each term.  The fused
-kernel's Phi moves from Cephes by its shared exponent (test_fused_kernel_parts).
+kernel's Phi, the package's one Phi, moves from Cephes by its shared
+exponent (test_fused_kernel_parts) and stays within 2^-52 of Phi in absolute
+terms (test_fused_phi_absolute_error).
 """
 
 import math
@@ -21,7 +23,6 @@ from scipy import special
 
 from randclt import gaussian
 from randclt.gaussian import (
-    norm_cdf,
     norm_central_prob,
     norm_pdf_cdf_sf,
     normal_abs_moment,
@@ -55,6 +56,11 @@ xs = st.one_of(
     st.sampled_from(_edges()),
 )
 
+def _phi(x):
+    """Phi(x) from the fused kernel, as kolmogorov_distance reads it."""
+    return norm_pdf_cdf_sf(x)[1]
+
+
 def _x2_antiderivative(z):
     """Phi(z) - z phi(z) from the fused kernel, as the laws' antiderivatives take it."""
     pdf, cdf, _ = norm_pdf_cdf_sf(z)
@@ -63,8 +69,6 @@ def _x2_antiderivative(z):
 
 # name: (function, scipy-based formula it replaces, exact, domain is t >= 0)
 FUNCTIONS = {
-    "norm_cdf": (norm_cdf, special.ndtr, mp.ncdf, False),
-    "norm_sf": (lambda x: norm_cdf(-x), lambda x: special.ndtr(-x), lambda x: mp.ncdf(-x), False),
     "norm_central_prob": (
         norm_central_prob,
         lambda t: special.erf(t / np.sqrt(2.0)),
@@ -148,12 +152,24 @@ def test_fused_kernel_parts(x):
             assert _within(value, special.ndtr(sign * x), exact, slack), x
 
 
+@settings(max_examples=300, deadline=None)
+@given(x=xs)
+@example(x=1.6441541491282088)  # P/Q-branch sups of golden d_hat
+@example(x=-1.4878510546542807)
+def test_fused_phi_absolute_error(x):
+    # d_hat compares Phi with ECDF steps of 1/m: absolute error is what reaches it
+    pdf, cdf, sf = norm_pdf_cdf_sf(x)
+    with mp.workdps(50):
+        for value, sign in ((cdf, 1), (sf, -1)):
+            assert abs(mp.mpf(float(value)) - mp.ncdf(sign * mp.mpf(x))) <= ULP, x
+
+
 EXTREMES = [0.0, -0.0, 1e-300, 1e308, -1e308, np.inf, -np.inf, 1.7976931348623157e308]
 
 
 @pytest.mark.parametrize(
     "fn",
-    [norm_cdf, norm_central_prob, upper_x_sf_integral, normal_tail_second_moment,
+    [_phi, norm_central_prob, upper_x_sf_integral, normal_tail_second_moment,
      norm_pdf_cdf_sf],
 )
 def test_extreme_inputs_raise_no_warning(fn):
@@ -171,8 +187,8 @@ def test_extreme_inputs_raise_no_warning(fn):
 def test_fused_kernel_signs_survive_nan():
     # a nan among negative inputs must not send them down the x >= 0 path
     _, cdf, sf = norm_pdf_cdf_sf(np.array([-1.0, -np.inf, np.nan]))
-    np.testing.assert_array_equal(cdf, [norm_cdf(-1.0), 0.0, np.nan])
-    np.testing.assert_array_equal(sf, [norm_cdf(1.0), 1.0, np.nan])
+    np.testing.assert_array_equal(cdf, [_phi(-1.0), 0.0, np.nan])
+    np.testing.assert_array_equal(sf, [_phi(1.0), 1.0, np.nan])
 
 
 def test_last_cut_is_the_least_double_past_maxlog():
@@ -254,14 +270,14 @@ def test_piecewise_matches_per_element_routing(size, layout):
     (1e308, (1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0)),
 ])
 def test_limits(x, expected):
-    got = (norm_cdf(x), norm_central_prob(x), upper_x_sf_integral(abs(x)),
+    got = (_phi(x), norm_central_prob(x), upper_x_sf_integral(abs(x)),
            normal_tail_second_moment(abs(x)), *norm_pdf_cdf_sf(x))
     assert tuple(float(v) for v in got) == expected
 
 
 def test_shapes_follow_the_input():
     for x in (0.5, np.array(0.5), np.linspace(-3, 3, 12).reshape(3, 4), np.array([])):
-        for fn in (norm_cdf, norm_central_prob, upper_x_sf_integral, normal_tail_second_moment):
+        for fn in (_phi, norm_central_prob, upper_x_sf_integral, normal_tail_second_moment):
             assert np.shape(fn(x)) == np.shape(x)
         assert all(np.shape(p) == np.shape(x) for p in norm_pdf_cdf_sf(x))
 
@@ -269,7 +285,7 @@ def test_shapes_follow_the_input():
 def test_long_inputs_match_short_ones():
     # blocks of a long input give the values of the same points one at a time
     x = np.linspace(-39.0, 39.0, 20_001)
-    for fn in (norm_cdf, norm_central_prob, upper_x_sf_integral, normal_tail_second_moment):
+    for fn in (_phi, norm_central_prob, upper_x_sf_integral, normal_tail_second_moment):
         whole = fn(x)
         assert np.array_equal(whole, np.concatenate([fn(x[i:i + 7]) for i in range(0, x.size, 7)]))
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 from scipy import stats
 
-from oracles import poisson_outside_mass
+from oracles import poisson_outside_mass, searched_geometric_window
 import randclt.indices
 from randclt.indices import (
     _STIRLERR,
@@ -241,6 +241,28 @@ class TestWindow:
         if kind == "geometric" and model.p < 1.0:
             want = math.exp(hi * math.log1p(-model.p))
         assert model.truncation_tail_mass.hex() == want.hex()
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.floats(-14.0, 0.0).map(lambda e: 10.0**e), tau=st.floats(1e-15, 0.999))
+    @example(p=1.0, tau=1e-12)  # the point mass at 1
+    @example(p=1 / 3, tau=1e-12)
+    @example(p=math.nextafter(1 / 3, 0.0), tau=1e-12)
+    @example(p=1e-6, tau=1e-12)  # geometric n = 1e6, past the cap
+    # the rounded-up ratio reads one below the least k, and one above it
+    @example(p=1e-14, tau=1e-10)
+    @example(p=1e-14, tau=1e-15)
+    def test_closed_form_window_matches_the_search(self, p, tau):
+        model = ShiftedGeometric(1, p=p, target=tau)
+        (lo, hi), mass = model._window_and_mass()
+        assert hi < 2**52  # where each k is an exact float
+        (want_lo, want_hi), want_mass = searched_geometric_window(model)
+        assert (lo, hi, mass.hex()) == (want_lo, want_hi, want_mass.hex())
+
+    def test_window_past_exact_floats_ends(self):
+        # at p = 1e-300, k - 1 and k round to one float: an unguarded step
+        # toward the least k would never end; the refusal names the count
+        with pytest.raises(IndexConfigError, match=r"needs \d+ terms, past the cap"):
+            ShiftedGeometric(1, p=1e-300).window
 
 
 class TestPoissonTails:
