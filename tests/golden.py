@@ -159,6 +159,18 @@ COMMANDS = [
     "cf-check --index geometric:0.9 --n-grid 1 --trunc-mass 0.5",
     "conditions --family uniform --index geometric:0.3333333333333333 --n-grid 5"
     " --epsilon 0.5",
+    # the normal family at sigma_1 = 1: its conditions, its mixing identity
+    # and audit (the JSON names the family), its small-o bound shape at
+    # B_1 = 1, and a B_k^2 past 1e300 on an exploding profile, whose factor
+    # the mixing identity takes as e^(-t^2/2); and a normal sigma other than 1
+    "conditions --family normal --index uniform --n-grid 10,100,1000"
+    " --epsilon 0.05,0.5,2",
+    "cf-check --family normal --index geometric --n-grid 50,500 --t-grid 0,1,100000",
+    "audit --family normal --index poisson --n-grid 10,100 --epsilon 0.5 --trials 0",
+    "cf-check --family twopoint --index geometric --n-grid 1000 --t-grid 0,1,100000",
+    "rates --mode small-o --family normal --index poisson --fn bump --n-grid 10,100"
+    " --trials 3000 --seed 4",
+    "conditions --family normal,sigma=2 --index det --n-grid 5",
 ]
 
 # help and usage errors: the text on stdout and stderr is the output
