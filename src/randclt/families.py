@@ -2,10 +2,13 @@
 
 Every built-in family is a scale family: the j-th summand is sigma_j * Z for a
 fixed zero-mean, unit-variance standardized law Z and a deterministic standard
-deviation profile sigma_j.  This covers the i.i.d. families (constant profile)
-and the heterogeneous exploding-variance families (geometric profile), keeps
-all moment and tail functionals exact, and makes the cumulative variance
-closed-form even where the float64 value would overflow (log-space accessors).
+deviation profile sigma_j with sigma_1 = 1.  This covers the i.i.d. families
+(constant profile, sigma_j = 1) and the heterogeneous exploding-variance
+families (geometric profile), keeps all moment and tail functionals exact, and
+makes the cumulative variance closed-form even where the float64 value would
+overflow (log-space accessors).  Every quantity randclt reports divides by
+B_k, so a common scale of the summands would cancel from all of them: no
+family takes one, and B_1 = 1 throughout.
 The matched normal sequence of Rotar's condition, N(0, sigma_j^2), is read
 from the same profile.
 
@@ -350,23 +353,17 @@ class CenteredExponentialLaw(Law):
 
 @dataclass(frozen=True)
 class ConstantProfile:
-    """sigma_j = sigma for every j (i.i.d. scaling)."""
-
-    sigma: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 < self.sigma < math.inf):
-            raise FamilyConfigError(f"sigma must be positive and finite: {self.sigma}")
+    """sigma_j = 1 for every j (i.i.d. standardized summands)."""
 
     @property
     def is_constant(self) -> bool:
         return True
 
     def log_b_squared(self, n):
-        return np.log(np.asarray(n, dtype=float)) + 2.0 * math.log(self.sigma)
+        return np.log(np.asarray(n, dtype=float))
 
     def log_sum_sigma_pow(self, n, power):
-        return np.log(np.asarray(n, dtype=float)) + power * math.log(self.sigma)
+        return np.log(np.asarray(n, dtype=float))
 
     def b2_over_max_var(self, k):
         """B_k^2 / max_{j<=k} sigma_j^2 = k."""
@@ -583,7 +580,7 @@ def _chunks(groups):
 _KINDS = {
     "rademacher": (RademacherLaw, ConstantProfile, {}),
     "uniform": (UniformLaw, ConstantProfile, {}),
-    "normal": (NormalLaw, ConstantProfile, {"sigma": 1.0}),
+    "normal": (NormalLaw, ConstantProfile, {}),
     "geomnormal": (NormalLaw, GeometricProfile, {"ratio": 2.0}),
     "twopoint": (RademacherLaw, GeometricProfile, {"growth": 2.0}),
     "expcentered": (CenteredExponentialLaw, ConstantProfile, {}),
@@ -594,9 +591,11 @@ BUILTIN_FAMILY_KINDS = tuple(_KINDS)
 def make_family(kind: str, **params) -> SummandFamily:
     """Construct a built-in family.
 
-    Kinds: rademacher | uniform | normal[, sigma=s] | expcentered
+    Kinds: rademacher | uniform | normal | expcentered   (sigma_j = 1)
            | geomnormal[, ratio=r]   (normal summands, sigma_j^2 = r^(j-1))
            | twopoint[, growth=r]    (two-point +-sigma_j, sigma_j^2 = r^(j-1))
+    Every profile starts at sigma_1 = 1, so no kind takes a scale; a
+    parameter the kind does not list is refused.
     """
     if kind not in _KINDS:
         raise FamilyConfigError(f"unknown family kind: {kind!r}")

@@ -304,15 +304,16 @@ def cf_identity_check(
     at t = 0 against a tail mass of 9.85580e-13.  That still passes the
     1e-12 gate (cli.CF_TOLERANCE) with ~1.4e-14 to spare.
     Only the sigma profile is read: the identity is about the matched normal
-    sequence N(0, sigma_j^2), whatever the family's summand law.  A B_k^2
-    outside [1e-300, 1e300] (a huge or tiny sigma) is not formed: its factor
-    is exp(-t^2/2) directly.  Where t^2 / (2 B_k^2) overflows, t^2 / 2 is past
-    ~1.8e8 and both the factor and e^(-t^2/2) are 0.
+    sequence N(0, sigma_j^2), whatever the family's summand law.  B_k^2 >= 1
+    (sigma_1 = 1 for every family); one past 1e300 (an exploding profile) is
+    not formed: its factor is exp(-t^2/2) directly.  Where t^2 / (2 B_k^2)
+    overflows, t^2 / 2 is past ~1.8e8 and both the factor and e^(-t^2/2)
+    are 0.
     """
     prof = family.profile
     logb2 = prof.log_b_squared(index_model.support.astype(float))
-    b2 = np.exp(np.clip(logb2, -700.0, 700.0))
-    scaled = (b2 > 1e-300) & (b2 < 1e300)
+    b2 = np.exp(np.minimum(logb2, 700.0))
+    scaled = b2 < 1e300
     devs = []
     for t in t_grid:
         with np.errstate(over="ignore"):

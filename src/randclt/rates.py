@@ -183,29 +183,20 @@ class RatePoint:
 # Smallest shape held to full precision: the terms that underflow lose at most
 # 2^-1022 in all (their probabilities sum to at most 1), one ulp of 2^-970.
 _MIN_SHAPE = 2.0**-970
-# log of the largest term bound held: 2^1023, half of float64's largest, so a
-# window term an ulp above B_1^-power in its log cannot overflow either.
-_MAX_LOG_SHAPE = 1023 * math.log(2.0)
 
 
 def _mean_inv_b_power(family, model, power):
-    """E[B_index^-power] with certified truncation.
+    """E[B_index^-power] with certified truncation, in units of sigma_1 = 1.
 
-    Refused below _MIN_SHAPE: the float64 terms underflow there (an
-    exploding profile at large n), and a 0.0 bound would make every metric
-    above the noise floor read as a violation.  Refused where B_1^-power,
-    the bound on every term (B_k grows with k), is above 2^1023: the terms
-    overflow float64 there (a tiny sigma).
+    Every term is at most B_1^-power = 1 (B_k grows with k, and every
+    family has sigma_1 = 1), the bound the truncation reads.  Refused below
+    _MIN_SHAPE: the float64 terms underflow there (an exploding profile at
+    large n), and a 0.0 bound would make every metric above the noise floor
+    read as a violation.
     """
-    log_top = -0.5 * power * float(family.profile.log_b_squared(1))
-    if log_top > _MAX_LOG_SHAPE:
-        raise ValueError(
-            f"E[B^-{power:g}] at n={model.n} is past the float64 range: its term "
-            f"bound B_1^-{power:g} is e^{log_top:.6g}, above 2^1023"
-        )
     logb2 = family.profile.log_b_squared(model.support.astype(float))
     vals = np.exp(-0.5 * power * logb2)
-    est = model.expect_values(vals, abs_bound=math.exp(log_top))
+    est = model.expect_values(vals, abs_bound=1.0)
     if not est.value >= _MIN_SHAPE:
         raise ValueError(
             f"E[B^-{power:g}] at n={model.n} is {est.value!r}, below 2^-970: "

@@ -116,13 +116,11 @@ COMMANDS = [
     "cf-check --index poisson --n-grid 100 --trunc-mass 0.001",
     "audit --family uniform --index poisson --n-grid 10,100 --epsilon 0.5"
     " --trunc-mass 0.001 --trials 0",
-    # closed forms of the expcentered, uniform and normal laws and of the
-    # geometric, Poisson and uniform indices
+    # closed forms of the expcentered and uniform laws and of the geometric
+    # and Poisson indices (the normal law's, under a uniform index, follow)
     "conditions --family expcentered --index geometric --n-grid 10,100,1000"
     " --epsilon 0.05,0.5,2",
     "conditions --family uniform --index poisson --n-grid 10,100,1000"
-    " --epsilon 0.05,0.5,2",
-    "conditions --family normal,sigma=3 --index uniform --n-grid 10,100,1000"
     " --epsilon 0.05,0.5,2",
     "audit --family expcentered --index geometric --n-grid 10,100"
     " --epsilon 0.1,0.5 --trials 0",
@@ -162,7 +160,7 @@ COMMANDS = [
     # the normal family at sigma_1 = 1: its conditions, its mixing identity
     # and audit (the JSON names the family), its small-o bound shape at
     # B_1 = 1, and a B_k^2 past 1e300 on an exploding profile, whose factor
-    # the mixing identity takes as e^(-t^2/2); and a normal sigma other than 1
+    # the mixing identity takes as e^(-t^2/2)
     "conditions --family normal --index uniform --n-grid 10,100,1000"
     " --epsilon 0.05,0.5,2",
     "cf-check --family normal --index geometric --n-grid 50,500 --t-grid 0,1,100000",
@@ -170,7 +168,6 @@ COMMANDS = [
     "cf-check --family twopoint --index geometric --n-grid 1000 --t-grid 0,1,100000",
     "rates --mode small-o --family normal --index poisson --fn bump --n-grid 10,100"
     " --trials 3000 --seed 4",
-    "conditions --family normal,sigma=2 --index det --n-grid 5",
 ]
 
 # help and usage errors: the text on stdout and stderr is the output
@@ -185,11 +182,15 @@ TEXT_COMMANDS = [
       ("det:0", "det:-3", "uniform:0", "poisson:0", "geometric:0", "geometric:1.5")),
     # a test function that is not built in
     "rates --fn tanh",
+    # a family parameter the kind does not take: every family has sigma_1 = 1
+    "conditions --family normal,sigma=3 --index uniform --n-grid 10,100,1000"
+    " --epsilon 0.05,0.5,2",
+    "conditions --family normal,sigma=2 --index det --n-grid 5",
+    "rates --family normal,sigma=1e-160 --index det --n-grid 5 --trials 10",
 ]
 
 # refusals of numeric limits: their text is the output, and it prints floats
 REFUSALS = [
-    "rates --family normal,sigma=1e-160 --index det --n-grid 5 --trials 10",
     "audit --family rademacher --index det --n-grid 5 --epsilon 1e155 --trials 0",
 ]
 

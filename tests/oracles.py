@@ -90,7 +90,7 @@ def sigma(fam, j):
     """sigma_j of the family's profile, j >= 1."""
     prof = fam.profile
     if prof.is_constant:
-        return prof.sigma
+        return 1.0
     return prof.ratio ** (0.5 * (j - 1))
 
 

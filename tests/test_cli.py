@@ -230,6 +230,18 @@ class TestParsing:
                      ["--n-grid", str(2**63 - 1)]):
             parse_args(["conditions", *argv])
 
+    @pytest.mark.parametrize("subcommand", list(READS))
+    def test_normal_takes_no_sigma(self, subcommand, tmp_path, capsys):
+        # every family has sigma_1 = 1: a common scale cancels from every
+        # output, so normal takes none
+        out = tmp_path / "out"
+        argv = _shortest_argv(subcommand) + ["--family", "normal,sigma=2", "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "randclt: usage error: --family: family 'normal' got unknown parameters: ['sigma']\n"
+        )
+        assert not out.exists()
+
     def test_usage_error_exits_one(self, capsys):
         assert main(["simulate", "--trials", "0"]) == 1
         assert "usage error" in capsys.readouterr().err
@@ -807,25 +819,6 @@ class TestRatesCommand:
         assert "n=2000" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("mode, sigma, power", [
-        ("large-o", "1e-160", "2"), ("small-o", "1e-310", "1"),
-    ])
-    def test_overflowing_bound_shape_exits_one_without_output(
-        self, mode, sigma, power, tmp_path, capsys
-    ):
-        # E[B^-2] = 1 / (5e-320) at sigma 1e-160: numpy's overflow warning,
-        # then "math range error"
-        out = tmp_path / "r.csv"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = main(["rates", "--family", f"normal,sigma={sigma}", "--index", "det",
-                         "--n-grid", "5", "--trials", "10", "--mode", mode, "--out", str(out)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert err.startswith(f"randclt: error: E[B^-{power}] at n=5 is past the float64 range")
-        assert not out.exists()
-
 
 class TestCfCheckCommand:
     def test_deterministic_passes_with_schema(self, tmp_path):
@@ -890,19 +883,25 @@ class TestCfCheckCommand:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        log_sigma=st.floats(-300.0, 300.0),
+        spec=st.sampled_from(["twopoint,growth", "geomnormal,ratio"]),
+        log_ratio=st.floats(math.log(1.05), math.log(1e300)),
         kind=st.sampled_from(["det", "poisson", "geometric", "uniform"]),
         n=st.integers(1, 1000),
         t=st.floats(0.0, 1e200),
     )
-    @example(log_sigma=-160.0, kind="poisson", n=10, t=1.0)  # read e^(-1/2)
-    @example(log_sigma=-200.0, kind="poisson", n=10, t=1.0)  # read NaN
-    @example(log_sigma=-300.0, kind="geometric", n=1000, t=1e5)
-    @example(log_sigma=300.0, kind="uniform", n=1000, t=1e200)
-    @example(log_sigma=-160.0, kind="det", n=5, t=1.0)
-    def test_any_sigma_passes_with_finite_deviations(self, log_sigma, kind, n, t):
-        # B_k^2 underflowed: t^2/(2 B_k^2) * B_k^2 read inf or NaN
-        argv = ["cf-check", "--family", f"normal,sigma={10.0 ** log_sigma!r}",
+    # B_k^2 past 1e300 at each kind: det k = 5 at ratio 1e100, a Poisson
+    # window at ratio 1e300, a geometric one at ratio 1.05 (past k ~ 14000)
+    # and a uniform one at ratio 2 (past k ~ 997)
+    @example(spec="geomnormal,ratio", log_ratio=math.log(1e100), kind="det", n=5, t=1.0)
+    @example(spec="twopoint,growth", log_ratio=math.log(1e300), kind="poisson", n=10, t=1.0)
+    @example(spec="twopoint,growth", log_ratio=math.log(1.05), kind="geometric", n=1000,
+             t=1e5)
+    @example(spec="geomnormal,ratio", log_ratio=math.log(2.0), kind="uniform", n=1000,
+             t=1e200)
+    def test_any_sigma_passes_with_finite_deviations(self, spec, log_ratio, kind, n, t):
+        # sigma_j of an exploding profile: B_k^2 past float64 read
+        # t^2/(2 B_k^2) * B_k^2 as inf or NaN
+        argv = ["cf-check", "--family", f"{spec}={math.exp(log_ratio)!r}",
                 "--index", kind, "--n-grid", str(n), "--t-grid", f"0,0.5,1,4,{t!r}"]
         stdout = io.StringIO()
         with warnings.catch_warnings(), contextlib.redirect_stdout(stdout):
@@ -946,10 +945,6 @@ class TestAuditCommand:
         validate(payload, load_schema("audit.schema.json"))
         assert payload["passed"] is True
         assert len(payload["configs"]) == 4
-
-    def test_tiny_sigma_audit_passes(self):
-        assert main(["audit", "--family", "normal,sigma=1e-160", "--index", "det",
-                     "--n-grid", "5", "--trials", "0"]) == 0
 
     def test_coarse_truncation_leaves_the_inequalities_passing(self, tmp_path):
         # the audit reports the inequality chain alone: a coarse index window
