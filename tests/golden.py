@@ -168,6 +168,19 @@ COMMANDS = [
     "cf-check --family twopoint --index geometric --n-grid 1000 --t-grid 0,1,100000",
     "rates --mode small-o --family normal --index poisson --fn bump --n-grid 10,100"
     " --trials 3000 --seed 4",
+    # infinitesimality on constant profiles: tails exact (uniform clips, the
+    # Rademacher atom at t = 1, on and near it), and tails near 0, where a
+    # central probability rounded near 1 loses the value (expcentered and
+    # normal at n up to 1e8, and geomnormal at ratio 1 - 1e-5)
+    "conditions --family uniform --index det --n-grid 10,100,1000,1000000"
+    " --epsilon 0.05,0.5,2",
+    "conditions --family rademacher --index det --n-grid 4,9,16,1000000"
+    " --epsilon 0.5,0.3333333333333333,0.001",
+    "conditions --family expcentered --index det --n-grid 100000000 --epsilon 0.00174",
+    "conditions --family normal --index det --n-grid 1000000,100000000"
+    " --epsilon 0.005,0.0006",
+    "conditions --family geomnormal,ratio=0.99999 --index det --n-grid 1000000"
+    " --epsilon 0.012",
 ]
 
 # help and usage errors: the text on stdout and stderr is the output
