@@ -310,36 +310,37 @@ def infinitesimality(family: SummandFamily, n: int, epsilon: float) -> Condition
     """P(max_{j<=n} |X_j| > eps B_n), strict inequality at atoms.
 
     Computed from independence as one minus the product of the central
-    probabilities P = P(|X_j| <= eps B_n): on a constant profile, the n-th
-    power of P(|Z| <= eps sqrt(n)).  On a geometric one the -log P fall with
-    the step i, and with p = 1 - P the terms from i on add at most
-    (n - i) p / (1 - p) to the -log sum, which bounds the walk's cut.
+    probabilities 1 - p, read from the tails p = P(|X_j| > eps B_n) as
+    log1p(-p): on a constant profile, -expm1(n log1p(-P(|Z| > eps sqrt(n)))).
+    A central probability rounded to a double near 1 would carry an error
+    up to 2^-53, which its n-th power multiplies by n.  On a geometric
+    profile the terms -log1p(-p_i) fall with the step i, and the terms from
+    i on add at most (n - i) p_i / (1 - p_i) to the sum, which bounds the
+    walk's cut.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     prof = family.profile
+    tail = family.law.tail_prob
 
-    def prob(t):
-        return np.asarray(family.law.central_prob(t), dtype=float)
+    def rest(k, i, w, t):  # (n - i) p / (1 - p)
+        p = tail(t)
+        return (k - i) * (p / (1.0 - p))
 
-    def rest(k, i, w, t):  # (n - i) p / (1 - p), p = 1 - P
-        central = prob(t)
-        return (k - i) * ((1.0 - central) / central)
-
-    # P = 0: the product is 0; P subnormal: rest is inf, a bound still; and
-    # t = inf: the whole law lies within
+    # p = 1: the product is 0, and rest is inf, a bound still; and t = inf:
+    # the whole law lies within
     with np.errstate(divide="ignore", over="ignore"):
         if prof.is_constant:
             # the float of the geometric profile's t_0 at q = 0
             t = np.exp(0.5 * np.log(np.array([float(n)]))) * epsilon
             _decide_atom_ties(t, family.law, 1.0, epsilon, lambda near: (n, 0))
-            log_prod = n * float(np.log(prob(t))[0])
+            log_prod = n * float(np.log1p(-tail(t))[0])
         else:
             log_prod = -float(_geometric_sum(
                 family.law, prof, np.array([n]), epsilon,
-                term=lambda w, t: -np.log(prob(t)), rest=rest,
+                term=lambda w, t: -np.log1p(-tail(t)), rest=rest,
             )[0])
     value = max(0.0, -math.expm1(log_prod))
     return _report("infinitesimality", value, epsilon=epsilon)

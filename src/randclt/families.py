@@ -14,8 +14,11 @@ from the same profile.
 
 A law's CDF F(x) = P(X < x), strict at atoms, enters only through the
 closed-form Rotar tails, so the laws carry no CDF or support of their own:
-the tests keep both as oracles (tests/oracles.py).  Tail functionals such as
-E[X^2; |X| > t] exclude atoms located exactly at the threshold.
+the tests keep both as oracles (tests/oracles.py).  Tail functionals, the
+tail probability P(|X| > t) and E[X^2; |X| > t], exclude atoms located
+exactly at the threshold.  A law states the tail probability, not the
+central one: a tail near 0 keeps its relative precision, which a central
+probability rounded to a double near 1 loses.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from typing import Optional
 import numpy as np
 
 from .gaussian import (
-    norm_central_prob,
     norm_pdf_cdf_sf,
     normal_abs_moment,
     normal_tail_second_moment,
@@ -64,7 +66,7 @@ class Law:
     Each law supplies in closed form:
       abs_moment(order)      E|Z|^order;
       tail_second_moment(t)  E[Z^2; |Z| > t] for t >= 0 (strict inequality at atoms);
-      central_prob(t)        P(|Z| <= t); the complement P(|Z| > t) is strict;
+      tail_prob(t)           P(|Z| > t) for t >= 0 (strict at atoms);
       rotar_unit_tail(t)     integral_{|z|>t} |z| * |F(z) - Phi(z)| dz.
     The laws that Monte Carlo draws summand by summand, through weight groups
     (rademacher on a geometric profile, and uniform), supply
@@ -116,9 +118,9 @@ class RademacherLaw(Law):
         t = np.asarray(t, dtype=float)
         return np.where(t < 1.0, 1.0, 0.0)
 
-    def central_prob(self, t):
+    def tail_prob(self, t):
         t = np.asarray(t, dtype=float)
-        return np.where(t >= 1.0, 1.0, 0.0)
+        return np.where(t < 1.0, 1.0, 0.0)
 
     def rotar_unit_tail(self, t):
         # |F - Phi| equals Phi(z) - 1/2 on 0 < z <= 1 and 1 - Phi(z) beyond;
@@ -207,14 +209,14 @@ class UniformLaw(Law):
         return 3.0 ** (0.5 * order) / (order + 1.0)
 
     def tail_second_moment(self, t):
-        # exactly 0 from the support edge on, where central_prob reads 1
+        # exactly 0 from the support edge on, where tail_prob reads 0
         t = np.asarray(t, dtype=float)
         inside = 1.0 - np.clip(t, 0.0, _SQRT3) ** 3 / (3.0 * _SQRT3)
         return np.where(t >= _SQRT3, 0.0, inside)
 
-    def central_prob(self, t):
+    def tail_prob(self, t):
         t = np.asarray(t, dtype=float)
-        return np.clip(t / _SQRT3, 0.0, 1.0)
+        return np.clip(1.0 - t / _SQRT3, 0.0, 1.0)
 
     def rotar_unit_tail(self, t):
         # F - Phi is negative on (0, z*), positive on (z*, sqrt(3)), and equals
@@ -250,8 +252,8 @@ class NormalLaw(Law):
     def tail_second_moment(self, t):
         return normal_tail_second_moment(t)
 
-    def central_prob(self, t):
-        return norm_central_prob(t)
+    def tail_prob(self, t):
+        return 2.0 * norm_pdf_cdf_sf(t)[2]
 
     def rotar_unit_tail(self, t):
         return np.zeros_like(np.asarray(t, dtype=float))
@@ -307,9 +309,11 @@ class CenteredExponentialLaw(Law):
         left = 1.0 - np.exp(tl - 1.0) * (tl * tl - 2.0 * tl + 2.0)
         return right + np.where(t < 1.0, left, 0.0)
 
-    def central_prob(self, t):
+    def tail_prob(self, t):
+        # P(Z > t) = e^-t / e, plus P(Z < -t) = 1 - e^-(1 - t) for t < 1;
+        # e^-(1 + t) would round 1 + t, a relative error of (1 + t) 2^-53
         t = np.asarray(t, dtype=float)
-        return np.exp(-np.maximum(0.0, 1.0 - t)) - np.exp(-(1.0 + t))
+        return np.exp(-t) / math.e - np.expm1(-np.maximum(0.0, 1.0 - t))
 
     def rotar_unit_tail(self, t):
         # Left side, z < -t: F = 0 below -1, so |z||F - Phi| = -z Phi(z) there,

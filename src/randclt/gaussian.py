@@ -1,22 +1,23 @@
 """Standard-normal helper functions shared across the package, in numpy alone.
 
-Phi and erf are a port of Cephes' ndtr/erf/erfc (S. L. Moshier, *Methods and
-Programs for Mathematical Functions*, 1989), the evaluation scipy.special.ndtr
-performs: the same coefficients, the same branches in z = |x|/sqrt(2) (erf
-below sqrt(1/2), 1 - erf below 1, exp(-z^2) P/Q below 8, exp(-z^2) R/S
-beyond, and 0 once z^2 > MAXLOG) and the same order of operations; erf
-takes |x| <= 1 inclusive and 1 - erfc beyond.  Each branch is evaluated
-only on the inputs it keeps, by `piecewise`, which the laws' Rotar kernels
-share: one loop over blocks of _BLOCK entries, each routed by its min and
-max, so a block that one piece holds goes to that piece in one call.
+Phi is a port of Cephes' ndtr and the erf/erfc it calls (S. L. Moshier,
+*Methods and Programs for Mathematical Functions*, 1989), the evaluation
+scipy.special.ndtr performs: the same coefficients, the same branches in
+z = |x|/sqrt(2) (erf below sqrt(1/2), 1 - erf below 1, exp(-z^2) P/Q below
+8, exp(-z^2) R/S beyond, and 0 once z^2 > MAXLOG) and the same order of
+operations.  Each branch is evaluated only on the inputs it keeps, by
+`piecewise`, which the laws' Rotar kernels share: one loop over blocks of
+_BLOCK entries, each routed by its min and max, so a block that one piece
+holds goes to that piece in one call.
 
-`norm_pdf_cdf_sf` is the one Phi, read by the closed forms and by the
-Kolmogorov distance: phi(x), Phi(x) and Phi(-x) from one exp(-x^2/2), the
-one phi is computed from, which stands in for Cephes' exp(-z*z) in the
-tails.  Phi there moves from Cephes at round-off, within 2^-52 in absolute
-terms.  erf (norm_central_prob) keeps Cephes' own exp(-z*z).  Inputs beyond
-|x| = 40, where phi and the far tail are 0.0 in float64, are clamped there,
-so huge or infinite inputs raise no floating-point warning.
+`norm_pdf_cdf_sf` is the one Phi, read by the closed forms, the normal
+law's tail P(|Z| > t) = 2 Phi(-t) and the Kolmogorov distance: phi(x),
+Phi(x) and Phi(-x) from one exp(-x^2/2), the one phi is computed from,
+which stands in for Cephes' exp(-z*z) in the tails.  Phi there moves from
+Cephes at round-off, within 2^-52 in absolute terms.  erf serves only
+ndtr's branch below z = 1.  Inputs beyond |x| = 40, where phi and the far
+tail are 0.0 in float64, are clamped there, so huge or infinite inputs
+raise no floating-point warning.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from functools import partial
 import numpy as np
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
-_SQRT2 = np.sqrt(2.0)
 _SQRT1_2 = math.sqrt(0.5)
 _MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX): erfc is 0 once z^2 exceeds it
 _PAST_MAXLOG = 26.64174755704633  # the least double z with z * z > MAXLOG
@@ -39,7 +39,6 @@ _BLOCK = 1 << 13  # entries per pass of a kernel; bounds its temporaries
 # 1/2 + erf/2 below sqrt(1/2) and 1 - erf above), P/Q, R/S, and 0 past
 # MAXLOG, where nan goes too.
 _CUTS = (1.0, 8.0, _PAST_MAXLOG)
-_PAST_ONE = math.nextafter(1.0, 2.0)  # Cephes erf takes |x| <= 1 inclusive
 
 
 def _columns(num, den):
@@ -215,17 +214,6 @@ def _pdf_cdf_sf(x):
     return e, upper, lower
 
 
-def _erf_outer(z, x):
-    erfc_half, _ = _tails(z, np.exp(-(z * z)))  # Cephes' own exp(-z*z)
-    v = 1.0 - 2.0 * erfc_half  # 1 - erfc(z); exact where erfc_half is normal
-    return np.where(x < 0.0, -v, v)
-
-
-def _central_prob(t):
-    x = t / _SQRT2
-    return piecewise(np.abs(x), (_PAST_ONE,), (lambda z, x: _erf_core(x), _erf_outer), x)
-
-
 def _upper_x_sf(t):
     pdf, _, sf = _pdf_cdf_sf(t)
     out = t * t
@@ -259,11 +247,6 @@ def norm_pdf_cdf_sf(x):
     absolute error stays within 2^-52.
     """
     return _kernel(_pdf_cdf_sf, x)
-
-
-def norm_central_prob(t):
-    """P(|Z| <= t) = erf(t / sqrt(2)): Cephes erf."""
-    return _kernel(_central_prob, t)
 
 
 def upper_x_sf_integral(t):

@@ -168,10 +168,10 @@ COMMANDS = [
     "cf-check --family twopoint --index geometric --n-grid 1000 --t-grid 0,1,100000",
     "rates --mode small-o --family normal --index poisson --fn bump --n-grid 10,100"
     " --trials 3000 --seed 4",
-    # infinitesimality on constant profiles: tails exact (uniform clips, the
+    # infinitesimality: tails exact on constant profiles (uniform clips, the
     # Rademacher atom at t = 1, on and near it), and tails near 0, where a
     # central probability rounded near 1 loses the value (expcentered and
-    # normal at n up to 1e8, and geomnormal at ratio 1 - 1e-5)
+    # normal at n up to 1e8, and the near-constant geomnormal ratio 1 - 1e-5)
     "conditions --family uniform --index det --n-grid 10,100,1000,1000000"
     " --epsilon 0.05,0.5,2",
     "conditions --family rademacher --index det --n-grid 4,9,16,1000000"

@@ -10,9 +10,11 @@ against its former binary-search passes; infinitesimality against its
 former sum over all n thresholds, the summand weights against
 their former construction from all k steps, the grouped summand draws
 against their former one group per k, the Poisson tails against mpmath's
-incomplete gamma function, and the geometric window's closed form against
-its former galloping search.  Rademacher sums have an exact Kolmogorov
-distance from binomial coefficients, and sin on a constant profile an exact
+incomplete gamma function, the geometric window's closed form against
+its former galloping search, and the continuous laws' tails and
+infinitesimality on a constant profile against 50-digit mpmath.
+Rademacher sums have an exact Kolmogorov distance from binomial
+coefficients, and sin on a constant profile an exact
 smooth metric from the summand law's characteristic function, against which
 the Monte Carlo metric of each per-block draw path is checked.
 
@@ -154,6 +156,23 @@ def exact_infinitesimality(ratio, k, eps):
     return int(max(variances) > bar)
 
 
+def exact_tail(kind, t):
+    """P(|Z| > t) of a continuous law at an mpmath t >= 0, at mpmath's precision."""
+    if kind == "normal":
+        return mpmath.erfc(t / mpmath.sqrt(2))
+    if kind == "uniform":
+        return max(mpmath.mpf(0), 1 - t / mpmath.sqrt(3))
+    # expcentered, Z = E - 1 with E ~ Exp(1): P(E > 1 + t) + P(E < 1 - t)
+    return mpmath.exp(-(1 + t)) + (-mpmath.expm1(t - 1) if t < 1 else 0)
+
+
+def exact_constant_infinitesimality(kind, n, eps):
+    """1 - (1 - p)^n at p = P(|Z| > eps sqrt(n)), eps sqrt(n) exact, in 50 digits."""
+    with mpmath.workdps(50):
+        p = exact_tail(kind, mpmath.mpf(eps) * mpmath.sqrt(n))
+        return -mpmath.expm1(n * mpmath.log1p(-p))
+
+
 def exact_side_direct(k, i, eps, ratio, atom):
     """Sign of eps B_k / sigma_j - atom for sigma_j i steps below the top.
 
@@ -210,11 +229,11 @@ def per_k_normalized_sums(family, rng, ks):
 
 
 def full_array_infinitesimality(fam, n, eps):
-    """P(max_{j<=n} |X_j| > eps B_n) from all n central probabilities.
+    """P(max_{j<=n} |X_j| > eps B_n) from all n tail probabilities.
 
     The former O(n) evaluation: every threshold eps B_n / sigma_j in one
-    array, ties at atoms decided exactly, log-probabilities summed in the
-    order of j.
+    array, ties at atoms decided exactly, the log1p(-p) of the tails p
+    summed in the order of j.
     """
     prof = fam.profile
     ratio = 1.0 if prof.is_constant else prof.ratio
@@ -232,10 +251,10 @@ def full_array_infinitesimality(fam, n, eps):
         _decide_atom_ties(t, fam.law, ratio, eps, lambda near: (n, near))
     if ratio > 1.0:
         t = t[::-1]
-    probs = np.asarray(fam.law.central_prob(t), dtype=float)
-    if np.any(probs <= 0.0):
+    tails = np.asarray(fam.law.tail_prob(t), dtype=float)
+    if np.any(tails >= 1.0):
         return 1.0
-    return max(0.0, -math.expm1(float(np.sum(np.log(probs)))))
+    return max(0.0, -math.expm1(float(np.sum(np.log1p(-tails)))))
 
 
 def searchsorted_geometric_sum(law, profile, ks, eps, term, rest, log_weight_cut=math.inf):

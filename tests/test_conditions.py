@@ -17,6 +17,7 @@ from fractions import Fraction
 from oracles import (
     direct_scale_mixture,
     direct_terms,
+    exact_constant_infinitesimality,
     exact_infinitesimality,
     full_array_infinitesimality,
     exact_lindeberg,
@@ -151,8 +152,8 @@ class TestInfinitesimality:
         eps=st.one_of(st.floats(1e-3, 3.0), st.sampled_from([-1, 0, 1])),
     )
     def test_constant_profile_closed_form(self, kind, n, eps):
-        # the n-th power of one central probability against the former sum of n
-        # logs; an integer eps puts the threshold on the Rademacher atom: eps =
+        # n log1p(-p) of one tail p against the former sum of n of them; an
+        # integer eps puts the threshold on the Rademacher atom: eps =
         # 1/sqrt(n) (0) and its float neighbours (-1, +1)
         if isinstance(eps, int):
             eps = float(np.nextafter(1.0 / math.sqrt(n), eps * math.inf) if eps else
@@ -161,6 +162,26 @@ class TestInfinitesimality:
         got = infinitesimality(fam, n, eps).value
         want = full_array_infinitesimality(fam, n, eps)
         assert abs(got - want) <= 8 * np.spacing(want), (got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["normal", "uniform", "expcentered"]),
+        n=st.integers(1, 10**8),
+        eps=st.floats(-5.0, math.log10(3.0)).map(lambda e: 10.0**e),
+    )
+    @example("expcentered", 10**8, 0.00174)
+    @example("normal", 10**6, 0.005)
+    def test_constant_profile_within_bound_of_exact(self, kind, n, eps):
+        # 1 - (1 - p)^n in 50 digits at the exact threshold eps sqrt(n); a
+        # central probability 1 - p rounded near 1 missed it by 1.7e-9 at
+        # the first example and 1.3e-11 at the second.  Not covered: the
+        # uniform tail 1 - t / sqrt(3) at n >= 1e4 and p below ~10 / n, where
+        # the rounding of t alone moves the value past the bound (1e5 times
+        # it at n = 1e8); those eps lie within ~10 / n relative of
+        # sqrt(3 / n), which these draws reach with odds below 1e-6
+        report = infinitesimality(make_family(kind), n, eps)
+        exact = exact_constant_infinitesimality(kind, n, eps)
+        assert abs(report.value - exact) <= report.error_bound, (report, exact)
 
     @pytest.mark.parametrize("spec", [
         "twopoint,growth=1.01", "geomnormal,ratio=1.01", "geomnormal,ratio=0.99",
@@ -320,13 +341,10 @@ class TestGeometricKernel:
         ks = np.array(ks, dtype=np.int64)
         if functional == "infinitesimality":
             def rest(k, i, w, t):
-                central = np.asarray(law.central_prob(t), dtype=float)
-                return (k - i) * ((1.0 - central) / central)
+                p = law.tail_prob(t)
+                return (k - i) * (p / (1.0 - p))
 
-            walk = dict(
-                term=lambda w, t: -np.log(np.asarray(law.central_prob(t), dtype=float)),
-                rest=rest,
-            )
+            walk = dict(term=lambda w, t: -np.log1p(-law.tail_prob(t)), rest=rest)
         else:
             unit = getattr(law, {"lindeberg": "tail_second_moment",
                                  "rotar": "rotar_unit_tail"}[functional])

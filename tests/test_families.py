@@ -3,6 +3,7 @@
 import math
 import sys
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -16,6 +17,7 @@ from oracles import (
     binomial_chisquare_pvalue,
     cdf,
     density,
+    exact_tail,
     full_weights,
     law_cdf,
     law_support,
@@ -31,6 +33,7 @@ from randclt.families import (
     ConstantProfile,
     FamilyConfigError,
     GeometricProfile,
+    NormalLaw,
     RademacherLaw,
     UniformLaw,
     _MAX_DRAW_ENTRIES,
@@ -310,6 +313,70 @@ class TestSummandWeights:
     def test_summand_draw_cap(self, profile, k, count):
         with pytest.raises(ValueError, match=rf"a trial needs {count} summand draws"):
             weights_at(profile, k)
+
+
+LAWS = {
+    "rademacher": RademacherLaw(),
+    "uniform": UniformLaw(),
+    "normal": NormalLaw(),
+    "expcentered": CenteredExponentialLaw(),
+}
+
+
+class TestTailProb:
+    """P(|Z| > t) of each law: the complement of the central probability."""
+
+    @pytest.mark.parametrize("kind", sorted(LAWS))
+    @settings(max_examples=40, deadline=None)
+    @given(ts=st.lists(
+        st.one_of(st.floats(0.0, 50.0), st.floats(0.0, 1e308),
+                  st.sampled_from([1.0, math.nextafter(1.0, 0.0), SQRT3, math.inf])),
+        min_size=2,
+    ))
+    def test_a_probability_that_does_not_increase(self, kind, ts):
+        p = LAWS[kind].tail_prob(np.sort(ts))
+        assert ((p >= 0.0) & (p <= 1.0)).all(), p
+        assert (np.diff(p) <= 0.0).all(), p
+
+    def test_rademacher_is_strict_at_its_atom(self):
+        law = LAWS["rademacher"]
+        assert law.tail_prob(math.nextafter(1.0, 0.0)) == 1.0
+        assert law.tail_prob(1.0) == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(t=st.floats(0.0, 37.5))
+    @example(t=0.0)
+    @example(t=37.5)
+    @example(t=math.sqrt(2.0))  # z = 1, the P/Q branch's edge
+    @example(t=8.0 * math.sqrt(2.0))  # z = 8, the R/S branch's edge
+    def test_normal_within_relative_round_off_of_erfc(self, t):
+        # 2 Phi(-t) from the fused kernel, whose shared exponential grows the
+        # error by t^2 / 2 ulp; 4.53 + t^2 / 2 was the largest over 8,000 t
+        got = float(LAWS["normal"].tail_prob(t))
+        with mpmath.workdps(50):
+            exact = exact_tail("normal", mpmath.mpf(t))
+            assert abs(got - exact) <= (8.0 + 0.5 * t * t) * 2.0**-52 * exact, t
+
+    @settings(max_examples=300, deadline=None)
+    @given(t=st.floats(0.0, 700.0))
+    @example(t=1.0)
+    @example(t=math.nextafter(1.0, 0.0))
+    @example(t=1e-300)
+    def test_expcentered_within_1e_14_of_its_closed_form(self, t):
+        got = float(LAWS["expcentered"].tail_prob(t))
+        with mpmath.workdps(50):
+            exact = exact_tail("expcentered", mpmath.mpf(t))
+            assert abs(got - exact) <= 1e-14 * exact, t
+
+    @pytest.mark.parametrize("kind", sorted(LAWS))
+    def test_extreme_inputs_raise_no_warning(self, kind):
+        values = np.array([0.0, 1e-300, 1e308, math.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = LAWS[kind].tail_prob(values)
+            for v in values:
+                LAWS[kind].tail_prob(v)
+        assert np.isfinite(out).all()
 
 
 class TestSignRoots:
